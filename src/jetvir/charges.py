@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
 
 class Statistics(enum.Enum):
@@ -118,25 +118,22 @@ class ChargeSet:
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 9)}
 
     def to_json(self) -> str:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         payload = {
             "inputs": {
                 "d": self.d,
                 "p": self.p,
-                "lambda": frac(self.conformal_weight),
+                "lambda": fraction_json(self.conformal_weight),
                 "delta_rho": self.glrep.delta_rho,
-                "k0": frac(self.glrep.k0),
-                "k1": frac(self.glrep.k1),
-                "k2": frac(self.glrep.k2),
+                "k0": fraction_json(self.glrep.k0),
+                "k1": fraction_json(self.glrep.k1),
+                "k2": fraction_json(self.glrep.k2),
                 "delta_m": self.grep.delta_m,
-                "y_m": frac(self.grep.y_m),
-                "z_m": frac(self.grep.z_m),
-                "w_m": frac(self.grep.w_m),
+                "y_m": fraction_json(self.grep.y_m),
+                "z_m": fraction_json(self.grep.z_m),
+                "w_m": fraction_json(self.grep.w_m),
                 "statistics": self.grep.statistics.value,
             },
-            "charges": {k: frac(v) for k, v in self.charges().items()},
+            "charges": {k: fraction_json(v) for k, v in self.charges().items()},
         }
         return json.dumps(payload, indent=2)
 
@@ -155,6 +152,22 @@ class ChargeSet:
                           frac(ins["w_m"]), Statistics(ins["statistics"]))
         ch = {k: frac(v) for k, v in data["charges"].items()}
         return cls(ins["d"], ins["p"], frac(ins["lambda"]), glrep, grep, **ch)
+
+
+def fraction_json(x: Fraction) -> str:
+    """The exact "num/den" string under which rationals are serialized."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def compare(closed: ChargeSet,
+            measured) -> List[Tuple[str, Optional[Fraction], Fraction]]:
+    """The (name, measured, closed) rows of c1..c8 and c1+c2 for an
+    engine measurement (``wickcocycle.MeasuredCharges``) of ``closed``.
+    At d = 1 only c1+c2 is measurable, so the measured c1 and c2 are None."""
+    rows = [(name, getattr(measured, name), value)
+            for name, value in closed.charges().items()]
+    rows.append(("c1+c2", measured.c1_plus_c2, closed.c1 + closed.c2))
+    return rows
 
 
 def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,

@@ -20,10 +20,17 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from . import __version__
-from .charges import GRepTraces, Statistics, closed_form, from_sl_gl1
+from .charges import (
+    GRepTraces,
+    Statistics,
+    closed_form,
+    compare,
+    fraction_json,
+    from_sl_gl1,
+)
 from .cocycles import (
     Trajectory,
     affine_cocycle,
@@ -46,12 +53,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
-
-
-def _fmt(x: Optional[Fraction]) -> str:
-    if x is None:
-        return "-"
-    return str(x)
 
 
 def _parse_components(text: str, d: int, varname: str = "x") -> List[Poly]:
@@ -130,27 +131,23 @@ def cmd_charges(args) -> int:
     grep = GRepTraces(args.delta_m, args.y_m, args.z_m, args.w_m,
                       Statistics(args.statistics))
     cs = closed_form(args.d, args.p, args.lam, glrep, grep)
-    meas = extract_charges(args.d, args.p, args.lam, glrep, grep) \
+    table = compare(cs, extract_charges(args.d, args.p, args.lam, glrep, grep)) \
         if args.measure else None
+    ok = table is None or all(m == c for _, m, c in table if m is not None)
 
     if args.format == "json":
-        if meas is None:
+        if table is None:
             print(cs.to_json())
         else:
             payload = json.loads(cs.to_json())
-            measured = {
-                "c1": None if meas.c1 is None else _fmt_json(meas.c1),
-                "c2": None if meas.c2 is None else _fmt_json(meas.c2),
-                "c1_plus_c2": _fmt_json(meas.c1_plus_c2),
-                "c3": _fmt_json(meas.c3), "c4": _fmt_json(meas.c4),
-                "c5": _fmt_json(meas.c5), "c6": _fmt_json(meas.c6),
-                "c7": _fmt_json(meas.c7), "c8": _fmt_json(meas.c8),
-            }
-            payload["measured"] = measured
-            payload["match"] = _measurement_matches(cs, meas)
+            # the json layout lists c1+c2 right after c2 (stable sort on the last digit)
+            payload["measured"] = {
+                name.replace("+", "_plus_"): None if m is None else fraction_json(m)
+                for name, m, _ in sorted(table, key=lambda row: row[0][-1])}
+            payload["match"] = ok
             print(json.dumps(payload, indent=2))
         return 0
-    rows = _charge_rows(cs, meas)
+    rows = _charge_rows(cs, table)
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
@@ -161,49 +158,21 @@ def cmd_charges(args) -> int:
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip())
-    if meas is not None:
-        ok = _measurement_matches(cs, meas)
+    if table is not None:
         print(f"engine match: {'exact' if ok else 'MISMATCH'}")
-        return 0 if ok else 1
-    return 0
+    return 0 if ok else 1
 
 
-def _fmt_json(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _measurement_matches(cs, meas) -> bool:
-    checks = [
-        (meas.c1_plus_c2, cs.c1 + cs.c2),
-        (meas.c3, cs.c3), (meas.c4, cs.c4), (meas.c5, cs.c5),
-        (meas.c6, cs.c6), (meas.c7, cs.c7), (meas.c8, cs.c8),
-    ]
-    if meas.c1 is not None:
-        checks += [(meas.c1, cs.c1), (meas.c2, cs.c2)]
-    return all(a == b for a, b in checks)
-
-
-def _charge_rows(cs, meas):
-    header = ["charge", "closed"]
-    if meas is not None:
-        header += ["measured", "match"]
-    rows = [header]
-    measured_map = {} if meas is None else {
-        "c1": meas.c1, "c2": meas.c2, "c3": meas.c3, "c4": meas.c4,
-        "c5": meas.c5, "c6": meas.c6, "c7": meas.c7, "c8": meas.c8,
-    }
-    for name, value in cs.charges().items():
-        row = [name, str(value)]
-        if meas is not None:
-            m = measured_map[name]
-            if m is None:
-                row += ["-", "n/a (d=1 measures c1+c2)"]
-            else:
-                row += [str(m), "yes" if m == value else "NO"]
-        rows.append(row)
-    if meas is not None:
-        rows.append(["c1+c2", str(cs.c1 + cs.c2), str(meas.c1_plus_c2),
-                     "yes" if meas.c1_plus_c2 == cs.c1 + cs.c2 else "NO"])
+def _charge_rows(cs, table):
+    if table is None:
+        return [["charge", "closed"]] + [[name, str(value)]
+                                         for name, value in cs.charges().items()]
+    rows = [["charge", "closed", "measured", "match"]]
+    for name, m, value in table:
+        if m is None:
+            rows.append([name, str(value), "-", "n/a (d=1 measures c1+c2)"])
+        else:
+            rows.append([name, str(value), str(m), "yes" if m == value else "NO"])
     return rows
 
 

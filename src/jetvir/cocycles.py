@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .exactpoly import Poly
-from .jetreps import StructureConstants, vector_field_bracket
+from .jetreps import divergence
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,6 @@ def compose(f: Poly, q: Trajectory) -> Poly:
 
 # -- classical brackets --------------------------------------------------------
 
-def bracket_vect(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
-    """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu."""
-    return vector_field_bracket(xi, eta)
-
-
-def bracket_gauge(X: Sequence[Poly], Y: Sequence[Poly],
-                  sc: StructureConstants) -> List[Poly]:
-    """Pointwise Lie bracket [X, Y]^c = f^{abc} X^a Y^b."""
-    return sc.bracket_components(X, Y)
-
-
 def bracket_rep(f: Poly, g: Poly) -> Poly:
     """[f, g] = f g' - g f' (one-variable vector fields on the circle)."""
     if f.dim != 1 or g.dim != 1:
@@ -97,9 +86,7 @@ def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> List[Poly]:
     """The weight-one density action xi . X = xi^mu d_mu X + d_mu xi^mu X,
     the formal bracket formula of the extended algebra's mixed sector."""
     d = len(xi)
-    div = Poly.zero(xi[0].dim)
-    for mu in range(d):
-        div = div + xi[mu].deriv(mu)
+    div = divergence(xi)
     out = []
     for comp in X:
         acc = div * comp
@@ -111,13 +98,6 @@ def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> List[Poly]:
 
 # -- extension terms -------------------------------------------------------------
 
-def _divergence(xi: Sequence[Poly]) -> Poly:
-    acc = Poly.zero(xi[0].dim)
-    for mu, c in enumerate(xi):
-        acc = acc + c.deriv(mu)
-    return acc
-
-
 def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
                      c1, c2) -> Fraction:
     d = q.d
@@ -125,8 +105,8 @@ def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
         raise ValueError("vector fields must have d components")
     qdot = q.velocity()
     total = Poly.zero(1)
-    div_xi = _divergence(xi)
-    div_eta = _divergence(eta)
+    div_xi = divergence(xi)
+    div_eta = divergence(eta)
     for rho in range(d):
         if qdot[rho].is_zero():
             continue
@@ -161,7 +141,7 @@ def affine_cocycle(X: Sequence[Poly], Y: Sequence[Poly], q: Trajectory,
 def mixed_cocycle(xi: Sequence[Poly], X: Sequence[Poly], q: Trajectory,
                   c7) -> Fraction:
     qdot = q.velocity()
-    div_xi = _divergence(xi)
+    div_xi = divergence(xi)
     total = Poly.zero(1)
     for rho in range(q.d):
         if qdot[rho].is_zero():
@@ -179,7 +159,7 @@ def reparam_reparam_cocycle(f: Poly, g: Poly, c4) -> Fraction:
 def reparam_vector_cocycle(f: Poly, xi: Sequence[Poly], q: Trajectory,
                            c3) -> Fraction:
     return -Fraction(c3) / 2 * residue(
-        f.deriv(0).deriv(0) * compose(_divergence(xi), q)
+        f.deriv(0).deriv(0) * compose(divergence(xi), q)
     )
 
 

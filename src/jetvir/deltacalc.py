@@ -28,6 +28,7 @@ implemented.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -210,8 +211,6 @@ def delta_pair_closed(
     """
     if f.dim != d or g.dim != d:
         raise ValueError("smearing functions must have dimension d")
-    import math
-
     if case == "i":
         return sum_closed(SumKind.A, d, p) * f.constant_term() * g.constant_term()
     if case == "ii":

@@ -16,11 +16,16 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
-from .multiindex import MultiIndex, binomial, factorial, sub as mi_sub
+from .multiindex import MultiIndex, factorial
 
 _DEFAULT_MAX_DEGREE = 64
+
+
+def _degree_overflow(cap: int) -> OverflowError:
+    return OverflowError(f"product exceeds degree cap {cap}; "
+                         "raise JETVIR_MAX_DEGREE to allow larger expressions")
 
 
 def max_degree_cap() -> int:
@@ -93,12 +98,6 @@ class Poly:
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.dim, Fraction(0))
 
@@ -137,10 +136,7 @@ class Poly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if sum(abs(x) for x in e) > cap:
-                    raise OverflowError(
-                        f"product exceeds degree cap {cap}; "
-                        "raise JETVIR_MAX_DEGREE to allow larger expressions"
-                    )
+                    raise _degree_overflow(cap)
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return Poly(self.dim, out)
 
@@ -215,10 +211,6 @@ class Poly:
         """d^m at the origin: m! times the coefficient of x^m."""
         return self.coeff(m) * factorial(m)
 
-    def shift(self, q: "Poly | Sequence") -> "Poly":
-        """Not supported in general; see ``taylor_shift_coeffs`` for the jet use."""
-        raise NotImplementedError
-
     def compose_univariate(self, substitutions: Sequence["Poly"]) -> "Poly":
         """Substitute variable i -> substitutions[i] (each a Poly in a common
         target space).  Negative exponents require the corresponding
@@ -256,17 +248,10 @@ def _monomial_inverse_power(p: Poly, k: int) -> Poly:
             "negative exponent composition requires a monomial substitution"
         )
     (e, c), = p.terms.items()
+    cap = max_degree_cap()
+    if k * sum(abs(x) for x in e) > cap:
+        raise _degree_overflow(cap)
     return Poly(p.dim, {tuple(-k * x for x in e): Fraction(1, 1) / (c ** k)})
-
-
-def taylor_shift_coeffs(f: Poly, m: MultiIndex, n: MultiIndex) -> Poly:
-    """Coefficient polynomial binom(m, n) * d^{m-n} f, viewed as a polynomial
-    in the shift point.  Used when re-expanding f(x+q) around q: the x^n/n!
-    coefficient block of x^m/m! is binom(m,n) d^{m-n}f evaluated at q."""
-    b = binomial(m, n)
-    if b == 0:
-        return Poly.zero(f.dim)
-    return f.deriv_multi(mi_sub(m, n)).scale(b)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -316,7 +301,10 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
             continue
         if m.group("num"):
             num = m.group("num")
-            val = Fraction(num) if "/" not in num else Fraction(*map(int, num.split("/")))
+            try:
+                val = Fraction(num)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in coefficient {num!r}") from exc
             coeff = val if coeff is None else coeff * val
             started = True
             continue

@@ -34,11 +34,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactpoly import Poly
 from .multiindex import (
-    MultiIndex,
     binomial,
     enumerate_indices,
     norm,
@@ -97,12 +96,6 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_equal(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
@@ -116,10 +109,6 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_map_entries(a: Matrix, fn) -> Matrix:
-    return tuple(tuple(fn(x) for x in row) for row in a)
-
-
 def numeric_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
     """Lift a matrix of rationals to a matrix of constant Polys in dim vars."""
     return tuple(
@@ -128,6 +117,11 @@ def numeric_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
 
 
 # -- structure constants and matrix representations ---------------------------
+
+def _levi_civita(a: int, b: int, c: int) -> int:
+    """The Levi-Civita symbol eps_{abc} on the indices 0, 1, 2."""
+    return (a - b) * (b - c) * (c - a) // 2 if {a, b, c} == {0, 1, 2} else 0
+
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -164,12 +158,9 @@ class StructureConstants:
     @classmethod
     def epsilon(cls) -> "StructureConstants":
         """f^{abc} = Levi-Civita symbol (three-dimensional rotation algebra)."""
-        def eps(a, b, c):
-            return Fraction(
-                (a - b) * (b - c) * (c - a) // 2 if {a, b, c} == {0, 1, 2} else 0
-            )
         f = tuple(
-            tuple(tuple(eps(a, b, c) for c in range(3)) for b in range(3))
+            tuple(tuple(Fraction(_levi_civita(a, b, c)) for c in range(3))
+                  for b in range(3))
             for a in range(3)
         )
         return cls(3, f)
@@ -225,10 +216,8 @@ class MatrixRep:
     def g_rotation_adjoint(cls) -> "MatrixRep":
         """Adjoint of the rotation algebra: (M^a)_{bc} = -eps_{abc}, which
         satisfies [M^a, M^b] = eps^{abc} M^c."""
-        def eps(a, b, c):
-            return (a - b) * (b - c) * (c - a) // 2 if {a, b, c} == {0, 1, 2} else 0
         gens = tuple(
-            (a, tuple(tuple(Fraction(-eps(a, b, c)) for c in range(3))
+            (a, tuple(tuple(Fraction(-_levi_civita(a, b, c)) for c in range(3))
                       for b in range(3)))
             for a in range(3)
         )
@@ -268,7 +257,7 @@ class MatrixRep:
                     coef = sc.f[a][b][c]
                     if coef:
                         rhs = mat_add(rhs, mat_scale(mats[c], Poly.constant(0, coef)))
-                if not mat_equal(lhs, rhs):
+                if lhs != rhs:
                     return False
         return True
 
@@ -284,7 +273,7 @@ class MatrixRep:
                 rhs = mat_add(rhs, mats[(mu, sigma)])
             if mu == sigma:
                 rhs = mat_sub(rhs, mats[(nu, rho)])
-            if not mat_equal(lhs, rhs):
+            if lhs != rhs:
                 return False
         return True
 
@@ -351,12 +340,6 @@ class GaugeJetOperator:
     rep_size: int
     matrix: Matrix  # size lattice * rep_size, entries Poly in q
 
-    def __eq__(self, other):
-        if not isinstance(other, GaugeJetOperator):
-            return NotImplemented
-        return (self.d, self.p, self.rep_size) == (other.d, other.p, other.rep_size) \
-            and mat_equal(self.matrix, other.matrix)
-
     def is_zero(self) -> bool:
         return mat_is_zero(self.matrix)
 
@@ -368,12 +351,6 @@ class DiffJetOperator:
     rep_size: int
     vector: Tuple[Poly, ...]  # a^mu(q) = xi^mu(q)
     matrix: Matrix            # jet (x) gl-rep block, entries Poly in q
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffJetOperator):
-            return NotImplemented
-        return (self.d, self.p, self.rep_size) == (other.d, other.p, other.rep_size) \
-            and self.vector == other.vector and mat_equal(self.matrix, other.matrix)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.vector) and mat_is_zero(self.matrix)
@@ -442,6 +419,14 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     return out
 
 
+def divergence(xi: Sequence[Poly]) -> Poly:
+    """div xi = d_mu xi^mu."""
+    acc = Poly.zero(xi[0].dim)
+    for mu, c in enumerate(xi):
+        acc = acc + c.deriv(mu)
+    return acc
+
+
 def bracket_gauge(j1: GaugeJetOperator, j2: GaugeJetOperator) -> GaugeJetOperator:
     if (j1.d, j1.p, j1.rep_size) != (j2.d, j2.p, j2.rep_size):
         raise ValueError("operator shape mismatch")
@@ -475,14 +460,7 @@ def bracket_diff(l1: DiffJetOperator, l2: DiffJetOperator) -> DiffJetOperator:
     """
     if (l1.d, l1.p, l1.rep_size) != (l2.d, l2.p, l2.rep_size):
         raise ValueError("operator shape mismatch")
-    d = l1.d
-    vector = []
-    for mu in range(d):
-        acc = Poly.zero(d)
-        for nu in range(d):
-            acc = acc + l1.vector[nu] * l2.vector[mu].deriv(nu)
-            acc = acc - l2.vector[nu] * l1.vector[mu].deriv(nu)
-        vector.append(acc)
+    vector = vector_field_bracket(l1.vector, l2.vector)
     matrix = mat_add(
         mat_sub(
             _directional_derivative(l1.vector, l2.matrix),

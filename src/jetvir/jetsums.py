@@ -1,7 +1,7 @@
 """Five families of lattice sums over {m : |m| <= p} in d dimensions.
 
-Each sum has a closed binomial form and a brute-force enumeration; they are
-checked against each other exactly.  The sums are
+Each sum has a closed binomial form and a brute-force enumeration;
+``verify.suite_sums`` checks them against each other exactly.  The sums are
 
     A = sum 1                    = binom(d+p, d)
     B = sum m_mu                 = binom(d+p, d+1)
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from .multiindex import enumerate_indices
 
@@ -77,93 +76,3 @@ def sum_brute(kind: SumKind, d: int, p: int,
         elif kind is SumKind.E:
             total += m[mu] * (m[nu] + 1)
     return total
-
-
-@dataclass
-class SumReport:
-    """Outcome of a verification sweep; `failures` lists human-readable
-    descriptions of any exact mismatches (empty means all checks passed)."""
-    d_max: int
-    p_max: int
-    checks: int = 0
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def _record(self, ok: bool, message: str) -> None:
-        self.checks += 1
-        if not ok:
-            self.failures.append(message)
-
-
-def verify_identities(d_max: int, p_max: int, fault: bool = False) -> SumReport:
-    """Check closed = brute for every kind, grid point and direction pair,
-    plus the recursion B_{d,p} = B_{d,p-1} + binom(d+p-1, d), the relations
-    C = E + D and E = D + B, and permutation symmetry of the directions.
-
-    With ``fault=True`` a deliberate off-by-one is injected into one closed
-    form so that the surrounding self-test machinery can prove it would
-    notice a real discrepancy.
-    """
-    report = SumReport(d_max=d_max, p_max=p_max)
-    for d in range(1, d_max + 1):
-        for p in range(0, p_max + 1):
-            a_closed = sum_closed(SumKind.A, d, p)
-            if fault and d == d_max and p == p_max:
-                a_closed += 1
-            report._record(
-                a_closed == sum_brute(SumKind.A, d, p),
-                f"A mismatch at d={d}, p={p}",
-            )
-            b_vals = []
-            for mu in range(d):
-                bc = sum_closed(SumKind.B, d, p, mu)
-                report._record(
-                    bc == sum_brute(SumKind.B, d, p, mu),
-                    f"B mismatch at d={d}, p={p}, mu={mu}",
-                )
-                cc = sum_closed(SumKind.C, d, p, mu)
-                report._record(
-                    cc == sum_brute(SumKind.C, d, p, mu),
-                    f"C mismatch at d={d}, p={p}, mu={mu}",
-                )
-                b_vals.append(bc)
-                for nu in range(d):
-                    if nu == mu:
-                        continue
-                    dc = sum_closed(SumKind.D, d, p, mu, nu)
-                    ec = sum_closed(SumKind.E, d, p, mu, nu)
-                    report._record(
-                        dc == sum_brute(SumKind.D, d, p, mu, nu),
-                        f"D mismatch at d={d}, p={p}, mu={mu}, nu={nu}",
-                    )
-                    report._record(
-                        ec == sum_brute(SumKind.E, d, p, mu, nu),
-                        f"E mismatch at d={d}, p={p}, mu={mu}, nu={nu}",
-                    )
-                    report._record(
-                        sum_brute(SumKind.D, d, p, mu, nu)
-                        == sum_brute(SumKind.D, d, p, nu, mu),
-                        f"D direction symmetry fails at d={d}, p={p}",
-                    )
-                    report._record(
-                        ec == dc + bc,
-                        f"E = D + B fails at d={d}, p={p}, mu={mu}, nu={nu}",
-                    )
-                    report._record(
-                        cc == ec + dc,
-                        f"C = E + D fails at d={d}, p={p}, mu={mu}, nu={nu}",
-                    )
-            report._record(
-                all(v == b_vals[0] for v in b_vals),
-                f"B direction symmetry fails at d={d}, p={p}",
-            )
-            if p >= 1:
-                report._record(
-                    sum_closed(SumKind.B, d, p, 0)
-                    == sum_closed(SumKind.B, d, p - 1, 0) + math.comb(d + p - 1, d),
-                    f"B recursion fails at d={d}, p={p}",
-                )
-    return report

@@ -13,13 +13,6 @@ from typing import Iterator, Sequence, Tuple
 MultiIndex = Tuple[int, ...]
 
 
-def _check_index(m: Sequence[int]) -> MultiIndex:
-    t = tuple(m)
-    if any(not isinstance(c, int) or c < 0 for c in t):
-        raise ValueError(f"multi-index components must be non-negative integers: {t}")
-    return t
-
-
 def _check_same_dim(a: Sequence[int], b: Sequence[int]) -> None:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .charges import GlRepTraces, GRepTraces, Statistics
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral, shift_to_zero
 from .exactpoly import Poly
+from .jetreps import divergence
 
 
 class FieldKind(enum.Enum):
@@ -197,11 +198,6 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
 
 # -- base-point sector rules ----------------------------------------------------
 
-def _divergence_at_zero(xi: Sequence[Poly]) -> Fraction:
-    return sum((xi[mu].deriv(mu).constant_term() for mu in range(len(xi))),
-               Fraction(0))
-
-
 def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
     """Closed-form contributions of the base-point (q, p) contractions."""
     ta = a.q_sector
@@ -218,9 +214,9 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
                         * eta[nu].deriv(mu).constant_term())
         pe.add(2, -val)
     elif ta[0] == "T" and tb[0] == "L":
-        pe.add(3, _divergence_at_zero(tb[1]))
+        pe.add(3, divergence(tb[1]).constant_term())
     elif ta[0] == "L" and tb[0] == "T":
-        pe.add(3, -_divergence_at_zero(ta[1]))
+        pe.add(3, -divergence(ta[1]).constant_term())
     elif ta[0] == "T" and tb[0] == "T":
         pe.add(4, Fraction(a.d))
 

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from jetvir.cli import main
+from jetvir.verify import SuiteResult, VerifyReport
 
 
 def run(capsys, *argv):
@@ -114,3 +117,23 @@ def test_verify_fault_injection(capsys):
                        "--self-test-fault")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("d_max, p_max", [("0", "-1"), ("0", "3"), ("2", "-1")])
+def test_verify_empty_grid_is_a_usage_error(capsys, d_max, p_max):
+    code, out, err = run(capsys, "verify", "--d-max", d_max, "--p-max", p_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_suite_without_checks_does_not_pass():
+    assert not SuiteResult("empty").ok
+    assert not VerifyReport([SuiteResult("empty")]).ok
+
+
+def test_cocycle_zero_denominator(capsys):
+    code, _, err = run(capsys, "cocycle", "--kind", "reparam-reparam",
+                       "--f", "1/0 z^3", "--g", "z", "--c4", "1")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

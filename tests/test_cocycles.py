@@ -7,9 +7,7 @@ from jetvir.cocycles import (
     Trajectory,
     affine_cocycle,
     antisymmetry_check,
-    bracket_gauge,
     bracket_rep,
-    bracket_vect,
     compose,
     density_action,
     mixed_cocycle,
@@ -20,7 +18,7 @@ from jetvir.cocycles import (
     virasoro_cocycle,
 )
 from jetvir.exactpoly import Poly, parse_poly
-from jetvir.jetreps import StructureConstants
+from jetvir.jetreps import StructureConstants, vector_field_bracket
 from jetvir.multiindex import enumerate_indices
 
 
@@ -48,12 +46,12 @@ def _rand_traj(d, rng):
 def test_brackets():
     x = parse_poly("x0", 1)
     x2 = parse_poly("x0^2", 1)
-    assert bracket_vect([x2], [x]) == [parse_poly("0 - x0^2", 1)]
+    assert vector_field_bracket([x2], [x]) == [parse_poly("0 - x0^2", 1)]
     assert bracket_rep(_z("z"), _z("z^2")) == _z("z^2")
     sc = StructureConstants.epsilon()
     X = [x, Poly.zero(1), Poly.zero(1)]
     Y = [Poly.zero(1), x, Poly.zero(1)]
-    assert bracket_gauge(X, Y, sc) == [Poly.zero(1), Poly.zero(1), x2]
+    assert sc.bracket_components(X, Y) == [Poly.zero(1), Poly.zero(1), x2]
     assert density_action([Poly.constant(1, 2)], [Poly.constant(1, 3)]) == \
         [Poly.zero(1)]
     assert density_action([x], [Poly.constant(1, 1)]) == [Poly.constant(1, 1)]

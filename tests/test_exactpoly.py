@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetvir.exactpoly import Poly, format_poly, parse_poly
+from jetvir.exactpoly import Poly, _monomial_inverse_power, format_poly, parse_poly
 
 
 def test_parse_basic():
@@ -83,3 +83,11 @@ def test_degree_cap(monkeypatch):
     monkeypatch.setenv("JETVIR_MAX_DEGREE", "not-a-number")
     with pytest.raises(ValueError):
         _ = f * f
+
+
+def test_degree_cap_negative_powers(monkeypatch):
+    monkeypatch.setenv("JETVIR_MAX_DEGREE", "8")
+    assert _monomial_inverse_power(parse_poly("z^2", 1, "z"), 3) == \
+        parse_poly("z^-6", 1, "z")
+    with pytest.raises(OverflowError):
+        _monomial_inverse_power(parse_poly("z^5", 1, "z"), 3)

@@ -1,6 +1,7 @@
 import pytest
 
-from jetvir.jetsums import SumKind, sum_brute, sum_closed, verify_identities
+from jetvir.jetsums import SumKind, sum_brute, sum_closed
+from jetvir.verify import suite_sums
 
 
 def test_closed_examples():
@@ -36,12 +37,12 @@ def test_p_zero_lattice():
 
 
 def test_verify_identities_small():
-    report = verify_identities(3, 5)
+    report = suite_sums(3, 5)
     assert report.ok
     assert report.checks > 0
 
 
 def test_verify_identities_fault_injection():
-    report = verify_identities(2, 2, fault=True)
+    report = suite_sums(2, 2, fault=True)
     assert not report.ok
     assert any("A mismatch" in f for f in report.failures)
