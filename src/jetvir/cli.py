@@ -146,7 +146,7 @@ def cmd_charges(args) -> int:
                 for name, m, _ in sorted(table, key=lambda row: row[0][-1])}
             payload["match"] = ok
             print(json.dumps(payload, indent=2))
-        return 0
+        return 0 if ok else 1
     rows = _charge_rows(cs, table)
     if args.format == "csv":
         out = io.StringIO()
@@ -154,7 +154,7 @@ def cmd_charges(args) -> int:
         writer.writerow(rows[0])
         writer.writerows(rows[1:])
         print(out.getvalue(), end="")
-        return 0
+        return 0 if ok else 1
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip())

@@ -197,7 +197,7 @@ class Poly:
                 if k < 0 and x == 0:
                     raise ZeroDivisionError("negative exponent evaluated at zero")
                 val *= x ** k
-        # accumulate separately to keep the loop simple
+            # accumulate separately to keep the loop simple
             total += val
         return total
 
@@ -271,7 +271,6 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
     """
     pos = 0
     n = len(text)
-    result = Poly.zero(dim)
     # term state
     sign = 1
     coeff: Fraction | None = None
@@ -297,7 +296,6 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
                 flush()
             if m.group("sign") == "-":
                 sign = -sign
-            started = started or False
             continue
         if m.group("num"):
             num = m.group("num")

@@ -55,22 +55,12 @@ def mat_zero(n: int, dim: int) -> Matrix:
     return tuple(tuple(z for _ in range(n)) for _ in range(n))
 
 
-def mat_identity(n: int, dim: int) -> Matrix:
-    one = Poly.constant(dim, 1)
-    z = Poly.zero(dim)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, k: Poly) -> Matrix:
-    return tuple(tuple(k * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -98,15 +88,6 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
-
-
-def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(na) for l in range(nb))
-        for i in range(na)
-        for k in range(nb)
-    )
 
 
 def numeric_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
@@ -199,10 +180,6 @@ class MatrixRep:
                 return m
         raise KeyError(f"no generator labelled {label!r}")
 
-    @property
-    def labels(self) -> List[object]:
-        return [lab for lab, _ in self.generators]
-
     # -- factories ---------------------------------------------------------
 
     @classmethod
@@ -248,17 +225,13 @@ class MatrixRep:
 
     def check_g_relations(self, sc: StructureConstants) -> bool:
         """[M^a, M^b] = f^{abc} M^c, exactly."""
-        mats = {a: numeric_matrix(self.matrix(a), 0) for a in range(sc.dim)}
-        for a in range(sc.dim):
-            for b in range(sc.dim):
-                lhs = mat_commutator(mats[a], mats[b])
-                rhs = mat_zero(self.size, 0)
-                for c in range(sc.dim):
-                    coef = sc.f[a][b][c]
-                    if coef:
-                        rhs = mat_add(rhs, mat_scale(mats[c], Poly.constant(0, coef)))
-                if lhs != rhs:
-                    return False
+        mats = [self.matrix(a) for a in range(sc.dim)]
+        for a, b in itertools.product(range(sc.dim), repeat=2):
+            rhs = [[sum(sc.f[a][b][c] * mats[c][i][j] for c in range(sc.dim))
+                    for j in range(self.size)] for i in range(self.size)]
+            if mat_commutator(numeric_matrix(mats[a], 0),
+                              numeric_matrix(mats[b], 0)) != numeric_matrix(rhs, 0):
+                return False
         return True
 
     def check_gl_relations(self, d: int) -> bool:
@@ -280,22 +253,27 @@ class MatrixRep:
 
 # -- jet block builders --------------------------------------------------------
 
-def multiplication_jet_matrix(X: Poly, d: int, p: int) -> Matrix:
-    """Jet matrix (entries Poly in q) of "multiply by X(x+q), truncate at p"
-    in the Taylor basis x^n/n!: block (m, n) = binom(m, n) d_{m-n}X(q)."""
-    if X.dim != d:
-        raise ValueError(f"function has dimension {X.dim}, expected {d}")
+def _multiplication_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence]]],
+                           size: int, d: int, p: int) -> Matrix:
+    """Matrix on (jet) (x) (rep of the given size), entries Poly in q, of
+    "multiply by F(x+q) = sum_k f_k(x+q) R_k, truncate at p" in the Taylor
+    basis x^n/n!: block (m, n) = binom(m, n) sum_k d_{m-n}f_k(q) R_k.
+
+    ``factors`` holds the pairs (f_k, R_k) of a Poly in d variables and a
+    size x size matrix of rationals.
+    """
     lattice = enumerate_indices(d, p)
+    z = Poly.zero(d)
     rows = []
     for m in lattice:
-        row = []
+        blocks = []  # per column index n: the nonzero (binom d_{m-n}f_k, R_k)
         for n in lattice:
             b = binomial(m, n)
-            if b == 0:
-                row.append(Poly.zero(d))
-            else:
-                row.append(X.deriv_multi(mi_sub(m, n)).scale(b))
-        rows.append(tuple(row))
+            derivs = ((f.deriv_multi(mi_sub(m, n)).scale(b), r) for f, r in factors if b)
+            blocks.append([(g, r) for g, r in derivs if not g.is_zero()])
+        for i in range(size):
+            rows.append(tuple(sum((g.scale(r[i][j]) for g, r in block if r[i][j]), z)
+                              for block in blocks for j in range(size)))
     return tuple(rows)
 
 
@@ -368,16 +346,11 @@ def _check_components(comps: Sequence[Poly], d: int, count: int, what: str) -> N
 
 def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> GaugeJetOperator:
     """The jet current generator: blocks binom(m, n) d_{m-n}X^a(q) M^a."""
-    n_gen = len(rep.labels)
+    n_gen = len(rep.generators)
     _check_components(X, d, n_gen, "g-valued function")
-    lattice = enumerate_indices(d, p)
-    total = mat_zero(len(lattice) * rep.size, d)
-    for a in range(n_gen):
-        if X[a].is_zero():
-            continue
-        jet = multiplication_jet_matrix(X[a], d, p)
-        total = mat_add(total, mat_kron(jet, numeric_matrix(rep.matrix(a), d)))
-    return GaugeJetOperator(d, p, rep.size, total)
+    matrix = _multiplication_matrix(
+        [(X[a], rep.matrix(a)) for a in range(n_gen)], rep.size, d, p)
+    return GaugeJetOperator(d, p, rep.size, matrix)
 
 
 def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJetOperator:
@@ -388,23 +361,11 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJet
     d_nu xi^mu(x+q) T^nu_mu, both truncated at jet order p.
     """
     _check_components(xi, d, d, "vector field")
-    lattice = enumerate_indices(d, p)
-    size = len(lattice) * rep.size
-    matrix = mat_kron(transport_jet_matrix(xi, d, p), mat_identity(rep.size, d))
-    for nu in range(d):
-        for mu in range(d):
-            dxi = xi[mu].deriv(nu)
-            if dxi.is_zero():
-                continue
-            t_mat = numeric_matrix(rep.matrix((nu, mu)), d)
-            if all(v.is_zero() for row in t_mat for v in row):
-                continue
-            matrix = mat_add(
-                matrix,
-                mat_kron(multiplication_jet_matrix(dxi, d, p), t_mat),
-            )
-    vector = tuple(xi)
-    return DiffJetOperator(d, p, rep.size, vector, matrix)
+    frame = _multiplication_matrix(
+        [(xi[mu].deriv(nu), rep.matrix((nu, mu))) for nu in range(d) for mu in range(d)],
+        rep.size, d, p)
+    transport = _insert_identity(transport_jet_matrix(xi, d, p), rep.size)
+    return DiffJetOperator(d, p, rep.size, tuple(xi), mat_add(transport, frame))
 
 
 def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
@@ -489,46 +450,30 @@ def bracket_mixed(l: DiffJetOperator, j: GaugeJetOperator) -> GaugeJetOperator:
     """
     if (l.d, l.p) != (j.d, j.p):
         raise ValueError("operator shape mismatch")
-    d = l.d
-    lattice_n = len(enumerate_indices(d, l.p))
-    # Embed: L acts on jet (x) rho (x) M, J on jet (x) rho (x) M.
-    # l.matrix is (jet x rho); j.matrix is (jet x M).
-    l_full = mat_kron(l.matrix, mat_identity(j.rep_size, d))
-    j_full = _embed_gauge(j, l.rep_size, lattice_n)
+    # L acts on (jet x rho) as l.matrix, J on (jet x M) as j.matrix; both
+    # are extended to (jet x rho x M).
+    l_full = _insert_identity(l.matrix, j.rep_size)
+    j_full = _insert_identity(j.matrix, l.rep_size, j.rep_size)
     matrix = mat_add(
         _directional_derivative(l.vector, j_full),
         mat_commutator(l_full, j_full),
     )
-    return GaugeJetOperator(d, l.p, l.rep_size * j.rep_size, matrix)
+    return GaugeJetOperator(l.d, l.p, l.rep_size * j.rep_size, matrix)
 
 
-def _embed_gauge(j: GaugeJetOperator, rho_size: int, lattice_n: int) -> Matrix:
-    """Re-index a (jet x M) gauge matrix onto (jet x rho x M) by inserting
-    an identity on the middle (gl-rep) factor."""
-    d = j.d
-    z = Poly.zero(d)
-    size = lattice_n * rho_size * j.rep_size
-    rows = []
-    for m in range(lattice_n):
-        for i in range(rho_size):
-            for a in range(j.rep_size):
-                row = []
-                for n in range(lattice_n):
-                    for jj in range(rho_size):
-                        for b in range(j.rep_size):
-                            if i == jj:
-                                row.append(j.matrix[m * j.rep_size + a][n * j.rep_size + b])
-                            else:
-                                row.append(z)
-                rows.append(tuple(row))
-    assert len(rows) == size
-    return tuple(rows)
+def _insert_identity(a: Matrix, k: int, w: int = 1) -> Matrix:
+    """Re-index a matrix on U (x) W, with dim W = w, onto U (x) C^k (x) W,
+    acting as the identity on the inserted C^k."""
+    n = len(a) // w
+    z = Poly.zero(a[0][0].dim)
+    return tuple(
+        tuple(a[u * w + i][v * w + j] if kappa == lam else z
+              for v in range(n) for lam in range(k) for j in range(w))
+        for u in range(n) for kappa in range(k) for i in range(w))
 
 
 def embed_gauge_operator(j: GaugeJetOperator, rho_size: int) -> GaugeJetOperator:
     """The gauge operator acting trivially on an extra gl-rep factor of the
     given size (for comparison against mixed brackets)."""
-    lattice_n = len(enumerate_indices(j.d, j.p))
-    return GaugeJetOperator(
-        j.d, j.p, rho_size * j.rep_size, _embed_gauge(j, rho_size, lattice_n)
-    )
+    return GaugeJetOperator(j.d, j.p, rho_size * j.rep_size,
+                            _insert_identity(j.matrix, rho_size, j.rep_size))

@@ -268,15 +268,16 @@ def suite_cocycles(seed: int, triples: int = 20) -> SuiteResult:
 
 def run_all(d_max: int = 2, p_max: int = 3, seed: int = 0,
             fault: bool = False) -> VerifyReport:
-    """Run every suite; sweep-size arguments bound the closure and charge
-    suites (the sums and delta suites always cover their full ranges)."""
-    if d_max < 1 or p_max < 0:
-        raise ValueError(f"empty verify grid: need d_max >= 1 and p_max >= 0, "
-                         f"got d_max={d_max}, p_max={p_max}")
+    """Run every suite; the sweep-size arguments bound the closure and charge
+    suites, at most d_max = 2 and p_max = 3 (the sums and delta suites always
+    cover their full ranges)."""
+    if not (1 <= d_max <= 2 and 0 <= p_max <= 3):
+        raise ValueError(f"verify grid out of range: need 1 <= d_max <= 2 and "
+                         f"0 <= p_max <= 3, got d_max={d_max}, p_max={p_max}")
     report = VerifyReport()
     report.suites.append(suite_sums(fault=fault))
     report.suites.append(suite_delta(seed))
-    report.suites.append(suite_closures(seed, d_max=min(d_max, 2), p_max=min(p_max, 3)))
-    report.suites.append(suite_charges(d_max=min(d_max, 2), p_max=min(p_max, 3)))
+    report.suites.append(suite_closures(seed, d_max=d_max, p_max=p_max))
+    report.suites.append(suite_charges(d_max=d_max, p_max=p_max))
     report.suites.append(suite_cocycles(seed))
     return report

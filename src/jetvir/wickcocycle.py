@@ -256,10 +256,6 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
 
 # -- generator builders ----------------------------------------------------------
 
-def _plain(kind: FieldKind, dots: int = 0, deriv: Optional[int] = None) -> FieldFactor:
-    return FieldFactor(kind, dots, deriv)
-
-
 def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """J_X with g-components X^a (a = 0 is the privileged trace direction)."""
     terms = []
@@ -269,7 +265,8 @@ def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
         if comp.is_zero():
             continue
         terms.append(Term(Fraction(1), comp, SmearMode.PLAIN,
-                          _plain(FieldKind.PI), ("M", a_idx), _plain(FieldKind.PHI)))
+                          FieldFactor(FieldKind.PI), ("M", a_idx),
+                          FieldFactor(FieldKind.PHI)))
     return NormalBilinear(d, p, tuple(terms), q_sector=None)
 
 
@@ -282,14 +279,14 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     for mu in range(d):
         if not shift_to_zero(xi[mu]).is_zero():
             terms.append(Term(Fraction(1), xi[mu], SmearMode.SHIFTED,
-                              _plain(FieldKind.PI), ("I",),
-                              _plain(FieldKind.PHI, deriv=mu)))
+                              FieldFactor(FieldKind.PI), ("I",),
+                              FieldFactor(FieldKind.PHI, spatial_deriv=mu)))
         for nu in range(d):
             dxi = xi[mu].deriv(nu)
             if not dxi.is_zero():
                 terms.append(Term(Fraction(1), dxi, SmearMode.PLAIN,
-                                  _plain(FieldKind.PI), ("T", nu, mu),
-                                  _plain(FieldKind.PHI)))
+                                  FieldFactor(FieldKind.PI), ("T", nu, mu),
+                                  FieldFactor(FieldKind.PHI)))
     return NormalBilinear(d, p, tuple(terms), q_sector=("L", tuple(xi)))
 
 
@@ -301,12 +298,12 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
     terms = []
     if lam != 1:
         terms.append(Term(lam - 1, one, SmearMode.PLAIN,
-                          _plain(FieldKind.PI), ("I",),
-                          _plain(FieldKind.PHI, dots=1)))
+                          FieldFactor(FieldKind.PI), ("I",),
+                          FieldFactor(FieldKind.PHI, z_dots=1)))
     if lam != 0:
         terms.append(Term(lam, one, SmearMode.PLAIN,
-                          _plain(FieldKind.PI, dots=1), ("I",),
-                          _plain(FieldKind.PHI)))
+                          FieldFactor(FieldKind.PI, z_dots=1), ("I",),
+                          FieldFactor(FieldKind.PHI)))
     return NormalBilinear(d, p, tuple(terms), q_sector=("T",))
 
 

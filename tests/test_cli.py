@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import jetvir.cli
 from jetvir.cli import main
 from jetvir.verify import SuiteResult, VerifyReport
 
@@ -106,6 +108,20 @@ def test_cocycle_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_charges_measure_mismatch_exits_1_in_every_format(capsys, monkeypatch, fmt):
+    extract = jetvir.cli.extract_charges
+
+    def off_by_one(*args):
+        measured = extract(*args)
+        return dataclasses.replace(measured, c5=measured.c5 + 1)
+
+    monkeypatch.setattr(jetvir.cli, "extract_charges", off_by_one)
+    code, _, _ = run(capsys, "charges", "--d", "2", "--p", "1", "--y-m", "1",
+                     "--measure", "--format", fmt)
+    assert code == 1
+
+
 def test_verify_tiny_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--d-max", "1", "--p-max", "0")
     assert code == 0
@@ -119,7 +135,8 @@ def test_verify_fault_injection(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("d_max, p_max", [("0", "-1"), ("0", "3"), ("2", "-1")])
+@pytest.mark.parametrize("d_max, p_max", [("0", "-1"), ("0", "3"), ("2", "-1"),
+                                          ("3", "3"), ("2", "4")])
 def test_verify_empty_grid_is_a_usage_error(capsys, d_max, p_max):
     code, out, err = run(capsys, "verify", "--d-max", d_max, "--p-max", p_max)
     assert code == 2
