@@ -8,7 +8,7 @@ which reproduces the p-jet of a smearing function: integrating f(y) against
 K_p(x, y) yields the degree-p Taylor truncation f(x)|_p.  The kernel is
 asymmetric: K_p(y, x) is a different distribution.
 
-Two layers are provided:
+Three layers are provided:
 
 * ``smear``: single-kernel integrals, optionally with one derivative on the
   x or y argument.
@@ -16,7 +16,12 @@ Two layers are provided:
   product [D1 K_p(x,y)] [D2 K_p(y,x)], evaluated by a fully symbolic oracle
   that expands both kernels, applies the derivative decorations termwise and
   pairs d_w delta against polynomials via
-  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).
+  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  The second
+  factor's terms are indexed by derivative word, so only the words that a
+  monomial of f reaches are visited: O(N |supp f|) pairings for
+  N = binom(d+p, d) kernel terms, not N^2.  A smearing term with a
+  negative exponent is never paired.  The expansions are cached per
+  (d, p, decoration, argument order).
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
   to; the oracle never consults them, so oracle-vs-closed comparison is an
   independent test.
@@ -28,21 +33,16 @@ implemented.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 from .exactpoly import Poly
 from .jetsums import SumKind, sum_closed
-from .multiindex import (
-    MultiIndex,
-    add as mi_add,
-    enumerate_indices,
-    factorial,
-    norm,
-    unit,
-)
+from .multiindex import MultiIndex, add as mi_add, enumerate_indices, unit
 
 
 class Which(enum.Enum):
@@ -101,52 +101,50 @@ def smear(f: Poly, deriv: DerivSpec, d: int, p: int) -> Poly:
     return g if deriv.which is Which.ON_X else -g
 
 
-# A kernel term: (rational coefficient, monomial exponent in the kernel's
-# polynomial variable, derivative word on the delta of the other variable).
-_KernelTerm = Tuple[Fraction, MultiIndex, MultiIndex]
+# A kernel term: (coefficient, monomial exponent in the kernel's polynomial
+# variable, derivative word on the delta of the other variable).  The
+# coefficient already carries the pairing factor (-1)^{|word|} word! of the
+# term's delta, so it is an integer.
+_KernelTerm = Tuple[int, MultiIndex, MultiIndex]
 
 
-def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> List[_KernelTerm]:
+@functools.lru_cache(maxsize=64)
+def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> Tuple[_KernelTerm, ...]:
     """Expand one decorated kernel factor termwise.
 
     ``poly_is_x`` selects the argument order: True for K_p(x, y) (monomials
     in x, delta in y), False for K_p(y, x).  The decoration either
     differentiates the monomial (when it targets the polynomial variable) or
     appends to the delta's derivative word (when it targets the delta
-    variable).
+    variable).  The kernel coefficient (-1)^{|m|} / m! times the pairing
+    factor (-1)^{|word|} word! is the integer (-1)^{|word|-|m|} word! / m!.
     """
     _check_deriv(deriv, d)
     hits_poly = (deriv.which is Which.ON_X) == poly_is_x and deriv.which is not Which.NONE
     hits_delta = deriv.which is not Which.NONE and not hits_poly
+    mu = deriv.direction
     out: List[_KernelTerm] = []
     for m in enumerate_indices(d, p):
-        coeff = Fraction((-1) ** norm(m), factorial(m))
-        expo = m
-        word = m
+        coeff, expo, word = 1, m, m
         if hits_poly:
-            mu = deriv.direction
             if m[mu] == 0:
                 continue
-            coeff *= m[mu]
+            coeff = m[mu]
             expo = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
         elif hits_delta:
-            word = mi_add(m, unit(d, deriv.direction))
+            word = mi_add(m, unit(d, mu))
+            coeff = -(m[mu] + 1)
         out.append((coeff, expo, word))
-    return out
+    return tuple(out)
 
 
-def _pair_against_delta(f: Poly, expo: MultiIndex, word: MultiIndex) -> Fraction:
-    """integral f(u) u^expo d_word delta(u) du = (-1)^{|word|} d_word [f u^expo](0).
-
-    Since d_word[f u^expo](0) = word! * coeff_{word-expo}(f), no polynomial
-    product is needed."""
-    diff = tuple(w - e for w, e in zip(word, expo))
-    if any(c < 0 for c in diff):
-        return Fraction(0)
-    c = f.coeff(diff)
-    if c == 0:
-        return Fraction(0)
-    return Fraction((-1) ** norm(word)) * factorial(word) * c
+@functools.lru_cache(maxsize=64)
+def _word_index(d: int, p: int, deriv: DerivSpec,
+                poly_is_x: bool) -> Mapping[MultiIndex, Tuple[int, MultiIndex]]:
+    """The terms of ``_kernel_terms`` keyed by derivative word, as a read-only
+    map word -> (coefficient, exponent); a word belongs to at most one term."""
+    return MappingProxyType({word: (coeff, expo)
+                             for coeff, expo, word in _kernel_terms(d, p, deriv, poly_is_x)})
 
 
 def delta_pair_integral(
@@ -163,25 +161,35 @@ def delta_pair_integral(
     D1 decorates the first factor, D2 the second; both DerivSpecs refer to
     the literal variables x and y.  ``modes = (mode_f, mode_g)`` selects
     plain or shifted smearing per slot; shifted slots are shifted here.
+
+    A term (c1, e1, w1) of the first factor and a term (c2, e2, w2) of the
+    second contribute c1 c2 f_{w2-e1} g_{w1-e2}: the x-integral pairs
+    f x^{e1} against d_{w2} delta(x), the y-integral g y^{e2} against
+    d_{w1} delta(y).  So only the word w2 = e1 + s is visited for each
+    monomial s of f, at cost O(N |supp f|) rather than O(N^2).  A smearing
+    term with a negative exponent is never paired: it has no Taylor
+    coefficient at the origin.
     """
     if f.dim != d or g.dim != d:
         raise ValueError("smearing functions must have dimension d")
     ff = shift_to_zero(f) if modes[0] is SmearMode.SHIFTED else f
     gg = shift_to_zero(g) if modes[1] is SmearMode.SHIFTED else g
-    terms1 = _kernel_terms(d, p, d1, poly_is_x=True)
-    terms2 = _kernel_terms(d, p, d2, poly_is_x=False)
+    first = _kernel_terms(d, p, d1, poly_is_x=True)
+    second = _word_index(d, p, d2, poly_is_x=False)
+    f_terms = [(s, c) for s, c in ff.terms.items() if min(s) >= 0]
     total = Fraction(0)
-    for c1, e1, w1 in terms1:
-        for c2, e2, w2 in terms2:
-            # x-integral pairs f x^{e1} against d_{w2} delta(x);
-            # y-integral pairs g y^{e2} against d_{w1} delta(y).
-            ix = _pair_against_delta(ff, e1, w2)
-            if ix == 0:
+    for c1, e1, w1 in first:
+        for s, fc in f_terms:
+            hit = second.get(tuple(a + b for a, b in zip(e1, s)))
+            if hit is None:
                 continue
-            iy = _pair_against_delta(gg, e2, w1)
-            if iy == 0:
+            c2, e2 = hit
+            diff = tuple(a - b for a, b in zip(w1, e2))
+            if min(diff) < 0:
                 continue
-            total += c1 * c2 * ix * iy
+            gc = gg.terms.get(diff)
+            if gc is not None:
+                total += c1 * c2 * fc * gc
     return total
 
 

@@ -57,8 +57,10 @@ class Poly:
                 e = tuple(expo)
                 if len(e) != dim:
                     raise ValueError(f"exponent {e} has wrong dimension (expected {dim})")
-                if any(not isinstance(c, int) for c in e):
+                if any(type(c) is not int for c in e):
                     raise ValueError(f"exponents must be integers: {e}")
+                if isinstance(coeff, float):
+                    raise ValueError(f"coefficients must be exact, got the float {coeff!r}")
                 c = Fraction(coeff)
                 if c != 0:
                     clean[e] = clean.get(e, Fraction(0)) + c
@@ -74,11 +76,11 @@ class Poly:
 
     @classmethod
     def constant(cls, dim: int, value) -> "Poly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def monomial(cls, expo: Sequence[int], coeff=1) -> "Poly":
-        return cls(len(tuple(expo)), {tuple(expo): Fraction(coeff)})
+        return cls(len(tuple(expo)), {tuple(expo): coeff})
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Poly":

@@ -116,6 +116,32 @@ def test_criterion_4_engine_reproduces_charge_formulas():
     assert elapsed < 120.0, f"charge sweep took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("d,p", [(3, 4), (4, 6), (5, 4), (6, 6)])
+def test_criterion_4_engine_reproduces_charge_formulas_beyond_d2(d, p):
+    # From d = 3 on, D = binom(d+p, d+2) and the 2d term of c4 take values
+    # the verify grid (d <= 2) never reaches.
+    gl = from_sl_gl1(Fraction(-1, 2), 1, 2, d)
+    for lam in (Fraction(1, 2), Fraction(2)):
+        for stats in Statistics:
+            gr = GRepTraces(2, 2, 1, 3, stats)
+            closed = charges_mod.closed_form(d, p, lam, gl, gr)
+            measured = wickcocycle.extract_charges(d, p, lam, gl, gr)
+            for name, m, c in charges_mod.compare(closed, measured):
+                assert m == c, f"{name} at d={d}, p={p}, lambda={lam}, {stats.value}"
+
+
+def test_criterion_4_cli_measure_at_the_largest_grid_point():
+    start = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "jetvir.cli", "charges", "--d", "6", "--p", "10",
+         "--measure"],
+        capture_output=True, text=True, timeout=600)
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "engine match: exact" in result.stdout
+    assert elapsed < 60.0, f"charges --measure at d=6, p=10 took {elapsed:.1f}s"
+
+
 def test_criterion_5_level_reduction():
     for p in range(0, 7):
         for stats in Statistics:

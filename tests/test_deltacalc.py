@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from jetvir.deltacalc import (
     DerivSpec,
     SmearMode,
+    Which,
     delta_pair_closed,
     delta_pair_integral,
     shift_to_zero,
     smear,
 )
 from jetvir.exactpoly import Poly, parse_poly
-from jetvir.multiindex import enumerate_indices
+from jetvir.multiindex import enumerate_indices, factorial, norm
 
 PLAIN = (SmearMode.PLAIN, SmearMode.PLAIN)
 SHIFT_PLAIN = (SmearMode.SHIFTED, SmearMode.PLAIN)
@@ -107,3 +111,90 @@ def test_shifted_slot_kills_constant():
 def test_shift_to_zero():
     f = parse_poly("3 + x0", 1)
     assert shift_to_zero(f) == parse_poly("x0", 1)
+
+
+def _reference_kernel_terms(d, p, deriv, poly_is_x):
+    """Every term (coeff, exponent, word) of one decorated kernel factor."""
+    hits_poly = deriv.which is not Which.NONE and (deriv.which is Which.ON_X) == poly_is_x
+    hits_delta = deriv.which is not Which.NONE and not hits_poly
+    out = []
+    for m in enumerate_indices(d, p):
+        coeff = Fraction((-1) ** norm(m), factorial(m))
+        expo = word = m
+        if hits_poly:
+            mu = deriv.direction
+            if m[mu] == 0:
+                continue
+            coeff *= m[mu]
+            expo = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
+        elif hits_delta:
+            word = tuple(c + (i == deriv.direction) for i, c in enumerate(m))
+        out.append((coeff, expo, word))
+    return out
+
+
+def _reference_pair_against_delta(f, expo, word):
+    diff = tuple(w - e for w, e in zip(word, expo))
+    if any(c < 0 for c in diff):
+        return Fraction(0)
+    return (-1) ** norm(word) * factorial(word) * f.coeff(diff)
+
+
+def _reference_pair_integral(f, g, d1, d2, modes, d, p):
+    """The oracle as a plain loop over all N^2 pairs of kernel terms."""
+    ff = shift_to_zero(f) if modes[0] is SmearMode.SHIFTED else f
+    gg = shift_to_zero(g) if modes[1] is SmearMode.SHIFTED else g
+    total = Fraction(0)
+    for c1, e1, w1 in _reference_kernel_terms(d, p, d1, poly_is_x=True):
+        for c2, e2, w2 in _reference_kernel_terms(d, p, d2, poly_is_x=False):
+            total += (c1 * c2 * _reference_pair_against_delta(ff, e1, w2)
+                      * _reference_pair_against_delta(gg, e2, w1))
+    return total
+
+
+@st.composite
+def _pair_cases(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 4))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def deriv():
+        return draw(st.sampled_from([
+            DerivSpec.none(),
+            *(DerivSpec.on_x(mu) for mu in range(d)),
+            *(DerivSpec.on_y(mu) for mu in range(d))]))
+
+    def field():
+        f = _rand_poly(d, p + 2, rng)
+        if draw(st.booleans()):
+            expo = tuple(draw(st.integers(-2, 2)) for _ in range(d - 1))
+            expo = expo + (draw(st.integers(-2, -1)),)
+            f = f + Poly.monomial(expo, draw(st.integers(1, 4)))
+        return f
+
+    modes = tuple(draw(st.sampled_from(SmearMode)) for _ in range(2))
+    return field(), field(), deriv(), deriv(), modes, d, p
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_pair_cases())
+def test_pair_integral_equals_reference_loop(case):
+    assert delta_pair_integral(*case) == _reference_pair_integral(*case)
+
+
+def test_pair_integral_laurent_terms_never_reach_a_word():
+    one = Poly.constant(1, 1)
+    inv = parse_poly("x0^-1", 1)
+    assert delta_pair_integral(inv, one, DerivSpec.none(), DerivSpec.none(),
+                               PLAIN, 1, 2) == 0
+    assert delta_pair_integral(one, inv, DerivSpec.none(), DerivSpec.none(),
+                               PLAIN, 1, 2) == 0
+    assert delta_pair_integral(inv + parse_poly("x0", 1), one, DerivSpec.on_x(0),
+                               DerivSpec.none(), PLAIN, 1, 2) == 3
+    # x^-1 against x (either way round) is where a shifted word would land
+    # on a term of the other function if negative exponents were paired.
+    x = parse_poly("x0", 1)
+    assert delta_pair_integral(inv, x, DerivSpec.none(), DerivSpec.none(),
+                               PLAIN, 1, 2) == 0
+    assert delta_pair_integral(x, inv, DerivSpec.none(), DerivSpec.none(),
+                               PLAIN, 1, 2) == 0

@@ -25,6 +25,23 @@ def test_parse_errors():
         parse_poly("y0", 2)
 
 
+def test_rejects_float_coefficients():
+    with pytest.raises(ValueError, match="exact"):
+        Poly(1, {(0,): 0.1})
+    with pytest.raises(ValueError, match="exact"):
+        Poly.constant(2, 0.5)
+    with pytest.raises(ValueError, match="exact"):
+        Poly.monomial((1, 2), 2.0)
+    assert Poly(1, {(0,): Fraction(1, 10)}).coeff((0,)) == Fraction(1, 10)
+
+
+def test_rejects_bool_exponents():
+    with pytest.raises(ValueError, match="integers"):
+        Poly(1, {(True,): 1})
+    with pytest.raises(ValueError, match="integers"):
+        Poly(2, {(0, False): 1})
+
+
 def test_format_round_trip():
     p = parse_poly("2 * x0^2 x1 - 1/3 * x1^3 + 4 - x0", 2)
     assert parse_poly(format_poly(p), 2) == p
