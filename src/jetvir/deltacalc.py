@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -210,8 +209,8 @@ def delta_pair_closed(
         B_{d,p} d_mu f(0) g(0)
     case "iii" (d/dx_mu on factor one, d/dy_nu on factor two, both shifted):
         E_{d,p} d_nu f(0) d_mu g(0) + D_{d,p} d_mu f(0) d_nu g(0),
-    where the covariant combination is valid for mu = nu as well (it reduces
-    to (E + D) d_mu f(0) d_mu g(0), the single-direction square sum).
+    which for mu = nu reduces to C_{d,p} d_mu f(0) d_mu g(0), with
+    C = E + D the single-direction square sum.
 
     Shifting is enforced internally for cases ii and iii; the derivative at
     the origin is unchanged by it, which is exactly why the closed forms
@@ -235,10 +234,10 @@ def delta_pair_closed(
             raise ValueError("case iii needs directions mu and nu")
         ff = shift_to_zero(f)
         gg = shift_to_zero(g)
-        e_sum = math.comb(d + p + 1, d + 2)
-        d_sum = math.comb(d + p, d + 2)
-        return (
-            e_sum * ff.deriv(nu).constant_term() * gg.deriv(mu).constant_term()
-            + d_sum * ff.deriv(mu).constant_term() * gg.deriv(nu).constant_term()
-        )
+        f_mu, f_nu = ff.deriv(mu).constant_term(), ff.deriv(nu).constant_term()
+        g_mu, g_nu = gg.deriv(mu).constant_term(), gg.deriv(nu).constant_term()
+        if mu == nu:
+            return sum_closed(SumKind.C, d, p, mu) * f_mu * g_mu
+        return (sum_closed(SumKind.E, d, p, mu, nu) * f_nu * g_mu
+                + sum_closed(SumKind.D, d, p, mu, nu) * f_mu * g_nu)
     raise ValueError(f"unknown case {case!r}; expected 'i', 'ii' or 'iii'")

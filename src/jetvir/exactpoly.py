@@ -127,6 +127,8 @@ class Poly:
         return Poly(self.dim, {e: -c for e, c in self.terms.items()})
 
     def scale(self, k) -> "Poly":
+        if isinstance(k, float):
+            raise ValueError(f"coefficients must be exact, got the float {k!r}")
         k = Fraction(k)
         return Poly(self.dim, {e: c * k for e, c in self.terms.items()})
 

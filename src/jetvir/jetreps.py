@@ -12,6 +12,11 @@ representation space.  Two families of operators act on it:
   xi^mu(q) d/dq^mu, plus a jet matrix combining Taylor transport by
   xi^mu(x+q) - xi^mu(q) with the frame rotation d_nu xi^mu(x+q) T^nu_mu.
 
+Both jet matrices come from one builder of shifted factors, "apply
+sum_k f_k(x+q) R_k d_{s_k}, truncate at p": s_k = 0 multiplies, and
+s_k = e_mu with f_k = xi^mu, R_k = 1 is the transport term, which is also
+the jet part of the momentum-like translation operator (no standalone value).
+
 Matrix entries are polynomials in q, so operator equality is polynomial
 equality and subsumes every numeric base point.  Bracket closure
 ([J_X, J_Y] = J_{[X,Y]}, [L_xi, L_eta] = L_{[xi,eta]}) holds exactly at
@@ -24,9 +29,6 @@ are replaced by the real totally antisymmetric constants of the equivalent
 real form, so that all arithmetic stays in exact rationals.  Concretely,
 [M^a, M^b] = f^{abc} M^c with real f; for the three-dimensional rotation
 algebra f^{abc} is the Levi-Civita symbol and (M^a)_{bc} = -eps_{abc}.
-
-The momentum-like translation operator is not a standalone value: its jet
-part is exactly the transport term inside ``diff_operator``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .exactpoly import Poly
 from .multiindex import (
     binomial,
     enumerate_indices,
-    norm,
     sub as mi_sub,
     unit,
 )
@@ -48,11 +49,6 @@ from .multiindex import (
 # -- exact matrices over Poly -------------------------------------------------
 
 Matrix = Tuple[Tuple[Poly, ...], ...]
-
-
-def mat_zero(n: int, dim: int) -> Matrix:
-    z = Poly.zero(dim)
-    return tuple(tuple(z for _ in range(n)) for _ in range(n))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -95,6 +91,12 @@ def numeric_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
     return tuple(
         tuple(Poly.constant(dim, Fraction(v)) for v in row) for row in rows
     )
+
+
+def _commutator_equals(a, b, rhs) -> bool:
+    """[a, b] == rhs for square matrices of rationals."""
+    return mat_commutator(numeric_matrix(a, 0),
+                          numeric_matrix(b, 0)) == numeric_matrix(rhs, 0)
 
 
 # -- structure constants and matrix representations ---------------------------
@@ -229,83 +231,55 @@ class MatrixRep:
         for a, b in itertools.product(range(sc.dim), repeat=2):
             rhs = [[sum(sc.f[a][b][c] * mats[c][i][j] for c in range(sc.dim))
                     for j in range(self.size)] for i in range(self.size)]
-            if mat_commutator(numeric_matrix(mats[a], 0),
-                              numeric_matrix(mats[b], 0)) != numeric_matrix(rhs, 0):
+            if not _commutator_equals(mats[a], mats[b], rhs):
                 return False
         return True
 
     def check_gl_relations(self, d: int) -> bool:
         """[T^mu_rho, T^nu_sigma] = delta^nu_rho T^mu_sigma
         - delta^mu_sigma T^nu_rho, exactly."""
-        mats = {lab: numeric_matrix(self.matrix(lab), 0)
-                for lab in ((a, b) for a in range(d) for b in range(d))}
+        t = {(a, b): self.matrix((a, b)) for a in range(d) for b in range(d)}
         for mu, rho, nu, sigma in itertools.product(range(d), repeat=4):
-            lhs = mat_commutator(mats[(mu, rho)], mats[(nu, sigma)])
-            rhs = mat_zero(self.size, 0)
-            if nu == rho:
-                rhs = mat_add(rhs, mats[(mu, sigma)])
-            if mu == sigma:
-                rhs = mat_sub(rhs, mats[(nu, rho)])
-            if lhs != rhs:
+            rhs = [[(nu == rho) * t[(mu, sigma)][i][j] - (mu == sigma) * t[(nu, rho)][i][j]
+                    for j in range(self.size)] for i in range(self.size)]
+            if not _commutator_equals(t[(mu, rho)], t[(nu, sigma)], rhs):
                 return False
         return True
 
 
 # -- jet block builders --------------------------------------------------------
 
-def _multiplication_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence]]],
-                           size: int, d: int, p: int) -> Matrix:
+def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...]]],
+                size: int, d: int, p: int) -> Matrix:
     """Matrix on (jet) (x) (rep of the given size), entries Poly in q, of
-    "multiply by F(x+q) = sum_k f_k(x+q) R_k, truncate at p" in the Taylor
-    basis x^n/n!: block (m, n) = binom(m, n) sum_k d_{m-n}f_k(q) R_k.
+    "apply sum_k f_k(x+q) R_k d_{s_k}, truncate at p" in the Taylor basis
+    x^n/n!: block (m, n) = sum_k binom(m, n - s_k) d_{m-n+s_k}f_k(q) R_k.
 
-    ``factors`` holds the pairs (f_k, R_k) of a Poly in d variables and a
-    size x size matrix of rationals.
+    ``factors`` holds the triples (f_k, R_k, s_k) of a Poly in d variables,
+    a size x size matrix of rationals and a shift s_k that is zero (a
+    multiplication) or a unit e_mu (d_mu, then a multiplication).  For
+    s_k != 0 the term m = n - s_k, f_k(q) d_{s_k}, is left out: it is the
+    base-point part xi(q).d/dq that ``DiffJetOperator.vector`` carries, so
+    the factor transports by f_k(x+q) - f_k(q).
     """
     lattice = enumerate_indices(d, p)
     z = Poly.zero(d)
     rows = []
     for m in lattice:
-        blocks = []  # per column index n: the nonzero (binom d_{m-n}f_k, R_k)
+        blocks = []  # per column index n: the nonzero (binom d_{m-n+s}f_k, R_k)
         for n in lattice:
-            b = binomial(m, n)
-            derivs = ((f.deriv_multi(mi_sub(m, n)).scale(b), r) for f, r in factors if b)
-            blocks.append([(g, r) for g, r in derivs if not g.is_zero()])
+            block = []
+            for f, r, s in factors:
+                ns = tuple(x - y for x, y in zip(n, s))
+                b = binomial(m, ns)
+                if b and (m != ns or not any(s)):
+                    g = f.deriv_multi(mi_sub(m, ns)).scale(b)
+                    if not g.is_zero():
+                        block.append((g, r))
+            blocks.append(block)
         for i in range(size):
             rows.append(tuple(sum((g.scale(r[i][j]) for g, r in block if r[i][j]), z)
                               for block in blocks for j in range(size)))
-    return tuple(rows)
-
-
-def transport_jet_matrix(xi: Sequence[Poly], d: int, p: int) -> Matrix:
-    """Jet matrix of phi -> (xi_0^mu d_mu phi)|_p where
-    xi_0^mu(x; q) = xi^mu(x+q) - xi^mu(q) has no constant x-term.
-
-    Acting on the basis element x^n/n!:  d_mu gives x^{n-e_mu}/(n-e_mu)!,
-    and multiplying by the Taylor term d_k xi^mu(q) x^k/k! (k != 0) lands on
-    binom(m, n-e_mu) x^m/m! with m = n - e_mu + k.  So the (m, n) entry is
-    sum_mu binom(m, n-e_mu) d_{m-n+e_mu} xi^mu(q) over directions with
-    n_mu > 0 and |m - n + e_mu| >= 1.
-    """
-    lattice = enumerate_indices(d, p)
-    rows = []
-    for m in lattice:
-        row = []
-        for n in lattice:
-            entry = Poly.zero(d)
-            for mu in range(d):
-                if n[mu] == 0:
-                    continue
-                nprime = mi_sub(n, unit(d, mu))
-                b = binomial(m, nprime)
-                if b == 0:
-                    continue
-                k = tuple(mi - ni for mi, ni in zip(m, nprime))
-                if any(c < 0 for c in k) or norm(k) == 0:
-                    continue
-                entry = entry + xi[mu].deriv_multi(k).scale(b)
-            row.append(entry)
-        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -348,8 +322,8 @@ def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> GaugeJe
     """The jet current generator: blocks binom(m, n) d_{m-n}X^a(q) M^a."""
     n_gen = len(rep.generators)
     _check_components(X, d, n_gen, "g-valued function")
-    matrix = _multiplication_matrix(
-        [(X[a], rep.matrix(a)) for a in range(n_gen)], rep.size, d, p)
+    matrix = _jet_matrix(
+        [(X[a], rep.matrix(a), (0,) * d) for a in range(n_gen)], rep.size, d, p)
     return GaugeJetOperator(d, p, rep.size, matrix)
 
 
@@ -361,23 +335,33 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJet
     d_nu xi^mu(x+q) T^nu_mu, both truncated at jet order p.
     """
     _check_components(xi, d, d, "vector field")
-    frame = _multiplication_matrix(
-        [(xi[mu].deriv(nu), rep.matrix((nu, mu))) for nu in range(d) for mu in range(d)],
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(rep.size))
+                for i in range(rep.size))
+    matrix = _jet_matrix(
+        [(xi[mu], eye, unit(d, mu)) for mu in range(d)]
+        + [(xi[mu].deriv(nu), rep.matrix((nu, mu)), (0,) * d)
+           for nu in range(d) for mu in range(d)],
         rep.size, d, p)
-    transport = _insert_identity(transport_jet_matrix(xi, d, p), rep.size)
-    return DiffJetOperator(d, p, rep.size, tuple(xi), mat_add(transport, frame))
+    return DiffJetOperator(d, p, rep.size, tuple(xi), matrix)
+
+
+def _along(a: Sequence[Poly], f: Poly) -> Poly:
+    """a^nu d_nu f, skipping the terms where a^nu or d_nu f is zero."""
+    acc = Poly.zero(f.dim)
+    for nu, c in enumerate(a):
+        if not c.is_zero():
+            df = f.deriv(nu)
+            if not df.is_zero():
+                acc = acc + c * df
+    return acc
 
 
 def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu."""
     d = len(xi)
-    out = []
-    for mu in range(d):
-        acc = Poly.zero(xi[0].dim)
-        for nu in range(d):
-            acc = acc + xi[nu] * eta[mu].deriv(nu) - eta[nu] * xi[mu].deriv(nu)
-        out.append(acc)
-    return out
+    if len(eta) != d or any(c.dim != d for c in (*xi, *eta)):
+        raise ValueError(f"vector fields need {d} components in {d} variables each")
+    return [_along(xi, e) - _along(eta, x) for x, e in zip(xi, eta)]
 
 
 def divergence(xi: Sequence[Poly]) -> Poly:
@@ -397,20 +381,7 @@ def bracket_gauge(j1: GaugeJetOperator, j2: GaugeJetOperator) -> GaugeJetOperato
 
 def _directional_derivative(a: Sequence[Poly], target: Matrix) -> Matrix:
     """sum_nu a^nu(q) d/dq^nu applied entrywise to a matrix of Polys in q."""
-    d = len(a)
-    out_rows = []
-    for row in target:
-        orow = []
-        for entry in row:
-            acc = Poly.zero(entry.dim)
-            for nu in range(d):
-                if not a[nu].is_zero():
-                    de = entry.deriv(nu)
-                    if not de.is_zero():
-                        acc = acc + a[nu] * de
-            orow.append(acc)
-        out_rows.append(tuple(orow))
-    return tuple(out_rows)
+    return tuple(tuple(_along(a, entry) for entry in row) for row in target)
 
 
 def bracket_diff(l1: DiffJetOperator, l2: DiffJetOperator) -> DiffJetOperator:

@@ -307,18 +307,6 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
     return NormalBilinear(d, p, tuple(terms), q_sector=("T",))
 
 
-def build_generator(kind: str, data, d: int, p: int) -> NormalBilinear:
-    """kind in {"J", "L", "T"}; data is the component list (J, L) or the
-    conformal weight (T)."""
-    if kind == "J":
-        return build_current(data, d, p)
-    if kind == "L":
-        return build_vector_field(data, d, p)
-    if kind == "T":
-        return build_reparam(data, d, p)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 # -- charge extraction ------------------------------------------------------------
 
 @dataclass(frozen=True)

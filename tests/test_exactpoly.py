@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetvir.exactpoly import Poly, _monomial_inverse_power, format_poly, parse_poly
+from jetvir.multiindex import enumerate_indices
 
 
 def test_parse_basic():
@@ -108,3 +111,72 @@ def test_degree_cap_negative_powers(monkeypatch):
         parse_poly("z^-6", 1, "z")
     with pytest.raises(OverflowError):
         _monomial_inverse_power(parse_poly("z^5", 1, "z"), 3)
+
+
+def test_scale_rejects_float():
+    with pytest.raises(ValueError, match="exact"):
+        Poly.constant(1, 1).scale(0.1)
+    assert Poly.constant(1, 2).scale(Fraction(1, 4)) == Poly.constant(1, Fraction(1, 2))
+
+
+# -- properties on random polynomials ------------------------------------------
+
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _polys(d, max_deg=3):
+    return st.dictionaries(st.sampled_from(enumerate_indices(d, max_deg)), _COEFFS,
+                           max_size=5).map(lambda terms: Poly(d, terms))
+
+
+_TRIPLES = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), _polys(d), _polys(d), _polys(d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_TRIPLES)
+def test_ring_axioms(case):
+    d, f, g, h = case
+    zero, one = Poly.zero(d), Poly.constant(d, 1)
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert f + zero == f
+    assert f + (-f) == zero
+    assert f - g == f + (-g)
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * one == f
+    assert f * (g + h) == f * g + f * h
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_TRIPLES, st.integers(0, 2))
+def test_leibniz_rule(case, mu):
+    d, f, g, _ = case
+    mu %= d
+    assert (f * g).deriv(mu) == f.deriv(mu) * g + f * g.deriv(mu)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_TRIPLES)
+def test_parse_inverts_format(case):
+    d, f, _, _ = case
+    assert parse_poly(format_poly(f), d) == f
+
+
+@st.composite
+def _compositions(draw):
+    d = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 2))
+    subs = [draw(_polys(target, 2)) for _ in range(d)]
+    return draw(_polys(d)), draw(_polys(d)), subs, target
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_compositions())
+def test_composition_is_a_ring_homomorphism(case):
+    f, g, subs, target = case
+    fs, gs = f.compose_univariate(subs), g.compose_univariate(subs)
+    assert (f + g).compose_univariate(subs) == fs + gs
+    assert (f * g).compose_univariate(subs) == fs * gs
+    assert Poly.constant(f.dim, 1).compose_univariate(subs) == Poly.constant(target, 1)

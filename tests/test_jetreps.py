@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetvir.exactpoly import Poly, parse_poly
 from jetvir.jetreps import (
     MatrixRep,
     StructureConstants,
+    _insert_identity,
     bracket_diff,
     bracket_gauge,
     bracket_mixed,
@@ -17,7 +20,7 @@ from jetvir.jetreps import (
     mat_is_zero,
     vector_field_bracket,
 )
-from jetvir.multiindex import enumerate_indices
+from jetvir.multiindex import binomial, enumerate_indices, norm, sub as mi_sub, unit
 
 
 def _rand_poly(d, deg, rng):
@@ -163,3 +166,67 @@ def test_shape_mismatch_rejected():
     j2 = gauge_operator([Poly.constant(1, 1)], rep, 1, 2)
     with pytest.raises(ValueError):
         bracket_gauge(j1, j2)
+
+
+def test_vector_field_bracket_rejects_mismatched_lengths():
+    x = parse_poly("x0", 1)
+    with pytest.raises(ValueError):
+        vector_field_bracket([x, x], [x])
+    with pytest.raises(ValueError):
+        vector_field_bracket([x], [x, x])
+
+
+# -- differential test: diff_operator against a separate transport matrix ------
+
+def _reference_transport(xi, d, p):
+    """Jet matrix of phi -> (xi_0^mu d_mu phi)|_p with
+    xi_0^mu(x; q) = xi^mu(x+q) - xi^mu(q), written out on its own: the
+    (m, n) entry is sum_mu binom(m, n-e_mu) d_{m-n+e_mu} xi^mu(q) over the
+    directions with n_mu > 0 and |m - n + e_mu| >= 1."""
+    lattice = enumerate_indices(d, p)
+    rows = []
+    for m in lattice:
+        row = []
+        for n in lattice:
+            entry = Poly.zero(d)
+            for mu in range(d):
+                if n[mu] == 0:
+                    continue
+                nprime = mi_sub(n, unit(d, mu))
+                b = binomial(m, nprime)
+                if b == 0:
+                    continue
+                k = tuple(mi - ni for mi, ni in zip(m, nprime))
+                if any(c < 0 for c in k) or norm(k) == 0:
+                    continue
+                entry = entry + xi[mu].deriv_multi(k).scale(b)
+            row.append(entry)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def _diff_cases(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    xi = [_rand_poly(d, draw(st.integers(0, 4)), rng) for _ in range(d)]
+    rep = draw(st.sampled_from([MatrixRep.gl_scalar_weight(d, Fraction(-3, 2)),
+                                MatrixRep.gl_vector(d)]))
+    return xi, rep, d, p
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_diff_cases())
+def test_diff_operator_is_transport_plus_frame(case):
+    # The jet matrix of L_xi is the transport by xi(x+q) - xi(q), tensored
+    # with the identity on the rep, plus the current of the components
+    # d_nu xi^mu over the generators T^nu_mu.
+    xi, rep, d, p = case
+    labels = [(nu, mu) for nu in range(d) for mu in range(d)]
+    frame_rep = MatrixRep(rep.size, tuple(
+        (k, rep.matrix(lab)) for k, lab in enumerate(labels)))
+    frame = gauge_operator([xi[mu].deriv(nu) for nu, mu in labels],
+                           frame_rep, d, p).matrix
+    transport = _insert_identity(_reference_transport(xi, d, p), rep.size)
+    assert diff_operator(xi, rep, d, p).matrix == mat_add(transport, frame)

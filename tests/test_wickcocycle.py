@@ -8,7 +8,6 @@ from jetvir.wickcocycle import (
     FieldFactor,
     FieldKind,
     build_current,
-    build_generator,
     build_reparam,
     build_vector_field,
     double_contraction,
@@ -81,13 +80,6 @@ def test_vector_field_constant_has_only_base_point_sector():
     l = build_vector_field([Poly.constant(1, 3)], 1, 2)
     assert l.terms == ()
     assert l.q_sector is not None and l.q_sector[0] == "L"
-
-
-def test_build_generator_dispatch():
-    assert build_generator("T", Fraction(1, 2), 1, 0).q_sector == ("T",)
-    assert build_generator("J", [Poly.constant(1, 1)], 1, 0).q_sector is None
-    with pytest.raises(ValueError):
-        build_generator("Q", None, 1, 0)
 
 
 def test_base_point_sector_vector_pair():
