@@ -139,6 +139,8 @@ class ChargeSet:
 
     @classmethod
     def from_json(cls, text: str) -> "ChargeSet":
+        """The inverse of ``to_json``; ``tests/test_charges.py`` uses it to
+        check the JSON that ``jetvir charges --format json`` prints."""
         data = json.loads(text)
         ins = data["inputs"]
 

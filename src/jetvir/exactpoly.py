@@ -9,6 +9,20 @@ differentiation at negative powers never occurs in those paths) check
 exponent signs where required.
 
 All arithmetic is exact; no floats appear anywhere.
+
+Every ``Poly`` keeps one invariant: ``terms`` is a plain dict whose keys are
+tuples of ``dim`` ints and whose values are nonzero ``Fraction``s.  There
+are two ways to build one:
+
+* ``Poly(dim, terms)`` checks and normalises any input: it rejects a wrong
+  dimension, non-int exponents and floats, wraps each coefficient in
+  ``Fraction``, merges duplicate keys and drops zeros.  ``parse_poly`` and
+  the ``constant``/``monomial``/``variable`` constructors go through it, as
+  does every caller outside this module.
+* ``_wrap(dim, terms)`` takes a dict that already holds the invariant and
+  checks nothing.  Only the arithmetic and calculus of ``Poly`` use it, on
+  results they compute from valid operands, so nothing built from outside
+  input reaches it.
 """
 
 from __future__ import annotations
@@ -16,9 +30,10 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Sequence
 
-from .multiindex import MultiIndex, factorial
+from .multiindex import MultiIndex
 
 _DEFAULT_MAX_DEGREE = 64
 
@@ -113,41 +128,60 @@ class Poly:
         self._require_same_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.dim, out)
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _wrap(self.dim, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._require_same_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return Poly(self.dim, out)
+            s = out.get(e)
+            s = -c if s is None else s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _wrap(self.dim, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.dim, {e: -c for e, c in self.terms.items()})
 
     def scale(self, k) -> "Poly":
         if isinstance(k, float):
             raise ValueError(f"coefficients must be exact, got the float {k!r}")
         k = Fraction(k)
-        return Poly(self.dim, {e: c * k for e, c in self.terms.items()})
+        if not k:
+            return _wrap(self.dim, {})
+        return _wrap(self.dim, {e: c * k for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._require_same_dim(other)
         cap = max_degree_cap()
+        a, b = self.terms, other.terms
+        # |e1 + e2| <= |e1| + |e2|: if the largest operand degrees sum to at
+        # most the cap, no term pair exceeds it.  Otherwise check each pair,
+        # since Laurent exponents can cancel.
+        check = (max((sum(map(abs, e)) for e in a), default=0)
+                 + max((sum(map(abs, e)) for e in b), default=0)) > cap
         out: Dict[MultiIndex, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(abs(x) for x in e) > cap:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                if check and sum(map(abs, e)) > cap:
                     raise _degree_overflow(cap)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.dim, out)
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return _wrap(self.dim, {e: c for e, c in out.items() if c})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative powers of a general polynomial are undefined")
-        result = Poly.constant(self.dim, 1)
+        result = _wrap(self.dim, {(0,) * self.dim: Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -172,14 +206,9 @@ class Poly:
         """Partial derivative with respect to variable mu (Laurent-aware)."""
         if not 0 <= mu < self.dim:
             raise ValueError(f"direction {mu} out of range for dimension {self.dim}")
-        out: Dict[MultiIndex, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[mu]
-            if k == 0:
-                continue
-            ne = e[:mu] + (k - 1,) + e[mu + 1:]
-            out[ne] = out.get(ne, Fraction(0)) + c * k
-        return Poly(self.dim, out)
+        # e -> e - e_mu is injective, so no two terms land on one key.
+        return _wrap(self.dim, {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: c * e[mu]
+                                for e, c in self.terms.items() if e[mu]})
 
     def deriv_multi(self, m: Sequence[int]) -> "Poly":
         """Repeated partial derivative d^m."""
@@ -209,11 +238,7 @@ class Poly:
         """Drop all terms of total degree > p (requires a true polynomial)."""
         if self.is_laurent():
             raise ValueError("truncation is only defined for non-negative exponents")
-        return Poly(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= p})
-
-    def taylor_coeff(self, m: Sequence[int]) -> Fraction:
-        """d^m at the origin: m! times the coefficient of x^m."""
-        return self.coeff(m) * factorial(m)
+        return _wrap(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= p})
 
     def compose_univariate(self, substitutions: Sequence["Poly"]) -> "Poly":
         """Substitute variable i -> substitutions[i] (each a Poly in a common
@@ -228,9 +253,9 @@ class Poly:
         for s in substitutions:
             if s.dim != tdim:
                 raise ValueError("substitution polynomials must share a dimension")
-        result = Poly.zero(tdim)
+        result = _wrap(tdim, {})
         for e, c in self.terms.items():
-            term = Poly.constant(tdim, c)
+            term = _wrap(tdim, {(0,) * tdim: c})
             for i, k in enumerate(e):
                 if k >= 0:
                     term = term * (substitutions[i] ** k)
@@ -255,7 +280,16 @@ def _monomial_inverse_power(p: Poly, k: int) -> Poly:
     cap = max_degree_cap()
     if k * sum(abs(x) for x in e) > cap:
         raise _degree_overflow(cap)
-    return Poly(p.dim, {tuple(-k * x for x in e): Fraction(1, 1) / (c ** k)})
+    return _wrap(p.dim, {tuple(-k * x for x in e): 1 / c ** k})
+
+
+def _wrap(dim: int, terms: Dict[MultiIndex, Fraction]) -> Poly:
+    """A Poly around ``terms``, which must already hold the invariant of the
+    module docstring; nothing is checked or copied."""
+    p = object.__new__(Poly)
+    p.dim = dim
+    p.terms = terms
+    return p
 
 
 # -- parsing -----------------------------------------------------------------

@@ -226,8 +226,11 @@ class MatrixRep:
     # -- relation checks -----------------------------------------------------
 
     def check_g_relations(self, sc: StructureConstants) -> bool:
-        """[M^a, M^b] = f^{abc} M^c, exactly."""
-        mats = [self.matrix(a) for a in range(sc.dim)]
+        """[M^a, M^b] = f^{abc} M^c, exactly; False if some M^a is missing."""
+        try:
+            mats = [self.matrix(a) for a in range(sc.dim)]
+        except KeyError:
+            return False
         for a, b in itertools.product(range(sc.dim), repeat=2):
             rhs = [[sum(sc.f[a][b][c] * mats[c][i][j] for c in range(sc.dim))
                     for j in range(self.size)] for i in range(self.size)]
@@ -322,8 +325,11 @@ def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> GaugeJe
     """The jet current generator: blocks binom(m, n) d_{m-n}X^a(q) M^a."""
     n_gen = len(rep.generators)
     _check_components(X, d, n_gen, "g-valued function")
-    matrix = _jet_matrix(
-        [(X[a], rep.matrix(a), (0,) * d) for a in range(n_gen)], rep.size, d, p)
+    try:
+        mats = [rep.matrix(a) for a in range(n_gen)]
+    except KeyError as exc:
+        raise ValueError(f"a g-rep needs generators labelled 0..{n_gen - 1}") from exc
+    matrix = _jet_matrix([(X[a], mats[a], (0,) * d) for a in range(n_gen)], rep.size, d, p)
     return GaugeJetOperator(d, p, rep.size, matrix)
 
 

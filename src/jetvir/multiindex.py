@@ -90,8 +90,3 @@ def enumerate_indices(d: int, p: int) -> Tuple[MultiIndex, ...]:
     for t in range(p + 1):
         out.extend(_compositions(t, d))
     return tuple(out)
-
-
-def lattice_size(d: int, p: int) -> int:
-    """Number of multi-indices with |m| <= p, i.e. binom(d+p, d)."""
-    return math.comb(d + p, d)

@@ -65,8 +65,8 @@ def test_derivative_and_taylor():
     f = parse_poly("x0^3 x1 + 2 x1^2", 2)
     assert f.deriv(0) == parse_poly("3 x0^2 x1", 2)
     assert f.deriv_multi((3, 1)) == Poly.constant(2, 6)
-    assert f.taylor_coeff((3, 1)) == 6
-    assert f.taylor_coeff((0, 2)) == 4
+    assert f.deriv_multi((3, 1)).eval([0, 0]) == 6
+    assert f.deriv_multi((0, 2)).eval([0, 0]) == 4
 
 
 def test_laurent_derivative():
@@ -102,6 +102,30 @@ def test_degree_cap(monkeypatch):
         _ = f * f
     monkeypatch.setenv("JETVIR_MAX_DEGREE", "not-a-number")
     with pytest.raises(ValueError):
+        _ = f * f
+
+
+def test_degree_cap_bounds_the_product_not_the_operands(monkeypatch):
+    monkeypatch.setenv("JETVIR_MAX_DEGREE", "8")
+    # The operand degrees sum to 9 > 8, but z^5 * z^-4 = z.
+    assert parse_poly("z^5", 1, "z") * parse_poly("z^-4", 1, "z") == \
+        parse_poly("z", 1, "z")
+    # Only x0^5 * x0^4 exceeds 8; every other term pair is small.
+    f = parse_poly("x0^5 + x0 + 1", 1)
+    g = parse_poly("x0^4 + x0 + 2", 1)
+    with pytest.raises(OverflowError):
+        _ = f * g
+
+
+def test_degree_cap_is_read_on_each_product(monkeypatch):
+    f = parse_poly("x0^5", 1)
+    monkeypatch.setenv("JETVIR_MAX_DEGREE", "8")
+    with pytest.raises(OverflowError):
+        _ = f * f
+    monkeypatch.setenv("JETVIR_MAX_DEGREE", "10")
+    assert f * f == parse_poly("x0^10", 1)
+    monkeypatch.setenv("JETVIR_MAX_DEGREE", "9")
+    with pytest.raises(OverflowError):
         _ = f * f
 
 
@@ -180,3 +204,49 @@ def test_composition_is_a_ring_homomorphism(case):
     assert (f + g).compose_univariate(subs) == fs + gs
     assert (f * g).compose_univariate(subs) == fs * gs
     assert Poly.constant(f.dim, 1).compose_univariate(subs) == Poly.constant(target, 1)
+
+
+# -- the term invariant: int-tuple keys of length dim, nonzero Fraction values --
+
+def _assert_clean(r, dim):
+    assert r.dim == dim
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == dim
+        assert all(type(x) is int for x in e)
+        assert type(c) is Fraction and c != 0
+    assert Poly(r.dim, r.terms) == r
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_TRIPLES, st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), _COEFFS)
+def test_results_keep_the_term_invariant(case, mu, p, n, k):
+    d, f, g, _ = case
+    mu %= d
+    for r in (f + g, f - g, -f, f * g, f.scale(k), f.scale(0), f.scale(Fraction(-3, 2)),
+              f.deriv(mu), f.truncate(p), f ** n):
+        _assert_clean(r, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_compositions())
+def test_composition_keeps_the_term_invariant(case):
+    f, _, subs, target = case
+    _assert_clean(f.compose_univariate(subs), target)
+
+
+def test_cancellations_drop_terms():
+    f = parse_poly("x0^2 - 1/2 * x0 x1 + 3", 2)
+    g = parse_poly("x0 x1 - 3", 2)
+    for r in (f + (-f), f - f, f.scale(0), Poly.constant(2, 5).deriv(1)):
+        _assert_clean(r, 2)
+        assert r.is_zero()
+    r = (f + g) - g
+    _assert_clean(r, 2)
+    assert r == f
+    x, one = parse_poly("x0", 1), Poly.constant(1, 1)
+    r = (x + one) * (x - one)
+    _assert_clean(r, 1)
+    assert r.terms == {(2,): 1, (0,): -1}
+    r = parse_poly("x0^-2 + x0", 1).compose_univariate([parse_poly("2 z", 1, "z")])
+    _assert_clean(r, 1)
+    assert r == parse_poly("1/4 * z^-2 + 2 z", 1, "z")

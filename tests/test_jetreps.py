@@ -176,6 +176,16 @@ def test_vector_field_bracket_rejects_mismatched_lengths():
         vector_field_bracket([x], [x, x])
 
 
+def test_gauge_operator_rejects_a_rep_not_labelled_by_generator_index():
+    x = parse_poly("x0", 2)
+    with pytest.raises(ValueError, match="labelled"):
+        gauge_operator([x] * 4, MatrixRep.gl_vector(2), 2, 1)
+
+
+def test_g_relations_false_when_a_generator_is_missing():
+    assert MatrixRep.g_abelian(2).check_g_relations(StructureConstants.epsilon()) is False
+
+
 # -- differential test: diff_operator against a separate transport matrix ------
 
 def _reference_transport(xi, d, p):
