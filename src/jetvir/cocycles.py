@@ -2,14 +2,14 @@
 
 The extended brackets append to each classical bracket a functional of a
 closed trajectory q(z) (a d-vector of Laurent polynomials in z).  With the
-overall 1/(2 pi i) absorbed into the residue operation, the extension terms
-are
+overall 1/(2 pi i) absorbed into the residue operation, each trajectory term
+integrates a 1-form omega (d polynomials in x) over the loop,
+res sum_rho q'^rho omega_rho(q), with the one integrator ``_pullback_residue``:
 
-    vector/vector:   - res sum_rho q'^rho [ c1 d_rho d_nu xi^mu (q) d_mu eta^nu (q)
-                                          + c2 d_rho div xi (q) div eta (q) ]
-    current/current: + res sum_rho q'^rho [ c5 d_rho X^a (q) Y^a (q)
-                                          + c8 d_rho X^0 (q) Y^0 (q) ]
-    vector/current:  + c7 res sum_rho q'^rho d_rho div xi (q) X^0 (q)
+    vector/vector:   omega_rho = - (c1 d_rho d_nu xi^mu d_mu eta^nu
+                                    + c2 d_rho div xi div eta)
+    current/current: omega_rho = c5 d_rho X^a Y^a + c8 d_rho X^0 Y^0
+    vector/current:  omega_rho = c7 d_rho div xi X^0
     reparam/reparam: - (c4/12) res f'' g'
     reparam/vector:  - (c3/2)  res f'' div xi (q)
     reparam/current: - (c6/2)  res f'' X^0 (q)
@@ -24,7 +24,9 @@ hand to lock the global sign.
 Gauge and vector-field components may be Laurent polynomials in x (Fourier
 modes of a periodic function space); composing a negative power with the
 trajectory then requires the corresponding trajectory component to be a
-single monomial.
+single monomial.  Every field argument is checked (component count, d
+variables each), and every charge enters through ``Poly.scale``, which
+rejects floats.
 """
 
 from __future__ import annotations
@@ -98,99 +100,78 @@ def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> List[Poly]:
 
 # -- extension terms -------------------------------------------------------------
 
+def _check_field(name: str, field: Sequence[Poly], d: int, n: int | None = None) -> None:
+    """Require n components (at least one if n is None), each a Poly in d
+    variables; Laurent exponents are allowed."""
+    if not field or (n is not None and len(field) != n):
+        raise ValueError(f"{name} needs {n or 'at least one'} component(s), got {len(field)}")
+    if any(not isinstance(c, Poly) or c.dim != d for c in field):
+        raise ValueError(f"each component of {name} must be a polynomial in {d} variable(s)")
+
+
+def _pullback_residue(omega: Sequence[Poly], q: Trajectory) -> Fraction:
+    """res sum_rho q'^rho omega_rho(q(z)): the 1-form omega integrated over
+    the loop q.  A zero velocity component contributes nothing."""
+    total = Fraction(0)
+    for v, w in zip(q.velocity(), omega):
+        if not v.is_zero():
+            total += residue(v * compose(w, q))
+    return total
+
+
 def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
                      c1, c2) -> Fraction:
     d = q.d
-    if len(xi) != d or len(eta) != d:
-        raise ValueError("vector fields must have d components")
-    qdot = q.velocity()
-    total = Poly.zero(1)
-    div_xi = divergence(xi)
-    div_eta = divergence(eta)
+    _check_field("xi", xi, d, d)
+    _check_field("eta", eta, d, d)
+    div_xi, div_eta = divergence(xi), divergence(eta)
+    omega = []
     for rho in range(d):
-        if qdot[rho].is_zero():
-            continue
-        chain = Poly.zero(xi[0].dim)
-        for mu in range(d):
-            for nu in range(d):
-                chain = chain + xi[mu].deriv(nu).deriv(rho) * eta[nu].deriv(mu)
-        integrand_x = chain.scale(Fraction(c1)) + (
-            div_xi.deriv(rho) * div_eta
-        ).scale(Fraction(c2))
-        total = total + qdot[rho] * compose(integrand_x, q)
-    return -residue(total)
+        chain = sum((xi[mu].deriv(nu).deriv(rho) * eta[nu].deriv(mu)
+                     for mu in range(d) for nu in range(d)), Poly.zero(d))
+        omega.append(-(chain.scale(c1) + (div_xi.deriv(rho) * div_eta).scale(c2)))
+    return _pullback_residue(omega, q)
 
 
 def affine_cocycle(X: Sequence[Poly], Y: Sequence[Poly], q: Trajectory,
                    c5, c8) -> Fraction:
-    if len(X) != len(Y):
-        raise ValueError("gauge functions must have equal numbers of components")
-    qdot = q.velocity()
-    total = Poly.zero(1)
+    _check_field("X", X, q.d)
+    _check_field("Y", Y, q.d, len(X))
+    omega = []
     for rho in range(q.d):
-        if qdot[rho].is_zero():
-            continue
-        acc = Poly.zero(X[0].dim)
-        for a in range(len(X)):
-            acc = acc + (X[a].deriv(rho) * Y[a]).scale(Fraction(c5))
-        acc = acc + (X[0].deriv(rho) * Y[0]).scale(Fraction(c8))
-        total = total + qdot[rho] * compose(acc, q)
-    return residue(total)
+        first = X[0].deriv(rho) * Y[0]
+        pairing = sum((X[a].deriv(rho) * Y[a] for a in range(1, len(X))), first)
+        omega.append(pairing.scale(c5) + first.scale(c8))
+    return _pullback_residue(omega, q)
 
 
 def mixed_cocycle(xi: Sequence[Poly], X: Sequence[Poly], q: Trajectory,
                   c7) -> Fraction:
-    qdot = q.velocity()
+    _check_field("xi", xi, q.d, q.d)
+    _check_field("X", X, q.d)
     div_xi = divergence(xi)
-    total = Poly.zero(1)
-    for rho in range(q.d):
-        if qdot[rho].is_zero():
-            continue
-        total = total + qdot[rho] * compose(div_xi.deriv(rho) * X[0], q)
-    return Fraction(c7) * residue(total)
+    return _pullback_residue(
+        [(div_xi.deriv(rho) * X[0]).scale(c7) for rho in range(q.d)], q)
 
 
 def reparam_reparam_cocycle(f: Poly, g: Poly, c4) -> Fraction:
     """- (c4/12) res f'' g'; on monomials f = z^(m+1), g = z^(-m+1) this is
     +(c4/12)(m^3 - m)."""
-    return -Fraction(c4) / 12 * residue(f.deriv(0).deriv(0) * g.deriv(0))
+    _check_field("f", [f], 1)
+    _check_field("g", [g], 1)
+    return -residue((f.deriv(0).deriv(0) * g.deriv(0)).scale(c4)) / 12
 
 
 def reparam_vector_cocycle(f: Poly, xi: Sequence[Poly], q: Trajectory,
                            c3) -> Fraction:
-    return -Fraction(c3) / 2 * residue(
-        f.deriv(0).deriv(0) * compose(divergence(xi), q)
-    )
+    _check_field("f", [f], 1)
+    _check_field("xi", xi, q.d, q.d)
+    return -residue(
+        (f.deriv(0).deriv(0) * compose(divergence(xi), q)).scale(c3)) / 2
 
 
 def reparam_current_cocycle(f: Poly, X: Sequence[Poly], q: Trajectory,
                             c6) -> Fraction:
-    return -Fraction(c6) / 2 * residue(f.deriv(0).deriv(0) * compose(X[0], q))
-
-
-# -- antisymmetry check ------------------------------------------------------------
-
-@dataclass
-class AntisymmetryReport:
-    kind: str
-    value: Fraction  # cocycle(a, b) + cocycle(b, a); zero means antisymmetric
-
-    @property
-    def ok(self) -> bool:
-        return self.value == 0
-
-
-def antisymmetry_check(kind: str, a, b, q: Trajectory,
-                       coeff1=1, coeff2=0) -> AntisymmetryReport:
-    """Evaluate cocycle(a, b) + cocycle(b, a) for the vector-field
-    ("virasoro") or current ("affine") extension; exact zero is expected
-    because the symmetric part of the integrand is a total z-derivative."""
-    if kind == "virasoro":
-        v = virasoro_cocycle(a, b, q, coeff1, coeff2) \
-            + virasoro_cocycle(b, a, q, coeff1, coeff2)
-    elif kind == "affine":
-        v = affine_cocycle(a, b, q, coeff1, coeff2) \
-            + affine_cocycle(b, a, q, coeff1, coeff2)
-    else:
-        raise ValueError(f"unknown cocycle kind {kind!r}")
-    return AntisymmetryReport(kind, v)
+    _check_field("f", [f], 1)
+    _check_field("X", X, q.d)
+    return -residue((f.deriv(0).deriv(0) * compose(X[0], q)).scale(c6)) / 2

@@ -211,7 +211,9 @@ class Poly:
                                 for e, c in self.terms.items() if e[mu]})
 
     def deriv_multi(self, m: Sequence[int]) -> "Poly":
-        """Repeated partial derivative d^m."""
+        """Repeated partial derivative d^m, one non-negative order per variable."""
+        if len(m) != self.dim or min(m, default=0) < 0:
+            raise ValueError(f"derivative order {tuple(m)} needs {self.dim} entries >= 0")
         out = self
         for mu, k in enumerate(m):
             for _ in range(k):
@@ -222,6 +224,8 @@ class Poly:
         """Evaluate at an exact rational point (no negative exponents at 0)."""
         if len(point) != self.dim:
             raise ValueError(f"point has wrong dimension: {len(point)} vs {self.dim}")
+        if any(isinstance(v, float) for v in point):
+            raise ValueError(f"coordinates must be exact, got {list(point)!r}")
         pt = [Fraction(v) for v in point]
         total = Fraction(0)
         for e, c in self.terms.items():

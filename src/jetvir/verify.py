@@ -236,19 +236,20 @@ def suite_cocycles(seed: int, triples: int = 20) -> SuiteResult:
             comps.append(Poly(1, terms) if terms else Poly.monomial((1,)))
         return cocycles_mod.Trajectory(tuple(comps))
 
+    c1, c2, c5, c8 = Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 5)
     for _ in range(triples):
         for d in (1, 2):
             q = rand_traj(d)
             xi = [_random_poly(d, 2, rng) for _ in range(d)]
             eta = [_random_poly(d, 2, rng) for _ in range(d)]
-            r = cocycles_mod.antisymmetry_check(
-                "virasoro", xi, eta, q, Fraction(3, 2), Fraction(-1, 3))
-            res.record(r.ok, f"vector-field antisymmetry, d={d}: residual {r.value}")
+            v = cocycles_mod.virasoro_cocycle(xi, eta, q, c1, c2) \
+                + cocycles_mod.virasoro_cocycle(eta, xi, q, c1, c2)
+            res.record(v == 0, f"vector-field antisymmetry, d={d}: residual {v}")
             X = [_random_poly(d, 2, rng) for _ in range(2)]
             Y = [_random_poly(d, 2, rng) for _ in range(2)]
-            r = cocycles_mod.antisymmetry_check(
-                "affine", X, Y, q, 2, Fraction(1, 5))
-            res.record(r.ok, f"current antisymmetry, d={d}: residual {r.value}")
+            v = cocycles_mod.affine_cocycle(X, Y, q, c5, c8) \
+                + cocycles_mod.affine_cocycle(Y, X, q, c5, c8)
+            res.record(v == 0, f"current antisymmetry, d={d}: residual {v}")
     # d = 1 reductions
     for p in range(0, 7):
         for stats in (Statistics.BOSE, Statistics.FERMI):

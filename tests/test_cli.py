@@ -108,6 +108,19 @@ def test_cocycle_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "reparam-vector", "--d", "2", "--xi", "x0^2", "--f", "z^2",
+     "--traj", "z^-1,z", "--c3", "2"],
+    ["--kind", "mixed", "--d", "2", "--xi", "x0^2*x1", "--x", "x0",
+     "--traj", "z^-1+z,z^-1", "--c7", "3"],
+])
+def test_cocycle_wrong_component_count_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "cocycle", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_charges_measure_mismatch_exits_1_in_every_format(capsys, monkeypatch, fmt):
     extract = jetvir.cli.extract_charges

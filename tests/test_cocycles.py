@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetvir.cocycles import (
     Trajectory,
     affine_cocycle,
-    antisymmetry_check,
     bracket_rep,
     compose,
     density_action,
@@ -18,7 +20,7 @@ from jetvir.cocycles import (
     virasoro_cocycle,
 )
 from jetvir.exactpoly import Poly, parse_poly
-from jetvir.jetreps import StructureConstants, vector_field_bracket
+from jetvir.jetreps import StructureConstants, divergence, vector_field_bracket
 from jetvir.multiindex import enumerate_indices
 
 
@@ -104,16 +106,17 @@ def test_affine_level_reduction():
 
 def test_antisymmetry_random():
     rng = random.Random(9)
+    c1, c2, c5, c8 = Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 5)
     for _ in range(10):
         for d in (1, 2):
             q = _rand_traj(d, rng)
             xi = [_rand_poly(d, 2, rng) for _ in range(d)]
             eta = [_rand_poly(d, 2, rng) for _ in range(d)]
-            assert antisymmetry_check("virasoro", xi, eta, q,
-                                      Fraction(3, 2), Fraction(-1, 3)).ok
+            assert virasoro_cocycle(xi, eta, q, c1, c2) \
+                + virasoro_cocycle(eta, xi, q, c1, c2) == 0
             X = [_rand_poly(d, 2, rng) for _ in range(2)]
             Y = [_rand_poly(d, 2, rng) for _ in range(2)]
-            assert antisymmetry_check("affine", X, Y, q, 2, Fraction(1, 5)).ok
+            assert affine_cocycle(X, Y, q, c5, c8) + affine_cocycle(Y, X, q, c5, c8) == 0
 
 
 def test_bilinearity():
@@ -129,6 +132,153 @@ def test_bilinearity():
         - Fraction(1, 2) * virasoro_cocycle(xi2, eta, q, 1, 2)
 
 
-def test_unknown_kind():
+# -- bad input ---------------------------------------------------------------
+
+def test_field_component_count_is_checked():
+    x, z = parse_poly("x0", 1), _z("z")
+    q = Trajectory((z,))
+    q2 = Trajectory((_z("z^-1 + z"), _z("z^-1")))
     with pytest.raises(ValueError):
-        antisymmetry_check("nope", [], [], Trajectory((Poly.monomial((1,)),)))
+        affine_cocycle([], [], q, 1, 1)
+    with pytest.raises(ValueError):
+        affine_cocycle([x], [x, x], q, 1, 1)
+    with pytest.raises(ValueError):
+        mixed_cocycle([x], [], q, 1)
+    with pytest.raises(ValueError):
+        mixed_cocycle([parse_poly("x0^2*x1", 2)], [parse_poly("x0", 2)], q2, 3)
+    with pytest.raises(ValueError):
+        reparam_vector_cocycle(_z("z^2"), [parse_poly("x0^2", 2)],
+                               Trajectory((_z("z^-1"), z)), 2)
+    with pytest.raises(ValueError):
+        reparam_current_cocycle(_z("z^2"), [], q, 2)
+    with pytest.raises(ValueError):
+        virasoro_cocycle([x], [x, x], q, 1, 1)
+
+
+def test_field_variable_count_is_checked():
+    x2 = parse_poly("x0", 2)
+    q = Trajectory((_z("z"),))
+    with pytest.raises(ValueError):
+        virasoro_cocycle([x2], [x2], q, 1, 1)
+    with pytest.raises(ValueError):
+        affine_cocycle([x2], [x2], q, 1, 1)
+    with pytest.raises(ValueError):
+        mixed_cocycle([parse_poly("x0", 1)], [x2], q, 1)
+    with pytest.raises(ValueError):
+        reparam_current_cocycle(_z("z^2"), [x2], q, 1)
+    with pytest.raises(ValueError):
+        reparam_reparam_cocycle(_z("z^2"), x2, 1)
+
+
+def test_float_charges_are_rejected():
+    q = Trajectory((_z("z"),))
+    x = parse_poly("x0", 1)
+    with pytest.raises(ValueError, match="exact"):
+        affine_cocycle([x], [Poly.monomial((-1,))], q, 0.1, 0)
+    with pytest.raises(ValueError, match="exact"):
+        reparam_reparam_cocycle(_z("z^3"), _z("z^-1"), 0.1)
+    with pytest.raises(ValueError, match="exact"):
+        virasoro_cocycle([x], [x], q, 1, 0.5)
+    with pytest.raises(ValueError, match="exact"):
+        mixed_cocycle([x], [x], q, 0.5)
+    with pytest.raises(ValueError, match="exact"):
+        reparam_vector_cocycle(_z("z^2"), [x], q, 0.5)
+    with pytest.raises(ValueError, match="exact"):
+        reparam_current_cocycle(_z("z^2"), [x], q, 0.5)
+
+
+# -- differential test against per-function integration loops -----------------
+# Each reference integrates its extension term with its own loop, without
+# the shared 1-form integrator, so that both sides are computed independently.
+
+def _reference_virasoro(xi, eta, q, c1, c2):
+    d = q.d
+    qdot = q.velocity()
+    total = Poly.zero(1)
+    div_xi = divergence(xi)
+    div_eta = divergence(eta)
+    for rho in range(d):
+        if qdot[rho].is_zero():
+            continue
+        chain = Poly.zero(xi[0].dim)
+        for mu in range(d):
+            for nu in range(d):
+                chain = chain + xi[mu].deriv(nu).deriv(rho) * eta[nu].deriv(mu)
+        integrand_x = chain.scale(Fraction(c1)) + (
+            div_xi.deriv(rho) * div_eta
+        ).scale(Fraction(c2))
+        total = total + qdot[rho] * compose(integrand_x, q)
+    return -residue(total)
+
+
+def _reference_affine(X, Y, q, c5, c8):
+    qdot = q.velocity()
+    total = Poly.zero(1)
+    for rho in range(q.d):
+        if qdot[rho].is_zero():
+            continue
+        acc = Poly.zero(X[0].dim)
+        for a in range(len(X)):
+            acc = acc + (X[a].deriv(rho) * Y[a]).scale(Fraction(c5))
+        acc = acc + (X[0].deriv(rho) * Y[0]).scale(Fraction(c8))
+        total = total + qdot[rho] * compose(acc, q)
+    return residue(total)
+
+
+def _reference_mixed(xi, X, q, c7):
+    qdot = q.velocity()
+    div_xi = divergence(xi)
+    total = Poly.zero(1)
+    for rho in range(q.d):
+        if qdot[rho].is_zero():
+            continue
+        total = total + qdot[rho] * compose(div_xi.deriv(rho) * X[0], q)
+    return Fraction(c7) * residue(total)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_NONZERO = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 3))
+
+
+def _poly_in(d, exponents):
+    return st.lists(st.tuples(st.sampled_from(exponents), _RATIONALS),
+                    min_size=1, max_size=6).map(lambda terms: Poly(d, dict(terms)))
+
+
+@st.composite
+def _cocycle_cases(draw, laurent_fields):
+    """Fields, trajectory and charges at d <= 3: degree <= 3 fields on Laurent
+    trajectories (powers -2..2), or Laurent fields on monomial trajectories."""
+    d = draw(st.integers(1, 3))
+    if laurent_fields:
+        exponents = list(itertools.product(range(-2, 3), repeat=d))
+        comps = [Poly.monomial((draw(st.integers(-2, 2)),), draw(_NONZERO))
+                 for _ in range(d)]
+    else:
+        exponents = enumerate_indices(d, 3)
+        comps = [draw(_poly_in(1, [(k,) for k in range(-2, 3)])) for _ in range(d)]
+    field = _poly_in(d, exponents)
+    n = draw(st.integers(1, 2))
+    xi, eta = ([draw(field) for _ in range(d)] for _ in range(2))
+    X, Y = ([draw(field) for _ in range(n)] for _ in range(2))
+    charges = [draw(_RATIONALS) for _ in range(5)]
+    return Trajectory(tuple(comps)), xi, eta, X, Y, charges
+
+
+def _assert_matches_reference(case):
+    q, xi, eta, X, Y, (c1, c2, c5, c7, c8) = case
+    assert virasoro_cocycle(xi, eta, q, c1, c2) == _reference_virasoro(xi, eta, q, c1, c2)
+    assert affine_cocycle(X, Y, q, c5, c8) == _reference_affine(X, Y, q, c5, c8)
+    assert mixed_cocycle(xi, X, q, c7) == _reference_mixed(xi, X, q, c7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_cocycle_cases(laurent_fields=False))
+def test_cocycles_match_reference_loops(case):
+    _assert_matches_reference(case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_cocycle_cases(laurent_fields=True))
+def test_laurent_fields_match_reference_loops(case):
+    _assert_matches_reference(case)

@@ -143,6 +143,21 @@ def test_scale_rejects_float():
     assert Poly.constant(1, 2).scale(Fraction(1, 4)) == Poly.constant(1, Fraction(1, 2))
 
 
+def test_eval_rejects_float():
+    with pytest.raises(ValueError, match="exact"):
+        parse_poly("x0^2 + x1", 2).eval([0.1, 0])
+    assert parse_poly("x0^2 + x1", 2).eval([Fraction(1, 2), 1]) == Fraction(5, 4)
+
+
+def test_deriv_multi_rejects_malformed_orders():
+    f = parse_poly("x0^2 + x1", 2)
+    for order in ((-1, 0), (0, -2), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            f.deriv_multi(order)
+    assert f.deriv_multi((1, 0)) == parse_poly("2 x0", 2)
+    assert Poly.constant(0, 3).deriv_multi(()) == Poly.constant(0, 3)
+
+
 # -- properties on random polynomials ------------------------------------------
 
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -37,6 +37,16 @@ COMMANDS = (
     ["cocycle", "--kind", "virasoro", "--d", "1", "--xi", "x^2", "--eta", "x",
      "--traj", "z^-1", "--c1", "1", "--c2", "1"],
     ["cocycle", "--kind", "reparam-reparam", "--f", "z^3", "--g", "z^-1", "--c4", "12"],
+    ["cocycle", "--kind", "virasoro", "--d", "2", "--xi", "x0^2,x1", "--eta", "x0*x1,x0^2",
+     "--traj", "z^-1+z,z^-1", "--c1", "3/2", "--c2=-1/3"],
+    ["cocycle", "--kind", "affine", "--d", "2", "--x", "x0^2,x1", "--y", "x1,x0*x1",
+     "--traj", "z+z^2,z^-1", "--c5", "2", "--c8", "1/5"],
+    ["cocycle", "--kind", "mixed", "--d", "2", "--xi", "x0^2*x1,x1^2", "--x", "x0",
+     "--traj", "z^-1+z,z^-1", "--c7", "3"],
+    ["cocycle", "--kind", "reparam-vector", "--d", "2", "--f", "z^2", "--xi", "x0^2,x0*x1",
+     "--traj", "z^-1,z", "--c3", "2"],
+    ["cocycle", "--kind", "reparam-current", "--d", "2", "--f", "z^2", "--x", "x0*x1+x0",
+     "--traj", "z^-1,z", "--c6", "2"],
 )
 
 
