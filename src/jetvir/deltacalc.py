@@ -175,8 +175,10 @@ def delta_pair_integral(
     gg = shift_to_zero(g) if modes[1] is SmearMode.SHIFTED else g
     first = _kernel_terms(d, p, d1, poly_is_x=True)
     second = _word_index(d, p, d2, poly_is_x=False)
-    f_terms = [(s, c) for s, c in ff.terms.items() if min(s) >= 0]
-    total = Fraction(0)
+    # Sum int numerators; the two shared denominators divide once at the end.
+    f_terms = [(s, c) for s, c in ff.numerators.items() if min(s) >= 0]
+    g_num = gg.numerators
+    total = 0
     for c1, e1, w1 in first:
         for s, fc in f_terms:
             hit = second.get(tuple(a + b for a, b in zip(e1, s)))
@@ -186,10 +188,10 @@ def delta_pair_integral(
             diff = tuple(a - b for a, b in zip(w1, e2))
             if min(diff) < 0:
                 continue
-            gc = gg.terms.get(diff)
+            gc = g_num.get(diff)
             if gc is not None:
                 total += c1 * c2 * fc * gc
-    return total
+    return Fraction(total, ff.denominator * gg.denominator)
 
 
 def delta_pair_closed(

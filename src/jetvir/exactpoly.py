@@ -1,6 +1,6 @@
 """Exact multivariate Laurent polynomials over the rationals.
 
-A ``Poly`` is a sparse map from integer exponent tuples to ``Fraction``
+A ``Poly`` is a sparse polynomial in ``dim`` variables with rational
 coefficients.  Ordinary polynomials use non-negative exponents; negative
 exponents are permitted so that field components along a closed loop
 (Laurent series in the loop parameter) can be handled by the same class.
@@ -10,19 +10,37 @@ exponent signs where required.
 
 All arithmetic is exact; no floats appear anywhere.
 
-Every ``Poly`` keeps one invariant: ``terms`` is a plain dict whose keys are
-tuples of ``dim`` ints and whose values are nonzero ``Fraction``s.  There
-are two ways to build one:
+A ``Poly`` is stored as integer numerators over one shared denominator, the
+layout of FLINT's ``fmpq_poly``: the coefficient of x^e is
+``numerators[e] / denominator``.  Every ``Poly`` keeps one invariant, its
+canonical form:
+
+* the numerators form a dict whose keys are tuples of ``dim`` ints and whose
+  values are nonzero ints;
+* the denominator is an int > 0 and ``gcd(denominator, *numerators) == 1``;
+* the zero polynomial is ``{}`` over 1.
+
+So two equal polynomials have equal fields, and ``==`` and ``hash`` compare
+the fields directly.  ``numerators`` (a read-only view) and ``denominator``
+expose them; ``terms`` returns a fresh ``{exponent: Fraction}`` dict.
+
+There are three ways to build a ``Poly``:
 
 * ``Poly(dim, terms)`` checks and normalises any input: it rejects a wrong
-  dimension, non-int exponents and floats, wraps each coefficient in
-  ``Fraction``, merges duplicate keys and drops zeros.  ``parse_poly`` and
-  the ``constant``/``monomial``/``variable`` constructors go through it, as
-  does every caller outside this module.
-* ``_wrap(dim, terms)`` takes a dict that already holds the invariant and
-  checks nothing.  Only the arithmetic and calculus of ``Poly`` use it, on
-  results they compute from valid operands, so nothing built from outside
-  input reaches it.
+  dimension, non-int exponents and floats, merges duplicate keys, drops
+  zeros and puts the coefficients over the lcm of their denominators.
+  ``parse_poly`` and the ``constant``/``monomial``/``variable`` constructors
+  go through it, as does every caller outside this module.
+* ``_wrap(dim, num, den)`` takes fields that already hold the invariant and
+  checks nothing.
+* ``_reduce(dim, num, den)`` takes nonzero int numerators over any positive
+  denominator, divides both by their gcd in one pass and wraps the result.
+
+Only the arithmetic and calculus of ``Poly`` use the last two, on results
+they compute from valid operands, so nothing built from outside input
+reaches them.  A product multiplies int numerators term by term into one
+dict over the product of the two denominators and reduces once; every
+product in the package, matrix entries included, goes through ``*``.
 """
 
 from __future__ import annotations
@@ -30,7 +48,9 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Dict, Mapping, Sequence
 
 from .multiindex import MultiIndex
@@ -60,12 +80,11 @@ def max_degree_cap() -> int:
 class Poly:
     """Sparse exact polynomial (Laurent allowed) in ``dim`` variables."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_num", "_den")
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], object] | None = None):
         if dim < 0:
             raise ValueError(f"dimension must be >= 0, got {dim}")
-        self.dim = dim
         clean: Dict[MultiIndex, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
@@ -78,10 +97,16 @@ class Poly:
                     raise ValueError(f"coefficients must be exact, got the float {coeff!r}")
                 c = Fraction(coeff)
                 if c != 0:
-                    clean[e] = clean.get(e, Fraction(0)) + c
+                    clean[e] = clean.get(e, 0) + c
                     if clean[e] == 0:
                         del clean[e]
-        self.terms = clean
+        # Over the lcm of reduced denominators the gcd is already 1: a prime
+        # power that divides the lcm exactly divides some coefficient's
+        # denominator exactly, and that coefficient's numerator is prime to it.
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.dim = dim
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     # -- constructors -----------------------------------------------------
 
@@ -101,87 +126,101 @@ class Poly:
     def variable(cls, dim: int, i: int) -> "Poly":
         if not 0 <= i < dim:
             raise ValueError(f"variable index {i} out of range for dimension {dim}")
-        return cls(dim, {tuple(1 if j == i else 0 for j in range(dim)): Fraction(1)})
+        return cls(dim, {tuple(1 if j == i else 0 for j in range(dim)): 1})
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def numerators(self) -> Mapping[MultiIndex, int]:
+        """Read-only view of the nonzero int numerators, keyed by exponent."""
+        return MappingProxyType(self._num)
+
+    @property
+    def denominator(self) -> int:
+        """The one positive denominator shared by every coefficient."""
+        return self._den
+
+    @property
+    def terms(self) -> Dict[MultiIndex, Fraction]:
+        """A fresh dict exponent -> nonzero Fraction coefficient."""
+        den = self._den
+        return {e: Fraction(n, den) for e, n in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_laurent(self) -> bool:
         """True if any exponent is negative."""
-        return any(c < 0 for e in self.terms for c in e)
+        return any(c < 0 for e in self._num for c in e)
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+        return Fraction(self._num.get(tuple(expo), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self._num.get((0,) * self.dim, 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_dim(self, other: "Poly") -> None:
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = dict(self._num) if fa == 1 else {e: n * fa for e, n in self._num.items()}
+        for e, n in other._num.items():
+            s = out.get(e, 0) + n * fb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _reduce(self.dim, out, den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._require_same_dim(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _wrap(self.dim, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._require_same_dim(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _wrap(self.dim, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return _wrap(self.dim, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.dim, {e: -n for e, n in self._num.items()}, self._den)
 
     def scale(self, k) -> "Poly":
         if isinstance(k, float):
             raise ValueError(f"coefficients must be exact, got the float {k!r}")
         k = Fraction(k)
         if not k:
-            return _wrap(self.dim, {})
-        return _wrap(self.dim, {e: c * k for e, c in self.terms.items()})
+            return _wrap(self.dim, {}, 1)
+        kn = k.numerator
+        return _reduce(self.dim, {e: n * kn for e, n in self._num.items()},
+                       self._den * k.denominator)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._require_same_dim(other)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cap = max_degree_cap()
-        a, b = self.terms, other.terms
+        a, b = self._num, other._num
         # |e1 + e2| <= |e1| + |e2|: if the largest operand degrees sum to at
         # most the cap, no term pair exceeds it.  Otherwise check each pair,
         # since Laurent exponents can cancel.
         check = (max((sum(map(abs, e)) for e in a), default=0)
                  + max((sum(map(abs, e)) for e in b), default=0)) > cap
-        out: Dict[MultiIndex, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        out: Dict[MultiIndex, int] = {}
+        get = out.get
+        for e1, n1 in a.items():
+            for e2, n2 in b.items():
                 e = tuple(map(add, e1, e2))
                 if check and sum(map(abs, e)) > cap:
                     raise _degree_overflow(cap)
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return _wrap(self.dim, {e: c for e, c in out.items() if c})
+                out[e] = get(e, 0) + n1 * n2
+        return _reduce(self.dim, {e: n for e, n in out.items() if n},
+                       self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative powers of a general polynomial are undefined")
-        result = _wrap(self.dim, {(0,) * self.dim: Fraction(1)})
+        result = _wrap(self.dim, {(0,) * self.dim: 1}, 1)
         base = self
         while n:
             if n & 1:
@@ -195,10 +234,11 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return (self.dim == other.dim and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -207,8 +247,8 @@ class Poly:
         if not 0 <= mu < self.dim:
             raise ValueError(f"direction {mu} out of range for dimension {self.dim}")
         # e -> e - e_mu is injective, so no two terms land on one key.
-        return _wrap(self.dim, {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: c * e[mu]
-                                for e, c in self.terms.items() if e[mu]})
+        return _reduce(self.dim, {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: n * e[mu]
+                                  for e, n in self._num.items() if e[mu]}, self._den)
 
     def deriv_multi(self, m: Sequence[int]) -> "Poly":
         """Repeated partial derivative d^m, one non-negative order per variable."""
@@ -228,21 +268,21 @@ class Poly:
             raise ValueError(f"coordinates must be exact, got {list(point)!r}")
         pt = [Fraction(v) for v in point]
         total = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
+        for e, n in self._num.items():
+            val = Fraction(n)
             for x, k in zip(pt, e):
                 if k < 0 and x == 0:
                     raise ZeroDivisionError("negative exponent evaluated at zero")
                 val *= x ** k
-            # accumulate separately to keep the loop simple
             total += val
-        return total
+        return total / self._den
 
     def truncate(self, p: int) -> "Poly":
         """Drop all terms of total degree > p (requires a true polynomial)."""
         if self.is_laurent():
             raise ValueError("truncation is only defined for non-negative exponents")
-        return _wrap(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= p})
+        return _reduce(self.dim, {e: n for e, n in self._num.items() if sum(e) <= p},
+                       self._den)
 
     def compose_univariate(self, substitutions: Sequence["Poly"]) -> "Poly":
         """Substitute variable i -> substitutions[i] (each a Poly in a common
@@ -257,16 +297,17 @@ class Poly:
         for s in substitutions:
             if s.dim != tdim:
                 raise ValueError("substitution polynomials must share a dimension")
-        result = _wrap(tdim, {})
-        for e, c in self.terms.items():
-            term = _wrap(tdim, {(0,) * tdim: c})
+        # Compose the numerators; the shared denominator divides once at the end.
+        result = _wrap(tdim, {}, 1)
+        for e, n in self._num.items():
+            term = _wrap(tdim, {(0,) * tdim: n}, 1)
             for i, k in enumerate(e):
                 if k >= 0:
                     term = term * (substitutions[i] ** k)
                 else:
                     term = term * _monomial_inverse_power(substitutions[i], -k)
             result = result + term
-        return result
+        return _reduce(tdim, result._num, result._den * self._den)
 
     # -- formatting ---------------------------------------------------------
 
@@ -276,24 +317,40 @@ class Poly:
 
 def _monomial_inverse_power(p: Poly, k: int) -> Poly:
     """(monomial)^(-k); raises if p is not a single monomial."""
-    if len(p.terms) != 1:
+    if len(p._num) != 1:
         raise ValueError(
             "negative exponent composition requires a monomial substitution"
         )
-    (e, c), = p.terms.items()
+    (e, n), = p._num.items()
     cap = max_degree_cap()
     if k * sum(abs(x) for x in e) > cap:
         raise _degree_overflow(cap)
-    return _wrap(p.dim, {tuple(-k * x for x in e): 1 / c ** k})
+    # (n/den)^-k = den^k / n^k, already in lowest terms; the sign moves up.
+    top, bottom = p._den ** k, n ** k
+    if bottom < 0:
+        top, bottom = -top, -bottom
+    return _wrap(p.dim, {tuple(-k * x for x in e): top}, bottom)
 
 
-def _wrap(dim: int, terms: Dict[MultiIndex, Fraction]) -> Poly:
-    """A Poly around ``terms``, which must already hold the invariant of the
-    module docstring; nothing is checked or copied."""
+def _wrap(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
+    """A Poly around ``num`` over ``den``, which must already be in the
+    canonical form of the module docstring; nothing is checked or copied."""
     p = object.__new__(Poly)
     p.dim = dim
-    p.terms = terms
+    p._num = num
+    p._den = den
     return p
+
+
+def _reduce(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
+    """The canonical Poly num / den, for nonzero int numerators and an int
+    den > 0: one gcd pass over the numerators and the denominator."""
+    if den == 1:
+        return _wrap(dim, num, 1)
+    g = gcd(den, *num.values())
+    if g == 1:
+        return _wrap(dim, num, den)
+    return _wrap(dim, {e: n // g for e, n in num.items()}, den // g)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -373,11 +430,12 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
 
 def format_poly(p: Poly, varname: str = "x") -> str:
     """Human-readable exact rendering, inverse-compatible with parse_poly."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     pieces = []
-    for e in sorted(p.terms, key=lambda t: (sum(t), tuple(-c for c in t))):
-        c = p.terms[e]
+    for e in sorted(terms, key=lambda t: (sum(t), tuple(-c for c in t))):
+        c = terms[e]
         vars_part = []
         for i, k in enumerate(e):
             if k == 0:

@@ -371,8 +371,11 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
 
 
 def divergence(xi: Sequence[Poly]) -> Poly:
-    """div xi = d_mu xi^mu."""
-    acc = Poly.zero(xi[0].dim)
+    """div xi = d_mu xi^mu of a vector field: d components in d variables."""
+    if not xi or any(c.dim != len(xi) for c in xi):
+        raise ValueError("divergence needs a vector field of d components "
+                         "in d variables each")
+    acc = Poly.zero(len(xi))
     for mu, c in enumerate(xi):
         acc = acc + c.deriv(mu)
     return acc

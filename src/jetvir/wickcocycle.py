@@ -165,10 +165,9 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
     # rho-factor trace
     if ta is None and tb is None:
         tr_rho = Fraction(glrep.delta_rho)
-    elif ta is not None and tb is None:
-        tr_rho = glrep.k0 if ta[1] == ta[2] else Fraction(0)
-    elif ta is None and tb is not None:
-        tr_rho = glrep.k0 if tb[1] == tb[2] else Fraction(0)
+    elif ta is None or tb is None:
+        t = tb if ta is None else ta
+        tr_rho = glrep.k0 if t[1] == t[2] else Fraction(0)
     else:
         # tr T^a_b T^c_d = k1 d^{a,d} d^{c,b} + k2 d^{a,b} d^{c,d}
         _, a_up, b_lo = ta
@@ -183,10 +182,9 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
     # M-factor trace
     if ma is None and mb is None:
         tr_m = Fraction(grep.delta_m)
-    elif ma is not None and mb is None:
-        tr_m = grep.z_m if ma == 0 else Fraction(0)
-    elif ma is None and mb is not None:
-        tr_m = grep.z_m if mb == 0 else Fraction(0)
+    elif ma is None or mb is None:
+        m = mb if ma is None else ma
+        tr_m = grep.z_m if m == 0 else Fraction(0)
     else:
         tr_m = Fraction(0)
         if ma == mb:

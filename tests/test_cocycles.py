@@ -59,6 +59,15 @@ def test_brackets():
     assert density_action([x], [Poly.constant(1, 1)]) == [Poly.constant(1, 1)]
 
 
+def test_density_action_rejects_a_vector_field_with_missing_components():
+    x0 = parse_poly("x0", 2)
+    with pytest.raises(ValueError, match="vector field"):
+        density_action([x0], [x0])
+    with pytest.raises(ValueError, match="vector field"):
+        density_action([], [x0])
+    assert density_action([x0, Poly.zero(2)], [x0]) == [parse_poly("2 x0", 2)]
+
+
 def test_residue_and_compose():
     assert residue(_z("3 z^-1 + z + 5")) == 3
     q = Trajectory((_z("z + z^2"),))

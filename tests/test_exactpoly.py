@@ -1,10 +1,20 @@
+import math
+import os
 from fractions import Fraction
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvir.exactpoly import Poly, _monomial_inverse_power, format_poly, parse_poly
+from jetvir.exactpoly import (
+    Poly,
+    _monomial_inverse_power,
+    format_poly,
+    parse_poly,
+)
+from jetvir.jetreps import mat_mul
 from jetvir.multiindex import enumerate_indices
 
 
@@ -221,15 +231,28 @@ def test_composition_is_a_ring_homomorphism(case):
     assert Poly.constant(f.dim, 1).compose_univariate(subs) == Poly.constant(target, 1)
 
 
-# -- the term invariant: int-tuple keys of length dim, nonzero Fraction values --
+# -- the canonical form: nonzero int numerators over one denominator ----------
 
 def _assert_clean(r, dim):
     assert r.dim == dim
+    num, den = r.numerators, r.denominator
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert num or den == 1
     for e, c in r.terms.items():
         assert type(e) is tuple and len(e) == dim
         assert all(type(x) is int for x in e)
         assert type(c) is Fraction and c != 0
     assert Poly(r.dim, r.terms) == r
+    assert hash(r) == hash(Poly(r.dim, r.terms))
+    before = dict(num), den
+    view = r.terms
+    view[(0,) * dim] = Fraction(99, 7)
+    view.clear()
+    with pytest.raises(TypeError):
+        num[(0,) * dim] = 1
+    assert (dict(r.numerators), r.denominator) == before
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -265,3 +288,66 @@ def test_cancellations_drop_terms():
     r = parse_poly("x0^-2 + x0", 1).compose_univariate([parse_poly("2 z", 1, "z")])
     _assert_clean(r, 1)
     assert r == parse_poly("1/4 * z^-2 + 2 z", 1, "z")
+
+
+def test_products_reject_a_dimension_mismatch():
+    x, y = parse_poly("x0", 1), parse_poly("x0", 2)
+    with pytest.raises(ValueError, match="dimension"):
+        _ = x * y
+
+
+def test_numerators_share_one_reduced_denominator():
+    f = parse_poly("1/2 * x0 + 1/3", 1)
+    assert dict(f.numerators) == {(1,): 3, (0,): 2} and f.denominator == 6
+    r = f + parse_poly("1/2 * x0 + 2/3", 1)
+    assert dict(r.numerators) == {(1,): 1, (0,): 1} and r.denominator == 1
+    assert f.coeff((1,)) == Fraction(1, 2) and f.coeff((5,)) == 0
+    assert Poly.zero(2).denominator == 1 and not Poly.zero(2).numerators
+    assert f.scale(Fraction(-3, 2)) == parse_poly("-3/4 * x0 - 1/2", 1)
+
+
+# -- sums of products against a Fraction reference --------------------------
+
+def _reference_sum_of_products(d, pairs):
+    out = {}
+    for x, y in pairs:
+        for e1, c1 in x.terms.items():
+            for e2, c2 in y.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return Poly(d, out)
+
+
+@st.composite
+def _product_sums(draw):
+    d = draw(st.integers(1, 3))
+    laurent = st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * d),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=4)
+    polys = laurent.map(lambda terms: Poly(d, terms))
+    pairs = draw(st.lists(st.tuples(polys, polys), max_size=4))
+    return d, pairs, draw(st.integers(2, 16))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_product_sums())
+def test_sums_of_products_match_a_fraction_reference(case):
+    """A left fold of * and + over 0-4 pairs, and the one matrix entry that
+    mat_mul computes from the same pairs, against sums of Fraction products;
+    OverflowError exactly when some term pair exceeds the degree cap."""
+    d, pairs, cap = case
+    row, col = (tuple(x for x, _ in pairs),), tuple((y,) for _, y in pairs)
+    over = any(sum(abs(a + b) for a, b in zip(e1, e2)) > cap
+               for x, y in pairs for e1 in x.numerators for e2 in y.numerators)
+    with mock.patch.dict(os.environ, {"JETVIR_MAX_DEGREE": str(cap)}):
+        if over:
+            with pytest.raises(OverflowError):
+                reduce(lambda acc, xy: acc + xy[0] * xy[1], pairs, Poly.zero(d))
+            with pytest.raises(OverflowError):
+                mat_mul(row, col)
+            return
+        r = reduce(lambda acc, xy: acc + xy[0] * xy[1], pairs, Poly.zero(d))
+        if pairs:
+            assert mat_mul(row, col) == ((r,),)
+    assert r == _reference_sum_of_products(d, pairs)
+    _assert_clean(r, d)

@@ -14,6 +14,7 @@ from jetvir.jetreps import (
     bracket_gauge,
     bracket_mixed,
     diff_operator,
+    divergence,
     embed_gauge_operator,
     gauge_operator,
     mat_add,
@@ -174,6 +175,14 @@ def test_vector_field_bracket_rejects_mismatched_lengths():
         vector_field_bracket([x, x], [x])
     with pytest.raises(ValueError):
         vector_field_bracket([x], [x, x])
+
+
+def test_divergence_rejects_a_malformed_vector_field():
+    x = parse_poly("x0", 2)
+    for xi in ([], [x], [x, x, x], [parse_poly("x0", 1), parse_poly("x0", 1)]):
+        with pytest.raises(ValueError, match="vector field"):
+            divergence(xi)
+    assert divergence([x, parse_poly("x0 x1", 2)]) == parse_poly("1 + x0", 2)
 
 
 def test_gauge_operator_rejects_a_rep_not_labelled_by_generator_index():
