@@ -41,6 +41,9 @@ they compute from valid operands, so nothing built from outside input
 reaches them.  A product multiplies int numerators term by term into one
 dict over the product of the two denominators and reduces once; every
 product in the package, matrix entries included, goes through ``*``.
+``lincomb(dim, pairs)`` sums many scaled Polys the same way: all numerators
+go into one dict over the lcm of the scaled denominators, reduced once.
+Each ``Poly`` also keeps its degree bound max |e| once it is first needed.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .multiindex import MultiIndex
 
@@ -80,7 +83,7 @@ def max_degree_cap() -> int:
 class Poly:
     """Sparse exact polynomial (Laurent allowed) in ``dim`` variables."""
 
-    __slots__ = ("dim", "_num", "_den")
+    __slots__ = ("dim", "_num", "_den", "_deg")
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], object] | None = None):
         if dim < 0:
@@ -107,6 +110,7 @@ class Poly:
         self.dim = dim
         self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._den = den
+        self._deg = -1
 
     # -- constructors -----------------------------------------------------
 
@@ -154,10 +158,20 @@ class Poly:
         return any(c < 0 for e in self._num for c in e)
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(expo), 0), self._den)
+        e = tuple(expo)
+        if len(e) != self.dim:
+            raise ValueError(f"exponent {e} has wrong dimension (expected {self.dim})")
+        return Fraction(self._num.get(e, 0), self._den)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._num.get((0,) * self.dim, 0), self._den)
+
+    def _degree(self) -> int:
+        """max |e| over the terms (0 for zero), computed on first use."""
+        deg = self._deg
+        if deg < 0:
+            deg = self._deg = max((sum(map(abs, e)) for e in self._num), default=0)
+        return deg
 
     # -- arithmetic --------------------------------------------------------
 
@@ -165,6 +179,10 @@ class Poly:
         """self + sign * other over the lcm of the two denominators."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if not other._num:
+            return self
+        if not self._num:
+            return other if sign > 0 else -other
         da, db = self._den, other._den
         den = lcm(da, db)
         fa, fb = den // da, sign * (den // db)
@@ -204,8 +222,7 @@ class Poly:
         # |e1 + e2| <= |e1| + |e2|: if the largest operand degrees sum to at
         # most the cap, no term pair exceeds it.  Otherwise check each pair,
         # since Laurent exponents can cancel.
-        check = (max((sum(map(abs, e)) for e in a), default=0)
-                 + max((sum(map(abs, e)) for e in b), default=0)) > cap
+        check = self._degree() + other._degree() > cap
         out: Dict[MultiIndex, int] = {}
         get = out.get
         for e1, n1 in a.items():
@@ -339,6 +356,7 @@ def _wrap(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
     p.dim = dim
     p._num = num
     p._den = den
+    p._deg = -1
     return p
 
 
@@ -351,6 +369,40 @@ def _reduce(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
     if g == 1:
         return _wrap(dim, num, den)
     return _wrap(dim, {e: n // g for e, n in num.items()}, den // g)
+
+
+def lincomb(dim: int, pairs: Iterable[Tuple[object, Poly]]) -> Poly:
+    """The canonical Poly sum_k c_k P_k of the pairs (c_k, P_k), each c_k an
+    int or Fraction and each P_k a Poly in ``dim`` variables.
+
+    Pairs with c_k = 0 or P_k = 0 are skipped.  The numerators of the others,
+    scaled by c_k, go into one dict over the lcm of the scaled denominators
+    den(c_k) * den(P_k), which is reduced once.  Raises ``ValueError`` on a
+    float (or any other inexact) coefficient and on a Poly of another dim.
+    """
+    scaled = []
+    den = 1
+    for c, p in pairs:
+        if p.dim != dim:
+            raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
+        if type(c) is int:
+            cn, cd = c, 1
+        elif isinstance(c, (int, Fraction)):
+            cn, cd = c.numerator, c.denominator
+        else:
+            raise ValueError(f"coefficients must be exact (int or Fraction), got {c!r}")
+        if cn and p._num:
+            pd = p._den * cd
+            if den % pd:
+                den = lcm(den, pd)
+            scaled.append((cn, pd, p))
+    out: Dict[MultiIndex, int] = {}
+    get = out.get
+    for cn, pd, p in scaled:
+        f = cn * (den // pd)
+        for e, n in p._num.items():
+            out[e] = get(e, 0) + n * f
+    return _reduce(dim, {e: n for e, n in out.items() if n}, den)
 
 
 # -- parsing -----------------------------------------------------------------

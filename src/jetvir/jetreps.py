@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactpoly import Poly
+from .exactpoly import Poly, lincomb
 from .multiindex import (
     binomial,
     enumerate_indices,
@@ -51,35 +51,60 @@ from .multiindex import (
 Matrix = Tuple[Tuple[Poly, ...], ...]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _nonzero(vectors) -> List[dict]:
+    """Per row (or column) of a matrix: its nonzero entries keyed by index."""
+    return [{k: x for k, x in enumerate(v) if not x.is_zero()} for v in vectors]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _products(row: dict, col: dict, sign: int) -> list:
+    """The terms (sign, row[k] * col[k]) of sign * (row . col), one product
+    through Poly.__mul__ for each k where both factors are nonzero."""
+    return [(sign, x * col[k]) for k, x in row.items() if k in col]
+
+
+def _along(a: Sequence[Poly], f: Poly, sign: int) -> list:
+    """The terms (sign, a^nu * d_nu f) of sign * a^nu d_nu f, skipping those
+    where a^nu or d_nu f is zero."""
+    if f.is_zero():
+        return []
+    out = []
+    for nu, c in enumerate(a):
+        if not c.is_zero():
+            df = f.deriv(nu)
+            if not df.is_zero():
+                out.append((sign, c * df))
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    dim = a[0][0].dim if n else 0
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        nz = [(j, x) for j, x in enumerate(row) if not x.is_zero()]
-        orow = []
-        for col in bt:
-            acc = Poly.zero(dim)
-            for j, x in nz:
-                y = col[j]
-                if not y.is_zero():
-                    acc = acc + x * y
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
+    dim = a[0][0].dim if a else 0
+    cols = _nonzero(zip(*b))
+    return tuple(tuple(lincomb(dim, _products(row, col, 1)) for col in cols)
+                 for row in _nonzero(a))
+
+
+def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> Matrix:
+    """Matrix part of the commutator of first-order operators a.d/dq + B(q):
+
+    [a1.d + B1, a2.d + B2] = (a1.d a2 - a2.d a1).d
+                             + (a1.d B2 - a2.d B1 + B1 B2 - B2 B1).
+
+    a1, a2 are vector parts (Polys in q, empty for none) and b1, b2 square
+    matrices of Polys in q.  Each entry of the result is one ``lincomb`` of
+    its products and directional-derivative terms.
+    """
+    dim = b1[0][0].dim
+    rows1, rows2 = _nonzero(b1), _nonzero(b2)
+    cols1, cols2 = _nonzero(zip(*b1)), _nonzero(zip(*b2))
+    return tuple(
+        tuple(lincomb(dim, _products(r1, c2, 1) + _products(r2, c1, -1)
+                      + _along(a1, x2, 1) + _along(a2, x1, -1))
+              for x1, x2, c1, c2 in zip(e1, e2, cols1, cols2))
+        for e1, e2, r1, r2 in zip(b1, b2, rows1, rows2))
 
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    return _bracket((), a, (), b)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -150,20 +175,18 @@ class StructureConstants:
 
     def bracket_components(self, x: Sequence[Poly], y: Sequence[Poly]) -> List[Poly]:
         """Pointwise Lie bracket of g-valued functions:
-        [x, y]^c = f^{abc} x^a y^b."""
-        dim_vars = x[0].dim
-        out = [Poly.zero(dim_vars) for _ in range(self.dim)]
-        for a in range(self.dim):
-            if x[a].is_zero():
-                continue
-            for b in range(self.dim):
-                if y[b].is_zero():
-                    continue
-                for c in range(self.dim):
-                    coef = self.f[a][b][c]
-                    if coef:
-                        out[c] = out[c] + (x[a] * y[b]).scale(coef)
-        return out
+        [x, y]^c = f^{abc} x^a y^b, for x and y of ``dim`` components each."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise ValueError(f"the bracket needs {n} components on each side, "
+                             f"got {len(x)} and {len(y)}")
+        if not n:
+            return []
+        pairs = [(a, b) for a in range(n) if not x[a].is_zero()
+                 for b in range(n) if not y[b].is_zero()]
+        return [lincomb(x[0].dim, [(self.f[a][b][c], x[a] * y[b])
+                                   for a, b in pairs if self.f[a][b][c]])
+                for c in range(n)]
 
 
 @dataclass(frozen=True)
@@ -266,22 +289,25 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     the factor transports by f_k(x+q) - f_k(q).
     """
     lattice = enumerate_indices(d, p)
-    z = Poly.zero(d)
+    derivs = [{} for _ in factors]  # per factor: order -> d_order f_k
     rows = []
     for m in lattice:
-        blocks = []  # per column index n: the nonzero (binom d_{m-n+s}f_k, R_k)
+        blocks = []  # per column index n: the (binom, nonzero d_{m-n+s}f_k, R_k)
         for n in lattice:
             block = []
-            for f, r, s in factors:
+            for (f, r, s), known in zip(factors, derivs):
                 ns = tuple(x - y for x, y in zip(n, s))
                 b = binomial(m, ns)
                 if b and (m != ns or not any(s)):
-                    g = f.deriv_multi(mi_sub(m, ns)).scale(b)
+                    order = mi_sub(m, ns)
+                    g = known.get(order)
+                    if g is None:
+                        g = known[order] = f.deriv_multi(order)
                     if not g.is_zero():
-                        block.append((g, r))
+                        block.append((b, g, r))
             blocks.append(block)
         for i in range(size):
-            rows.append(tuple(sum((g.scale(r[i][j]) for g, r in block if r[i][j]), z)
+            rows.append(tuple(lincomb(d, [(b * r[i][j], g) for b, g, r in block if r[i][j]])
                               for block in blocks for j in range(size)))
     return tuple(rows)
 
@@ -341,6 +367,11 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJet
     d_nu xi^mu(x+q) T^nu_mu, both truncated at jet order p.
     """
     _check_components(xi, d, d, "vector field")
+    labels = [lab for lab, _ in rep.generators]
+    frame = [(nu, mu) for nu in range(d) for mu in range(d)]
+    if len(labels) != len(frame) or set(labels) != set(frame):
+        raise ValueError(f"a gl-rep for d = {d} needs exactly the generators "
+                         f"labelled (nu, mu) with nu, mu < {d}")
     eye = tuple(tuple(Fraction(int(i == j)) for j in range(rep.size))
                 for i in range(rep.size))
     matrix = _jet_matrix(
@@ -351,23 +382,12 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJet
     return DiffJetOperator(d, p, rep.size, tuple(xi), matrix)
 
 
-def _along(a: Sequence[Poly], f: Poly) -> Poly:
-    """a^nu d_nu f, skipping the terms where a^nu or d_nu f is zero."""
-    acc = Poly.zero(f.dim)
-    for nu, c in enumerate(a):
-        if not c.is_zero():
-            df = f.deriv(nu)
-            if not df.is_zero():
-                acc = acc + c * df
-    return acc
-
-
 def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu."""
     d = len(xi)
     if len(eta) != d or any(c.dim != d for c in (*xi, *eta)):
         raise ValueError(f"vector fields need {d} components in {d} variables each")
-    return [_along(xi, e) - _along(eta, x) for x, e in zip(xi, eta)]
+    return [lincomb(d, _along(xi, e, 1) + _along(eta, x, -1)) for x, e in zip(xi, eta)]
 
 
 def divergence(xi: Sequence[Poly]) -> Poly:
@@ -385,12 +405,7 @@ def bracket_gauge(j1: GaugeJetOperator, j2: GaugeJetOperator) -> GaugeJetOperato
     if (j1.d, j1.p, j1.rep_size) != (j2.d, j2.p, j2.rep_size):
         raise ValueError("operator shape mismatch")
     return GaugeJetOperator(j1.d, j1.p, j1.rep_size,
-                            mat_commutator(j1.matrix, j2.matrix))
-
-
-def _directional_derivative(a: Sequence[Poly], target: Matrix) -> Matrix:
-    """sum_nu a^nu(q) d/dq^nu applied entrywise to a matrix of Polys in q."""
-    return tuple(tuple(_along(a, entry) for entry in row) for row in target)
+                            _bracket((), j1.matrix, (), j2.matrix))
 
 
 def bracket_diff(l1: DiffJetOperator, l2: DiffJetOperator) -> DiffJetOperator:
@@ -402,13 +417,7 @@ def bracket_diff(l1: DiffJetOperator, l2: DiffJetOperator) -> DiffJetOperator:
     if (l1.d, l1.p, l1.rep_size) != (l2.d, l2.p, l2.rep_size):
         raise ValueError("operator shape mismatch")
     vector = vector_field_bracket(l1.vector, l2.vector)
-    matrix = mat_add(
-        mat_sub(
-            _directional_derivative(l1.vector, l2.matrix),
-            _directional_derivative(l2.vector, l1.matrix),
-        ),
-        mat_commutator(l1.matrix, l2.matrix),
-    )
+    matrix = _bracket(l1.vector, l1.matrix, l2.vector, l2.matrix)
     return DiffJetOperator(l1.d, l1.p, l1.rep_size, tuple(vector), matrix)
 
 
@@ -434,10 +443,7 @@ def bracket_mixed(l: DiffJetOperator, j: GaugeJetOperator) -> GaugeJetOperator:
     # are extended to (jet x rho x M).
     l_full = _insert_identity(l.matrix, j.rep_size)
     j_full = _insert_identity(j.matrix, l.rep_size, j.rep_size)
-    matrix = mat_add(
-        _directional_derivative(l.vector, j_full),
-        mat_commutator(l_full, j_full),
-    )
+    matrix = _bracket(l.vector, l_full, (), j_full)
     return GaugeJetOperator(l.d, l.p, l.rep_size * j.rep_size, matrix)
 
 

@@ -12,6 +12,7 @@ from jetvir.exactpoly import (
     Poly,
     _monomial_inverse_power,
     format_poly,
+    lincomb,
     parse_poly,
 )
 from jetvir.jetreps import mat_mul
@@ -29,6 +30,14 @@ def test_parse_single_variable_stem():
     z = parse_poly("z^-2 + 3 * z", 1, varname="z")
     assert z.coeff((-2,)) == 1
     assert z.coeff((1,)) == 3
+
+
+def test_coeff_rejects_an_exponent_of_the_wrong_length():
+    f = parse_poly("x0 + x1", 2)
+    for expo in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="dimension"):
+            f.coeff(expo)
+    assert f.coeff((0, 1)) == 1 and f.coeff([1, 0]) == 1 and f.coeff((1, 1)) == 0
 
 
 def test_parse_errors():
@@ -350,4 +359,47 @@ def test_sums_of_products_match_a_fraction_reference(case):
         if pairs:
             assert mat_mul(row, col) == ((r,),)
     assert r == _reference_sum_of_products(d, pairs)
+    _assert_clean(r, d)
+
+
+# -- linear combinations against a Fraction reference ------------------------
+
+def test_lincomb_rejects_floats_and_a_dimension_mismatch():
+    x = parse_poly("x0", 2)
+    with pytest.raises(ValueError, match="exact"):
+        lincomb(2, [(1, x), (0.5, x)])
+    with pytest.raises(ValueError, match="exact"):
+        lincomb(2, [(0.0, x)])
+    with pytest.raises(ValueError, match="dimension"):
+        lincomb(2, [(1, x), (1, parse_poly("x0", 1))])
+    with pytest.raises(ValueError, match="dimension"):
+        lincomb(1, [(0, x)])
+    assert lincomb(3, []) == Poly.zero(3)
+    assert lincomb(2, [(Fraction(1, 2), x), (Fraction(-1, 2), x)]) == Poly.zero(2)
+    assert lincomb(2, [(3, x), (Fraction(1, 3), x)]) == x.scale(Fraction(10, 3))
+
+
+@st.composite
+def _linear_combinations(draw):
+    d = draw(st.integers(1, 3))
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    laurent = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * d), fractions, max_size=4)
+    coeffs = st.one_of(st.just(0), st.integers(-4, 4), fractions)
+    pairs = draw(st.lists(st.tuples(coeffs, laurent.map(lambda t: Poly(d, t))),
+                          max_size=6))
+    return d, pairs
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_linear_combinations())
+def test_lincomb_matches_a_fraction_reference(case):
+    """sum_k c_k P_k over Laurent operands with int, Fraction and zero
+    coefficients, against a sum of Fraction coefficients per exponent."""
+    d, pairs = case
+    out = {}
+    for c, p in pairs:
+        for e, v in p.terms.items():
+            out[e] = out.get(e, 0) + c * v
+    r = lincomb(d, pairs)
+    assert r == Poly(d, out)
     _assert_clean(r, d)

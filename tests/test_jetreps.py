@@ -1,5 +1,7 @@
+import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from jetvir.exactpoly import Poly, parse_poly
 from jetvir.jetreps import (
     MatrixRep,
     StructureConstants,
+    _bracket,
     _insert_identity,
     bracket_diff,
     bracket_gauge,
@@ -17,11 +20,14 @@ from jetvir.jetreps import (
     divergence,
     embed_gauge_operator,
     gauge_operator,
-    mat_add,
     mat_is_zero,
     vector_field_bracket,
 )
 from jetvir.multiindex import binomial, enumerate_indices, norm, sub as mi_sub, unit
+
+
+def _mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _rand_poly(d, deg, rng):
@@ -129,7 +135,7 @@ def test_jacobi_identity_direct():
     c = bracket_diff(bracket_diff(ops[2], ops[0]), ops[1])
     assert all((a.vector[i] + b.vector[i] + c.vector[i]).is_zero()
                for i in range(1))
-    assert mat_is_zero(mat_add(mat_add(a.matrix, b.matrix), c.matrix))
+    assert mat_is_zero(_mat_add(_mat_add(a.matrix, b.matrix), c.matrix))
 
 
 def test_mixed_bracket_is_transport():
@@ -191,6 +197,26 @@ def test_gauge_operator_rejects_a_rep_not_labelled_by_generator_index():
         gauge_operator([x] * 4, MatrixRep.gl_vector(2), 2, 1)
 
 
+def test_diff_operator_rejects_a_gl_rep_built_for_another_d():
+    xi = [parse_poly("x0", 2), parse_poly("x1", 2)]
+    for rep in (MatrixRep.gl_scalar_weight(1, 1), MatrixRep.gl_scalar_weight(3, 1),
+                MatrixRep.gl_vector(3), MatrixRep.g_abelian(4)):
+        with pytest.raises(ValueError, match="labelled"):
+            diff_operator(xi, rep, 2, 1)
+    assert diff_operator(xi, MatrixRep.gl_vector(2), 2, 1).rep_size == 2
+
+
+def test_bracket_components_needs_dim_components_on_each_side():
+    sc = StructureConstants.epsilon()
+    x = parse_poly("x0", 1)
+    for n, m in ((2, 2), (4, 4), (3, 2), (2, 3), (3, 4)):
+        with pytest.raises(ValueError, match="components"):
+            sc.bracket_components([x] * n, [x] * m)
+    y = parse_poly("x0^2", 1)
+    z = Poly.zero(1)
+    assert sc.bracket_components([x, z, z], [z, y, z]) == [z, z, x * y]
+
+
 def test_g_relations_false_when_a_generator_is_missing():
     assert MatrixRep.g_abelian(2).check_g_relations(StructureConstants.epsilon()) is False
 
@@ -248,4 +274,94 @@ def test_diff_operator_is_transport_plus_frame(case):
     frame = gauge_operator([xi[mu].deriv(nu) for nu, mu in labels],
                            frame_rep, d, p).matrix
     transport = _insert_identity(_reference_transport(xi, d, p), rep.size)
-    assert diff_operator(xi, rep, d, p).matrix == mat_add(transport, frame)
+    assert diff_operator(xi, rep, d, p).matrix == _mat_add(transport, frame)
+
+
+# -- differential test: one bracket kernel against the composed matrix ops -----
+
+def _ref_mat_mul(a, b):
+    bt = list(zip(*b))
+    out = []
+    for row in a:
+        nz = [(j, x) for j, x in enumerate(row) if not x.is_zero()]
+        orow = []
+        for col in bt:
+            acc = Poly.zero(a[0][0].dim)
+            for j, x in nz:
+                if not col[j].is_zero():
+                    acc = acc + x * col[j]
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def _ref_mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _ref_along(a, f):
+    acc = Poly.zero(f.dim)
+    for nu, c in enumerate(a):
+        if not c.is_zero():
+            df = f.deriv(nu)
+            if not df.is_zero():
+                acc = acc + c * df
+    return acc
+
+
+def _ref_directional_derivative(a, target):
+    return tuple(tuple(_ref_along(a, entry) for entry in row) for row in target)
+
+
+def _reference_bracket(a1, b1, a2, b2):
+    """a1.dB2 - a2.dB1 + B1B2 - B2B1 as sums and differences of whole
+    matrices, one fold of * and + per matrix-product entry."""
+    dd = _ref_directional_derivative
+    return _mat_add(_ref_mat_sub(dd(a1, b2), dd(a2, b1)),
+                    _ref_mat_sub(_ref_mat_mul(b1, b2), _ref_mat_mul(b2, b1)))
+
+
+@st.composite
+def _bracket_cases(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+    terms = st.dictionaries(st.tuples(*[st.integers(-2, 3)] * d), coeffs,
+                            min_size=1, max_size=3)
+    polys = st.one_of(terms.map(lambda t: Poly(d, t)), st.just(Poly.zero(d)))
+    matrix = st.lists(polys, min_size=n * n, max_size=n * n).map(
+        lambda xs: tuple(tuple(xs[i * n:(i + 1) * n]) for i in range(n)))
+    vector = st.one_of(st.tuples(*[polys] * d), st.just(()))
+    return (draw(vector), draw(matrix), draw(vector), draw(matrix)), draw(st.integers(4, 12))
+
+
+def _counting_products(log):
+    original = Poly.__mul__
+
+    def mul(x, y):
+        log.append(len(x.numerators) * len(y.numerators))
+        return original(x, y)
+    return mock.patch.object(Poly, "__mul__", mul)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_bracket_cases())
+def test_bracket_matches_the_composed_matrix_operations(case):
+    """The one-kernel bracket against the composition it replaces, on Laurent
+    entries with zeros: the same matrix, the same products (count and term
+    pairs), and OverflowError exactly when the composition raises under a
+    small degree cap."""
+    args, cap = case
+    ref_log, log = [], []
+    with mock.patch.dict(os.environ, {"JETVIR_MAX_DEGREE": str(cap)}):
+        try:
+            with _counting_products(ref_log):
+                expected = _reference_bracket(*args)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _bracket(*args)
+            return
+        with _counting_products(log):
+            got = _bracket(*args)
+    assert got == expected
+    assert sorted(log) == sorted(ref_log)
