@@ -40,7 +40,10 @@ Only the arithmetic and calculus of ``Poly`` use the last two, on results
 they compute from valid operands, so nothing built from outside input
 reaches them.  A product multiplies int numerators term by term into one
 dict over the product of the two denominators and reduces once; every
-product in the package, matrix entries included, goes through ``*``.
+product in the package, matrix products included, goes through ``*``.
+``jetreps`` multiplies primitive parts (int numerators with gcd 1 over 1)
+and makes each distinct such product once per bracket; that product is
+primitive again (Gauss's lemma), comes out over 1 and skips the gcd pass.
 ``lincomb(dim, pairs)`` sums many scaled Polys the same way: all numerators
 go into one dict over the lcm of the scaled denominators, reduced once.
 Each ``Poly`` also keeps its degree bound max |e| once it is first needed.
@@ -235,6 +238,8 @@ class Poly:
                        self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
+        if type(n) is not int:
+            raise ValueError(f"exponents must be integers, got {n!r}")
         if n < 0:
             raise ValueError("negative powers of a general polynomial are undefined")
         result = _wrap(self.dim, {(0,) * self.dim: 1}, 1)

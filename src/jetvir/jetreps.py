@@ -34,9 +34,11 @@ algebra f^{abc} is the Levi-Civita symbol and (M^a)_{bc} = -eps_{abc}.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import gcd
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .exactpoly import Poly, lincomb
 from .multiindex import (
@@ -50,37 +52,138 @@ from .multiindex import (
 
 Matrix = Tuple[Tuple[Poly, ...], ...]
 
-
-def _nonzero(vectors) -> List[dict]:
-    """Per row (or column) of a matrix: its nonzero entries keyed by index."""
-    return [{k: x for k, x in enumerate(v) if not x.is_zero()} for v in vectors]
-
-
-def _products(row: dict, col: dict, sign: int) -> list:
-    """The terms (sign, row[k] * col[k]) of sign * (row . col), one product
-    through Poly.__mul__ for each k where both factors are nonzero."""
-    return [(sign, x * col[k]) for k, x in row.items() if k in col]
+# A factored entry (g, den, prim) stands for the nonzero Poly (g/den) * prim,
+# where prim has int numerators with gcd 1 over denominator 1 and a positive
+# numerator at its largest exponent.  A jet matrix holds the same prim in
+# many entries, scaled only by binomials and rep-matrix entries.  So a matrix
+# operation plans each result entry as terms (coefficient, prim, prim), and
+# ``_evaluate`` makes each distinct product of prims once per operation.  By
+# Gauss's lemma that product is again primitive, with denominator 1.
+_Factored = Tuple[int, int, Poly]
 
 
-def _along(a: Sequence[Poly], f: Poly, sign: int) -> list:
-    """The terms (sign, a^nu * d_nu f) of sign * a^nu d_nu f, skipping those
-    where a^nu or d_nu f is zero."""
-    if f.is_zero():
-        return []
+def _split(x: Poly, parts: dict) -> _Factored:
+    """x = (g/den) * prim for a nonzero x; equal prims are one object in
+    ``parts``, keyed by their numerators."""
+    num = x.numerators
+    g = gcd(*num.values())
+    if num[max(num)] < 0:
+        g = -g
+    key = frozenset((e, n // g) for e, n in num.items())
+    prim = parts.get(key)
+    if prim is None:
+        prim = parts[key] = x.scale(Fraction(x.denominator, g))
+    return g, x.denominator, prim
+
+
+def _split_all(v: Sequence[Poly], parts: dict) -> Dict[int, _Factored]:
+    """The nonzero entries of a vector, factored, keyed by index."""
+    return {k: _split(x, parts) for k, x in enumerate(v) if not x.is_zero()}
+
+
+def _factor(matrix: Matrix, parts: dict):
+    """The rows and the columns of a matrix as dicts index -> factored entry
+    of the nonzero entries.  Each entry is split once, and its row and its
+    column hold the same tuple."""
+    rows = [_split_all(row, parts) for row in matrix]
+    cols = [{} for _ in (matrix[0] if matrix else ())]
+    for i, row in enumerate(rows):
+        for j, f in row.items():
+            cols[j][i] = f
+    return rows, cols
+
+
+def _plan(plan: dict, n: int, d: int, x: Poly, y: Poly) -> None:
+    """Add the term (n/d) * x * y to a plan keyed by the unordered pair of
+    prims, merging the coefficients of equal pairs."""
+    if id(x) > id(y):
+        x, y = y, x
+    key = (id(x), id(y))
+    t = plan.get(key)
+    if t is None:
+        plan[key] = [n, d, x, y]
+    elif t[1] == d:
+        t[0] += n
+    else:
+        t[0] = t[0] * d + n * t[1]
+        t[1] *= d
+
+
+def _dot(plan: dict, row: dict, col: dict, sign: int) -> None:
+    """Plan the terms of sign * (row . col) where both factors are nonzero."""
+    for k, (g1, d1, p1) in row.items():
+        f = col.get(k)
+        if f is not None:
+            g2, d2, p2 = f
+            _plan(plan, sign * g1 * g2, d1 * d2, p1, p2)
+
+
+def _along(plan: dict, a: dict, f, sign: int, parts: dict, derivs: dict) -> None:
+    """Plan the terms of sign * a^nu d_nu f for a factored vector a and a
+    factored entry f (None for zero).  Each d_nu prim is split once per
+    call and cached in ``derivs``; zero terms are left out."""
+    if f is None:
+        return
+    g, den, prim = f
+    for nu, (ga, da, pa) in a.items():
+        key = (nu, id(prim))
+        if key not in derivs:
+            dp = prim.deriv(nu)
+            derivs[key] = None if dp.is_zero() else _split(dp, parts)
+        df = derivs[key]
+        if df is not None:
+            gd, _, pd = df  # d_nu of a prim has denominator 1
+            _plan(plan, sign * ga * g * gd, da * den, pa, pd)
+
+
+def _evaluate(dim: int, plans: Callable[[], Iterator[dict]]) -> List[Poly]:
+    """Each plan that ``plans()`` yields as the Poly sum of its terms
+    (n/d) * x * y, one ``lincomb`` per plan.
+
+    A first run of ``plans()`` counts the uses of each pair of prims, so that
+    the second can make each distinct product x * y once, through
+    Poly.__mul__, and drop it after its last use; the plans themselves are
+    never all held at once.  A product is made also when its coefficients
+    cancel, so the degree cap raises exactly when a product of the two
+    unfactored entries would.
+    """
+    uses = Counter(key for plan in plans() for key in plan)
+    made = {}
     out = []
-    for nu, c in enumerate(a):
-        if not c.is_zero():
-            df = f.deriv(nu)
-            if not df.is_zero():
-                out.append((sign, c * df))
+    for plan in plans():
+        pairs = []
+        for key, (n, d, x, y) in plan.items():
+            prod = made.get(key)
+            if prod is None:
+                prod = made[key] = x * y
+            left = uses[key] - 1
+            if left:
+                uses[key] = left
+            else:
+                del made[key]
+            if n:
+                pairs.append((n if d == 1 else Fraction(n, d), prod))
+        out.append(lincomb(dim, pairs))
     return out
 
 
+def _grid(entries: List[Poly], nrows: int, ncols: int) -> Matrix:
+    return tuple(tuple(entries[i * ncols:(i + 1) * ncols]) for i in range(nrows))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    dim = a[0][0].dim if a else 0
-    cols = _nonzero(zip(*b))
-    return tuple(tuple(lincomb(dim, _products(row, col, 1)) for col in cols)
-                 for row in _nonzero(a))
+    if not a:
+        return ()
+    parts: dict = {}
+    rows, _ = _factor(a, parts)
+    _, cols = _factor(b, parts)
+
+    def plans():
+        for r, c in itertools.product(rows, cols):
+            plan = {}
+            _dot(plan, r, c, 1)
+            yield plan
+    return _grid(_evaluate(a[0][0].dim, plans), len(rows), len(cols))
 
 
 def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> Matrix:
@@ -91,16 +194,28 @@ def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> 
 
     a1, a2 are vector parts (Polys in q, empty for none) and b1, b2 square
     matrices of Polys in q.  Each entry of the result is one ``lincomb`` of
-    its products and directional-derivative terms.
+    its products and directional-derivative terms, and each distinct product
+    of prims is made once per call.
     """
-    dim = b1[0][0].dim
-    rows1, rows2 = _nonzero(b1), _nonzero(b2)
-    cols1, cols2 = _nonzero(zip(*b1)), _nonzero(zip(*b2))
-    return tuple(
-        tuple(lincomb(dim, _products(r1, c2, 1) + _products(r2, c1, -1)
-                      + _along(a1, x2, 1) + _along(a2, x1, -1))
-              for x1, x2, c1, c2 in zip(e1, e2, cols1, cols2))
-        for e1, e2, r1, r2 in zip(b1, b2, rows1, rows2))
+    if not b1:
+        return ()
+    parts: dict = {}
+    derivs: dict = {}
+    rows1, cols1 = _factor(b1, parts)
+    rows2, cols2 = _factor(b2, parts)
+    v1, v2 = _split_all(a1, parts), _split_all(a2, parts)
+
+    def plans():
+        for r1, r2 in zip(rows1, rows2):
+            for j, (c1, c2) in enumerate(zip(cols1, cols2)):
+                plan = {}
+                _dot(plan, r1, c2, 1)
+                _dot(plan, r2, c1, -1)
+                _along(plan, v1, r2.get(j), 1, parts, derivs)
+                _along(plan, v2, r1.get(j), -1, parts, derivs)
+                yield plan
+    n = len(b1)
+    return _grid(_evaluate(b1[0][0].dim, plans), n, n)
 
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -209,7 +324,11 @@ class MatrixRep:
 
     @classmethod
     def g_abelian(cls, n: int, values: Sequence = None) -> "MatrixRep":
-        """One-dimensional rep of an abelian algebra: M^a = (value_a)."""
+        """One-dimensional rep of an abelian algebra: M^a = (value_a), with
+        n values (all 1 when none are given)."""
+        if values is not None and len(values) != n:
+            raise ValueError(f"an abelian rep of {n} generators needs {n} values, "
+                             f"got {len(values)}")
         vals = [Fraction(1)] * n if values is None else [Fraction(v) for v in values]
         gens = tuple((a, ((vals[a],),)) for a in range(n))
         return cls(1, gens)
@@ -263,8 +382,11 @@ class MatrixRep:
 
     def check_gl_relations(self, d: int) -> bool:
         """[T^mu_rho, T^nu_sigma] = delta^nu_rho T^mu_sigma
-        - delta^mu_sigma T^nu_rho, exactly."""
-        t = {(a, b): self.matrix((a, b)) for a in range(d) for b in range(d)}
+        - delta^mu_sigma T^nu_rho, exactly; False if some T^mu_rho is missing."""
+        try:
+            t = {(a, b): self.matrix((a, b)) for a in range(d) for b in range(d)}
+        except KeyError:
+            return False
         for mu, rho, nu, sigma in itertools.product(range(d), repeat=4):
             rhs = [[(nu == rho) * t[(mu, sigma)][i][j] - (mu == sigma) * t[(nu, rho)][i][j]
                     for j in range(self.size)] for i in range(self.size)]
@@ -387,7 +509,17 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     d = len(xi)
     if len(eta) != d or any(c.dim != d for c in (*xi, *eta)):
         raise ValueError(f"vector fields need {d} components in {d} variables each")
-    return [lincomb(d, _along(xi, e, 1) + _along(eta, x, -1)) for x, e in zip(xi, eta)]
+    parts: dict = {}
+    derivs: dict = {}
+    fx, fe = _split_all(xi, parts), _split_all(eta, parts)
+
+    def plans():
+        for mu in range(d):
+            plan = {}
+            _along(plan, fx, fe.get(mu), 1, parts, derivs)
+            _along(plan, fe, fx.get(mu), -1, parts, derivs)
+            yield plan
+    return _evaluate(d, plans)
 
 
 def divergence(xi: Sequence[Poly]) -> Poly:

@@ -64,6 +64,14 @@ def test_rejects_bool_exponents():
         Poly(2, {(0, False): 1})
 
 
+def test_powers_need_a_non_bool_int_exponent():
+    x = Poly.variable(1, 0)
+    for n in (2.0, True, False, Fraction(2)):
+        with pytest.raises(ValueError, match="integers"):
+            x ** n
+    assert x ** 0 == Poly.constant(1, 1) and x ** 2 == x * x
+
+
 def test_format_round_trip():
     p = parse_poly("2 * x0^2 x1 - 1/3 * x1^3 + 4 - x0", 2)
     assert parse_poly(format_poly(p), 2) == p
