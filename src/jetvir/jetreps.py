@@ -2,14 +2,16 @@
 
 A field truncated at jet order p is a finite vector of Taylor coefficients
 phi_m (|m| <= p) around a base point q, tensored with a finite matrix
-representation space.  Two families of operators act on it:
+representation space.  Every generator is one ``JetOperator``, a
+first-order operator a^mu(q) d/dq^mu + B(q) with a vector part a and a jet
+matrix B; one ``bracket`` commutes any two of them.
 
-* ``GaugeJetOperator`` — the current generator for a g-valued function X:
-  multiplication by X(x+q) followed by truncation, tensored with the rep
-  matrices M^a.  Its blocks are binom(m,n) d_{m-n}X^a(q) M^a.
-* ``DiffJetOperator`` — the vector-field generator for xi = xi^mu d_mu:
-  a first-order differential operator in the base point q,
-  xi^mu(q) d/dq^mu, plus a jet matrix combining Taylor transport by
+* The current generator for a g-valued function X has no vector part
+  (``vector == ()``): multiplication by X(x+q) followed by truncation,
+  tensored with the rep matrices M^a.  Its blocks are binom(m,n)
+  d_{m-n}X^a(q) M^a.
+* The vector-field generator for xi = xi^mu d_mu has the vector part
+  xi^mu(q) and a jet matrix combining Taylor transport by
   xi^mu(x+q) - xi^mu(q) with the frame rotation d_nu xi^mu(x+q) T^nu_mu.
 
 Both jet matrices come from one builder of shifted factors, "apply
@@ -407,7 +409,7 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     a size x size matrix of rationals and a shift s_k that is zero (a
     multiplication) or a unit e_mu (d_mu, then a multiplication).  For
     s_k != 0 the term m = n - s_k, f_k(q) d_{s_k}, is left out: it is the
-    base-point part xi(q).d/dq that ``DiffJetOperator.vector`` carries, so
+    base-point part xi(q).d/dq that ``JetOperator.vector`` carries, so
     the factor transports by f_k(x+q) - f_k(q).
     """
     lattice = enumerate_indices(d, p)
@@ -437,23 +439,15 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
 # -- operators -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GaugeJetOperator:
+class JetOperator:
+    """The first-order operator a^mu(q) d/dq^mu + B(q) on (jet) (x) (rep):
+    ``vector`` holds a^mu(q), empty for a current generator, and ``matrix``
+    the jet matrix B, entries Poly in q."""
     d: int
     p: int
     rep_size: int
-    matrix: Matrix  # size lattice * rep_size, entries Poly in q
-
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.matrix)
-
-
-@dataclass(frozen=True)
-class DiffJetOperator:
-    d: int
-    p: int
-    rep_size: int
-    vector: Tuple[Poly, ...]  # a^mu(q) = xi^mu(q)
-    matrix: Matrix            # jet (x) gl-rep block, entries Poly in q
+    vector: Tuple[Poly, ...]
+    matrix: Matrix
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.vector) and mat_is_zero(self.matrix)
@@ -469,7 +463,7 @@ def _check_components(comps: Sequence[Poly], d: int, count: int, what: str) -> N
             raise ValueError(f"{what} components must have non-negative exponents")
 
 
-def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> GaugeJetOperator:
+def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOperator:
     """The jet current generator: blocks binom(m, n) d_{m-n}X^a(q) M^a."""
     n_gen = len(rep.generators)
     _check_components(X, d, n_gen, "g-valued function")
@@ -478,10 +472,10 @@ def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> GaugeJe
     except KeyError as exc:
         raise ValueError(f"a g-rep needs generators labelled 0..{n_gen - 1}") from exc
     matrix = _jet_matrix([(X[a], mats[a], (0,) * d) for a in range(n_gen)], rep.size, d, p)
-    return GaugeJetOperator(d, p, rep.size, matrix)
+    return JetOperator(d, p, rep.size, (), matrix)
 
 
-def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJetOperator:
+def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOperator:
     """The jet vector-field generator for xi = xi^mu d_mu.
 
     Vector part: xi^mu(q) acting as a first-order operator in q.
@@ -501,7 +495,7 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> DiffJet
         + [(xi[mu].deriv(nu), rep.matrix((nu, mu)), (0,) * d)
            for nu in range(d) for mu in range(d)],
         rep.size, d, p)
-    return DiffJetOperator(d, p, rep.size, tuple(xi), matrix)
+    return JetOperator(d, p, rep.size, tuple(xi), matrix)
 
 
 def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
@@ -533,50 +527,44 @@ def divergence(xi: Sequence[Poly]) -> Poly:
     return acc
 
 
-def bracket_gauge(j1: GaugeJetOperator, j2: GaugeJetOperator) -> GaugeJetOperator:
-    if (j1.d, j1.p, j1.rep_size) != (j2.d, j2.p, j2.rep_size):
-        raise ValueError("operator shape mismatch")
-    return GaugeJetOperator(j1.d, j1.p, j1.rep_size,
-                            _bracket((), j1.matrix, (), j2.matrix))
-
-
-def bracket_diff(l1: DiffJetOperator, l2: DiffJetOperator) -> DiffJetOperator:
+def bracket(a: JetOperator, b: JetOperator) -> JetOperator:
     """Commutator of first-order operators a.d/dq + B(q):
 
     [a1.d + B1, a2.d + B2]
       = (a1.d a2 - a2.d a1).d + (a1.d B2 - a2.d B1 + [B1, B2]).
+
+    The vector part is empty unless both operators have one.
     """
-    if (l1.d, l1.p, l1.rep_size) != (l2.d, l2.p, l2.rep_size):
+    if (a.d, a.p, a.rep_size) != (b.d, b.p, b.rep_size):
         raise ValueError("operator shape mismatch")
-    vector = vector_field_bracket(l1.vector, l2.vector)
-    matrix = _bracket(l1.vector, l1.matrix, l2.vector, l2.matrix)
-    return DiffJetOperator(l1.d, l1.p, l1.rep_size, tuple(vector), matrix)
+    vector = tuple(vector_field_bracket(a.vector, b.vector)) if a.vector and b.vector else ()
+    return JetOperator(a.d, a.p, a.rep_size, vector,
+                       _bracket(a.vector, a.matrix, b.vector, b.matrix))
 
 
-def bracket_mixed(l: DiffJetOperator, j: GaugeJetOperator) -> GaugeJetOperator:
+GaugeJetOperator = DiffJetOperator = JetOperator  # ROADMAP item 4 step 1 deletes this
+bracket_gauge = bracket_diff = bracket  # ROADMAP item 4 step 1 deletes this
+
+
+def bracket_mixed(l: JetOperator, j: JetOperator) -> JetOperator:
     """Commutator of a vector-field generator with a current generator,
     acting on the combined space (jet) (x) (gl-rep) (x) (g-rep):
 
     [a.d/dq + B (x) I_M,  J (x nothing on gl slot)]
       = a.d J  +  [B (x) I_M, I_rho (x) J-blocks].
 
-    The result is a pure multiplication-type operator and is returned as a
-    GaugeJetOperator on the combined rep space of size rep_size(l) *
-    rep_size(j).  The frame term of B drops out exactly (jet multiplication
-    matrices commute), leaving transport only, so the bracket equals the
-    current generator of the transported function xi^mu d_mu X — not of the
-    weight-one combination xi^mu d_mu X + d_mu xi^mu X, which a constant X
-    in an abelian algebra immediately rules out (its generator is central
-    in the jet matrix algebra, yet the weight-one formula would be nonzero).
+    The result is a pure multiplication-type operator on the combined rep
+    space of size rep_size(l) * rep_size(j).  The frame term of B drops out
+    exactly (jet multiplication matrices commute), leaving transport only,
+    so the bracket equals the current generator of the transported function
+    xi^mu d_mu X — not of the weight-one combination xi^mu d_mu X +
+    d_mu xi^mu X, which a constant X in an abelian algebra immediately rules
+    out (its generator is central in the jet matrix algebra, yet the
+    weight-one formula would be nonzero).
     """
-    if (l.d, l.p) != (j.d, j.p):
-        raise ValueError("operator shape mismatch")
-    # L acts on (jet x rho) as l.matrix, J on (jet x M) as j.matrix; both
-    # are extended to (jet x rho x M).
-    l_full = _insert_identity(l.matrix, j.rep_size)
-    j_full = _insert_identity(j.matrix, l.rep_size, j.rep_size)
-    matrix = _bracket(l.vector, l_full, (), j_full)
-    return GaugeJetOperator(l.d, l.p, l.rep_size * j.rep_size, matrix)
+    l_full = JetOperator(l.d, l.p, l.rep_size * j.rep_size, l.vector,
+                         _insert_identity(l.matrix, j.rep_size))
+    return bracket(l_full, embed_gauge_operator(j, l.rep_size))
 
 
 def _insert_identity(a: Matrix, k: int, w: int = 1) -> Matrix:
@@ -590,8 +578,10 @@ def _insert_identity(a: Matrix, k: int, w: int = 1) -> Matrix:
         for u in range(n) for kappa in range(k) for i in range(w))
 
 
-def embed_gauge_operator(j: GaugeJetOperator, rho_size: int) -> GaugeJetOperator:
-    """The gauge operator acting trivially on an extra gl-rep factor of the
-    given size (for comparison against mixed brackets)."""
-    return GaugeJetOperator(j.d, j.p, rho_size * j.rep_size,
-                            _insert_identity(j.matrix, rho_size, j.rep_size))
+def embed_gauge_operator(j: JetOperator, rho_size: int) -> JetOperator:
+    """The current generator acting trivially on an extra gl-rep factor of
+    the given size (for comparison against mixed brackets)."""
+    if rho_size < 1:
+        raise ValueError(f"the gl-rep factor needs a size of at least 1, got {rho_size}")
+    return JetOperator(j.d, j.p, rho_size * j.rep_size, j.vector,
+                       _insert_identity(j.matrix, rho_size, j.rep_size))

@@ -170,7 +170,7 @@ def suite_closures(seed: int, d_max: int = 2, p_max: int = 3,
                 for sc, grep in ((sc_ab, rep_ab), (sc_eps, rep_eps)):
                     X = [_random_poly(d, p + 1, rng) for _ in range(sc.dim)]
                     Y = [_random_poly(d, p + 1, rng) for _ in range(sc.dim)]
-                    lhs = jetreps.bracket_gauge(
+                    lhs = jetreps.bracket(
                         jetreps.gauge_operator(X, grep, d, p),
                         jetreps.gauge_operator(Y, grep, d, p))
                     rhs = jetreps.gauge_operator(
@@ -180,7 +180,7 @@ def suite_closures(seed: int, d_max: int = 2, p_max: int = 3,
                 # vector-field closure
                 xi = [_random_poly(d, 4, rng) for _ in range(d)]
                 eta = [_random_poly(d, 4, rng) for _ in range(d)]
-                lhs = jetreps.bracket_diff(
+                lhs = jetreps.bracket(
                     jetreps.diff_operator(xi, gl_rep, d, p),
                     jetreps.diff_operator(eta, gl_rep, d, p))
                 rhs = jetreps.diff_operator(

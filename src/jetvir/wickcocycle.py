@@ -60,9 +60,10 @@ class FieldFactor:
             raise ValueError("spatial derivatives are carried by phi factors only")
 
 
-# Matrix insertions: ("I",) identity, ("T", nu, mu) gl generator acting on
-# the rho factor, ("M", a) internal generator acting on the M factor.
-Insertion = Tuple
+# A matrix insertion is a pair (t, a) acting on rho (x) M: t = (nu, mu) for
+# the gl generator T^nu_mu on the rho factor, a for the internal generator M^a
+# on the M factor, and None for the identity on that factor.
+Insertion = Tuple[Optional[Tuple[int, int]], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -151,27 +152,18 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
                grep: GRepTraces) -> Fraction:
     """Trace over the combined rho (x) M space of the product of two
     insertions, expressed through the trace parameters."""
-    def split(ins):
-        if ins[0] == "I":
-            return None, None
-        if ins[0] == "T":
-            return ("T", ins[1], ins[2]), None
-        if ins[0] == "M":
-            return None, ins[1]
-        raise ValueError(f"unknown insertion {ins!r}")
-
-    ta, ma = split(ins_a)
-    tb, mb = split(ins_b)
+    ta, ma = ins_a
+    tb, mb = ins_b
     # rho-factor trace
     if ta is None and tb is None:
         tr_rho = Fraction(glrep.delta_rho)
     elif ta is None or tb is None:
-        t = tb if ta is None else ta
-        tr_rho = glrep.k0 if t[1] == t[2] else Fraction(0)
+        nu, mu = tb if ta is None else ta
+        tr_rho = glrep.k0 if nu == mu else Fraction(0)
     else:
         # tr T^a_b T^c_d = k1 d^{a,d} d^{c,b} + k2 d^{a,b} d^{c,d}
-        _, a_up, b_lo = ta
-        _, c_up, d_lo = tb
+        a_up, b_lo = ta
+        c_up, d_lo = tb
         tr_rho = Fraction(0)
         if a_up == d_lo and c_up == b_lo:
             tr_rho += glrep.k1
@@ -263,7 +255,7 @@ def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
         if comp.is_zero():
             continue
         terms.append(Term(Fraction(1), comp, SmearMode.PLAIN,
-                          FieldFactor(FieldKind.PI), ("M", a_idx),
+                          FieldFactor(FieldKind.PI), (None, a_idx),
                           FieldFactor(FieldKind.PHI)))
     return NormalBilinear(d, p, tuple(terms), q_sector=None)
 
@@ -277,13 +269,13 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     for mu in range(d):
         if not shift_to_zero(xi[mu]).is_zero():
             terms.append(Term(Fraction(1), xi[mu], SmearMode.SHIFTED,
-                              FieldFactor(FieldKind.PI), ("I",),
+                              FieldFactor(FieldKind.PI), (None, None),
                               FieldFactor(FieldKind.PHI, spatial_deriv=mu)))
         for nu in range(d):
             dxi = xi[mu].deriv(nu)
             if not dxi.is_zero():
                 terms.append(Term(Fraction(1), dxi, SmearMode.PLAIN,
-                                  FieldFactor(FieldKind.PI), ("T", nu, mu),
+                                  FieldFactor(FieldKind.PI), ((nu, mu), None),
                                   FieldFactor(FieldKind.PHI)))
     return NormalBilinear(d, p, tuple(terms), q_sector=("L", tuple(xi)))
 
@@ -296,11 +288,11 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
     terms = []
     if lam != 1:
         terms.append(Term(lam - 1, one, SmearMode.PLAIN,
-                          FieldFactor(FieldKind.PI), ("I",),
+                          FieldFactor(FieldKind.PI), (None, None),
                           FieldFactor(FieldKind.PHI, z_dots=1)))
     if lam != 0:
         terms.append(Term(lam, one, SmearMode.PLAIN,
-                          FieldFactor(FieldKind.PI, z_dots=1), ("I",),
+                          FieldFactor(FieldKind.PI, z_dots=1), (None, None),
                           FieldFactor(FieldKind.PHI)))
     return NormalBilinear(d, p, tuple(terms), q_sector=("T",))
 

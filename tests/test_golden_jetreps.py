@@ -72,7 +72,7 @@ CASES = {
 def _record(op):
     out = {"d": op.d, "p": op.p, "rep_size": op.rep_size,
            "matrix": [[format_poly(x) for x in row] for row in op.matrix]}
-    if hasattr(op, "vector"):
+    if op.vector:
         out["vector"] = [format_poly(v) for v in op.vector]
     return out
 

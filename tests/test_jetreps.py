@@ -16,6 +16,7 @@ from jetvir.jetreps import (
     _bracket,
     _factor,
     _insert_identity,
+    bracket,
     bracket_diff,
     bracket_gauge,
     bracket_mixed,
@@ -102,8 +103,8 @@ def test_gauge_closure_random():
             for sc, rep in cases:
                 X = [_rand_poly(d, p + 1, rng) for _ in range(sc.dim)]
                 Y = [_rand_poly(d, p + 1, rng) for _ in range(sc.dim)]
-                lhs = bracket_gauge(gauge_operator(X, rep, d, p),
-                                    gauge_operator(Y, rep, d, p))
+                lhs = bracket(gauge_operator(X, rep, d, p),
+                              gauge_operator(Y, rep, d, p))
                 rhs = gauge_operator(sc.bracket_components(X, Y), rep, d, p)
                 assert lhs == rhs
 
@@ -116,8 +117,8 @@ def test_diff_closure_random():
                         MatrixRep.gl_vector(d)):
                 xi = [_rand_poly(d, 4, rng) for _ in range(d)]
                 eta = [_rand_poly(d, 4, rng) for _ in range(d)]
-                lhs = bracket_diff(diff_operator(xi, rep, d, p),
-                                   diff_operator(eta, rep, d, p))
+                lhs = bracket(diff_operator(xi, rep, d, p),
+                              diff_operator(eta, rep, d, p))
                 rhs = diff_operator(vector_field_bracket(xi, eta), rep, d, p)
                 assert lhs == rhs
 
@@ -126,8 +127,8 @@ def test_diff_closure_example():
     rep = MatrixRep.gl_scalar_weight(1, 1)
     x = parse_poly("x0", 1)
     x2 = parse_poly("x0^2", 1)
-    lhs = bracket_diff(diff_operator([x2], rep, 1, 2),
-                       diff_operator([x], rep, 1, 2))
+    lhs = bracket(diff_operator([x2], rep, 1, 2),
+                  diff_operator([x], rep, 1, 2))
     assert lhs == diff_operator([parse_poly("0 - x0^2", 1)], rep, 1, 2)
 
 
@@ -135,9 +136,9 @@ def test_jacobi_identity_direct():
     rng = random.Random(7)
     rep = MatrixRep.gl_vector(1)
     ops = [diff_operator([_rand_poly(1, 3, rng)], rep, 1, 2) for _ in range(3)]
-    a = bracket_diff(bracket_diff(ops[0], ops[1]), ops[2])
-    b = bracket_diff(bracket_diff(ops[1], ops[2]), ops[0])
-    c = bracket_diff(bracket_diff(ops[2], ops[0]), ops[1])
+    a = bracket(bracket(ops[0], ops[1]), ops[2])
+    b = bracket(bracket(ops[1], ops[2]), ops[0])
+    c = bracket(bracket(ops[2], ops[0]), ops[1])
     assert all((a.vector[i] + b.vector[i] + c.vector[i]).is_zero()
                for i in range(1))
     assert mat_is_zero(_mat_add(_mat_add(a.matrix, b.matrix), c.matrix))
@@ -177,7 +178,43 @@ def test_shape_mismatch_rejected():
     j1 = gauge_operator([Poly.constant(1, 1)], rep, 1, 1)
     j2 = gauge_operator([Poly.constant(1, 1)], rep, 1, 2)
     with pytest.raises(ValueError):
-        bracket_gauge(j1, j2)
+        bracket(j1, j2)
+
+
+def test_every_bracket_name_is_the_vector_field_bracket():
+    rng = random.Random(9)
+    rep = MatrixRep.gl_vector(2)
+    xi = [_rand_poly(2, 3, rng) for _ in range(2)]
+    eta = [_rand_poly(2, 3, rng) for _ in range(2)]
+    l1, l2 = diff_operator(xi, rep, 2, 1), diff_operator(eta, rep, 2, 1)
+    expected = diff_operator(vector_field_bracket(xi, eta), rep, 2, 1)
+    for name in (bracket, bracket_gauge, bracket_diff):
+        assert name(l1, l2) == expected
+
+
+def test_bracket_of_a_current_and_a_vector_field_is_antisymmetric():
+    # A one-generator g-rep of size 2 that does not commute with the frame
+    # matrices of gl_vector(2), so that both orders have a nonzero matrix.
+    grep = MatrixRep(2, ((0, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))),))
+    xi = [parse_poly("x0 x1 + 2", 2), parse_poly("x0^2 - x1", 2)]
+    L = diff_operator(xi, MatrixRep.gl_vector(2), 2, 1)
+    J = gauge_operator([parse_poly("x0 - 3 x1^2", 2)], grep, 2, 1)
+    lj, jl = bracket(L, J), bracket(J, L)
+    assert lj.vector == jl.vector == ()
+    assert not mat_is_zero(lj.matrix)
+    assert jl.matrix == tuple(tuple(-x for x in row) for row in lj.matrix)
+    # On one-dimensional reps the mixed bracket embeds nothing.
+    L1 = diff_operator(xi, MatrixRep.gl_scalar_weight(2, Fraction(1, 2)), 2, 1)
+    J1 = gauge_operator([parse_poly("x0 - 3 x1^2", 2)], MatrixRep.g_abelian(1), 2, 1)
+    assert bracket(L1, J1) == bracket_mixed(L1, J1)
+
+
+def test_embed_gauge_operator_needs_a_positive_rho_size():
+    J = gauge_operator([parse_poly("x0", 1)], MatrixRep.g_abelian(1), 1, 1)
+    for rho_size in (-1, 0):
+        with pytest.raises(ValueError, match="size"):
+            embed_gauge_operator(J, rho_size)
+    assert embed_gauge_operator(J, 1) == J
 
 
 def test_vector_field_bracket_rejects_mismatched_lengths():

@@ -42,18 +42,18 @@ def test_propagator_table():
 def test_trace_pair():
     gl = from_sl_gl1(Fraction(1, 2), 3, 2, 2)
     gr = GRepTraces(3, 5, 7, 11)
-    assert trace_pair(("I",), ("I",), gl, gr) == 6
-    assert trace_pair(("T", 0, 0), ("I",), gl, gr) == gl.k0 * 3
-    assert trace_pair(("T", 0, 1), ("I",), gl, gr) == 0
-    assert trace_pair(("T", 0, 1), ("T", 1, 0), gl, gr) == gl.k1 * 3
-    assert trace_pair(("T", 0, 0), ("T", 1, 1), gl, gr) == gl.k2 * 3
-    assert trace_pair(("T", 0, 0), ("T", 0, 0), gl, gr) == (gl.k1 + gl.k2) * 3
-    assert trace_pair(("M", 0), ("I",), gl, gr) == 7 * 2
-    assert trace_pair(("M", 1), ("I",), gl, gr) == 0
-    assert trace_pair(("M", 1), ("M", 1), gl, gr) == 5 * 2
-    assert trace_pair(("M", 0), ("M", 0), gl, gr) == (5 + 11) * 2
-    assert trace_pair(("M", 0), ("M", 1), gl, gr) == 0
-    assert trace_pair(("T", 0, 0), ("M", 0), gl, gr) == gl.k0 * 7
+    assert trace_pair((None, None), (None, None), gl, gr) == 6
+    assert trace_pair(((0, 0), None), (None, None), gl, gr) == gl.k0 * 3
+    assert trace_pair(((0, 1), None), (None, None), gl, gr) == 0
+    assert trace_pair(((0, 1), None), ((1, 0), None), gl, gr) == gl.k1 * 3
+    assert trace_pair(((0, 0), None), ((1, 1), None), gl, gr) == gl.k2 * 3
+    assert trace_pair(((0, 0), None), ((0, 0), None), gl, gr) == (gl.k1 + gl.k2) * 3
+    assert trace_pair((None, 0), (None, None), gl, gr) == 7 * 2
+    assert trace_pair((None, 1), (None, None), gl, gr) == 0
+    assert trace_pair((None, 1), (None, 1), gl, gr) == 5 * 2
+    assert trace_pair((None, 0), (None, 0), gl, gr) == (5 + 11) * 2
+    assert trace_pair((None, 0), (None, 1), gl, gr) == 0
+    assert trace_pair(((0, 0), None), (None, 0), gl, gr) == gl.k0 * 7
 
 
 def test_current_pair_pole():
