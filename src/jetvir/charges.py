@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .exactpoly import exact
+
 
 class Statistics(enum.Enum):
     BOSE = "bose"
@@ -48,6 +50,12 @@ class Statistics(enum.Enum):
     @property
     def sign(self) -> int:
         return 1 if self is Statistics.BOSE else -1
+
+
+def _check_dimension(name: str, value) -> None:
+    """A representation dimension is an int >= 1 (not a bool or a float)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +67,9 @@ class GlRepTraces:
     k2: Fraction
 
     def __post_init__(self):
-        if self.delta_rho < 1:
-            raise ValueError("delta_rho must be a positive integer")
+        _check_dimension("delta_rho", self.delta_rho)
         for name in ("k0", "k1", "k2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, exact(getattr(self, name)))
 
 
 def from_sl_gl1(kappa, y_rho, delta_rho: int, d: int) -> GlRepTraces:
@@ -71,8 +78,8 @@ def from_sl_gl1(kappa, y_rho, delta_rho: int, d: int) -> GlRepTraces:
     k0 = kappa Drho, k1 = y_rho, k2 = kappa^2 Drho - y_rho / d."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    kappa = Fraction(kappa)
-    y_rho = Fraction(y_rho)
+    kappa = exact(kappa)
+    y_rho = exact(y_rho)
     return GlRepTraces(
         delta_rho=delta_rho,
         k0=kappa * delta_rho,
@@ -92,10 +99,9 @@ class GRepTraces:
     statistics: Statistics = Statistics.BOSE
 
     def __post_init__(self):
-        if self.delta_m < 1:
-            raise ValueError("delta_m must be a positive integer")
+        _check_dimension("delta_m", self.delta_m)
         for name in ("y_m", "z_m", "w_m"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, exact(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -137,24 +143,6 @@ class ChargeSet:
         }
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ChargeSet":
-        """The inverse of ``to_json``; ``tests/test_charges.py`` uses it to
-        check the JSON that ``jetvir charges --format json`` prints."""
-        data = json.loads(text)
-        ins = data["inputs"]
-
-        def frac(s: str) -> Fraction:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-
-        glrep = GlRepTraces(ins["delta_rho"], frac(ins["k0"]),
-                            frac(ins["k1"]), frac(ins["k2"]))
-        grep = GRepTraces(ins["delta_m"], frac(ins["y_m"]), frac(ins["z_m"]),
-                          frac(ins["w_m"]), Statistics(ins["statistics"]))
-        ch = {k: frac(v) for k, v in data["charges"].items()}
-        return cls(ins["d"], ins["p"], frac(ins["lambda"]), glrep, grep, **ch)
-
 
 def fraction_json(x: Fraction) -> str:
     """The exact "num/den" string under which rationals are serialized."""
@@ -177,7 +165,7 @@ def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
     """Evaluate the eight charge formulas exactly."""
     if d < 1 or p < 0:
         raise ValueError("need d >= 1 and p >= 0")
-    lam = Fraction(conformal_weight)
+    lam = exact(conformal_weight)
     eps = grep.statistics.sign
     a = math.comb(d + p, d)
     b = math.comb(d + p, d + 1)
@@ -200,4 +188,4 @@ def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
 def kac_moody_level(p: int, y_m, statistics: Statistics) -> Fraction:
     """The one-dimensional (d = 1) current-algebra level: -eps (p+1) y_m.
     This is exactly c5 at d = 1 with a one-dimensional gl rep."""
-    return Fraction(-statistics.sign * (p + 1)) * Fraction(y_m)
+    return Fraction(-statistics.sign * (p + 1)) * exact(y_m)

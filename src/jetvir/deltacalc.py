@@ -16,11 +16,11 @@ Three layers are provided:
   product [D1 K_p(x,y)] [D2 K_p(y,x)], evaluated by a fully symbolic oracle
   that expands both kernels, applies the derivative decorations termwise and
   pairs d_w delta against polynomials via
-  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  The second
-  factor's terms are indexed by derivative word, so only the words that a
-  monomial of f reaches are visited: O(N |supp f|) pairings for
-  N = binom(d+p, d) kernel terms, not N^2.  A smearing term with a
-  negative exponent is never paired.  The expansions are cached per
+  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  Each kernel
+  expansion is a map keyed by derivative word, so only the words of the
+  second factor that a monomial of f reaches are visited: O(N |supp f|)
+  pairings for N = binom(d+p, d) kernel terms, not N^2.  A smearing term
+  with a negative exponent is never paired.  The expansions are cached per
   (d, p, decoration, argument order).
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
   to; the oracle never consults them, so oracle-vs-closed comparison is an
@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .exactpoly import Poly
 from .jetsums import SumKind, sum_closed
@@ -100,16 +100,16 @@ def smear(f: Poly, deriv: DerivSpec, d: int, p: int) -> Poly:
     return g if deriv.which is Which.ON_X else -g
 
 
-# A kernel term: (coefficient, monomial exponent in the kernel's polynomial
-# variable, derivative word on the delta of the other variable).  The
-# coefficient already carries the pairing factor (-1)^{|word|} word! of the
-# term's delta, so it is an integer.
-_KernelTerm = Tuple[int, MultiIndex, MultiIndex]
+# A kernel expansion maps each derivative word on the delta of one variable
+# to (coefficient, monomial exponent in the other variable); a word belongs
+# to at most one term.  The coefficient already carries the pairing factor
+# (-1)^{|word|} word! of the term's delta, so it is an integer.
+_KernelTerms = Mapping[MultiIndex, Tuple[int, MultiIndex]]
 
 
-@functools.lru_cache(maxsize=64)
-def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> Tuple[_KernelTerm, ...]:
-    """Expand one decorated kernel factor termwise.
+@functools.lru_cache(maxsize=128)
+def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> _KernelTerms:
+    """Expand one decorated kernel factor termwise, as a read-only map.
 
     ``poly_is_x`` selects the argument order: True for K_p(x, y) (monomials
     in x, delta in y), False for K_p(y, x).  The decoration either
@@ -122,7 +122,7 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> Tuple[_K
     hits_poly = (deriv.which is Which.ON_X) == poly_is_x and deriv.which is not Which.NONE
     hits_delta = deriv.which is not Which.NONE and not hits_poly
     mu = deriv.direction
-    out: List[_KernelTerm] = []
+    out: Dict[MultiIndex, Tuple[int, MultiIndex]] = {}
     for m in enumerate_indices(d, p):
         coeff, expo, word = 1, m, m
         if hits_poly:
@@ -133,17 +133,8 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> Tuple[_K
         elif hits_delta:
             word = mi_add(m, unit(d, mu))
             coeff = -(m[mu] + 1)
-        out.append((coeff, expo, word))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _word_index(d: int, p: int, deriv: DerivSpec,
-                poly_is_x: bool) -> Mapping[MultiIndex, Tuple[int, MultiIndex]]:
-    """The terms of ``_kernel_terms`` keyed by derivative word, as a read-only
-    map word -> (coefficient, exponent); a word belongs to at most one term."""
-    return MappingProxyType({word: (coeff, expo)
-                             for coeff, expo, word in _kernel_terms(d, p, deriv, poly_is_x)})
+        out[word] = (coeff, expo)
+    return MappingProxyType(out)
 
 
 def delta_pair_integral(
@@ -174,12 +165,12 @@ def delta_pair_integral(
     ff = shift_to_zero(f) if modes[0] is SmearMode.SHIFTED else f
     gg = shift_to_zero(g) if modes[1] is SmearMode.SHIFTED else g
     first = _kernel_terms(d, p, d1, poly_is_x=True)
-    second = _word_index(d, p, d2, poly_is_x=False)
+    second = _kernel_terms(d, p, d2, poly_is_x=False)
     # Sum int numerators; the two shared denominators divide once at the end.
     f_terms = [(s, c) for s, c in ff.numerators.items() if min(s) >= 0]
     g_num = gg.numerators
     total = 0
-    for c1, e1, w1 in first:
+    for w1, (c1, e1) in first.items():
         for s, fc in f_terms:
             hit = second.get(tuple(a + b for a, b in zip(e1, s)))
             if hit is None:

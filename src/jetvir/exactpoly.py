@@ -61,6 +61,15 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .multiindex import MultiIndex
 
+
+def exact(value) -> Fraction:
+    """``value`` as a Fraction; a float, which would carry its binary
+    rounding error into the exact arithmetic, raises ValueError."""
+    if isinstance(value, float):
+        raise ValueError(f"values must be exact, got the float {value!r}")
+    return Fraction(value)
+
+
 _DEFAULT_MAX_DEGREE = 64
 
 
@@ -99,9 +108,7 @@ class Poly:
                     raise ValueError(f"exponent {e} has wrong dimension (expected {dim})")
                 if any(type(c) is not int for c in e):
                     raise ValueError(f"exponents must be integers: {e}")
-                if isinstance(coeff, float):
-                    raise ValueError(f"coefficients must be exact, got the float {coeff!r}")
-                c = Fraction(coeff)
+                c = exact(coeff)
                 if c != 0:
                     clean[e] = clean.get(e, 0) + c
                     if clean[e] == 0:
@@ -208,9 +215,7 @@ class Poly:
         return _wrap(self.dim, {e: -n for e, n in self._num.items()}, self._den)
 
     def scale(self, k) -> "Poly":
-        if isinstance(k, float):
-            raise ValueError(f"coefficients must be exact, got the float {k!r}")
-        k = Fraction(k)
+        k = exact(k)
         if not k:
             return _wrap(self.dim, {}, 1)
         kn = k.numerator
@@ -286,9 +291,7 @@ class Poly:
         """Evaluate at an exact rational point (no negative exponents at 0)."""
         if len(point) != self.dim:
             raise ValueError(f"point has wrong dimension: {len(point)} vs {self.dim}")
-        if any(isinstance(v, float) for v in point):
-            raise ValueError(f"coordinates must be exact, got {list(point)!r}")
-        pt = [Fraction(v) for v in point]
+        pt = [exact(v) for v in point]
         total = Fraction(0)
         for e, n in self._num.items():
             val = Fraction(n)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .exactpoly import Poly, lincomb
+from .exactpoly import Poly, exact, lincomb
 from .multiindex import (
     binomial,
     enumerate_indices,
@@ -231,7 +231,7 @@ def mat_is_zero(a: Matrix) -> bool:
 def numeric_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
     """Lift a matrix of rationals to a matrix of constant Polys in dim vars."""
     return tuple(
-        tuple(Poly.constant(dim, Fraction(v)) for v in row) for row in rows
+        tuple(Poly.constant(dim, v) for v in row) for row in rows
     )
 
 
@@ -331,7 +331,7 @@ class MatrixRep:
         if values is not None and len(values) != n:
             raise ValueError(f"an abelian rep of {n} generators needs {n} values, "
                              f"got {len(values)}")
-        vals = [Fraction(1)] * n if values is None else [Fraction(v) for v in values]
+        vals = [Fraction(1)] * n if values is None else [exact(v) for v in values]
         gens = tuple((a, ((vals[a],),)) for a in range(n))
         return cls(1, gens)
 
@@ -349,7 +349,7 @@ class MatrixRep:
     @classmethod
     def gl_scalar_weight(cls, d: int, kappa) -> "MatrixRep":
         """One-dimensional weight rep: T^mu_nu = kappa * delta^mu_nu."""
-        k = Fraction(kappa)
+        k = exact(kappa)
         gens = tuple(
             ((mu, nu), ((k if mu == nu else Fraction(0),),))
             for mu in range(d) for nu in range(d)

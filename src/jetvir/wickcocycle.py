@@ -10,13 +10,17 @@ field pi(x, z) and a position-type field phi(x, z) over the jet lattice:
     reparametrization:  T(z) = q-sector + (l-1) int :pi phi-dot:
                                         + l int :pi-dot phi:
 
-The engine contracts two such bilinears pairwise using the free-field
-propagator table (in which every contraction is a power of 1/(z-w) times a
-jet delta kernel, possibly decorated by one spatial derivative), evaluates
-the resulting bilinear delta-pair integrals with the exact symbolic oracle
-of ``deltacalc``, multiplies by the trace of the matrix insertions
-(expressed through the trace parameters of ``charges``), and accumulates an
-exact pole expansion in (z - w).
+The engine contracts two such bilinears pairwise through one OPE,
+
+    phi(x, z) pi(y, w) ~ K_p(x, y) / (z - w),
+
+and its z- and w-derivatives: each contraction is a power of 1/(z-w) times
+a jet delta kernel, decorated by the phi factor's spatial derivative, if
+any.  Exchanging the factors costs the statistics sign.  The engine
+evaluates the resulting bilinear delta-pair integrals with the exact
+symbolic oracle of ``deltacalc``, multiplies by the trace of the matrix
+insertions (expressed through the trace parameters of ``charges``), and
+accumulates an exact pole expansion in (z - w).
 
 The base-point (q, p) sector cannot be contracted field-wise; its two
 closed-form contributions — the pole-2 term -d_nu xi^mu(0) d_mu eta^nu(0)
@@ -31,33 +35,15 @@ equality at the origin for all polynomial inputs implies equality at all q.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charges import GlRepTraces, GRepTraces, Statistics
+from .charges import GlRepTraces, GRepTraces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral, shift_to_zero
-from .exactpoly import Poly
+from .exactpoly import Poly, exact
 from .jetreps import divergence
-
-
-class FieldKind(enum.Enum):
-    PI = "pi"
-    PHI = "phi"
-
-
-@dataclass(frozen=True)
-class FieldFactor:
-    kind: FieldKind
-    z_dots: int = 0
-    spatial_deriv: Optional[int] = None  # direction; phi-kind only
-
-    def __post_init__(self):
-        if self.z_dots not in (0, 1):
-            raise ValueError("at most one z-derivative per factor")
-        if self.spatial_deriv is not None and self.kind is not FieldKind.PHI:
-            raise ValueError("spatial derivatives are carried by phi factors only")
 
 
 # A matrix insertion is a pair (t, a) acting on rho (x) M: t = (nu, mu) for
@@ -68,16 +54,24 @@ Insertion = Tuple[Optional[Tuple[int, int]], Optional[int]]
 
 @dataclass(frozen=True)
 class Term:
+    """One field-sector term: prefactor * int :(d_z^pi_dots pi) coeff
+    insertion (d_z^phi_dots d_{phi_deriv} phi):."""
     prefactor: Fraction
     coeff: Poly
-    mode: SmearMode
-    left: FieldFactor   # pi-kind
     insertion: Insertion
-    right: FieldFactor  # phi-kind
+    pi_dots: int = 0
+    phi_dots: int = 0
+    phi_deriv: Optional[int] = None  # direction of a spatial derivative on phi
 
     def __post_init__(self):
-        if self.left.kind is not FieldKind.PI or self.right.kind is not FieldKind.PHI:
-            raise ValueError("a term is one pi-kind factor times one phi-kind factor")
+        # with one dot per term, no pair of terms reaches a pole above 4
+        if (self.pi_dots, self.phi_dots) not in ((0, 0), (1, 0), (0, 1)):
+            raise ValueError("at most one z-derivative per term")
+
+    @property
+    def mode(self) -> SmearMode:
+        """Shifted exactly for the transport term pi xi_0^mu d_mu phi."""
+        return SmearMode.PLAIN if self.phi_deriv is None else SmearMode.SHIFTED
 
 
 @dataclass(frozen=True)
@@ -107,43 +101,12 @@ class PoleExpansion:
         return self.coefficients.get(order, Fraction(0))
 
 
-# -- propagator table ----------------------------------------------------------
+# -- the contraction rule --------------------------------------------------------
 
-def propagator(a: FieldFactor, b: FieldFactor, statistics: Statistics
-               ) -> Tuple[Fraction, int, str, DerivSpec]:
-    """Contraction of factor ``a`` at (x, z) with factor ``b`` at (y, w).
-
-    Returns (sign, pole_order, orientation, delta_decoration) where
-    orientation "xy" means the kernel K_p(x, y) (monomials in the pi-side's
-    monomial variable is x; concretely, the phi factor sits at x) and
-    the decoration carries the phi factor's spatial derivative in its own
-    variable.  The base contraction is phi(x,z) pi(y,w) ~ K_p(x,y)/(z-w);
-    z- and w-derivatives generate the dotted rows, and exchanging the factor
-    order costs the statistics sign and flips the kernel orientation.
-    """
-    if a.kind is b.kind:
-        raise ValueError("contraction needs one pi-kind and one phi-kind factor")
-    eps = statistics.sign
-    if a.kind is FieldKind.PHI:
-        phi = a
-        orientation = "xy"
-        base = Fraction(1)      # phi(x,z) pi(y,w) ~ +K_p(x,y)/(z-w)
-    else:
-        phi = b
-        orientation = "yx"
-        base = Fraction(-eps)   # pi(x,z) phi(y,w) ~ -eps K_p(y,x)/(z-w)
-    # d_z^r d_w^s (z-w)^(-1) = (-1)^r (r+s)! (z-w)^(-(1+r+s)); the factor at
-    # z is ``a``, so its dots carry the minus sign.
-    total_dots = a.z_dots + b.z_dots
-    sign = base * Fraction((-1) ** a.z_dots) * (2 if total_dots == 2 else 1)
-    order = 1 + total_dots
-    if phi.spatial_deriv is None:
-        deco = DerivSpec.none()
-    elif phi is a:
-        deco = DerivSpec.on_x(phi.spatial_deriv)
-    else:
-        deco = DerivSpec.on_y(phi.spatial_deriv)
-    return sign, order, orientation, deco
+def _pole(r: int, s: int) -> Tuple[int, int]:
+    """d_z^r d_w^s (z-w)^(-1) = (-1)^r (r+s)! (z-w)^(-(1+r+s)), as
+    (coefficient, pole order)."""
+    return (-1) ** r * math.factorial(r + s), 1 + r + s
 
 
 # -- traces --------------------------------------------------------------------
@@ -213,31 +176,31 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
 
 def double_contraction(a: NormalBilinear, b: NormalBilinear,
                        glrep: GlRepTraces, grep: GRepTraces) -> PoleExpansion:
-    """Full double contraction of A(z) with B(w): field sector via the
-    propagator table and the exact delta-pair oracle, base-point sector via
-    the closed rules.  Returns the exact pole expansion in (z - w)."""
+    """Full double contraction of A(z) with B(w): field sector via the OPE
+    and the exact delta-pair oracle, base-point sector via the closed rules.
+    Returns the exact pole expansion in (z - w)."""
     if (a.d, a.p) != (b.d, b.p):
         raise ValueError("bilinears must share (d, p)")
     d, p = a.d, a.p
-    stats = grep.statistics
+    eps = grep.statistics.sign
     pe = PoleExpansion()
     for ta in a.terms:
+        deco_a = DerivSpec.none() if ta.phi_deriv is None else DerivSpec.on_x(ta.phi_deriv)
         for tb in b.terms:
-            # contract A's pi (at x) with B's phi (at y) ...
-            s1, k1, o1, deco1 = propagator(ta.left, tb.right, stats)
-            # ... and A's phi (at x) with B's pi (at y).
-            s2, k2, o2, deco2 = propagator(ta.right, tb.left, stats)
-            if o1 != "yx" or o2 != "xy":
-                raise AssertionError("unexpected kernel orientation")
+            # A's pi (x, z) with B's phi (y, w): -eps K_p(y, x) / (z - w) ...
+            s1, k1 = _pole(ta.pi_dots, tb.phi_dots)
+            # ... and A's phi (x, z) with B's pi (y, w): K_p(x, y) / (z - w).
+            s2, k2 = _pole(ta.phi_dots, tb.pi_dots)
+            deco_b = DerivSpec.none() if tb.phi_deriv is None else DerivSpec.on_y(tb.phi_deriv)
             integral = delta_pair_integral(
-                ta.coeff, tb.coeff, deco2, deco1, (ta.mode, tb.mode), d, p
+                ta.coeff, tb.coeff, deco_a, deco_b, (ta.mode, tb.mode), d, p
             )
             if integral == 0:
                 continue
             tr = trace_pair(ta.insertion, tb.insertion, glrep, grep)
             if tr == 0:
                 continue
-            pe.add(k1 + k2, ta.prefactor * tb.prefactor * s1 * s2 * integral * tr)
+            pe.add(k1 + k2, -eps * s1 * s2 * ta.prefactor * tb.prefactor * integral * tr)
     _q_sector(a, b, pe)
     if any(order > 4 for order in pe.coefficients):
         raise AssertionError("pole order above 4 should be impossible")
@@ -254,9 +217,7 @@ def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
             raise ValueError("components must be polynomials in d variables")
         if comp.is_zero():
             continue
-        terms.append(Term(Fraction(1), comp, SmearMode.PLAIN,
-                          FieldFactor(FieldKind.PI), (None, a_idx),
-                          FieldFactor(FieldKind.PHI)))
+        terms.append(Term(Fraction(1), comp, (None, a_idx)))
     return NormalBilinear(d, p, tuple(terms), q_sector=None)
 
 
@@ -268,32 +229,24 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     terms: List[Term] = []
     for mu in range(d):
         if not shift_to_zero(xi[mu]).is_zero():
-            terms.append(Term(Fraction(1), xi[mu], SmearMode.SHIFTED,
-                              FieldFactor(FieldKind.PI), (None, None),
-                              FieldFactor(FieldKind.PHI, spatial_deriv=mu)))
+            terms.append(Term(Fraction(1), xi[mu], (None, None), phi_deriv=mu))
         for nu in range(d):
             dxi = xi[mu].deriv(nu)
             if not dxi.is_zero():
-                terms.append(Term(Fraction(1), dxi, SmearMode.PLAIN,
-                                  FieldFactor(FieldKind.PI), ((nu, mu), None),
-                                  FieldFactor(FieldKind.PHI)))
+                terms.append(Term(Fraction(1), dxi, ((nu, mu), None)))
     return NormalBilinear(d, p, tuple(terms), q_sector=("L", tuple(xi)))
 
 
 def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
     """T(z) of weight lambda: (lambda-1) :pi phi-dot: + lambda :pi-dot phi:,
     plus the base-point tag."""
-    lam = Fraction(conformal_weight)
+    lam = exact(conformal_weight)
     one = Poly.constant(d, 1)
     terms = []
     if lam != 1:
-        terms.append(Term(lam - 1, one, SmearMode.PLAIN,
-                          FieldFactor(FieldKind.PI), (None, None),
-                          FieldFactor(FieldKind.PHI, z_dots=1)))
+        terms.append(Term(lam - 1, one, (None, None), phi_dots=1))
     if lam != 0:
-        terms.append(Term(lam, one, SmearMode.PLAIN,
-                          FieldFactor(FieldKind.PI, z_dots=1), (None, None),
-                          FieldFactor(FieldKind.PHI)))
+        terms.append(Term(lam, one, (None, None), pi_dots=1))
     return NormalBilinear(d, p, tuple(terms), q_sector=("T",))
 
 
@@ -332,7 +285,7 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
       c4:          T(z) T(w), pole4 = c4 / 2;
       c6:          T(z) J_{e0}(w), pole3 = c6.
     """
-    lam = Fraction(conformal_weight)
+    lam = exact(conformal_weight)
     x0 = Poly.variable(d, 0)
     zero = Poly.zero(d)
     one = Poly.constant(d, 1)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,29 @@ from jetvir.charges import (
     from_sl_gl1,
     kac_moody_level,
 )
+from jetvir.exactpoly import Poly
+from jetvir.jetreps import MatrixRep
+from jetvir.wickcocycle import build_reparam, extract_charges
+
+GL1 = from_sl_gl1(0, 0, 1, 1)
+GR1 = GRepTraces(1, 1, 0, 0)
+
+
+def _charge_set_from_json(text: str) -> ChargeSet:
+    """The inverse of ``ChargeSet.to_json``."""
+    data = json.loads(text)
+    ins = data["inputs"]
+
+    def frac(s: str) -> Fraction:
+        num, den = s.split("/")
+        return Fraction(int(num), int(den))
+
+    glrep = GlRepTraces(ins["delta_rho"], frac(ins["k0"]),
+                        frac(ins["k1"]), frac(ins["k2"]))
+    grep = GRepTraces(ins["delta_m"], frac(ins["y_m"]), frac(ins["z_m"]),
+                      frac(ins["w_m"]), Statistics(ins["statistics"]))
+    ch = {k: frac(v) for k, v in data["charges"].items()}
+    return ChargeSet(ins["d"], ins["p"], frac(ins["lambda"]), glrep, grep, **ch)
 
 
 def test_closed_form_scalar_point():
@@ -88,8 +112,7 @@ def test_json_round_trip():
     gr = GRepTraces(3, Fraction(2, 7), 1, Fraction(-5, 3), Statistics.FERMI)
     cs = closed_form(2, 3, Fraction(1, 2), gl, gr)
     text = cs.to_json()
-    assert ChargeSet.from_json(text) == cs
-    import json
+    assert _charge_set_from_json(text) == cs
     payload = json.loads(text)
     for value in payload["charges"].values():
         num, den = value.split("/")
@@ -103,3 +126,41 @@ def test_validation():
         GRepTraces(0, 0, 0, 0)
     with pytest.raises(ValueError):
         closed_form(0, 0, 0, from_sl_gl1(0, 0, 1, 1), GRepTraces(1, 0, 0, 0))
+
+
+# Each of these took 0.1 as 3602879701896397/36028797018963968.
+FLOAT_LEAKS = {
+    "GlRepTraces k0": lambda: GlRepTraces(1, 0.1, 0, 0),
+    "GRepTraces y_m": lambda: GRepTraces(1, 0.1, 0, 0),
+    "from_sl_gl1 kappa": lambda: from_sl_gl1(0.1, 0, 1, 2),
+    "from_sl_gl1 y_rho": lambda: from_sl_gl1(0, 0.1, 1, 2),
+    "kac_moody_level y_m": lambda: kac_moody_level(1, 0.1, Statistics.BOSE),
+    "g_abelian values": lambda: MatrixRep.g_abelian(1, [0.1]),
+    "gl_scalar_weight kappa": lambda: MatrixRep.gl_scalar_weight(1, 0.1),
+    "closed_form lambda": lambda: closed_form(1, 0, 0.1, GL1, GR1),
+    "extract_charges lambda": lambda: extract_charges(1, 0, 0.1, GL1, GR1),
+    "build_reparam lambda": lambda: build_reparam(0.1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_LEAKS)
+def test_float_parameters_are_rejected(name):
+    with pytest.raises(ValueError, match="exact"):
+        FLOAT_LEAKS[name]()
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_rep_dimensions_are_positive_ints(bad):
+    with pytest.raises(ValueError, match="integer"):
+        GlRepTraces(bad, 0, 0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        GRepTraces(bad, 1, 0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        from_sl_gl1(0, 0, bad, 2)
+
+
+def test_exact_parameters_keep_their_values():
+    assert GRepTraces(1, "1/10", 0, 0).y_m == Fraction(1, 10)
+    assert from_sl_gl1(Fraction(1, 10), 0, 1, 2).k0 == Fraction(1, 10)
+    assert MatrixRep.gl_scalar_weight(1, Fraction(1, 10)).matrix((0, 0)) == ((Fraction(1, 10),),)
+    assert Poly.constant(1, 1).scale(Fraction(1, 10)) == Poly.constant(1, Fraction(1, 10))

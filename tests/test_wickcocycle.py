@@ -5,14 +5,13 @@ import pytest
 from jetvir.charges import GRepTraces, Statistics, closed_form, from_sl_gl1
 from jetvir.exactpoly import Poly, parse_poly
 from jetvir.wickcocycle import (
-    FieldFactor,
-    FieldKind,
+    NormalBilinear,
+    Term,
     build_current,
     build_reparam,
     build_vector_field,
     double_contraction,
     extract_charges,
-    propagator,
     trace_pair,
 )
 
@@ -20,23 +19,45 @@ GL1 = from_sl_gl1(0, 0, 1, 1)
 GR1 = GRepTraces(1, 1, 0, 0, Statistics.BOSE)
 
 
-def test_propagator_table():
-    phi = FieldFactor(FieldKind.PHI)
-    pi = FieldFactor(FieldKind.PI)
-    phi_dot = FieldFactor(FieldKind.PHI, z_dots=1)
-    pi_dot = FieldFactor(FieldKind.PI, z_dots=1)
-    bose, fermi = Statistics.BOSE, Statistics.FERMI
-    assert propagator(phi, pi, bose)[:3] == (1, 1, "xy")
-    assert propagator(pi, phi_dot, bose)[:3] == (-1, 2, "yx")
-    assert propagator(pi_dot, phi_dot, fermi)[:3] == (-2, 3, "yx")
-    assert propagator(pi, phi, bose)[:3] == (-1, 1, "yx")
-    assert propagator(pi, phi, fermi)[:3] == (1, 1, "yx")
-    assert propagator(phi_dot, pi, bose)[:3] == (-1, 2, "xy")
-    assert propagator(phi, pi_dot, bose)[:3] == (1, 2, "xy")
-    assert propagator(pi_dot, phi, bose)[:3] == (1, 2, "yx")
-    assert propagator(phi_dot, pi_dot, bose)[:3] == (-2, 3, "xy")
+# (A's (pi dots, phi dots), B's (pi dots, phi dots)) -> (pole order, bose
+# coefficient) of the double contraction of two one-term bilinears
+# :pi phi: at d = 1, p = 0 with unit traces, where the delta-pair integral
+# is 1.  It is the product of A's pi with B's phi, -eps (-1)^r (r+s)! at
+# pole 1+r+s, and A's phi with B's pi, (-1)^r (r+s)! at pole 1+r+s, with
+# r the dots at z and s the dots at w.  Fermi statistics flips every sign.
+CONTRACTION_TABLE = {
+    ((0, 0), (0, 0)): (2, -1),
+    ((0, 0), (1, 0)): (3, -1),
+    ((0, 0), (0, 1)): (3, -1),
+    ((1, 0), (0, 0)): (3, 1),
+    ((1, 0), (1, 0)): (4, 1),
+    ((1, 0), (0, 1)): (4, 2),
+    ((0, 1), (0, 0)): (3, 1),
+    ((0, 1), (1, 0)): (4, 2),
+    ((0, 1), (0, 1)): (4, 1),
+}
+
+
+def _one_term(dots):
+    term = Term(Fraction(1), Poly.constant(1, 1), (None, None),
+                pi_dots=dots[0], phi_dots=dots[1])
+    return NormalBilinear(1, 0, (term,))
+
+
+@pytest.mark.parametrize("stats", Statistics)
+@pytest.mark.parametrize("dots_a,dots_b", CONTRACTION_TABLE)
+def test_contraction_table(dots_a, dots_b, stats):
+    order, bose = CONTRACTION_TABLE[dots_a, dots_b]
+    gr = GRepTraces(1, 1, 0, 0, stats)
+    pe = double_contraction(_one_term(dots_a), _one_term(dots_b), GL1, gr)
+    assert pe.coefficients == {order: bose * stats.sign}
+
+
+def test_term_has_at_most_one_dot():
     with pytest.raises(ValueError):
-        propagator(pi, pi, bose)
+        Term(Fraction(1), Poly.constant(1, 1), (None, None), pi_dots=1, phi_dots=1)
+    with pytest.raises(ValueError):
+        Term(Fraction(1), Poly.constant(1, 1), (None, None), phi_dots=2)
 
 
 def test_trace_pair():
@@ -72,8 +93,8 @@ def test_reparam_pair_pole():
 def test_reparam_weight_one_is_single_term():
     t = build_reparam(1, 1, 0)
     assert len(t.terms) == 1
-    assert t.terms[0].left.z_dots == 1
-    assert t.terms[0].right.z_dots == 0
+    assert t.terms[0].pi_dots == 1
+    assert t.terms[0].phi_dots == 0
 
 
 def test_vector_field_constant_has_only_base_point_sector():
