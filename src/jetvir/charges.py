@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exactpoly import exact
+from .multiindex import check_grid
 
 
 class Statistics(enum.Enum):
@@ -163,8 +164,7 @@ def compare(closed: ChargeSet,
 def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
                 grep: GRepTraces) -> ChargeSet:
     """Evaluate the eight charge formulas exactly."""
-    if d < 1 or p < 0:
-        raise ValueError("need d >= 1 and p >= 0")
+    check_grid(d, p)
     lam = exact(conformal_weight)
     eps = grep.statistics.sign
     a = math.comb(d + p, d)
@@ -188,4 +188,5 @@ def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
 def kac_moody_level(p: int, y_m, statistics: Statistics) -> Fraction:
     """The one-dimensional (d = 1) current-algebra level: -eps (p+1) y_m.
     This is exactly c5 at d = 1 with a one-dimensional gl rep."""
+    check_grid(1, p)
     return Fraction(-statistics.sign * (p + 1)) * exact(y_m)

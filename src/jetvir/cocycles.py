@@ -25,8 +25,8 @@ Gauge and vector-field components may be Laurent polynomials in x (Fourier
 modes of a periodic function space); composing a negative power with the
 trajectory then requires the corresponding trajectory component to be a
 single monomial.  Every field argument is checked (component count, d
-variables each), and every charge enters through ``Poly.scale``, which
-rejects floats.
+variables each), and every charge enters as a ``lincomb`` coefficient
+(``Poly.scale`` is one), which rejects floats.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exactpoly import Poly
+from .exactpoly import Poly, lincomb
 from .jetreps import divergence
 
 
@@ -125,11 +125,10 @@ def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
     _check_field("xi", xi, d, d)
     _check_field("eta", eta, d, d)
     div_xi, div_eta = divergence(xi), divergence(eta)
-    omega = []
-    for rho in range(d):
-        chain = sum((xi[mu].deriv(nu).deriv(rho) * eta[nu].deriv(mu)
-                     for mu in range(d) for nu in range(d)), Poly.zero(d))
-        omega.append(-(chain.scale(c1) + (div_xi.deriv(rho) * div_eta).scale(c2)))
+    omega = [lincomb(d, [(-c1, xi[mu].deriv(nu).deriv(rho) * eta[nu].deriv(mu))
+                         for mu in range(d) for nu in range(d)]
+                     + [(-c2, div_xi.deriv(rho) * div_eta)])
+             for rho in range(d)]
     return _pullback_residue(omega, q)
 
 
@@ -140,8 +139,8 @@ def affine_cocycle(X: Sequence[Poly], Y: Sequence[Poly], q: Trajectory,
     omega = []
     for rho in range(q.d):
         first = X[0].deriv(rho) * Y[0]
-        pairing = sum((X[a].deriv(rho) * Y[a] for a in range(1, len(X))), first)
-        omega.append(pairing.scale(c5) + first.scale(c8))
+        omega.append(lincomb(q.d, [(c5, first), (c8, first)]
+                             + [(c5, X[a].deriv(rho) * Y[a]) for a in range(1, len(X))]))
     return _pullback_residue(omega, q)
 
 

@@ -8,10 +8,8 @@ which reproduces the p-jet of a smearing function: integrating f(y) against
 K_p(x, y) yields the degree-p Taylor truncation f(x)|_p.  The kernel is
 asymmetric: K_p(y, x) is a different distribution.
 
-Three layers are provided:
+Two layers are provided:
 
-* ``smear``: single-kernel integrals, optionally with one derivative on the
-  x or y argument.
 * ``delta_pair_integral``: the bilinear integral of f(x) g(y) against a
   product [D1 K_p(x,y)] [D2 K_p(y,x)], evaluated by a fully symbolic oracle
   that expands both kernels, applies the derivative decorations termwise and
@@ -84,20 +82,6 @@ def _check_deriv(deriv: DerivSpec, d: int) -> None:
 def shift_to_zero(f: Poly) -> Poly:
     """f minus its value at the origin (the shifted smearing function)."""
     return f - Poly.constant(f.dim, f.constant_term())
-
-
-def smear(f: Poly, deriv: DerivSpec, d: int, p: int) -> Poly:
-    """Integrate f(y) against [D K_p(x, y)] dy; returns a polynomial in x.
-
-    plain -> f|_p;  d/dx_mu -> (d_mu f)|_p;  d/dy_mu -> -(d_mu f)|_p.
-    """
-    if f.dim != d:
-        raise ValueError(f"smearing function has dimension {f.dim}, expected {d}")
-    _check_deriv(deriv, d)
-    if deriv.which is Which.NONE:
-        return f.truncate(p)
-    g = f.deriv(deriv.direction).truncate(p)
-    return g if deriv.which is Which.ON_X else -g
 
 
 # A kernel expansion maps each derivative word on the delta of one variable
@@ -205,8 +189,8 @@ def delta_pair_closed(
     which for mu = nu reduces to C_{d,p} d_mu f(0) d_mu g(0), with
     C = E + D the single-direction square sum.
 
-    Shifting is enforced internally for cases ii and iii; the derivative at
-    the origin is unchanged by it, which is exactly why the closed forms
+    Cases ii and iii read only first derivatives at the origin, which the
+    shift does not change, so f and g are read as given; the closed forms
     hold only for shifted slots.
     """
     if f.dim != d or g.dim != d:
@@ -216,19 +200,16 @@ def delta_pair_closed(
     if case == "ii":
         if mu is None or not 0 <= mu < d:
             raise ValueError("case ii needs a direction mu")
-        ff = shift_to_zero(f)
         return (
             sum_closed(SumKind.B, d, p, mu)
-            * ff.deriv(mu).constant_term()
+            * f.deriv(mu).constant_term()
             * g.constant_term()
         )
     if case == "iii":
         if mu is None or nu is None or not (0 <= mu < d and 0 <= nu < d):
             raise ValueError("case iii needs directions mu and nu")
-        ff = shift_to_zero(f)
-        gg = shift_to_zero(g)
-        f_mu, f_nu = ff.deriv(mu).constant_term(), ff.deriv(nu).constant_term()
-        g_mu, g_nu = gg.deriv(mu).constant_term(), gg.deriv(nu).constant_term()
+        f_mu, f_nu = f.deriv(mu).constant_term(), f.deriv(nu).constant_term()
+        g_mu, g_nu = g.deriv(mu).constant_term(), g.deriv(nu).constant_term()
         if mu == nu:
             return sum_closed(SumKind.C, d, p, mu) * f_mu * g_mu
         return (sum_closed(SumKind.E, d, p, mu, nu) * f_nu * g_mu

@@ -4,9 +4,6 @@ A ``Poly`` is a sparse polynomial in ``dim`` variables with rational
 coefficients.  Ordinary polynomials use non-negative exponents; negative
 exponents are permitted so that field components along a closed loop
 (Laurent series in the loop parameter) can be handled by the same class.
-Operations that only make sense for genuine polynomials (truncation,
-differentiation at negative powers never occurs in those paths) check
-exponent signs where required.
 
 All arithmetic is exact; no floats appear anywhere.
 
@@ -44,14 +41,16 @@ product in the package, matrix products included, goes through ``*``.
 ``jetreps`` multiplies primitive parts (int numerators with gcd 1 over 1)
 and makes each distinct such product once per bracket; that product is
 primitive again (Gauss's lemma), comes out over 1 and skips the gcd pass.
-``lincomb(dim, pairs)`` sums many scaled Polys the same way: all numerators
-go into one dict over the lcm of the scaled denominators, reduced once.
-Each ``Poly`` also keeps its degree bound max |e| once it is first needed.
+``lincomb(dim, pairs)`` is the one kernel for linear combinations: all
+numerators go into one dict over the lcm of the scaled denominators, reduced
+once.  Every sum, difference, negation and scaling is one ``lincomb``, and so
+is the sum over terms of a composition.  Each ``Poly`` also keeps its degree
+bound max |e| once it is first needed; products, inverse powers and parsed
+terms are capped at total degree ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -70,26 +69,11 @@ def exact(value) -> Fraction:
     return Fraction(value)
 
 
-_DEFAULT_MAX_DEGREE = 64
+MAX_DEGREE = 64  # the total-degree cap, a guard against runaway input
 
 
-def _degree_overflow(cap: int) -> OverflowError:
-    return OverflowError(f"product exceeds degree cap {cap}; "
-                         "raise JETVIR_MAX_DEGREE to allow larger expressions")
-
-
-def max_degree_cap() -> int:
-    """Degree guard for products; configurable via JETVIR_MAX_DEGREE."""
-    raw = os.environ.get("JETVIR_MAX_DEGREE")
-    if raw is None:
-        return _DEFAULT_MAX_DEGREE
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"JETVIR_MAX_DEGREE must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ValueError(f"JETVIR_MAX_DEGREE must be positive, got {val}")
-    return val
+def _degree_overflow() -> OverflowError:
+    return OverflowError(f"product exceeds degree cap {MAX_DEGREE}")
 
 
 class Poly:
@@ -185,47 +169,22 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other over the lcm of the two denominators."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if not other._num:
-            return self
-        if not self._num:
-            return other if sign > 0 else -other
-        da, db = self._den, other._den
-        den = lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        out = dict(self._num) if fa == 1 else {e: n * fa for e, n in self._num.items()}
-        for e, n in other._num.items():
-            s = out.get(e, 0) + n * fb
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _reduce(self.dim, out, den)
-
     def __add__(self, other: "Poly") -> "Poly":
-        return self._combine(other, 1)
+        return lincomb(self.dim, ((1, self), (1, other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self._combine(other, -1)
+        return lincomb(self.dim, ((1, self), (-1, other)))
 
     def __neg__(self) -> "Poly":
-        return _wrap(self.dim, {e: -n for e, n in self._num.items()}, self._den)
+        return lincomb(self.dim, ((-1, self),))
 
     def scale(self, k) -> "Poly":
-        k = exact(k)
-        if not k:
-            return _wrap(self.dim, {}, 1)
-        kn = k.numerator
-        return _reduce(self.dim, {e: n * kn for e, n in self._num.items()},
-                       self._den * k.denominator)
+        return lincomb(self.dim, ((exact(k), self),))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        cap = max_degree_cap()
+        cap = MAX_DEGREE
         a, b = self._num, other._num
         # |e1 + e2| <= |e1| + |e2|: if the largest operand degrees sum to at
         # most the cap, no term pair exceeds it.  Otherwise check each pair,
@@ -237,7 +196,7 @@ class Poly:
             for e2, n2 in b.items():
                 e = tuple(map(add, e1, e2))
                 if check and sum(map(abs, e)) > cap:
-                    raise _degree_overflow(cap)
+                    raise _degree_overflow()
                 out[e] = get(e, 0) + n1 * n2
         return _reduce(self.dim, {e: n for e, n in out.items() if n},
                        self._den * other._den)
@@ -302,13 +261,6 @@ class Poly:
             total += val
         return total / self._den
 
-    def truncate(self, p: int) -> "Poly":
-        """Drop all terms of total degree > p (requires a true polynomial)."""
-        if self.is_laurent():
-            raise ValueError("truncation is only defined for non-negative exponents")
-        return _reduce(self.dim, {e: n for e, n in self._num.items() if sum(e) <= p},
-                       self._den)
-
     def compose_univariate(self, substitutions: Sequence["Poly"]) -> "Poly":
         """Substitute variable i -> substitutions[i] (each a Poly in a common
         target space).  Negative exponents require the corresponding
@@ -322,17 +274,14 @@ class Poly:
         for s in substitutions:
             if s.dim != tdim:
                 raise ValueError("substitution polynomials must share a dimension")
-        # Compose the numerators; the shared denominator divides once at the end.
-        result = _wrap(tdim, {}, 1)
+        one = _wrap(tdim, {(0,) * tdim: 1}, 1)
+        pairs = []
         for e, n in self._num.items():
-            term = _wrap(tdim, {(0,) * tdim: n}, 1)
-            for i, k in enumerate(e):
-                if k >= 0:
-                    term = term * (substitutions[i] ** k)
-                else:
-                    term = term * _monomial_inverse_power(substitutions[i], -k)
-            result = result + term
-        return _reduce(tdim, result._num, result._den * self._den)
+            term = one
+            for q, k in zip(substitutions, e):
+                term = term * (q ** k if k >= 0 else _monomial_inverse_power(q, -k))
+            pairs.append((Fraction(n, self._den), term))
+        return lincomb(tdim, pairs)
 
     # -- formatting ---------------------------------------------------------
 
@@ -347,9 +296,8 @@ def _monomial_inverse_power(p: Poly, k: int) -> Poly:
             "negative exponent composition requires a monomial substitution"
         )
     (e, n), = p._num.items()
-    cap = max_degree_cap()
-    if k * sum(abs(x) for x in e) > cap:
-        raise _degree_overflow(cap)
+    if k * sum(abs(x) for x in e) > MAX_DEGREE:
+        raise _degree_overflow()
     # (n/den)^-k = den^k / n^k, already in lowest terms; the sign moves up.
     top, bottom = p._den ** k, n ** k
     if bottom < 0:
@@ -483,7 +431,7 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
             continue
         # bare '*': separator, nothing to do
     flush()
-    if any(sum(abs(c) for c in e) > max_degree_cap() for e in result_terms):
+    if any(sum(abs(c) for c in e) > MAX_DEGREE for e in result_terms):
         raise OverflowError("parsed polynomial exceeds the degree cap")
     return Poly(dim, result_terms)
 

@@ -220,25 +220,8 @@ def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> 
     return _grid(_evaluate(b1[0][0].dim, plans), n, n)
 
 
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return _bracket((), a, (), b)
-
-
 def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
-
-
-def numeric_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
-    """Lift a matrix of rationals to a matrix of constant Polys in dim vars."""
-    return tuple(
-        tuple(Poly.constant(dim, v) for v in row) for row in rows
-    )
-
-
-def _commutator_equals(a, b, rhs) -> bool:
-    """[a, b] == rhs for square matrices of rationals."""
-    return mat_commutator(numeric_matrix(a, 0),
-                          numeric_matrix(b, 0)) == numeric_matrix(rhs, 0)
 
 
 # -- structure constants and matrix representations ---------------------------
@@ -367,35 +350,6 @@ class MatrixRep:
         )
         return cls(d, gens)
 
-    # -- relation checks -----------------------------------------------------
-
-    def check_g_relations(self, sc: StructureConstants) -> bool:
-        """[M^a, M^b] = f^{abc} M^c, exactly; False if some M^a is missing."""
-        try:
-            mats = [self.matrix(a) for a in range(sc.dim)]
-        except KeyError:
-            return False
-        for a, b in itertools.product(range(sc.dim), repeat=2):
-            rhs = [[sum(sc.f[a][b][c] * mats[c][i][j] for c in range(sc.dim))
-                    for j in range(self.size)] for i in range(self.size)]
-            if not _commutator_equals(mats[a], mats[b], rhs):
-                return False
-        return True
-
-    def check_gl_relations(self, d: int) -> bool:
-        """[T^mu_rho, T^nu_sigma] = delta^nu_rho T^mu_sigma
-        - delta^mu_sigma T^nu_rho, exactly; False if some T^mu_rho is missing."""
-        try:
-            t = {(a, b): self.matrix((a, b)) for a in range(d) for b in range(d)}
-        except KeyError:
-            return False
-        for mu, rho, nu, sigma in itertools.product(range(d), repeat=4):
-            rhs = [[(nu == rho) * t[(mu, sigma)][i][j] - (mu == sigma) * t[(nu, rho)][i][j]
-                    for j in range(self.size)] for i in range(self.size)]
-            if not _commutator_equals(t[(mu, rho)], t[(nu, sigma)], rhs):
-                return False
-        return True
-
 
 # -- jet block builders --------------------------------------------------------
 
@@ -521,10 +475,7 @@ def divergence(xi: Sequence[Poly]) -> Poly:
     if not xi or any(c.dim != len(xi) for c in xi):
         raise ValueError("divergence needs a vector field of d components "
                          "in d variables each")
-    acc = Poly.zero(len(xi))
-    for mu, c in enumerate(xi):
-        acc = acc + c.deriv(mu)
-    return acc
+    return lincomb(len(xi), [(1, c.deriv(mu)) for mu, c in enumerate(xi)])
 
 
 def bracket(a: JetOperator, b: JetOperator) -> JetOperator:

@@ -16,7 +16,7 @@ import enum
 import math
 from typing import Optional
 
-from .multiindex import enumerate_indices
+from .multiindex import check_grid, enumerate_indices
 
 
 class SumKind(enum.Enum):
@@ -27,9 +27,9 @@ class SumKind(enum.Enum):
     E = "E"
 
 
-def _check_args(kind: SumKind, d: int, mu: Optional[int], nu: Optional[int]) -> None:
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+def _check_args(kind: SumKind, d: int, p: int,
+                mu: Optional[int], nu: Optional[int]) -> None:
+    check_grid(d, p)
     if kind in (SumKind.B, SumKind.C, SumKind.D, SumKind.E):
         if mu is None or not 0 <= mu < d:
             raise ValueError(f"kind {kind.value} needs a direction mu in [0,{d})")
@@ -43,9 +43,7 @@ def _check_args(kind: SumKind, d: int, mu: Optional[int], nu: Optional[int]) -> 
 def sum_closed(kind: SumKind, d: int, p: int,
                mu: Optional[int] = None, nu: Optional[int] = None) -> int:
     """Closed binomial form of the lattice sum."""
-    _check_args(kind, d, mu, nu)
-    if p < 0:
-        raise ValueError(f"jet order must be >= 0, got {p}")
+    _check_args(kind, d, p, mu, nu)
     if kind is SumKind.A:
         return math.comb(d + p, d)
     if kind is SumKind.B:
@@ -62,7 +60,7 @@ def sum_closed(kind: SumKind, d: int, p: int,
 def sum_brute(kind: SumKind, d: int, p: int,
               mu: Optional[int] = None, nu: Optional[int] = None) -> int:
     """Direct enumeration of the lattice sum."""
-    _check_args(kind, d, mu, nu)
+    _check_args(kind, d, p, mu, nu)
     total = 0
     for m in enumerate_indices(d, p):
         if kind is SumKind.A:

@@ -79,13 +79,19 @@ def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
             yield (first,) + rest
 
 
+def check_grid(d: int, p: int) -> None:
+    """Require a dimension d >= 1 and a jet order p >= 0, each an int (not
+    a bool)."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d!r}")
+    if type(p) is not int or p < 0:
+        raise ValueError(f"jet order must be >= 0, got {p!r}")
+
+
 def enumerate_indices(d: int, p: int) -> Tuple[MultiIndex, ...]:
     """All multi-indices m with |m| <= p in graded order (by total degree,
     then first component decreasing).  Length is binom(d+p, d)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if p < 0:
-        raise ValueError(f"jet order must be >= 0, got {p}")
+    check_grid(d, p)
     out = []
     for t in range(p + 1):
         out.extend(_compositions(t, d))

@@ -44,6 +44,7 @@ from .charges import GlRepTraces, GRepTraces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral, shift_to_zero
 from .exactpoly import Poly, exact
 from .jetreps import divergence
+from .multiindex import check_grid
 
 
 # A matrix insertion is a pair (t, a) acting on rho (x) M: t = (nu, mu) for
@@ -211,6 +212,7 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
 
 def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """J_X with g-components X^a (a = 0 is the privileged trace direction)."""
+    check_grid(d, p)
     terms = []
     for a_idx, comp in enumerate(X):
         if comp.dim != d:
@@ -224,6 +226,7 @@ def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
 def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """L_xi: shifted transport terms pi xi_0^mu d_mu phi, plain frame terms
     pi d_nu xi^mu T^nu_mu phi, plus the base-point tag."""
+    check_grid(d, p)
     if len(xi) != d or any(c.dim != d for c in xi):
         raise ValueError("vector field needs d polynomial components in d variables")
     terms: List[Term] = []
@@ -240,6 +243,7 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
 def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
     """T(z) of weight lambda: (lambda-1) :pi phi-dot: + lambda :pi-dot phi:,
     plus the base-point tag."""
+    check_grid(d, p)
     lam = exact(conformal_weight)
     one = Poly.constant(d, 1)
     terms = []
@@ -285,6 +289,7 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
       c4:          T(z) T(w), pole4 = c4 / 2;
       c6:          T(z) J_{e0}(w), pole3 = c6.
     """
+    check_grid(d, p)
     lam = exact(conformal_weight)
     x0 = Poly.variable(d, 0)
     zero = Poly.zero(d)

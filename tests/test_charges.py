@@ -126,6 +126,19 @@ def test_validation():
         GRepTraces(0, 0, 0, 0)
     with pytest.raises(ValueError):
         closed_form(0, 0, 0, from_sl_gl1(0, 0, 1, 1), GRepTraces(1, 0, 0, 0))
+    bad_grids = {
+        "jet order": (lambda: kac_moody_level(-1, 1, Statistics.BOSE),
+                      lambda: kac_moody_level(-3, 1, Statistics.BOSE),
+                      lambda: kac_moody_level(True, 1, Statistics.BOSE),
+                      lambda: closed_form(1, True, 0, GL1, GR1),
+                      lambda: extract_charges(1, True, 0, GL1, GR1)),
+        "dimension": (lambda: closed_form(True, 0, 0, GL1, GR1),
+                      lambda: extract_charges(0, 0, 0, GL1, GR1)),
+    }
+    for what, calls in bad_grids.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{what} must be"):
+                call()
 
 
 # Each of these took 0.1 as 3602879701896397/36028797018963968.

@@ -11,7 +11,6 @@ from jetvir.deltacalc import (
     delta_pair_closed,
     delta_pair_integral,
     shift_to_zero,
-    smear,
 )
 from jetvir.exactpoly import Poly, parse_poly
 from jetvir.multiindex import enumerate_indices, factorial, norm
@@ -27,23 +26,6 @@ def _rand_poly(d, deg, rng):
         if rng.random() < 0.6:
             terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return Poly(d, terms)
-
-
-def test_smear_examples():
-    assert smear(parse_poly("x0^3", 1), DerivSpec.none(), 1, 2).is_zero()
-    assert smear(parse_poly("x0^2", 1), DerivSpec.on_x(0), 1, 2) == \
-        parse_poly("2 x0", 1)
-    assert smear(parse_poly("x0", 1), DerivSpec.on_y(0), 1, 0) == \
-        Poly.constant(1, -1)
-
-
-def test_smear_plain_is_idempotent():
-    rng = random.Random(1)
-    for d in (1, 2):
-        for p in (0, 1, 3):
-            f = _rand_poly(d, p + 3, rng)
-            once = smear(f, DerivSpec.none(), d, p)
-            assert smear(once, DerivSpec.none(), d, p) == once
 
 
 def test_pair_integral_examples():

@@ -28,6 +28,14 @@ def test_missing_direction_rejected():
         sum_closed(SumKind.B, 2, 2)
 
 
+def test_bool_grid_arguments_rejected():
+    for d, p in ((True, 2), (2, True), (1, False)):
+        with pytest.raises(ValueError):
+            sum_closed(SumKind.A, d, p)
+        with pytest.raises(ValueError):
+            sum_brute(SumKind.A, d, p)
+
+
 def test_p_zero_lattice():
     assert sum_closed(SumKind.A, 1, 0) == 1
     assert sum_brute(SumKind.B, 3, 0, 0) == 0

@@ -5,6 +5,7 @@ import pytest
 from jetvir.multiindex import (
     add,
     binomial,
+    check_grid,
     enumerate_indices,
     factorial,
     norm,
@@ -58,10 +59,12 @@ def test_enumerate_order_and_size():
 
 
 def test_enumerate_bad_inputs():
-    with pytest.raises(ValueError):
-        enumerate_indices(0, 2)
-    with pytest.raises(ValueError):
-        enumerate_indices(2, -1)
+    for d, p, what in ((0, 2, "dimension"), (-1, 2, "dimension"), (True, 1, "dimension"),
+                       (1.0, 1, "dimension"), (2, -1, "jet order"), (1, True, "jet order"),
+                       (2, 1.0, "jet order")):
+        for check in (check_grid, enumerate_indices):
+            with pytest.raises(ValueError, match=f"{what} must be"):
+                check(d, p)
 
 
 def test_unit():

@@ -154,6 +154,22 @@ def test_statistics_flip_negates_field_parts():
             assert getattr(cb, name) == -getattr(cf, name)
 
 
+def test_builders_need_a_valid_grid():
+    x = parse_poly("x0", 1)
+    bad = {
+        "dimension": (lambda: build_reparam(0, 0, 0),
+                      lambda: build_current([Poly.constant(1, 1)], True, 0),
+                      lambda: build_vector_field([x], True, 0)),
+        "jet order": (lambda: build_reparam(0, 1, -1),
+                      lambda: build_current([x], 1, True),
+                      lambda: build_vector_field([x], 1, -1)),
+    }
+    for what, calls in bad.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{what} must be"):
+                call()
+
+
 def test_pole_orders_bounded():
     t = build_reparam(2, 2, 1)
     pe = double_contraction(t, t, from_sl_gl1(0, 0, 1, 2), GR1)
