@@ -14,12 +14,15 @@ Two layers are provided:
   product [D1 K_p(x,y)] [D2 K_p(y,x)], evaluated by a fully symbolic oracle
   that expands both kernels, applies the derivative decorations termwise and
   pairs d_w delta against polynomials via
-  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  Each kernel
-  expansion is a map keyed by derivative word, so only the words of the
-  second factor that a monomial of f reaches are visited: O(N |supp f|)
-  pairings for N = binom(d+p, d) kernel terms, not N^2.  A smearing term
-  with a negative exponent is never paired.  The expansions are cached per
-  (d, p, decoration, argument order).
+  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  The integral is
+  sum_{s,t} W(s,t) f_s g_t over Taylor exponents s of f and t of g, and each
+  row t -> W(s,t) depends only on (d, p, D1, D2, s): it is built once by
+  walking the kernel expansions and cached, so a call costs
+  |supp f| x |row| lookups.  Every kernel term has
+  |s| + |t| = (|w1| - |e1|) + (|w2| - |e2|), so a Taylor term of f above
+  the largest such sum (read off the kernel expansions) never reaches a
+  word and is skipped.  A smearing term with a negative exponent is never
+  paired.  Only field-independent data is cached, never an integral.
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
   to; the oracle never consults them, so oracle-vs-closed comparison is an
   independent test.
@@ -39,7 +42,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .exactpoly import Poly
 from .jetsums import SumKind, sum_closed
-from .multiindex import MultiIndex, add as mi_add, enumerate_indices, unit
+from .multiindex import MultiIndex, add as mi_add, check_grid, enumerate_indices, unit
 
 
 class Which(enum.Enum):
@@ -121,6 +124,42 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> _KernelT
     return MappingProxyType(out)
 
 
+# Entries per (d, p, decoration pair) and per (..., Taylor exponent); a row is
+# a handful of (exponent, weight) pairs.
+_ROW_CACHE = 1024
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
+def _reach(d: int, p: int, d1: DerivSpec, d2: DerivSpec) -> int:
+    """The largest |s| + |t| = (|w1| - |e1|) + (|w2| - |e2|) over the terms
+    of the two kernel factors; -1 when a factor has no term."""
+    lifts = [max((sum(w) - sum(e) for w, (_, e) in terms.items()), default=None)
+             for terms in (_kernel_terms(d, p, d1, True), _kernel_terms(d, p, d2, False))]
+    return -1 if None in lifts else sum(lifts)
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
+def _row(d: int, p: int, d1: DerivSpec, d2: DerivSpec,
+         s: MultiIndex) -> Tuple[Tuple[MultiIndex, int], ...]:
+    """The field-independent row t -> W(s, t) of nonzero integer weights.
+
+    Walks the first factor: its term (c1, e1, w1) meets the second factor's
+    term at the word w2 = e1 + s, if there is one, (c2, e2, w2), and adds
+    c1 c2 at t = w1 - e2 when t >= 0.
+    """
+    second = _kernel_terms(d, p, d2, False)
+    row: Dict[MultiIndex, int] = {}
+    for w1, (c1, e1) in _kernel_terms(d, p, d1, True).items():
+        hit = second.get(mi_add(e1, s))
+        if hit is None:
+            continue
+        c2, e2 = hit
+        t = tuple(a - b for a, b in zip(w1, e2))
+        if min(t) >= 0:
+            row[t] = row.get(t, 0) + c1 * c2
+    return tuple((t, w) for t, w in row.items() if w)
+
+
 def delta_pair_integral(
     f: Poly,
     g: Poly,
@@ -134,39 +173,39 @@ def delta_pair_integral(
 
     D1 decorates the first factor, D2 the second; both DerivSpecs refer to
     the literal variables x and y.  ``modes = (mode_f, mode_g)`` selects
-    plain or shifted smearing per slot; shifted slots are shifted here.
+    plain or shifted smearing per slot; a shifted slot drops its constant
+    term, which gives f - f(0) without building it.
 
     A term (c1, e1, w1) of the first factor and a term (c2, e2, w2) of the
-    second contribute c1 c2 f_{w2-e1} g_{w1-e2}: the x-integral pairs
-    f x^{e1} against d_{w2} delta(x), the y-integral g y^{e2} against
-    d_{w1} delta(y).  So only the word w2 = e1 + s is visited for each
-    monomial s of f, at cost O(N |supp f|) rather than O(N^2).  A smearing
-    term with a negative exponent is never paired: it has no Taylor
-    coefficient at the origin.
+    second contribute c1 c2 f_s g_t with s = w2 - e1 and t = w1 - e2: the
+    x-integral pairs f x^{e1} against d_{w2} delta(x), the y-integral
+    g y^{e2} against d_{w1} delta(y).  So the integral is
+    sum_{s,t} W(s,t) f_s g_t, and for each Taylor exponent s of f the row
+    t -> W(s,t) depends on no field: it is built once per (d, p, D1, D2, s)
+    and cached.  Since |s| + |t| = (|w1| - |e1|) + (|w2| - |e2|), a term of
+    f with |s| above the largest such sum never reaches a word and is
+    skipped before any row is built.  A call costs |supp f| x |row| lookups.
+    A smearing term with a negative exponent is never paired: it has no
+    Taylor coefficient at the origin.
     """
+    check_grid(d, p)
     if f.dim != d or g.dim != d:
         raise ValueError("smearing functions must have dimension d")
-    ff = shift_to_zero(f) if modes[0] is SmearMode.SHIFTED else f
-    gg = shift_to_zero(g) if modes[1] is SmearMode.SHIFTED else g
-    first = _kernel_terms(d, p, d1, poly_is_x=True)
-    second = _kernel_terms(d, p, d2, poly_is_x=False)
+    reach = _reach(d, p, d1, d2)
+    zero = (0,) * d
+    skip_s = zero if modes[0] is SmearMode.SHIFTED else None
+    skip_t = zero if modes[1] is SmearMode.SHIFTED else None
+    g_num = g.numerators
     # Sum int numerators; the two shared denominators divide once at the end.
-    f_terms = [(s, c) for s, c in ff.numerators.items() if min(s) >= 0]
-    g_num = gg.numerators
     total = 0
-    for w1, (c1, e1) in first.items():
-        for s, fc in f_terms:
-            hit = second.get(tuple(a + b for a, b in zip(e1, s)))
-            if hit is None:
-                continue
-            c2, e2 = hit
-            diff = tuple(a - b for a, b in zip(w1, e2))
-            if min(diff) < 0:
-                continue
-            gc = g_num.get(diff)
-            if gc is not None:
-                total += c1 * c2 * fc * gc
-    return Fraction(total, ff.denominator * gg.denominator)
+    for s, fc in f.numerators.items():
+        if sum(s) > reach or min(s) < 0 or s == skip_s:
+            continue
+        for t, w in _row(d, p, d1, d2, s):
+            gc = g_num.get(t)
+            if gc is not None and t != skip_t:
+                total += w * fc * gc
+    return Fraction(total, f.denominator * g.denominator)
 
 
 def delta_pair_closed(

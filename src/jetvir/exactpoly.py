@@ -206,15 +206,21 @@ class Poly:
             raise ValueError(f"exponents must be integers, got {n!r}")
         if n < 0:
             raise ValueError("negative powers of a general polynomial are undefined")
-        result = _wrap(self.dim, {(0,) * self.dim: 1}, 1)
+        if n == 0:
+            return _wrap(self.dim, {(0,) * self.dim: 1}, 1)
+        # Square up to the lowest set bit, which starts the result, so no
+        # product has the constant 1 as an operand.
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
+            n >>= 1
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -275,12 +281,19 @@ class Poly:
             if s.dim != tdim:
                 raise ValueError("substitution polynomials must share a dimension")
         one = _wrap(tdim, {(0,) * tdim: 1}, 1)
+        powers: Dict[Tuple[int, int], Poly] = {}
         pairs = []
         for e, n in self._num.items():
-            term = one
-            for q, k in zip(substitutions, e):
-                term = term * (q ** k if k >= 0 else _monomial_inverse_power(q, -k))
-            pairs.append((Fraction(n, self._den), term))
+            term = None
+            for i, k in enumerate(e):
+                if k == 0:
+                    continue
+                q = powers.get((i, k))
+                if q is None:
+                    s = substitutions[i]
+                    q = powers[i, k] = s ** k if k > 0 else _monomial_inverse_power(s, -k)
+                term = q if term is None else term * q
+            pairs.append((Fraction(n, self._den), one if term is None else term))
         return lincomb(tdim, pairs)
 
     # -- formatting ---------------------------------------------------------

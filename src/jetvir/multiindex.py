@@ -7,6 +7,7 @@ Python's arbitrary-precision integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Sequence, Tuple
 
@@ -92,6 +93,12 @@ def enumerate_indices(d: int, p: int) -> Tuple[MultiIndex, ...]:
     """All multi-indices m with |m| <= p in graded order (by total degree,
     then first component decreasing).  Length is binom(d+p, d)."""
     check_grid(d, p)
+    return _lattice(d, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice(d: int, p: int) -> Tuple[MultiIndex, ...]:
+    """The lattice of ``enumerate_indices``, built once per checked (d, p)."""
     out = []
     for t in range(p + 1):
         out.extend(_compositions(t, d))

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,3 +182,45 @@ def test_pair_integral_laurent_terms_never_reach_a_word():
                                PLAIN, 1, 2) == 0
     assert delta_pair_integral(x, inv, DerivSpec.none(), DerivSpec.none(),
                                PLAIN, 1, 2) == 0
+
+
+def test_bool_grid_raises_after_the_caches_are_primed():
+    # True == 1 hashes like 1, so a cache keyed by (d, p) must not be
+    # consulted before the grid check.
+    one = Poly.constant(1, 1)
+    none = DerivSpec.none()
+    assert delta_pair_integral(one, one, none, none, PLAIN, 1, 2) == 3
+    assert delta_pair_integral(one, one, none, none, PLAIN, 1, 1) == 2
+    with pytest.raises(ValueError, match="dimension must be"):
+        delta_pair_integral(one, one, none, none, PLAIN, True, 2)
+    with pytest.raises(ValueError, match="jet order must be"):
+        delta_pair_integral(one, one, none, none, PLAIN, 1, True)
+
+
+def _dense_field(d, p, rng):
+    """Every monomial of degree <= p + 2 with a nonzero coefficient, plus one
+    Laurent term."""
+    terms = {e: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+             for e in enumerate_indices(d, p + 2)}
+    terms[(0,) * (d - 1) + (-1,)] = Fraction(rng.randint(1, 4))
+    return Poly(d, terms)
+
+
+def test_pair_integral_equals_reference_loop_on_the_whole_grid():
+    """Every decoration pair and smear-mode pair at every d <= 2, p <= 4 and
+    at (3, 2), on dense fields; the grid is walked forward, then in reverse
+    against the same reference values, so a row cached under a wrong key
+    shows up in one order or the other."""
+    rng = random.Random(14)
+    cases = []
+    for d, p in [(d, p) for d in (1, 2) for p in range(5)] + [(3, 2)]:
+        f, g = _dense_field(d, p, rng), _dense_field(d, p, rng)
+        derivs = [DerivSpec.none(), *(DerivSpec.on_x(mu) for mu in range(d)),
+                  *(DerivSpec.on_y(mu) for mu in range(d))]
+        cases += [(f, g, d1, d2, modes, d, p) for d1 in derivs for d2 in derivs
+                  for modes in itertools.product(SmearMode, repeat=2)]
+    expected = [_reference_pair_integral(*case) for case in cases]
+    assert any(expected) and not all(expected)
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        for i in order:
+            assert delta_pair_integral(*cases[i]) == expected[i], cases[i][2:]

@@ -114,6 +114,36 @@ def test_composition_negative_power_needs_monomial():
         lz.compose_univariate([parse_poly("z + 1", 1, "z")])
 
 
+def test_composition_and_powers_never_multiply_by_one(monkeypatch):
+    """No product of one compose_univariate call or one ** call has the
+    constant 1 as an operand, and a composition raises each q_i^k once."""
+    f = Poly(2, {(2, 1): 1, (2, 0): 1, (0, 3): 1, (1, -1): 1, (0, 0): 5})
+    q0, q1 = parse_poly("z + z^2", 1, "z"), parse_poly("3 z", 1, "z")
+    x = parse_poly("x0 + 2 x1", 2)
+    expected = (q0 ** 2 * q1 + q0 ** 2 + q1 ** 3 + q0 * parse_poly("1/3 * z^-1", 1, "z")
+                + Poly.constant(1, 5), x * x * x * x * x * x)
+    products, powers = [], []
+    mul, pow_ = Poly.__mul__, Poly.__pow__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def counting_pow(a, n):
+        powers.append(n)
+        return pow_(a, n)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly, "__pow__", counting_pow)
+    composed = f.compose_univariate([q0, q1])
+    assert sorted(powers) == [1, 1, 2, 3]  # q0, q1, q0^2, q1^3
+    sixth = x ** 6
+    monkeypatch.undo()
+    assert (composed, sixth) == expected
+    ones = (Poly.constant(1, 1), Poly.constant(2, 1))
+    assert products and not any(op in ones for pair in products for op in pair)
+
+
 def test_degree_cap(monkeypatch):
     monkeypatch.setattr(exactpoly, "MAX_DEGREE", 8)
     f = parse_poly("x0^5", 1)

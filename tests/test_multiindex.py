@@ -3,6 +3,7 @@ import math
 import pytest
 
 from jetvir.multiindex import (
+    _compositions,
     add,
     binomial,
     check_grid,
@@ -71,3 +72,17 @@ def test_unit():
     assert unit(3, 1) == (0, 1, 0)
     with pytest.raises(ValueError):
         unit(2, 2)
+
+
+def test_lattice_cache_keeps_the_grid_check():
+    # True == 1 and False == 0 hash like the ints, so the lattice cache
+    # must sit behind check_grid.
+    assert enumerate_indices(1, 2) == ((0,), (1,), (2,))
+    assert enumerate_indices(1, 0) == ((0,),)
+    for d, p in ((True, 2), (1, False), (0, 1)):
+        with pytest.raises(ValueError, match="must be"):
+            enumerate_indices(d, p)
+    for d, p in ((1, 2), (1, 0), (3, 4)):
+        cached = enumerate_indices(d, p)
+        assert type(cached) is tuple and cached is enumerate_indices(d, p)
+        assert cached == tuple(m for t in range(p + 1) for m in _compositions(t, d))
