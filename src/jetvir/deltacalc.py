@@ -82,11 +82,6 @@ def _check_deriv(deriv: DerivSpec, d: int) -> None:
         raise ValueError(f"derivative direction {deriv.direction} out of range for d={d}")
 
 
-def shift_to_zero(f: Poly) -> Poly:
-    """f minus its value at the origin (the shifted smearing function)."""
-    return f - Poly.constant(f.dim, f.constant_term())
-
-
 # A kernel expansion maps each derivative word on the delta of one variable
 # to (coefficient, monomial exponent in the other variable); a word belongs
 # to at most one term.  The coefficient already carries the pairing factor

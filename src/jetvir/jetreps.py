@@ -35,6 +35,7 @@ algebra f^{abc} is the Levi-Civita symbol and (M^a)_{bc} = -eps_{abc}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .exactpoly import Poly, exact, lincomb
 from .multiindex import (
+    MultiIndex,
     binomial,
     enumerate_indices,
     sub as mi_sub,
@@ -58,9 +60,11 @@ Matrix = Tuple[Tuple[Poly, ...], ...]
 # where prim has int numerators with gcd 1 over denominator 1 and a positive
 # numerator at its largest exponent.  A jet matrix holds the same prim in
 # many entries, scaled only by binomials and rep-matrix entries.  So a matrix
-# operation plans each result entry as terms (coefficient, prim, prim), and
-# ``_evaluate`` makes each distinct product of prims once per operation.  By
-# Gauss's lemma that product is again primitive, with denominator 1.
+# operation takes each matrix as its rows, dicts column -> factored entry of
+# the nonzero entries, plans each result row over those dicts alone as terms
+# (coefficient, prim, prim) per column, and ``_evaluate`` makes each distinct
+# product of prims once per operation.  By Gauss's lemma that product is
+# again primitive, with denominator 1.
 _Factored = Tuple[int, int, Poly]
 
 
@@ -83,16 +87,9 @@ def _split_all(v: Sequence[Poly], parts: dict) -> Dict[int, _Factored]:
     return {k: _split(x, parts) for k, x in enumerate(v) if not x.is_zero()}
 
 
-def _factor(matrix: Matrix, parts: dict):
-    """The rows and the columns of a matrix as dicts index -> factored entry
-    of the nonzero entries.  Each entry is split once, and its row and its
-    column hold the same tuple."""
-    rows = [_split_all(row, parts) for row in matrix]
-    cols = [{} for _ in (matrix[0] if matrix else ())]
-    for i, row in enumerate(rows):
-        for j, f in row.items():
-            cols[j][i] = f
-    return rows, cols
+def _factor(matrix: Matrix, parts: dict) -> List[Dict[int, _Factored]]:
+    """The rows of a matrix as dicts column -> factored nonzero entry."""
+    return [_split_all(row, parts) for row in matrix]
 
 
 def _plan(plan: dict, n: int, d: int, x: Poly, y: Poly) -> None:
@@ -111,12 +108,15 @@ def _plan(plan: dict, n: int, d: int, x: Poly, y: Poly) -> None:
         t[1] *= d
 
 
-def _dot(plan: dict, row: dict, col: dict, sign: int) -> None:
-    """Plan the terms of sign * (row . col) where both factors are nonzero."""
+def _row_times(plans: dict, row: dict, rows: list, sign: int) -> None:
+    """Plan the terms of sign * (row . B), for B given by its factored
+    ``rows``, into ``plans`` keyed by column; only nonzero entries are
+    visited."""
     for k, (g1, d1, p1) in row.items():
-        f = col.get(k)
-        if f is not None:
-            g2, d2, p2 = f
+        for j, (g2, d2, p2) in rows[k].items():
+            plan = plans.get(j)
+            if plan is None:
+                plan = plans[j] = {}
             _plan(plan, sign * g1 * g2, d1 * d2, p1, p2)
 
 
@@ -138,54 +138,55 @@ def _along(plan: dict, a: dict, f, sign: int, parts: dict, derivs: dict) -> None
             _plan(plan, sign * ga * g * gd, da * den, pa, pd)
 
 
-def _evaluate(dim: int, plans: Callable[[], Iterator[dict]]) -> List[Poly]:
-    """Each plan that ``plans()`` yields as the Poly sum of its terms
-    (n/d) * x * y, one ``lincomb`` per plan.
+def _evaluate(dim: int, ncols: int, rows: Callable[[], Iterator[dict]]) -> Matrix:
+    """The matrix whose rows ``rows()`` yields as dicts column -> plan: each
+    plan with a nonzero coefficient is one ``lincomb`` of its terms
+    (n/d) * x * y, and every other entry is one shared zero Poly.
 
-    A first run of ``plans()`` counts the uses of each pair of prims, so that
+    A first run of ``rows()`` counts the uses of each pair of prims, so that
     the second can make each distinct product x * y once, through
-    Poly.__mul__, and drop it after its last use; the plans themselves are
+    Poly.__mul__, and drop it after its last use; the rows themselves are
     never all held at once.  A product is made also when its coefficients
     cancel, so the degree cap raises exactly when a product of the two
     unfactored entries would.
     """
-    uses = Counter(key for plan in plans() for key in plan)
+    uses = Counter(key for row in rows() for plan in row.values() for key in plan)
     made = {}
+    zero = Poly.zero(dim)
     out = []
-    for plan in plans():
-        pairs = []
-        for key, (n, d, x, y) in plan.items():
-            prod = made.get(key)
-            if prod is None:
-                prod = made[key] = x * y
-            left = uses[key] - 1
-            if left:
-                uses[key] = left
-            else:
-                del made[key]
-            if n:
-                pairs.append((n if d == 1 else Fraction(n, d), prod))
-        out.append(lincomb(dim, pairs))
-    return out
-
-
-def _grid(entries: List[Poly], nrows: int, ncols: int) -> Matrix:
-    return tuple(tuple(entries[i * ncols:(i + 1) * ncols]) for i in range(nrows))
+    for row in rows():
+        entries = [zero] * ncols
+        for j, plan in row.items():
+            pairs = []
+            for key, (n, d, x, y) in plan.items():
+                prod = made.get(key)
+                if prod is None:
+                    prod = made[key] = x * y
+                left = uses[key] - 1
+                if left:
+                    uses[key] = left
+                else:
+                    del made[key]
+                if n:
+                    pairs.append((n if d == 1 else Fraction(n, d), prod))
+            if pairs:
+                entries[j] = lincomb(dim, pairs)
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a:
         return ()
     parts: dict = {}
-    rows, _ = _factor(a, parts)
-    _, cols = _factor(b, parts)
+    rows_a, rows_b = _factor(a, parts), _factor(b, parts)
 
-    def plans():
-        for r, c in itertools.product(rows, cols):
-            plan = {}
-            _dot(plan, r, c, 1)
-            yield plan
-    return _grid(_evaluate(a[0][0].dim, plans), len(rows), len(cols))
+    def rows():
+        for r in rows_a:
+            row: dict = {}
+            _row_times(row, r, rows_b, 1)
+            yield row
+    return _evaluate(a[0][0].dim, len(b[0]) if b else 0, rows)
 
 
 def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> Matrix:
@@ -195,29 +196,30 @@ def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> 
                              + (a1.d B2 - a2.d B1 + B1 B2 - B2 B1).
 
     a1, a2 are vector parts (Polys in q, empty for none) and b1, b2 square
-    matrices of Polys in q.  Each entry of the result is one ``lincomb`` of
-    its products and directional-derivative terms, and each distinct product
-    of prims is made once per call.
+    matrices of Polys in q.  Row i is planned as
+    sum_k B1[i,k] B2[k,.] - B2[i,k] B1[k,.] over the nonzero entries, plus
+    a1.d B2[i,.] - a2.d B1[i,.] over the nonzero entries of row i.  An
+    entry with a nonzero planned coefficient is one ``lincomb``, any other
+    is the shared zero, and each distinct product of prims is made once.
     """
     if not b1:
         return ()
     parts: dict = {}
     derivs: dict = {}
-    rows1, cols1 = _factor(b1, parts)
-    rows2, cols2 = _factor(b2, parts)
+    rows1, rows2 = _factor(b1, parts), _factor(b2, parts)
     v1, v2 = _split_all(a1, parts), _split_all(a2, parts)
 
-    def plans():
+    def rows():
         for r1, r2 in zip(rows1, rows2):
-            for j, (c1, c2) in enumerate(zip(cols1, cols2)):
-                plan = {}
-                _dot(plan, r1, c2, 1)
-                _dot(plan, r2, c1, -1)
-                _along(plan, v1, r2.get(j), 1, parts, derivs)
-                _along(plan, v2, r1.get(j), -1, parts, derivs)
-                yield plan
-    n = len(b1)
-    return _grid(_evaluate(b1[0][0].dim, plans), n, n)
+            row: dict = {}
+            _row_times(row, r1, rows2, 1)
+            _row_times(row, r2, rows1, -1)
+            for v, r, sign in ((v1, r2, 1), (v2, r1, -1)):
+                if v:
+                    for j, f in r.items():
+                        _along(row.setdefault(j, {}), v, f, sign, parts, derivs)
+            yield row
+    return _evaluate(b1[0][0].dim, len(b1), rows)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -353,6 +355,23 @@ class MatrixRep:
 
 # -- jet block builders --------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _stencil(d: int, p: int, s: MultiIndex) -> Tuple[Tuple[int, int, int, MultiIndex], ...]:
+    """The field-independent blocks of one shifted factor of ``_jet_matrix``:
+    (index of m, index of n, binom(m, n - s), order m - n + s) over the
+    lattice pairs with a nonzero binomial, without the base-point term
+    m = n - s of a nonzero shift.  Built once per checked (d, p) and s."""
+    lattice = enumerate_indices(d, p)
+    out = []
+    for mi, m in enumerate(lattice):
+        for ni, n in enumerate(lattice):
+            ns = tuple(x - y for x, y in zip(n, s))
+            b = binomial(m, ns)
+            if b and (m != ns or not any(s)):
+                out.append((mi, ni, b, mi_sub(m, ns)))
+    return tuple(out)
+
+
 def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...]]],
                 size: int, d: int, p: int) -> Matrix:
     """Matrix on (jet) (x) (rep of the given size), entries Poly in q, of
@@ -365,29 +384,33 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     s_k != 0 the term m = n - s_k, f_k(q) d_{s_k}, is left out: it is the
     base-point part xi(q).d/dq that ``JetOperator.vector`` carries, so
     the factor transports by f_k(x+q) - f_k(q).
+
+    Only the blocks of each factor's cached ``_stencil`` are visited.  An
+    entry with a nonzero term is one ``lincomb``; every other entry is one
+    shared zero Poly.
     """
-    lattice = enumerate_indices(d, p)
-    derivs = [{} for _ in factors]  # per factor: order -> d_order f_k
-    rows = []
-    for m in lattice:
-        blocks = []  # per column index n: the (binom, nonzero d_{m-n+s}f_k, R_k)
-        for n in lattice:
-            block = []
-            for (f, r, s), known in zip(factors, derivs):
-                ns = tuple(x - y for x, y in zip(n, s))
-                b = binomial(m, ns)
-                if b and (m != ns or not any(s)):
-                    order = mi_sub(m, ns)
-                    g = known.get(order)
-                    if g is None:
-                        g = known[order] = f.deriv_multi(order)
-                    if not g.is_zero():
-                        block.append((b, g, r))
-            blocks.append(block)
+    width = len(enumerate_indices(d, p)) * size  # checks (d, p) before the cache
+    blocks: Dict[Tuple[int, int], list] = {}  # (m, n) -> [(binom, d_order f_k, R_k)]
+    for f, r, s in factors:
+        if f.is_zero():
+            continue
+        known = {}  # order -> d_order f_k
+        for mi, ni, b, order in _stencil(d, p, s):
+            g = known.get(order)
+            if g is None:
+                g = known[order] = f.deriv_multi(order)
+            if not g.is_zero():
+                blocks.setdefault((mi, ni), []).append((b, g, r))
+    zero = Poly.zero(d)
+    rows = [[zero] * width for _ in range(width)]
+    for (mi, ni), block in blocks.items():
         for i in range(size):
-            rows.append(tuple(lincomb(d, [(b * r[i][j], g) for b, g, r in block if r[i][j]])
-                              for block in blocks for j in range(size)))
-    return tuple(rows)
+            row = rows[mi * size + i]
+            for j in range(size):
+                terms = [(b * r[i][j], g) for b, g, r in block if r[i][j]]
+                if terms:
+                    row[ni * size + j] = lincomb(d, terms)
+    return tuple(map(tuple, rows))
 
 
 # -- operators -----------------------------------------------------------------
@@ -461,13 +484,13 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     derivs: dict = {}
     fx, fe = _split_all(xi, parts), _split_all(eta, parts)
 
-    def plans():
-        for mu in range(d):
-            plan = {}
+    def rows():
+        row = {mu: {} for mu in range(d)}
+        for mu, plan in row.items():
             _along(plan, fx, fe.get(mu), 1, parts, derivs)
             _along(plan, fe, fx.get(mu), -1, parts, derivs)
-            yield plan
-    return _evaluate(d, plans)
+        yield row
+    return list(_evaluate(d, d, rows)[0])
 
 
 def divergence(xi: Sequence[Poly]) -> Poly:

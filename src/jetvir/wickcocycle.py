@@ -41,10 +41,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charges import GlRepTraces, GRepTraces
-from .deltacalc import DerivSpec, SmearMode, delta_pair_integral, shift_to_zero
+from .deltacalc import DerivSpec, SmearMode, delta_pair_integral
 from .exactpoly import Poly, exact
-from .jetreps import divergence
-from .multiindex import check_grid
+from .multiindex import check_grid, unit
 
 
 # A matrix insertion is a pair (t, a) acting on rho (x) M: t = (nu, mu) for
@@ -152,6 +151,12 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
 
 # -- base-point sector rules ----------------------------------------------------
 
+def _jacobian_at_zero(xi: Sequence[Poly]) -> List[List[Fraction]]:
+    """d_nu xi^mu(0) as [mu][nu]: the coefficient of x_nu in xi^mu."""
+    units = [unit(len(xi), nu) for nu in range(len(xi))]
+    return [[c.coeff(e) for e in units] for c in xi]
+
+
 def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
     """Closed-form contributions of the base-point (q, p) contractions."""
     ta = a.q_sector
@@ -159,18 +164,13 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
     if ta is None or tb is None:
         return
     if ta[0] == "L" and tb[0] == "L":
-        xi, eta = ta[1], tb[1]
-        d = len(xi)
-        val = Fraction(0)
-        for mu in range(d):
-            for nu in range(d):
-                val += (xi[mu].deriv(nu).constant_term()
-                        * eta[nu].deriv(mu).constant_term())
-        pe.add(2, -val)
+        jx, je = _jacobian_at_zero(ta[1]), _jacobian_at_zero(tb[1])
+        d = len(jx)
+        pe.add(2, -sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d)))
     elif ta[0] == "T" and tb[0] == "L":
-        pe.add(3, divergence(tb[1]).constant_term())
+        pe.add(3, sum(row[mu] for mu, row in enumerate(_jacobian_at_zero(tb[1]))))
     elif ta[0] == "L" and tb[0] == "T":
-        pe.add(3, -divergence(ta[1]).constant_term())
+        pe.add(3, -sum(row[mu] for mu, row in enumerate(_jacobian_at_zero(ta[1]))))
     elif ta[0] == "T" and tb[0] == "T":
         pe.add(4, Fraction(a.d))
 
@@ -231,7 +231,7 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
         raise ValueError("vector field needs d polynomial components in d variables")
     terms: List[Term] = []
     for mu in range(d):
-        if not shift_to_zero(xi[mu]).is_zero():
+        if any(any(e) for e in xi[mu].numerators):  # xi^mu is not constant
             terms.append(Term(Fraction(1), xi[mu], (None, None), phi_deriv=mu))
         for nu in range(d):
             dxi = xi[mu].deriv(nu)

@@ -12,7 +12,6 @@ from jetvir.deltacalc import (
     Which,
     delta_pair_closed,
     delta_pair_integral,
-    shift_to_zero,
 )
 from jetvir.exactpoly import Poly, parse_poly
 from jetvir.multiindex import enumerate_indices, factorial, norm
@@ -20,6 +19,11 @@ from jetvir.multiindex import enumerate_indices, factorial, norm
 PLAIN = (SmearMode.PLAIN, SmearMode.PLAIN)
 SHIFT_PLAIN = (SmearMode.SHIFTED, SmearMode.PLAIN)
 SHIFT_SHIFT = (SmearMode.SHIFTED, SmearMode.SHIFTED)
+
+
+def shift_to_zero(f):
+    """f minus its value at the origin (the shifted smearing function)."""
+    return f - Poly.constant(f.dim, f.constant_term())
 
 
 def _rand_poly(d, deg, rng):

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvir import exactpoly
-from jetvir.exactpoly import Poly, parse_poly
+from jetvir import exactpoly, jetreps
+from jetvir.exactpoly import Poly, lincomb, parse_poly
 from jetvir.jetreps import (
     MatrixRep,
     StructureConstants,
     _bracket,
     _factor,
     _insert_identity,
+    _jet_matrix,
     bracket,
     bracket_diff,
     bracket_gauge,
@@ -312,14 +313,13 @@ def test_factor_splits_entries_into_content_and_shared_prims():
     a = ((f, z, g.scale(Fraction(-1, 2))), (f.scale(-3), g, z))
     b = ((z, f.scale(Fraction(5, 7))), (g.scale(4), z))
     parts = {}
-    rows_a, cols_a = _factor(a, parts)
-    rows_b, cols_b = _factor(b, parts)
-    for m, rows, cols in ((a, rows_a, cols_a), (b, rows_b, cols_b)):
-        assert len(rows) == len(m) and len(cols) == len(m[0])
+    rows_a = _factor(a, parts)
+    rows_b = _factor(b, parts)
+    for m, rows in ((a, rows_a), (b, rows_b)):
+        assert len(rows) == len(m)
         for i, row in enumerate(m):
             assert set(rows[i]) == {j for j, x in enumerate(row) if not x.is_zero()}
             for j, (g_, den, prim) in rows[i].items():
-                assert cols[j][i] is rows[i][j]
                 assert row[j] == prim.scale(Fraction(g_, den))
                 nums = prim.numerators
                 assert prim.denominator == 1 and math.gcd(*nums.values()) == 1
@@ -384,6 +384,105 @@ def test_diff_operator_is_transport_plus_frame(case):
                            frame_rep, d, p).matrix
     transport = _insert_identity(_reference_transport(xi, d, p), rep.size)
     assert diff_operator(xi, rep, d, p).matrix == _mat_add(transport, frame)
+
+
+def test_bool_grid_raises_after_the_stencil_cache_is_primed():
+    # True == 1 hashes like 1, so the stencil cache keyed by (d, p, s) must
+    # not be consulted before the grid check.
+    x = Poly.variable(1, 0)
+    rep_g, rep_gl = MatrixRep.g_abelian(1), MatrixRep.gl_scalar_weight(1, 2)
+    for p in (1, 2):
+        gauge_operator([x], rep_g, 1, p)
+        diff_operator([x], rep_gl, 1, p)
+    for build, rep in ((gauge_operator, rep_g), (diff_operator, rep_gl)):
+        with pytest.raises(ValueError, match="dimension must be"):
+            build([x], rep, True, 2)
+        with pytest.raises(ValueError, match="jet order must be"):
+            build([x], rep, 1, True)
+
+
+# -- differential test: the stencil builder against the dense one --------------
+
+def _reference_jet_matrix(factors, size, d, p):
+    """The dense builder: every block (m, n) of every factor is probed, and
+    every entry, zero or not, is its own lincomb.  Also returns the set of
+    positions of the entries with at least one term (whose sum may still
+    cancel)."""
+    lattice = enumerate_indices(d, p)
+    derivs = [{} for _ in factors]
+    rows = []
+    with_terms = set()
+    for m in lattice:
+        blocks = []
+        for n in lattice:
+            block = []
+            for (f, r, s), known in zip(factors, derivs):
+                ns = tuple(x - y for x, y in zip(n, s))
+                b = binomial(m, ns)
+                if b and (m != ns or not any(s)):
+                    order = mi_sub(m, ns)
+                    g = known.get(order)
+                    if g is None:
+                        g = known[order] = f.deriv_multi(order)
+                    if not g.is_zero():
+                        block.append((b, g, r))
+            blocks.append(block)
+        for i in range(size):
+            terms = [[(b * r[i][j], g) for b, g, r in block if r[i][j]]
+                     for block in blocks for j in range(size)]
+            with_terms.update((len(rows), j) for j, t in enumerate(terms) if t)
+            rows.append(tuple(lincomb(d, t) for t in terms))
+    return tuple(rows), with_terms
+
+
+def _dense_poly(d, deg, rng):
+    """Every monomial of degree <= deg, each with a nonzero coefficient."""
+    return Poly(d, {e: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+                    for e in enumerate_indices(d, deg)})
+
+
+def _jet_factor_cases(d, p, rng):
+    """The factor lists of ``gauge_operator`` and ``diff_operator`` on dense
+    random fields, for abelian and rotation-adjoint currents and for scalar
+    weight and vector gl-reps."""
+    zero = (0,) * d
+    for rep in (MatrixRep.g_abelian(2, [Fraction(1, 2), 3]), MatrixRep.g_rotation_adjoint()):
+        mats = [m for _, m in rep.generators]
+        X = [_dense_poly(d, p + 1, rng) for _ in mats]
+        yield [(x, m, zero) for x, m in zip(X, mats)], rep.size
+    for rep in (MatrixRep.gl_scalar_weight(d, Fraction(1, 2)), MatrixRep.gl_vector(d)):
+        xi = [_dense_poly(d, 3, rng) for _ in range(d)]
+        eye = tuple(tuple(Fraction(int(i == j)) for j in range(rep.size))
+                    for i in range(rep.size))
+        yield ([(xi[mu], eye, unit(d, mu)) for mu in range(d)]
+               + [(xi[mu].deriv(nu), rep.matrix((nu, mu)), zero)
+                  for nu in range(d) for mu in range(d)]), rep.size
+
+
+def test_jet_matrix_matches_the_dense_builder_with_one_lincomb_per_nonzero_entry():
+    """Every d <= 3, p <= 3, walked forward and then in reverse against the
+    same reference matrices, so a stencil cached under a wrong key shows up
+    in one order or the other.  The builder calls lincomb once for each
+    entry with a term, which every nonzero entry has, and never for another
+    entry; the entries without a term are one shared zero Poly."""
+    rng = random.Random(15)
+    cases = [(d, p, factors, size, *_reference_jet_matrix(factors, size, d, p))
+             for d in (1, 2, 3) for p in range(4)
+             for factors, size in _jet_factor_cases(d, p, rng)]
+    calls = []
+
+    def counting(dim, pairs):
+        calls.append(dim)
+        return lincomb(dim, pairs)
+    for d, p, factors, size, expected, with_terms in cases + cases[::-1]:
+        calls.clear()
+        with mock.patch.object(jetreps, "lincomb", counting):
+            got = _jet_matrix(factors, size, d, p)
+        assert got == expected
+        assert len(calls) == len(with_terms)
+        zeros = {id(x) for i, row in enumerate(got) for j, x in enumerate(row)
+                 if (i, j) not in with_terms}
+        assert len(zeros) <= 1
 
 
 # -- differential test: one bracket kernel against the composed matrix ops -----
