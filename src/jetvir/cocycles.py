@@ -109,13 +109,20 @@ def _check_field(name: str, field: Sequence[Poly], d: int, n: int | None = None)
         raise ValueError(f"each component of {name} must be a polynomial in {d} variable(s)")
 
 
+def _product_residue(a: Poly, b: Poly) -> Fraction:
+    """res (a b) = sum_k a_k b_(-1-k), read off the numerators of a and b."""
+    b_num = b.numerators
+    total = sum(n * b_num.get((-1 - k,), 0) for (k,), n in a.numerators.items())
+    return Fraction(total, a.denominator * b.denominator)
+
+
 def _pullback_residue(omega: Sequence[Poly], q: Trajectory) -> Fraction:
-    """res sum_rho q'^rho omega_rho(q(z)): the 1-form omega integrated over
-    the loop q.  A zero velocity component contributes nothing."""
+    """res sum_rho q'^rho omega_rho(q(z)), the 1-form omega over the loop q,
+    each term read off its two factors; a zero velocity adds nothing."""
     total = Fraction(0)
     for v, w in zip(q.velocity(), omega):
         if not v.is_zero():
-            total += residue(v * compose(w, q))
+            total += _product_residue(v, compose(w, q))
     return total
 
 

@@ -24,7 +24,8 @@ Two layers are provided:
   word and is skipped.  A smearing term with a negative exponent is never
   paired.  Only field-independent data is cached, never an integral.
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
-  to; the oracle never consults them, so oracle-vs-closed comparison is an
+  to, lattice sums times Taylor numerators read at 0 and at e_mu; the
+  oracle never consults them, so oracle-vs-closed comparison is an
   independent test.
 
 Distributions never exist as runtime values; only the pairing rule is
@@ -78,8 +79,9 @@ class SmearMode(enum.Enum):
 
 
 def _check_deriv(deriv: DerivSpec, d: int) -> None:
-    if deriv.which is not Which.NONE and not 0 <= deriv.direction < d:
-        raise ValueError(f"derivative direction {deriv.direction} out of range for d={d}")
+    mu = deriv.direction
+    if deriv.which is not Which.NONE and (type(mu) is not int or not 0 <= mu < d):
+        raise ValueError(f"derivative direction {mu!r} out of range for d={d}")
 
 
 # A kernel expansion maps each derivative word on the delta of one variable
@@ -99,8 +101,8 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> _KernelT
     appends to the delta's derivative word (when it targets the delta
     variable).  The kernel coefficient (-1)^{|m|} / m! times the pairing
     factor (-1)^{|word|} word! is the integer (-1)^{|word|-|m|} word! / m!.
+    The caller checks the decoration's direction before any cache is read.
     """
-    _check_deriv(deriv, d)
     hits_poly = (deriv.which is Which.ON_X) == poly_is_x and deriv.which is not Which.NONE
     hits_delta = deriv.which is not Which.NONE and not hits_poly
     mu = deriv.direction
@@ -186,6 +188,8 @@ def delta_pair_integral(
     check_grid(d, p)
     if f.dim != d or g.dim != d:
         raise ValueError("smearing functions must have dimension d")
+    _check_deriv(d1, d)  # before the caches, where a bool key finds its int's entry
+    _check_deriv(d2, d)
     reach = _reach(d, p, d1, d2)
     zero = (0,) * d
     skip_s = zero if modes[0] is SmearMode.SHIFTED else None
@@ -223,29 +227,33 @@ def delta_pair_closed(
     which for mu = nu reduces to C_{d,p} d_mu f(0) d_mu g(0), with
     C = E + D the single-direction square sum.
 
-    Cases ii and iii read only first derivatives at the origin, which the
-    shift does not change, so f and g are read as given; the closed forms
-    hold only for shifted slots.
+    f(0) and d_mu f(0) are read as Taylor numerators at 0 and at e_mu (only
+    x^{e_mu} differentiates to a constant, Laurent terms included), and the
+    integer sum is divided once by the two denominators.  Cases ii and iii
+    read only first derivatives, which the shift does not change, so f and
+    g are read as given; the closed forms hold only for shifted slots.
     """
     if f.dim != d or g.dim != d:
         raise ValueError("smearing functions must have dimension d")
+    fn, gn = f.numerators, g.numerators
+    f0, g0 = fn.get((0,) * d, 0), gn.get((0,) * d, 0)
     if case == "i":
-        return sum_closed(SumKind.A, d, p) * f.constant_term() * g.constant_term()
-    if case == "ii":
-        if mu is None or not 0 <= mu < d:
+        total = sum_closed(SumKind.A, d, p) * f0 * g0
+    elif case == "ii":
+        if type(mu) is not int or not 0 <= mu < d:
             raise ValueError("case ii needs a direction mu")
-        return (
-            sum_closed(SumKind.B, d, p, mu)
-            * f.deriv(mu).constant_term()
-            * g.constant_term()
-        )
-    if case == "iii":
-        if mu is None or nu is None or not (0 <= mu < d and 0 <= nu < d):
+        total = sum_closed(SumKind.B, d, p, mu) * fn.get(unit(d, mu), 0) * g0
+    elif case == "iii":
+        if not all(type(a) is int and 0 <= a < d for a in (mu, nu)):
             raise ValueError("case iii needs directions mu and nu")
-        f_mu, f_nu = f.deriv(mu).constant_term(), f.deriv(nu).constant_term()
-        g_mu, g_nu = g.deriv(mu).constant_term(), g.deriv(nu).constant_term()
+        e_mu, e_nu = unit(d, mu), unit(d, nu)
+        f_mu, f_nu = fn.get(e_mu, 0), fn.get(e_nu, 0)
+        g_mu, g_nu = gn.get(e_mu, 0), gn.get(e_nu, 0)
         if mu == nu:
-            return sum_closed(SumKind.C, d, p, mu) * f_mu * g_mu
-        return (sum_closed(SumKind.E, d, p, mu, nu) * f_nu * g_mu
-                + sum_closed(SumKind.D, d, p, mu, nu) * f_mu * g_nu)
-    raise ValueError(f"unknown case {case!r}; expected 'i', 'ii' or 'iii'")
+            total = sum_closed(SumKind.C, d, p, mu) * f_mu * g_mu
+        else:
+            total = (sum_closed(SumKind.E, d, p, mu, nu) * f_nu * g_mu
+                     + sum_closed(SumKind.D, d, p, mu, nu) * f_mu * g_nu)
+    else:
+        raise ValueError(f"unknown case {case!r}; expected 'i', 'ii' or 'iii'")
+    return Fraction(total, f.denominator * g.denominator)

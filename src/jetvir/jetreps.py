@@ -178,6 +178,8 @@ def _evaluate(dim: int, ncols: int, rows: Callable[[], Iterator[dict]]) -> Matri
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a:
         return ()
+    if len(a[0]) != len(b):
+        raise ValueError(f"a has {len(a[0])} columns but b has {len(b)} rows")
     parts: dict = {}
     rows_a, rows_b = _factor(a, parts), _factor(b, parts)
 

@@ -30,11 +30,13 @@ class SumKind(enum.Enum):
 def _check_args(kind: SumKind, d: int, p: int,
                 mu: Optional[int], nu: Optional[int]) -> None:
     check_grid(d, p)
-    if kind in (SumKind.B, SumKind.C, SumKind.D, SumKind.E):
-        if mu is None or not 0 <= mu < d:
+    if not isinstance(kind, SumKind):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind is not SumKind.A:
+        if type(mu) is not int or not 0 <= mu < d:
             raise ValueError(f"kind {kind.value} needs a direction mu in [0,{d})")
     if kind in (SumKind.D, SumKind.E):
-        if nu is None or not 0 <= nu < d:
+        if type(nu) is not int or not 0 <= nu < d:
             raise ValueError(f"kind {kind.value} needs a direction nu in [0,{d})")
         if mu == nu:
             raise ValueError(f"kind {kind.value} requires mu != nu")
@@ -52,25 +54,21 @@ def sum_closed(kind: SumKind, d: int, p: int,
         return math.comb(d + p, d + 2) + math.comb(d + p + 1, d + 2)
     if kind is SumKind.D:
         return math.comb(d + p, d + 2)
-    if kind is SumKind.E:
-        return math.comb(d + p + 1, d + 2)
-    raise ValueError(f"unknown kind {kind!r}")
+    return math.comb(d + p + 1, d + 2)
 
 
 def sum_brute(kind: SumKind, d: int, p: int,
               mu: Optional[int] = None, nu: Optional[int] = None) -> int:
-    """Direct enumeration of the lattice sum."""
+    """Direct enumeration of the lattice sum: the kind picks the summand
+    once, then one pass adds it up over every m with |m| <= p."""
     _check_args(kind, d, p, mu, nu)
-    total = 0
-    for m in enumerate_indices(d, p):
-        if kind is SumKind.A:
-            total += 1
-        elif kind is SumKind.B:
-            total += m[mu]
-        elif kind is SumKind.C:
-            total += m[mu] * m[mu]
-        elif kind is SumKind.D:
-            total += m[mu] * m[nu]
-        elif kind is SumKind.E:
-            total += m[mu] * (m[nu] + 1)
-    return total
+    lattice = enumerate_indices(d, p)
+    if kind is SumKind.A:
+        return sum(1 for _ in lattice)
+    if kind is SumKind.B:
+        return sum(m[mu] for m in lattice)
+    if kind is SumKind.C:
+        return sum(m[mu] * m[mu] for m in lattice)
+    if kind is SumKind.D:
+        return sum(m[mu] * m[nu] for m in lattice)
+    return sum(m[mu] * (m[nu] + 1) for m in lattice)

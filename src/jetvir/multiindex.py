@@ -63,9 +63,9 @@ def binomial(m: Sequence[int], n: Sequence[int]) -> int:
 
 
 def unit(d: int, mu: int) -> MultiIndex:
-    """The unit multi-index with a single 1 in direction mu."""
-    if not 0 <= mu < d:
-        raise ValueError(f"direction {mu} out of range for dimension {d}")
+    """The unit multi-index with a 1 in direction mu, an int (not a bool) in [0, d)."""
+    if type(mu) is not int or not 0 <= mu < d:
+        raise ValueError(f"direction {mu!r} out of range for dimension {d}")
     return tuple(1 if i == mu else 0 for i in range(d))
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jetvir.cocycles import (
     Trajectory,
+    _product_residue,
     affine_cocycle,
     bracket_rep,
     compose,
@@ -291,3 +292,19 @@ def test_cocycles_match_reference_loops(case):
 @given(_cocycle_cases(laurent_fields=True))
 def test_laurent_fields_match_reference_loops(case):
     _assert_matches_reference(case)
+
+
+@st.composite
+def _laurent_pairs(draw):
+    one_var = _poly_in(1, [(k,) for k in range(-4, 5)])
+    a, b = draw(one_var), draw(one_var)
+    zero = draw(st.sampled_from((None, None, "a", "b")))
+    return (Poly.zero(1) if zero == "a" else a), (Poly.zero(1) if zero == "b" else b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_laurent_pairs())
+def test_product_residue_equals_the_residue_of_the_product(pair):
+    a, b = pair
+    assert _product_residue(a, b) == residue(a * b)
+    assert _product_residue(b, a) == residue(a * b)

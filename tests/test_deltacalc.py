@@ -14,7 +14,8 @@ from jetvir.deltacalc import (
     delta_pair_integral,
 )
 from jetvir.exactpoly import Poly, parse_poly
-from jetvir.multiindex import enumerate_indices, factorial, norm
+from jetvir.jetsums import SumKind, sum_closed
+from jetvir.multiindex import enumerate_indices, factorial, norm, unit
 
 PLAIN = (SmearMode.PLAIN, SmearMode.PLAIN)
 SHIFT_PLAIN = (SmearMode.SHIFTED, SmearMode.PLAIN)
@@ -228,3 +229,80 @@ def test_pair_integral_equals_reference_loop_on_the_whole_grid():
     for order in (range(len(cases)), reversed(range(len(cases)))):
         for i in order:
             assert delta_pair_integral(*cases[i]) == expected[i], cases[i][2:]
+
+
+def _reference_pair_closed(case, f, g, mu, nu, d, p):
+    """The closed forms read through Poly.deriv(...).constant_term()."""
+    if case == "i":
+        return sum_closed(SumKind.A, d, p) * f.constant_term() * g.constant_term()
+    if case == "ii":
+        return sum_closed(SumKind.B, d, p, mu) * f.deriv(mu).constant_term() * g.constant_term()
+    f_mu, f_nu = f.deriv(mu).constant_term(), f.deriv(nu).constant_term()
+    g_mu, g_nu = g.deriv(mu).constant_term(), g.deriv(nu).constant_term()
+    if mu == nu:
+        return sum_closed(SumKind.C, d, p, mu) * f_mu * g_mu
+    return (sum_closed(SumKind.E, d, p, mu, nu) * f_nu * g_mu
+            + sum_closed(SumKind.D, d, p, mu, nu) * f_mu * g_nu)
+
+
+@st.composite
+def _closed_cases(draw):
+    """Fields with denominators and Laurent terms (exponents -2..2, so
+    x^{e_mu} and its neighbours such as x_mu^-1 x_nu occur); half the drawn
+    exponents are 0 or a unit, the ones the closed forms read."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 4))
+    read = [(0,) * d] + [unit(d, mu) for mu in range(d)]
+    exponents = st.sampled_from(list(itertools.product(range(-2, 3), repeat=d)))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    field = st.dictionaries(st.sampled_from(read) | exponents, coeff, max_size=12)
+    f, g = (Poly(d, draw(field)) for _ in range(2))
+    return f, g, d, p
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_closed_cases())
+def test_pair_closed_equals_the_derivative_reading(case):
+    """All three cases at every direction (pair) on each drawn field pair."""
+    f, g, d, p = case
+    calls = [("i", None, None)] + [("ii", mu, None) for mu in range(d)]
+    calls += [("iii", mu, nu) for mu in range(d) for nu in range(d)]
+    for which, mu, nu in calls:
+        args = (which, f, g, mu, nu, d, p)
+        assert delta_pair_closed(*args) == _reference_pair_closed(*args), args[0::3]
+
+
+def test_pair_closed_builds_no_derivative(monkeypatch):
+    def deriv(self, mu):
+        raise AssertionError("delta_pair_closed called Poly.deriv")
+    monkeypatch.setattr(Poly, "deriv", deriv)
+    # d_1 of the Laurent term x0^-1 x1 is x0^-1, which has no constant term.
+    f = Poly(2, {(0, 0): Fraction(1, 2), (1, 0): 3, (0, 1): Fraction(-2, 3), (-1, 1): 1})
+    g = parse_poly("-1 + 5/4 * x0 + x1^2", 2)
+    assert delta_pair_closed("i", f, g, None, None, 2, 2) == -3
+    assert delta_pair_closed("ii", f, g, 1, None, 2, 2) == Fraction(8, 3)
+    assert delta_pair_closed("iii", f, g, 0, 1, 2, 2) == Fraction(-25, 6)
+    assert delta_pair_closed("iii", f, g, 0, 0, 2, 2) == Fraction(45, 2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, None, -1, 2])
+def test_pair_closed_directions_must_be_ints_in_range(bad):
+    f = parse_poly("x0 + x1", 2)
+    with pytest.raises(ValueError, match="case ii needs"):
+        delta_pair_closed("ii", f, f, bad, None, 2, 2)
+    for mu, nu in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match="case iii needs"):
+            delta_pair_closed("iii", f, f, mu, nu, 2, 2)
+
+
+def test_bool_direction_raises_after_the_caches_are_primed():
+    # DerivSpec.on_x(True) == DerivSpec.on_x(1) and hashes like it, so the
+    # kernel caches must not be consulted before the direction check.
+    x = parse_poly("x0 + x1", 2)
+    plain = DerivSpec.none()
+    assert delta_pair_integral(x, x, DerivSpec.on_x(1), plain, SHIFT_PLAIN, 2, 2) == 0
+    assert delta_pair_integral(x, x, plain, DerivSpec.on_y(1), PLAIN, 2, 2) == 0
+    for d1, d2 in ((DerivSpec.on_x(True), plain), (plain, DerivSpec.on_y(True)),
+                   (DerivSpec.on_x(1.0), plain), (plain, DerivSpec.on_x(2))):
+        with pytest.raises(ValueError, match="derivative direction"):
+            delta_pair_integral(x, x, d1, d2, PLAIN, 2, 2)

@@ -304,6 +304,16 @@ def test_empty_matrices():
     assert mat_mul((), ()) == ()
 
 
+def test_mat_mul_rejects_a_shape_mismatch():
+    # The first raised a bare IndexError; the second returned ((x^2,),).
+    x = parse_poly("x0", 1)
+    with pytest.raises(ValueError, match="2 columns but b has 1 rows"):
+        mat_mul(((x, x),), ((x,),))
+    with pytest.raises(ValueError, match="1 columns but b has 2 rows"):
+        mat_mul(((x,),), ((x,), (x,)))
+    assert mat_mul(((x, x),), ((x,), (x,))) == ((parse_poly("2 * x0^2", 1),),)
+
+
 def test_factor_splits_entries_into_content_and_shared_prims():
     # Laurent entries, zeros, and entries equal up to a rational scalar of
     # either sign, within one matrix and across two.

@@ -70,8 +70,9 @@ def test_enumerate_bad_inputs():
 
 def test_unit():
     assert unit(3, 1) == (0, 1, 0)
-    with pytest.raises(ValueError):
-        unit(2, 2)
+    for mu in (2, -1, True, False, 1.0, None):
+        with pytest.raises(ValueError, match="direction"):
+            unit(2, mu)
 
 
 def test_lattice_cache_keeps_the_grid_check():
