@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exactpoly import exact
-from .multiindex import check_grid
+from .multiindex import check_grid, check_int
 
 
 class Statistics(enum.Enum):
@@ -53,12 +53,6 @@ class Statistics(enum.Enum):
         return 1 if self is Statistics.BOSE else -1
 
 
-def _check_dimension(name: str, value) -> None:
-    """A representation dimension is an int >= 1 (not a bool or a float)."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GlRepTraces:
     """Trace parameters of the gl(d) representation rho."""
@@ -68,7 +62,7 @@ class GlRepTraces:
     k2: Fraction
 
     def __post_init__(self):
-        _check_dimension("delta_rho", self.delta_rho)
+        check_int("delta_rho", self.delta_rho, 1)
         for name in ("k0", "k1", "k2"):
             object.__setattr__(self, name, exact(getattr(self, name)))
 
@@ -77,8 +71,7 @@ def from_sl_gl1(kappa, y_rho, delta_rho: int, d: int) -> GlRepTraces:
     """Trace parameters of an sl(d) (+) gl(1) decomposition: the field has
     density weight kappa and quadratic sl(d) trace y_rho, giving
     k0 = kappa Drho, k1 = y_rho, k2 = kappa^2 Drho - y_rho / d."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_int("dimension", d, 1)
     kappa = exact(kappa)
     y_rho = exact(y_rho)
     return GlRepTraces(
@@ -100,7 +93,9 @@ class GRepTraces:
     statistics: Statistics = Statistics.BOSE
 
     def __post_init__(self):
-        _check_dimension("delta_m", self.delta_m)
+        check_int("delta_m", self.delta_m, 1)
+        if not isinstance(self.statistics, Statistics):
+            raise ValueError(f"statistics must be a Statistics, got {self.statistics!r}")
         for name in ("y_m", "z_m", "w_m"):
             object.__setattr__(self, name, exact(getattr(self, name)))
 

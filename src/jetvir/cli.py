@@ -42,6 +42,7 @@ from .cocycles import (
 )
 from .exactpoly import Poly, parse_poly
 from .jetsums import SumKind, sum_brute, sum_closed
+from .multiindex import check_int
 from .verify import run_all
 from .wickcocycle import extract_charges
 
@@ -53,6 +54,12 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+
+
+def _check_ranges(d: int, p: int) -> None:
+    """The (d, p) range of ``charges`` and ``sums``."""
+    if not (1 <= d <= 6 and 0 <= p <= 10):
+        raise ValueError("supported ranges are 1 <= d <= 6, 0 <= p <= 10")
 
 
 def _parse_components(text: str, d: int, varname: str = "x") -> List[Poly]:
@@ -123,10 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_charges(args) -> int:
-    if args.d < 1 or args.d > 6 or args.p < 0 or args.p > 10:
-        print("error: supported ranges are 1 <= d <= 6, 0 <= p <= 10",
-              file=sys.stderr)
-        return USAGE_ERROR
+    _check_ranges(args.d, args.p)
     glrep = from_sl_gl1(args.kappa, args.y_rho, args.delta_rho, args.d)
     grep = GRepTraces(args.delta_m, args.y_m, args.z_m, args.w_m,
                       Statistics(args.statistics))
@@ -190,10 +194,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sums(args) -> int:
-    if args.d < 1 or args.d > 6 or args.p < 0 or args.p > 10:
-        print("error: supported ranges are 1 <= d <= 6, 0 <= p <= 10",
-              file=sys.stderr)
-        return USAGE_ERROR
+    _check_ranges(args.d, args.p)
     d, p = args.d, args.p
     rows = [["kind", "closed", "brute"]]
     rows.append(["A", sum_closed(SumKind.A, d, p), sum_brute(SumKind.A, d, p)])
@@ -221,6 +222,7 @@ def cmd_sums(args) -> int:
 
 def cmd_cocycle(args) -> int:
     d = args.d
+    check_int("--d", d, 1)
 
     def need(value, flag):
         if value is None:

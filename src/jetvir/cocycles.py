@@ -4,7 +4,9 @@ The extended brackets append to each classical bracket a functional of a
 closed trajectory q(z) (a d-vector of Laurent polynomials in z).  With the
 overall 1/(2 pi i) absorbed into the residue operation, each trajectory term
 integrates a 1-form omega (d polynomials in x) over the loop,
-res sum_rho q'^rho omega_rho(q), with the one integrator ``_pullback_residue``:
+res sum_rho q'^rho omega_rho(q), with the one integrator ``_pullback_residue``.
+Every residue, the three reparametrization terms included, is read off its
+two factors by ``_product_residue``, without building their product:
 
     vector/vector:   omega_rho = - (c1 d_rho d_nu xi^mu d_mu eta^nu
                                     + c2 d_rho div xi div eta)
@@ -24,9 +26,9 @@ hand to lock the global sign.
 Gauge and vector-field components may be Laurent polynomials in x (Fourier
 modes of a periodic function space); composing a negative power with the
 trajectory then requires the corresponding trajectory component to be a
-single monomial.  Every field argument is checked (component count, d
-variables each), and every charge enters as a ``lincomb`` coefficient
-(``Poly.scale`` is one), which rejects floats.
+single monomial.  Every field argument is checked by
+``exactpoly.check_field`` (component count, d variables each), and every
+charge is an ``exact`` value or a ``lincomb`` coefficient, so a float raises.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exactpoly import Poly, lincomb
+from .exactpoly import Poly, check_field, exact, lincomb
 from .jetreps import divergence
 
 
@@ -46,11 +48,7 @@ class Trajectory:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        if not comps:
-            raise ValueError("trajectory needs at least one component")
-        for c in comps:
-            if not isinstance(c, Poly) or c.dim != 1:
-                raise ValueError("trajectory components are Laurent polynomials in z")
+        check_field("trajectory", comps, 1)
         object.__setattr__(self, "components", comps)
 
     @property
@@ -79,8 +77,7 @@ def compose(f: Poly, q: Trajectory) -> Poly:
 
 def bracket_rep(f: Poly, g: Poly) -> Poly:
     """[f, g] = f g' - g f' (one-variable vector fields on the circle)."""
-    if f.dim != 1 or g.dim != 1:
-        raise ValueError("reparametrization functions live in one variable")
+    check_field("the pair (f, g)", (f, g), 1)
     return f * g.deriv(0) - g * f.deriv(0)
 
 
@@ -99,15 +96,6 @@ def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> List[Poly]:
 
 
 # -- extension terms -------------------------------------------------------------
-
-def _check_field(name: str, field: Sequence[Poly], d: int, n: int | None = None) -> None:
-    """Require n components (at least one if n is None), each a Poly in d
-    variables; Laurent exponents are allowed."""
-    if not field or (n is not None and len(field) != n):
-        raise ValueError(f"{name} needs {n or 'at least one'} component(s), got {len(field)}")
-    if any(not isinstance(c, Poly) or c.dim != d for c in field):
-        raise ValueError(f"each component of {name} must be a polynomial in {d} variable(s)")
-
 
 def _product_residue(a: Poly, b: Poly) -> Fraction:
     """res (a b) = sum_k a_k b_(-1-k), read off the numerators of a and b."""
@@ -129,8 +117,8 @@ def _pullback_residue(omega: Sequence[Poly], q: Trajectory) -> Fraction:
 def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
                      c1, c2) -> Fraction:
     d = q.d
-    _check_field("xi", xi, d, d)
-    _check_field("eta", eta, d, d)
+    check_field("xi", xi, d, d)
+    check_field("eta", eta, d, d)
     div_xi, div_eta = divergence(xi), divergence(eta)
     omega = [lincomb(d, [(-c1, xi[mu].deriv(nu).deriv(rho) * eta[nu].deriv(mu))
                          for mu in range(d) for nu in range(d)]
@@ -141,8 +129,8 @@ def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
 
 def affine_cocycle(X: Sequence[Poly], Y: Sequence[Poly], q: Trajectory,
                    c5, c8) -> Fraction:
-    _check_field("X", X, q.d)
-    _check_field("Y", Y, q.d, len(X))
+    check_field("X", X, q.d)
+    check_field("Y", Y, q.d, len(X))
     omega = []
     for rho in range(q.d):
         first = X[0].deriv(rho) * Y[0]
@@ -153,8 +141,8 @@ def affine_cocycle(X: Sequence[Poly], Y: Sequence[Poly], q: Trajectory,
 
 def mixed_cocycle(xi: Sequence[Poly], X: Sequence[Poly], q: Trajectory,
                   c7) -> Fraction:
-    _check_field("xi", xi, q.d, q.d)
-    _check_field("X", X, q.d)
+    check_field("xi", xi, q.d, q.d)
+    check_field("X", X, q.d)
     div_xi = divergence(xi)
     return _pullback_residue(
         [(div_xi.deriv(rho) * X[0]).scale(c7) for rho in range(q.d)], q)
@@ -163,21 +151,21 @@ def mixed_cocycle(xi: Sequence[Poly], X: Sequence[Poly], q: Trajectory,
 def reparam_reparam_cocycle(f: Poly, g: Poly, c4) -> Fraction:
     """- (c4/12) res f'' g'; on monomials f = z^(m+1), g = z^(-m+1) this is
     +(c4/12)(m^3 - m)."""
-    _check_field("f", [f], 1)
-    _check_field("g", [g], 1)
-    return -residue((f.deriv(0).deriv(0) * g.deriv(0)).scale(c4)) / 12
+    check_field("f", [f], 1)
+    check_field("g", [g], 1)
+    return -exact(c4) * _product_residue(f.deriv(0).deriv(0), g.deriv(0)) / 12
 
 
 def reparam_vector_cocycle(f: Poly, xi: Sequence[Poly], q: Trajectory,
                            c3) -> Fraction:
-    _check_field("f", [f], 1)
-    _check_field("xi", xi, q.d, q.d)
-    return -residue(
-        (f.deriv(0).deriv(0) * compose(divergence(xi), q)).scale(c3)) / 2
+    check_field("f", [f], 1)
+    check_field("xi", xi, q.d, q.d)
+    return -exact(c3) * _product_residue(f.deriv(0).deriv(0),
+                                         compose(divergence(xi), q)) / 2
 
 
 def reparam_current_cocycle(f: Poly, X: Sequence[Poly], q: Trajectory,
                             c6) -> Fraction:
-    _check_field("f", [f], 1)
-    _check_field("X", X, q.d)
-    return -residue((f.deriv(0).deriv(0) * compose(X[0], q)).scale(c6)) / 2
+    check_field("f", [f], 1)
+    check_field("X", X, q.d)
+    return -exact(c6) * _product_residue(f.deriv(0).deriv(0), compose(X[0], q)) / 2

@@ -41,9 +41,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .exactpoly import Poly
+from .exactpoly import Poly, check_field
 from .jetsums import SumKind, sum_closed
-from .multiindex import MultiIndex, add as mi_add, check_grid, enumerate_indices, unit
+from .multiindex import (MultiIndex, add as mi_add, check_direction, check_grid,
+                         enumerate_indices, unit)
 
 
 class Which(enum.Enum):
@@ -78,10 +79,16 @@ class SmearMode(enum.Enum):
     SHIFTED = "shifted"
 
 
+# Enum members held in tuples: testing against them skips a class lookup.
+_MODES = (SmearMode.PLAIN, SmearMode.SHIFTED)
+_ON = (Which.ON_X, Which.ON_Y)
+
+
 def _check_deriv(deriv: DerivSpec, d: int) -> None:
-    mu = deriv.direction
-    if deriv.which is not Which.NONE and (type(mu) is not int or not 0 <= mu < d):
-        raise ValueError(f"derivative direction {mu!r} out of range for d={d}")
+    if deriv.which in _ON:
+        check_direction(deriv.direction, d, "derivative direction")
+    elif deriv.which is not Which.NONE:
+        raise ValueError(f"derivative decoration {deriv.which!r} is not a Which")
 
 
 # A kernel expansion maps each derivative word on the delta of one variable
@@ -186,10 +193,11 @@ def delta_pair_integral(
     Taylor coefficient at the origin.
     """
     check_grid(d, p)
-    if f.dim != d or g.dim != d:
-        raise ValueError("smearing functions must have dimension d")
+    check_field("the smearing pair (f, g)", (f, g), d)
     _check_deriv(d1, d)  # before the caches, where a bool key finds its int's entry
     _check_deriv(d2, d)
+    if len(modes) != 2 or modes[0] not in _MODES or modes[1] not in _MODES:
+        raise ValueError(f"modes must be two SmearModes, got {modes!r}")
     reach = _reach(d, p, d1, d2)
     zero = (0,) * d
     skip_s = zero if modes[0] is SmearMode.SHIFTED else None
@@ -233,20 +241,17 @@ def delta_pair_closed(
     read only first derivatives, which the shift does not change, so f and
     g are read as given; the closed forms hold only for shifted slots.
     """
-    if f.dim != d or g.dim != d:
-        raise ValueError("smearing functions must have dimension d")
+    check_field("the smearing pair (f, g)", (f, g), d)
     fn, gn = f.numerators, g.numerators
     f0, g0 = fn.get((0,) * d, 0), gn.get((0,) * d, 0)
     if case == "i":
         total = sum_closed(SumKind.A, d, p) * f0 * g0
     elif case == "ii":
-        if type(mu) is not int or not 0 <= mu < d:
-            raise ValueError("case ii needs a direction mu")
-        total = sum_closed(SumKind.B, d, p, mu) * fn.get(unit(d, mu), 0) * g0
+        f_mu = fn.get(unit(d, mu, "case ii needs a direction mu"), 0)
+        total = sum_closed(SumKind.B, d, p, mu) * f_mu * g0
     elif case == "iii":
-        if not all(type(a) is int and 0 <= a < d for a in (mu, nu)):
-            raise ValueError("case iii needs directions mu and nu")
-        e_mu, e_nu = unit(d, mu), unit(d, nu)
+        need = "case iii needs directions mu and nu"
+        e_mu, e_nu = unit(d, mu, need), unit(d, nu, need)
         f_mu, f_nu = fn.get(e_mu, 0), fn.get(e_nu, 0)
         g_mu, g_nu = gn.get(e_mu, 0), gn.get(e_nu, 0)
         if mu == nu:

@@ -46,7 +46,8 @@ numerators go into one dict over the lcm of the scaled denominators, reduced
 once.  Every sum, difference, negation and scaling is one ``lincomb``, and so
 is the sum over terms of a composition.  Each ``Poly`` also keeps its degree
 bound max |e| once it is first needed; products, inverse powers and parsed
-terms are capped at total degree ``MAX_DEGREE``.
+terms are capped at total degree ``MAX_DEGREE``.  ``check_field`` is the one
+check of a field argument of the package: its component count and variables.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_direction, check_int
 
 
 def exact(value) -> Fraction:
@@ -82,8 +83,7 @@ class Poly:
     __slots__ = ("dim", "_num", "_den", "_deg")
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], object] | None = None):
-        if dim < 0:
-            raise ValueError(f"dimension must be >= 0, got {dim}")
+        check_int("dimension", dim, 0)
         clean: Dict[MultiIndex, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
@@ -122,8 +122,7 @@ class Poly:
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Poly":
-        if not 0 <= i < dim:
-            raise ValueError(f"variable index {i} out of range for dimension {dim}")
+        check_direction(i, dim, "variable index")
         return cls(dim, {tuple(1 if j == i else 0 for j in range(dim)): 1})
 
     # -- basic queries -----------------------------------------------------
@@ -236,18 +235,18 @@ class Poly:
 
     def deriv(self, mu: int) -> "Poly":
         """Partial derivative with respect to variable mu (Laurent-aware)."""
-        if not 0 <= mu < self.dim:
-            raise ValueError(f"direction {mu} out of range for dimension {self.dim}")
+        check_direction(mu, self.dim, "direction")
         # e -> e - e_mu is injective, so no two terms land on one key.
         return _reduce(self.dim, {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: n * e[mu]
                                   for e, n in self._num.items() if e[mu]}, self._den)
 
     def deriv_multi(self, m: Sequence[int]) -> "Poly":
-        """Repeated partial derivative d^m, one non-negative order per variable."""
-        if len(m) != self.dim or min(m, default=0) < 0:
-            raise ValueError(f"derivative order {tuple(m)} needs {self.dim} entries >= 0")
+        """Repeated partial derivative d^m, one order (an int >= 0) per variable."""
+        if len(m) != self.dim:
+            raise ValueError(f"derivative order {tuple(m)} needs {self.dim} entries")
         out = self
         for mu, k in enumerate(m):
+            check_int("derivative order", k, 0)
             for _ in range(k):
                 out = out.deriv(mu)
         return out
@@ -300,6 +299,15 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly(dim={self.dim}, {format_poly(self)!r})"
+
+
+def check_field(name: str, comps: Sequence[Poly], dim: int, count: int | None = None) -> None:
+    """Require ``count`` components (at least one if None), each a Poly in ``dim`` variables."""
+    if not comps or (count is not None and len(comps) != count):
+        raise ValueError(f"{name} needs {count or 'at least 1'} components, got {len(comps)}")
+    for c in comps:
+        if not isinstance(c, Poly) or c.dim != dim:
+            raise ValueError(f"each component of {name} must be a polynomial in {dim} variable(s)")
 
 
 def _monomial_inverse_power(p: Poly, k: int) -> Poly:

@@ -43,10 +43,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .exactpoly import Poly, exact, lincomb
+from .exactpoly import Poly, check_field, exact, lincomb
 from .multiindex import (
     MultiIndex,
     binomial,
+    check_int,
     enumerate_indices,
     sub as mi_sub,
     unit,
@@ -281,11 +282,8 @@ class StructureConstants:
         """Pointwise Lie bracket of g-valued functions:
         [x, y]^c = f^{abc} x^a y^b, for x and y of ``dim`` components each."""
         n = self.dim
-        if len(x) != n or len(y) != n:
-            raise ValueError(f"the bracket needs {n} components on each side, "
-                             f"got {len(x)} and {len(y)}")
-        if not n:
-            return []
+        check_field("x", x, x[0].dim if x and isinstance(x[0], Poly) else 0, n)
+        check_field("y", y, x[0].dim, n)
         pairs = [(a, b) for a in range(n) if not x[a].is_zero()
                  for b in range(n) if not y[b].is_zero()]
         return [lincomb(x[0].dim, [(self.f[a][b][c], x[a] * y[b])
@@ -433,13 +431,9 @@ class JetOperator:
 
 
 def _check_components(comps: Sequence[Poly], d: int, count: int, what: str) -> None:
-    if len(comps) != count:
-        raise ValueError(f"{what} needs {count} components, got {len(comps)}")
-    for c in comps:
-        if c.dim != d:
-            raise ValueError(f"{what} components must be polynomials in {d} variables")
-        if c.is_laurent():
-            raise ValueError(f"{what} components must have non-negative exponents")
+    check_field(what, comps, d, count)
+    if any(c.is_laurent() for c in comps):
+        raise ValueError(f"{what} components must have non-negative exponents")
 
 
 def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOperator:
@@ -480,8 +474,8 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOper
 def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu."""
     d = len(xi)
-    if len(eta) != d or any(c.dim != d for c in (*xi, *eta)):
-        raise ValueError(f"vector fields need {d} components in {d} variables each")
+    check_field("xi", xi, d, d)
+    check_field("eta", eta, d, d)
     parts: dict = {}
     derivs: dict = {}
     fx, fe = _split_all(xi, parts), _split_all(eta, parts)
@@ -497,9 +491,7 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
 
 def divergence(xi: Sequence[Poly]) -> Poly:
     """div xi = d_mu xi^mu of a vector field: d components in d variables."""
-    if not xi or any(c.dim != len(xi) for c in xi):
-        raise ValueError("divergence needs a vector field of d components "
-                         "in d variables each")
+    check_field("vector field", xi, len(xi))
     return lincomb(len(xi), [(1, c.deriv(mu)) for mu, c in enumerate(xi)])
 
 
@@ -557,7 +549,6 @@ def _insert_identity(a: Matrix, k: int, w: int = 1) -> Matrix:
 def embed_gauge_operator(j: JetOperator, rho_size: int) -> JetOperator:
     """The current generator acting trivially on an extra gl-rep factor of
     the given size (for comparison against mixed brackets)."""
-    if rho_size < 1:
-        raise ValueError(f"the gl-rep factor needs a size of at least 1, got {rho_size}")
+    check_int("gl-rep size", rho_size, 1)
     return JetOperator(j.d, j.p, rho_size * j.rep_size, j.vector,
                        _insert_identity(j.matrix, rho_size, j.rep_size))

@@ -16,7 +16,7 @@ import enum
 import math
 from typing import Optional
 
-from .multiindex import check_grid, enumerate_indices
+from .multiindex import check_direction, check_grid, enumerate_indices
 
 
 class SumKind(enum.Enum):
@@ -33,11 +33,9 @@ def _check_args(kind: SumKind, d: int, p: int,
     if not isinstance(kind, SumKind):
         raise ValueError(f"unknown kind {kind!r}")
     if kind is not SumKind.A:
-        if type(mu) is not int or not 0 <= mu < d:
-            raise ValueError(f"kind {kind.value} needs a direction mu in [0,{d})")
+        check_direction(mu, d, "direction mu")
     if kind in (SumKind.D, SumKind.E):
-        if type(nu) is not int or not 0 <= nu < d:
-            raise ValueError(f"kind {kind.value} needs a direction nu in [0,{d})")
+        check_direction(nu, d, "direction nu")
         if mu == nu:
             raise ValueError(f"kind {kind.value} requires mu != nu")
 

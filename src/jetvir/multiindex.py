@@ -2,7 +2,8 @@
 
 A multi-index is a plain tuple of d non-negative integers.  It labels both
 monomials x^m and partial derivatives d_m.  All operations are pure and use
-Python's arbitrary-precision integers.
+Python's arbitrary-precision integers.  ``check_int`` and ``check_direction``
+are the one check of an integer size and of a direction in the package.
 """
 
 from __future__ import annotations
@@ -62,10 +63,21 @@ def binomial(m: Sequence[int], n: Sequence[int]) -> int:
     return out
 
 
-def unit(d: int, mu: int) -> MultiIndex:
-    """The unit multi-index with a 1 in direction mu, an int (not a bool) in [0, d)."""
+def check_int(name: str, value, minimum: int) -> None:
+    """Require an int (not a bool or a float) >= minimum."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_direction(mu, d: int, name: str) -> None:
+    """Require a direction mu: an int (not a bool or a float) in [0, d)."""
     if type(mu) is not int or not 0 <= mu < d:
-        raise ValueError(f"direction {mu!r} out of range for dimension {d}")
+        raise ValueError(f"{name}: {mu!r} is not an int in [0, {d})")
+
+
+def unit(d: int, mu: int, name: str = "direction") -> MultiIndex:
+    """The unit multi-index with a 1 in direction mu, checked under ``name``."""
+    check_direction(mu, d, name)
     return tuple(1 if i == mu else 0 for i in range(d))
 
 
@@ -81,12 +93,9 @@ def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
 
 
 def check_grid(d: int, p: int) -> None:
-    """Require a dimension d >= 1 and a jet order p >= 0, each an int (not
-    a bool)."""
-    if type(d) is not int or d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d!r}")
-    if type(p) is not int or p < 0:
-        raise ValueError(f"jet order must be >= 0, got {p!r}")
+    """Require a dimension d >= 1 and a jet order p >= 0."""
+    check_int("dimension", d, 1)
+    check_int("jet order", p, 0)
 
 
 def enumerate_indices(d: int, p: int) -> Tuple[MultiIndex, ...]:

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charges import GlRepTraces, GRepTraces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral
-from .exactpoly import Poly, exact
+from .exactpoly import Poly, check_field, exact
 from .multiindex import check_grid, unit
 
 
@@ -213,10 +213,10 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
 def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """J_X with g-components X^a (a = 0 is the privileged trace direction)."""
     check_grid(d, p)
+    if X:
+        check_field("X", X, d)
     terms = []
     for a_idx, comp in enumerate(X):
-        if comp.dim != d:
-            raise ValueError("components must be polynomials in d variables")
         if comp.is_zero():
             continue
         terms.append(Term(Fraction(1), comp, (None, a_idx)))
@@ -227,8 +227,7 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """L_xi: shifted transport terms pi xi_0^mu d_mu phi, plain frame terms
     pi d_nu xi^mu T^nu_mu phi, plus the base-point tag."""
     check_grid(d, p)
-    if len(xi) != d or any(c.dim != d for c in xi):
-        raise ValueError("vector field needs d polynomial components in d variables")
+    check_field("vector field", xi, d, d)
     terms: List[Term] = []
     for mu in range(d):
         if any(any(e) for e in xi[mu].numerators):  # xi^mu is not constant

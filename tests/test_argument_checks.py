@@ -1,0 +1,154 @@
+"""Bad arguments raise one-line ValueErrors from the shared checks.
+
+Each test below pins an argument that used to be misread (a bool taken as
+an int, a string taken as an enum member, a field in the wrong number of
+variables) or to fail late with a bare TypeError, IndexError or
+AttributeError.  The checks are ``multiindex.check_int``,
+``multiindex.check_direction`` and ``exactpoly.check_field``.
+"""
+
+import pytest
+
+from jetvir.charges import GRepTraces, closed_form, from_sl_gl1
+from jetvir.cli import main
+from jetvir.deltacalc import DerivSpec, SmearMode, delta_pair_closed, delta_pair_integral
+from jetvir.exactpoly import Poly, check_field, parse_poly
+from jetvir.jetreps import MatrixRep, StructureConstants, embed_gauge_operator, gauge_operator
+from jetvir.multiindex import check_direction, check_int
+
+
+def _one_line_value_error(call, match):
+    with pytest.raises(ValueError, match=match) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
+# -- the three checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1, None, "0"])
+def test_check_int_takes_only_ints_at_or_above_the_minimum(bad):
+    check_int("size", 0, 0)
+    _one_line_value_error(lambda: check_int("size", bad, 0), "size must be an integer >= 0")
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1, 2, None])
+def test_check_direction_takes_only_ints_in_range(bad):
+    check_direction(1, 2, "mu")
+    _one_line_value_error(lambda: check_direction(bad, 2, "mu"), r"^mu: .* is not an int in \[0, 2\)")
+
+
+def test_check_field_needs_the_count_and_the_variables():
+    x = parse_poly("x0", 2)
+    check_field("xi", [x, x], 2, 2)
+    check_field("X", [x], 2)
+    for comps, count in (([], None), ([], 0), ([x], 2), ([x, x, x], 2)):
+        _one_line_value_error(lambda: check_field("xi", comps, 2, count), "xi needs")
+    for comps in ([parse_poly("x0", 1)], [x, "x0"], [x, None]):
+        _one_line_value_error(lambda: check_field("xi", comps, 2), "each component of xi")
+
+
+# -- exactpoly: directions, dimensions and orders ------------------------------------
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1, 2])
+def test_poly_directions_are_ints_in_range(bad):
+    # deriv(True) differentiated along x1, deriv(1.0) raised a bare
+    # TypeError, and variable(2, True) returned x1.
+    f = parse_poly("x0^2 + x1", 2)
+    _one_line_value_error(lambda: f.deriv(bad), "direction")
+    _one_line_value_error(lambda: Poly.variable(2, bad), "variable index")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1])
+def test_poly_dimension_is_an_int(bad):
+    # Poly(True, ...) took True as its dimension.
+    _one_line_value_error(lambda: Poly(bad, {(1,): 1}), "dimension must be")
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1])
+def test_deriv_multi_orders_are_ints(bad):
+    # (True, 0) was taken as order 1.
+    f = parse_poly("x0^2 + x1", 2)
+    for order in ((bad, 0), (0, bad)):
+        _one_line_value_error(lambda: f.deriv_multi(order), "derivative order")
+    assert f.deriv_multi((1, 0)) == parse_poly("2 x0", 2)
+
+
+# -- charges: the dimension of from_sl_gl1 and the statistics -----------------------
+
+@pytest.mark.parametrize("bad", [True, 1.5, 0])
+def test_from_sl_gl1_dimension_is_a_positive_int(bad):
+    # d=True was accepted, and d=1.5 raised a bare TypeError.
+    _one_line_value_error(lambda: from_sl_gl1(0, 0, 1, bad), "dimension must be")
+
+
+@pytest.mark.parametrize("bad", ["fermi", "bose", -1, None])
+def test_statistics_must_be_a_statistics(bad):
+    # "fermi" was stored, and closed_form raised AttributeError later.
+    _one_line_value_error(lambda: GRepTraces(1, 0, 0, 0, bad), "statistics")
+    assert closed_form(1, 0, 0, from_sl_gl1(0, 0, 1, 1), GRepTraces(1, 1, 0, 0)).c5 == -1
+
+
+# -- jetreps: the gl-rep size and both sides of a bracket ---------------------------
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_embed_gauge_operator_size_is_an_int(bad):
+    # embed_gauge_operator(j, True) was accepted.
+    J = gauge_operator([parse_poly("x0", 1)], MatrixRep.g_abelian(1), 1, 1)
+    _one_line_value_error(lambda: embed_gauge_operator(J, bad), "size")
+
+
+def test_bracket_components_checks_both_sides():
+    # abelian(1) with X in 1 variable and Y in 2 returned [0].
+    sc = StructureConstants.abelian(1)
+    x1, x2 = parse_poly("x0", 1), parse_poly("x0", 2)
+    for x, y in (([x1], [x2]), ([x2], [x1]), (["x0"], [x1]), ([x1], [None])):
+        _one_line_value_error(lambda: sc.bracket_components(x, y), "polynomial in")
+    assert sc.bracket_components([x1], [x1]) == [Poly.zero(1)]
+
+
+# -- deltacalc: the enum arguments of the oracle and the closed forms ----------------
+
+F = parse_poly("1 + 2 x + 3 x^2", 1)
+G = parse_poly("5 + 7 x", 1)
+SHIFT_PLAIN = (SmearMode.SHIFTED, SmearMode.PLAIN)
+
+
+@pytest.mark.parametrize("d1, d2, modes", [
+    (DerivSpec.on_x(0), DerivSpec.none(), ("shifted", "plain")),   # returned 51
+    (DerivSpec.on_x(0), DerivSpec.none(), (SmearMode.SHIFTED,)),   # bare IndexError
+    (DerivSpec.on_x(0), DerivSpec.none(), SHIFT_PLAIN + (SmearMode.PLAIN,)),
+    (DerivSpec("on_x", 0), DerivSpec.none(), SHIFT_PLAIN),         # returned -30
+    (DerivSpec.none(), DerivSpec("on_y", 0), SHIFT_PLAIN),
+    (DerivSpec("none", 0), DerivSpec.none(), SHIFT_PLAIN),
+])
+def test_pair_integral_enum_arguments_are_members(d1, d2, modes):
+    assert delta_pair_integral(F, G, DerivSpec.on_x(0), DerivSpec.none(), SHIFT_PLAIN, 1, 2) == 30
+    _one_line_value_error(lambda: delta_pair_integral(F, G, d1, d2, modes, 1, 2),
+                          "SmearMode|Which")
+
+
+def test_pair_integral_and_closed_forms_check_their_fields():
+    for f, g in ((F, parse_poly("x0", 2)), (F, "5 + 7 x"), (None, G)):
+        _one_line_value_error(lambda: delta_pair_integral(
+            f, g, DerivSpec.none(), DerivSpec.none(), SHIFT_PLAIN, 1, 2), "smearing pair")
+        _one_line_value_error(lambda: delta_pair_closed("i", f, g, None, None, 1, 2),
+                              "smearing pair")
+
+
+# -- cli ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_cocycle_checks_its_dimension_first(capsys, d):
+    # --d 0 reported "trajectory needs 0 components".
+    code = main(["cocycle", "--kind", "affine", "--d", d, "--x", "x0", "--y", "x0",
+                 "--traj", "z"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --d must be an integer >= 1, got {d}\n"
+
+
+def test_reparam_residue_is_read_past_the_degree_cap(capsys):
+    # f'' g' = 62400 z^77 is past the cap, but only its z^-1 coefficient is read.
+    code = main(["cocycle", "--kind", "reparam-reparam", "--f", "z^40", "--g", "z^40",
+                 "--c4", "12"])
+    assert (code, capsys.readouterr().out) == (0, "0\n")
