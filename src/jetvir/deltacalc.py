@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .exactpoly import Poly, check_field
-from .jetsums import SumKind, sum_closed
+from .jetsums import SumKind, _closed_value
 from .multiindex import (MultiIndex, add as mi_add, check_direction, check_grid,
                          enumerate_indices, unit)
 
@@ -241,24 +241,25 @@ def delta_pair_closed(
     read only first derivatives, which the shift does not change, so f and
     g are read as given; the closed forms hold only for shifted slots.
     """
+    check_grid(d, p)
     check_field("the smearing pair (f, g)", (f, g), d)
     fn, gn = f.numerators, g.numerators
     f0, g0 = fn.get((0,) * d, 0), gn.get((0,) * d, 0)
     if case == "i":
-        total = sum_closed(SumKind.A, d, p) * f0 * g0
+        total = _closed_value(SumKind.A, d, p) * f0 * g0
     elif case == "ii":
         f_mu = fn.get(unit(d, mu, "case ii needs a direction mu"), 0)
-        total = sum_closed(SumKind.B, d, p, mu) * f_mu * g0
+        total = _closed_value(SumKind.B, d, p) * f_mu * g0
     elif case == "iii":
         need = "case iii needs directions mu and nu"
         e_mu, e_nu = unit(d, mu, need), unit(d, nu, need)
         f_mu, f_nu = fn.get(e_mu, 0), fn.get(e_nu, 0)
         g_mu, g_nu = gn.get(e_mu, 0), gn.get(e_nu, 0)
         if mu == nu:
-            total = sum_closed(SumKind.C, d, p, mu) * f_mu * g_mu
+            total = _closed_value(SumKind.C, d, p) * f_mu * g_mu
         else:
-            total = (sum_closed(SumKind.E, d, p, mu, nu) * f_nu * g_mu
-                     + sum_closed(SumKind.D, d, p, mu, nu) * f_mu * g_nu)
+            total = (_closed_value(SumKind.E, d, p) * f_nu * g_mu
+                     + _closed_value(SumKind.D, d, p) * f_mu * g_nu)
     else:
         raise ValueError(f"unknown case {case!r}; expected 'i', 'ii' or 'iii'")
     return Fraction(total, f.denominator * g.denominator)

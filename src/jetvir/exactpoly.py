@@ -33,14 +33,18 @@ There are three ways to build a ``Poly``:
 * ``_reduce(dim, num, den)`` takes nonzero int numerators over any positive
   denominator, divides both by their gcd in one pass and wraps the result.
 
-Only the arithmetic and calculus of ``Poly`` use the last two, on results
-they compute from valid operands, so nothing built from outside input
-reaches them.  A product multiplies int numerators term by term into one
-dict over the product of the two denominators and reduces once; every
-product in the package, matrix products included, goes through ``*``.
-``jetreps`` multiplies primitive parts (int numerators with gcd 1 over 1)
-and makes each distinct such product once per bracket; that product is
-primitive again (Gauss's lemma), comes out over 1 and skips the gcd pass.
+Only the arithmetic and calculus of this module use the last two, on
+results they compute from valid operands, so nothing built from outside
+input reaches them.  A product ``x * y`` multiplies int numerators term by
+term into one dict over the product of the two denominators and reduces
+once.  ``sums_of_products(dim, entries)`` computes a whole batch of sums of
+products (n/d) * x * y, the entries of a jet bracket, by Kronecker
+substitution: each distinct operand is packed into one int, each distinct
+product is one int multiply, and each entry is unpacked once; a batch too
+sparse in its layout for that to pay multiplies each distinct pair term by
+term once instead.  ``jetreps`` hands it primitive parts (int numerators
+with gcd 1 over 1), so each distinct product of prims is made once per
+bracket.
 ``lincomb(dim, pairs)`` is the one kernel for linear combinations: all
 numerators go into one dict over the lcm of the scaled denominators, reduced
 once.  Every sum, difference, negation and scaling is one ``lincomb``, and so
@@ -53,11 +57,12 @@ check of a field argument of the package: its component count and variables.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .multiindex import MultiIndex, check_direction, check_int
 
@@ -75,6 +80,13 @@ MAX_DEGREE = 64  # the total-degree cap, a guard against runaway input
 
 def _degree_overflow() -> OverflowError:
     return OverflowError(f"product exceeds degree cap {MAX_DEGREE}")
+
+
+def _over_cap(x: "Poly", y: "Poly", cap: int) -> bool:
+    """True if some term pair of x * y has total degree above ``cap``.  Worth
+    asking only when the operand degrees sum to more than the cap: then
+    |e1 + e2| <= |e1| + |e2| decides nothing, as Laurent exponents cancel."""
+    return any(sum(map(abs, map(add, e1, e2))) > cap for e1 in x._num for e2 in y._num)
 
 
 class Poly:
@@ -185,17 +197,13 @@ class Poly:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cap = MAX_DEGREE
         a, b = self._num, other._num
-        # |e1 + e2| <= |e1| + |e2|: if the largest operand degrees sum to at
-        # most the cap, no term pair exceeds it.  Otherwise check each pair,
-        # since Laurent exponents can cancel.
-        check = self._degree() + other._degree() > cap
+        if self._degree() + other._degree() > cap and _over_cap(self, other, cap):
+            raise _degree_overflow()
         out: Dict[MultiIndex, int] = {}
         get = out.get
         for e1, n1 in a.items():
             for e2, n2 in b.items():
                 e = tuple(map(add, e1, e2))
-                if check and sum(map(abs, e)) > cap:
-                    raise _degree_overflow()
                 out[e] = get(e, 0) + n1 * n2
         return _reduce(self.dim, {e: n for e, n in out.items() if n},
                        self._den * other._den)
@@ -380,6 +388,181 @@ def lincomb(dim: int, pairs: Iterable[Tuple[object, Poly]]) -> Poly:
         for e, n in p._num.items():
             out[e] = get(e, 0) + n * f
     return _reduce(dim, {e: n for e, n in out.items() if n}, den)
+
+
+def sums_of_products(dim: int,
+                     entries: Iterable[Iterable[Tuple[int, int, Poly, Poly]]]) -> List[Poly]:
+    """The canonical Polys sum_t (n_t/d_t) * x_t * y_t, one per entry, for
+    entries of terms (n, d, x, y) with ints n and d > 0 and Polys x, y in
+    ``dim`` variables.  Entries that sum to zero share one zero Poly.
+    Raises OverflowError exactly when some term, with n = 0 or not, has a
+    term pair above ``MAX_DEGREE``, as x * y would.
+
+    Kronecker substitution: with lo_i and hi_i the extreme exponents of
+    variable i over the operands of the batch, x^e is packed at slot
+    sum_i (e_i - lo_i) s_i of an int, where s_i is the product of the
+    spans 2 (hi_i - lo_i) + 1 of the later variables.  The product of two
+    packed operands then holds x^(e1 + e2) at the sum of their slots, and
+    no slot spills into another: a slot has w bits, the least of 8, 16, 32
+    and the multiples of 64 with 2^(w-1) above every
+    sum_t |n_t L / d_t| ||x_t||_1 ||y_t||_1, where L is the entry's lcm of
+    d_t den(x_t) den(y_t), and that bounds each coefficient of the entry
+    over L.  Each distinct operand is packed once and each distinct
+    product is one int multiply (``_times``), dropped after the last entry
+    that uses it; a term with n = 0 is never multiplied.  Each entry is
+    summed over its L as one int and unpacked once, read off as machine
+    words when w is at most 64.
+
+    The packed path costs time in proportion to the layout, slots * w bits
+    per distinct product, and pays off only for operands dense in their
+    box.  So a batch whose distinct products have fewer than
+    slots * w / ``_BITS_PER_PAIR`` term pairs on average (sparse operands of
+    high degree, Laurent operands far apart) multiplies the numerator Polys
+    of each distinct product once instead and takes each entry as one
+    ``lincomb`` of them.
+    """
+    cap = MAX_DEGREE
+    ops: Dict[int, list] = {}  # id(x) -> [x, ||x||_1, packed x, degree bound of x]
+    batch = []  # per entry: its L and its terms (n L / d_t, product key, op x, op y)
+    last_use: Dict[Tuple[int, int], int] = {}  # product key -> index of its last entry
+    bound = 0
+    for entry in entries:
+        terms = []
+        den = 1
+        for n, d, x, y in entry:
+            if type(n) is not int or type(d) is not int or d < 1:
+                raise ValueError(f"a term needs ints n and d > 0, got {n!r} and {d!r}")
+            ix, iy = id(x), id(y)
+            ox = ops.get(ix)
+            if ox is None:
+                ox = ops[ix] = _operand(x, dim)
+            oy = ops.get(iy)
+            if oy is None:
+                oy = ops[iy] = _operand(y, dim)
+            if ox[3] + oy[3] > cap and _over_cap(x, y, cap):
+                raise _degree_overflow()
+            if n and ox[1] and oy[1]:
+                d *= x._den * y._den
+                if den % d:
+                    den = lcm(den, d)
+                terms.append((n, d, (ix, iy) if ix < iy else (iy, ix), ox, oy))
+        terms = [(n * (den // d), key, ox, oy) for n, d, key, ox, oy in terms]
+        for _, key, _, _ in terms:
+            last_use[key] = len(batch)
+        bound = max(bound, sum(abs(c) * ox[1] * oy[1] for c, _, ox, oy in terms))
+        batch.append((den, terms))
+    zero = _wrap(dim, {}, 1)
+    live = [o for o in ops.values() if o[1]]
+    exps = [e for o in live for e in o[0]._num]
+    lo = list(map(min, zip(*exps))) if exps else [0] * dim
+    hi = list(map(max, zip(*exps))) if exps else [0] * dim
+    spans = [2 * (h - l) + 1 for l, h in zip(lo, hi)]
+    strides = [prod(spans[i + 1:]) for i in range(dim)]
+    need = bound.bit_length() + 1
+    width = next((w for w in (8, 16, 32) if w >= need), 64 * ((need + 63) // 64))
+    term_pairs = sum(len(ops[i][0]._num) * len(ops[j][0]._num) for i, j in last_use)
+    packed = len(last_use) * prod(spans) * width <= _BITS_PER_PAIR * term_pairs
+    for o in live:
+        o[2] = (sum(n << width * sum(map(mul, map(sub, e, lo), strides))
+                    for e, n in o[0]._num.items())
+                if packed else _wrap(dim, o[0]._num, 1))
+    base = [2 * l for l in lo]  # the exponent of slot 0 of a product
+    exponents: Dict[int, MultiIndex] = {}  # slot -> exponent, for the slots read so far
+    expiring = [[] for _ in batch]
+    for key, i in last_use.items():
+        expiring[i].append(key)
+    made: Dict[Tuple[int, int], object] = {}
+    out = []
+    for (den, terms), done in zip(batch, expiring):
+        products = []
+        for c, key, ox, oy in terms:
+            xy = made.get(key)
+            if xy is None:
+                xy = made[key] = _times(ox, oy)
+            products.append((c, xy))
+        for key in done:
+            del made[key]
+        if not packed:
+            r = lincomb(dim, products)  # int c times products over 1: over 1
+            out.append(_reduce(dim, r._num, den) if r._num else zero)
+            continue
+        total = sum(c * xy for c, xy in products)
+        if not total:
+            out.append(zero)
+            continue
+        num = {}
+        for k, c in _unpack(total, width):
+            e = exponents.get(k)
+            if e is None:
+                e = exponents[k] = _slot_exponent(k, strides, base)
+            num[e] = c
+        out.append(_reduce(dim, num, den))
+    return out
+
+
+# The packed bits that cost as much as one term pair of x * y: per distinct
+# product, the packed path does about slots * width bits of int work (the
+# multiply, the sums and the unpacking) and the other path one dict update
+# per term pair.  On jet brackets at d = 3 the two paths cost the same
+# between about 500 bits per term pair (operands of many terms) and 5,000
+# (one or two terms, where each x * y costs more than its term pairs); 512
+# packs only where packing is faster (BENCH_packed_products.json,
+# "layout_choice").
+_BITS_PER_PAIR = 512
+_WORDS = {8 * memoryview(b"").cast(f).itemsize: f for f in "BHIQ"}  # bits -> word format
+
+
+def _operand(x: Poly, dim: int) -> list:
+    """The record [x, ||x||_1, packed x, degree bound of x] of an operand of
+    ``sums_of_products``, packed once the path is chosen: an int, or the
+    numerators of x over 1."""
+    if x.dim != dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {dim}")
+    return [x, sum(map(abs, x._num.values())), 0, x._degree()]
+
+
+def _times(ox: list, oy: list) -> int | Poly:
+    """The one multiply of ``sums_of_products``: two packed operands, or
+    two numerator Polys."""
+    return ox[2] * oy[2]
+
+
+def _slot_exponent(k: int, strides: Sequence[int], base: Sequence[int]) -> MultiIndex:
+    """The exponent held at slot k of a packed product: its digits in the
+    mixed radix of ``strides``, offset by ``base``."""
+    e = []
+    for s, b in zip(strides, base):
+        q, k = divmod(k, s)
+        e.append(q + b)
+    return tuple(e)
+
+
+def _unpack(total: int, width: int) -> List[Tuple[int, int]]:
+    """The pairs (k, c) of the nonzero signed coefficients c, each below
+    2^(width - 1) in magnitude, at the slots k of ``width`` bits of a
+    nonzero ``total``, in increasing k."""
+    # Read the slots from the lowest nonzero one up, each shifted by half so
+    # that it is unsigned; |total| < 2^(width k) bounds the top slot k - 1
+    # up to one extra slot, which then holds 0.
+    first = ((total & -total).bit_length() - 1) // width
+    total >>= width * first
+    count = total.bit_length() // width + 1
+    nbytes = width // 8
+    half = 1 << (width - 1)
+    total += int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * count, "little")
+    fmt = _WORDS.get(width)
+    if fmt:
+        words = memoryview(total.to_bytes(nbytes * count, sys.byteorder)).cast(fmt).tolist()
+        if sys.byteorder == "big":
+            words.reverse()
+        return [(first + k, w - half) for k, w in enumerate(words) if w != half]
+    raw = total.to_bytes(nbytes * count, "little")
+    out = []
+    for k in range(count):
+        w = int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half
+        if w:
+            out.append((first + k, w))
+    return out
 
 
 # -- parsing -----------------------------------------------------------------

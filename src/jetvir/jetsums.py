@@ -44,6 +44,13 @@ def sum_closed(kind: SumKind, d: int, p: int,
                mu: Optional[int] = None, nu: Optional[int] = None) -> int:
     """Closed binomial form of the lattice sum."""
     _check_args(kind, d, p, mu, nu)
+    return _closed_value(kind, d, p)
+
+
+def _closed_value(kind: SumKind, d: int, p: int) -> int:
+    """The closed form of ``sum_closed`` without its checks, for a caller
+    that has checked (d, p) and the directions, which the value does not
+    depend on."""
     if kind is SumKind.A:
         return math.comb(d + p, d)
     if kind is SumKind.B:

@@ -13,6 +13,7 @@ from jetvir.exactpoly import (
     format_poly,
     lincomb,
     parse_poly,
+    sums_of_products,
 )
 from jetvir.jetreps import mat_mul
 from jetvir.multiindex import enumerate_indices
@@ -333,13 +334,15 @@ def test_numerators_share_one_reduced_denominator():
 # -- sums of products against a Fraction reference --------------------------
 
 def _reference_sum_of_products(d, pairs, k=1):
-    """k * sum x * y over the pairs, from Fraction products."""
+    """k * sum c * x * y over the pairs (x, y), with c = 1, or triples
+    (x, y, c), from Fraction products."""
     out = {}
-    for x, y in pairs:
+    for x, y, *c in pairs:
+        kc = k * c[0] if c else k
         for e1, c1 in x.terms.items():
             for e2, c2 in y.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + k * c1 * c2
+                out[e] = out.get(e, 0) + kc * c1 * c2
     return Poly(d, out)
 
 
@@ -427,3 +430,106 @@ def test_lincomb_matches_a_fraction_reference(case):
     r = lincomb(d, pairs)
     assert r == Poly(d, out)
     _assert_clean(r, d)
+
+
+# -- batched sums of products against a Fraction reference -------------------
+
+@st.composite
+def _product_batches(draw):
+    """Entries over one pool of shared operands: Laurent, constant and
+    single-term Polys in 1-3 variables, with coefficients either small or
+    beyond 64 bits; terms with n = 0; and entries that cancel to zero."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from((1, 2 ** 70)))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).map(
+        lambda c: c * scale)
+    laurent = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * d), coeffs, max_size=4)
+    pool = draw(st.lists(laurent.map(lambda t: Poly(d, t)), min_size=1, max_size=5))
+    single = st.tuples(*[st.integers(-2, 2)] * d).map(lambda e: Poly.monomial(e, scale))
+    pool += [Poly.constant(d, draw(coeffs)), draw(single)]
+    operands = st.sampled_from(pool)
+    term = st.tuples(st.integers(-3, 3), st.integers(1, 4), operands, operands)
+    entries = draw(st.lists(st.lists(term, max_size=5), min_size=1, max_size=6))
+    for n, den, x, y in draw(st.lists(term, max_size=2)):
+        entries.append([(n, den, x, y), (-n, den, y, x)])
+    return d, entries, draw(st.integers(2, 12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_product_batches())
+def test_batched_sums_of_products_match_a_fraction_reference(case):
+    """Every entry equals its Fraction reference, on the packed path and on
+    the path of numerator products and ``lincomb``, each forced through
+    ``_BITS_PER_PAIR``; OverflowError exactly when some term, its
+    coefficient zero or not, has a term pair above the degree cap."""
+    d, entries, cap = case
+    over = any(sum(map(abs, (a + b for a, b in zip(e1, e2)))) > cap
+               for entry in entries for _, _, x, y in entry
+               for e1 in x.numerators for e2 in y.numerators)
+    for bits in (1 << 60, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactpoly, "MAX_DEGREE", cap)
+            mp.setattr(exactpoly, "_BITS_PER_PAIR", bits)
+            if over:
+                with pytest.raises(OverflowError):
+                    sums_of_products(d, entries)
+                continue
+            got = sums_of_products(d, entries)
+        assert got == [_reference_sum_of_products(
+            d, [(x, y, Fraction(n, den)) for n, den, x, y in entry]) for entry in entries]
+        for r in got:
+            _assert_clean(r, d)
+
+
+def test_sums_of_products_slot_widths_degree_cap_and_argument_checks(monkeypatch):
+    """Slots of 8, 16, 32, 64 and 128 bits on the packed path, chosen by the
+    coefficient bound and wide enough for a coefficient at the bound; a zero coefficient does not spare a pair above the cap; operands of
+    another dimension and inexact or bool coefficients raise ValueError."""
+    z = parse_poly("z", 1, "z")
+    widths = []
+    unpack = exactpoly._unpack
+
+    def logged(total, width):
+        widths.append(width)
+        return unpack(total, width)
+    monkeypatch.setattr(exactpoly, "_unpack", logged)
+    monkeypatch.setattr(exactpoly, "_BITS_PER_PAIR", 1 << 60)
+    for k in (1, 2 ** 10, 2 ** 20, 2 ** 40, 2 ** 80):
+        x = z.scale(k) - Poly.constant(1, 1)
+        y = parse_poly("z^-2 - 1", 1, "z")
+        assert (sums_of_products(1, [[(1, 1, x, y)], [(3, 2, y, y)]])
+                == [x * y, (y * y).scale(Fraction(3, 2))])
+    assert widths == [w for w in (8, 16, 32, 64, 128) for _ in range(2)]
+    one = Poly.constant(1, 1)
+    for k in (7, 15, 31, 63):  # a coefficient of +-2^k at the bound: k + 2 bits
+        c = Poly.constant(1, 2 ** k)
+        assert sums_of_products(1, [[(1, 1, c, one)], [(-1, 1, c, one)]]) == [c, -c]
+    assert widths[10:] == [w for w in (16, 32, 64, 128) for _ in range(2)]
+    monkeypatch.setattr(exactpoly, "MAX_DEGREE", 3)
+    w = parse_poly("z^2", 1, "z")
+    assert sums_of_products(1, [[(1, 1, w, z)]]) == [w * z]
+    with pytest.raises(OverflowError):
+        sums_of_products(1, [[(1, 1, w, z)], [(0, 1, w, w)]])
+    with pytest.raises(ValueError, match="dimension"):
+        sums_of_products(1, [[(1, 1, z, parse_poly("x0", 2))]])
+    for n, d in ((0.5, 1), (Fraction(1, 2), 1), (True, 1), (1, 0), (1, 2.0)):
+        with pytest.raises(ValueError, match="ints n and d > 0"):
+            sums_of_products(1, [[(n, d, z, z)]])
+
+
+def test_sums_of_products_pack_only_batches_dense_in_their_layout(monkeypatch):
+    """A batch is packed when its distinct products have at least
+    slots * width / ``_BITS_PER_PAIR`` term pairs on average; two far-apart
+    monomials are multiplied as numerator Polys instead."""
+    made = []
+    times = exactpoly._times
+
+    def logged(ox, oy):
+        made.append(times(ox, oy))
+        return made[-1]
+    monkeypatch.setattr(exactpoly, "_times", logged)
+    sparse = parse_poly("z^40", 1, "z"), parse_poly("z^-40 + 1", 1, "z")
+    dense = (parse_poly(" + ".join(f"z^{j}" for j in range(10)), 1, "z"),) * 2
+    for x, y in (sparse, dense):
+        assert sums_of_products(1, [[(1, 1, x, y)]]) == [x * y]
+    assert [type(xy) for xy in made] == [Poly, int]

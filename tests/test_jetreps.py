@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -573,17 +574,38 @@ def _term_pairs(log):
     return Counter(len(x.numerators) * len(y.numerators) for x, y in log)
 
 
+@contextlib.contextmanager
+def _counting_kernel_products(log, planned):
+    """Log the operand pairs of each multiply of ``sums_of_products``, packed
+    or not, in ``log``, and the terms (n, d, x, y) the bracket plans in ``planned``."""
+    times, kernel = exactpoly._times, jetreps.sums_of_products
+
+    def logged_times(ox, oy):
+        log.append((ox[0], oy[0]))
+        return times(ox, oy)
+
+    def logged_kernel(dim, entries):
+        entries = [list(entry) for entry in entries]
+        planned.extend(t for entry in entries for t in entry)
+        return kernel(dim, entries)
+    with (mock.patch.object(exactpoly, "_times", logged_times),
+          mock.patch.object(jetreps, "sums_of_products", logged_kernel)):
+        yield
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(_bracket_cases())
 def test_bracket_matches_the_composed_matrix_operations(case):
     """The one-kernel bracket against the composition it replaces, on Laurent
-    entries with zeros: the same matrix; its products are a sub-multiset of
-    the composition's (by term-pair count); no two of its products have
-    operands equal up to rational scalars, in either order; and
-    OverflowError exactly when the composition raises under a small degree
-    cap."""
+    entries with zeros: the same matrix; its products, counted at the one
+    multiply of ``sums_of_products``, are a sub-multiset of the
+    composition's (by term-pair count); each distinct pair of prims with a
+    nonzero planned coefficient is multiplied exactly once and a pair whose
+    coefficients all cancelled never; no two of its products have operands
+    equal up to rational scalars, in either order; and OverflowError
+    exactly when the composition raises under a small degree cap."""
     args, cap = case
-    ref_log, log = [], []
+    ref_log, log, planned = [], [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactpoly, "MAX_DEGREE", cap)
         try:
@@ -593,9 +615,12 @@ def test_bracket_matches_the_composed_matrix_operations(case):
             with pytest.raises(OverflowError):
                 _bracket(*args)
             return
-        with _counting_products(log):
+        with _counting_kernel_products(log, planned):
             got = _bracket(*args)
     assert got == expected
     assert _term_pairs(log) <= _term_pairs(ref_log)
+    made = [frozenset((id(x), id(y))) for x, y in log]
+    assert len(set(made)) == len(made)
+    assert set(made) == {frozenset((id(x), id(y))) for n, _, x, y in planned if n}
     operands = [frozenset((_up_to_scalars(x), _up_to_scalars(y))) for x, y in log]
     assert len(set(operands)) == len(operands)
