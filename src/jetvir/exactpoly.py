@@ -69,10 +69,14 @@ from .multiindex import MultiIndex, check_direction, check_int
 
 def exact(value) -> Fraction:
     """``value`` as a Fraction; a float, which would carry its binary
-    rounding error into the exact arithmetic, raises ValueError."""
+    rounding error into the exact arithmetic, raises ValueError, and so
+    does a value that is not a number at all."""
     if isinstance(value, float):
         raise ValueError(f"values must be exact, got the float {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise ValueError(f"values must be exact, got {value!r}") from None
 
 
 MAX_DEGREE = 64  # the total-degree cap, a guard against runaway input

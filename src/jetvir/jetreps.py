@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exactpoly import Poly, check_field, exact, lincomb, sums_of_products
+from .exactpoly import Poly, _wrap, check_field, exact, lincomb, sums_of_products
 from .multiindex import (
     MultiIndex,
     binomial,
@@ -59,13 +59,14 @@ Matrix = Tuple[Tuple[Poly, ...], ...]
 # A factored entry (g, den, prim) stands for the nonzero Poly (g/den) * prim,
 # where prim has int numerators with gcd 1 over denominator 1 and a positive
 # numerator at its largest exponent.  A jet matrix holds the same prim in
-# many entries, scaled only by binomials and rep-matrix entries.  So a
+# many entries, scaled only by binomials and rep-matrix entries, and
+# ``_jet_matrix`` makes entries with equal term lists one object.  So a
 # bracket takes each matrix as its rows, dicts column -> factored entry of
-# the nonzero entries, plans each result row over those dicts alone as terms
-# [n, d, prim, prim] per column, and ``_evaluate`` hands all the plans to
-# ``exactpoly.sums_of_products`` as one batch, which makes each distinct
-# product of prims once, as one packed int multiply when the prims are dense
-# in their exponent box.
+# the nonzero entries, splitting each entry object once, plans each result
+# row over those dicts alone as terms [n, d, prim, prim] per column, and
+# ``_evaluate`` hands all the plans to ``exactpoly.sums_of_products`` as one
+# batch, which makes each distinct product of prims once, as one packed int
+# multiply when the prims are dense in their exponent box.
 _Factored = Tuple[int, int, Poly]
 
 
@@ -76,21 +77,36 @@ def _split(x: Poly, parts: dict) -> _Factored:
     g = gcd(*num.values())
     if num[max(num)] < 0:
         g = -g
-    key = frozenset((e, n // g) for e, n in num.items())
+    prim_num = {e: n // g for e, n in num.items()}
+    key = frozenset(prim_num.items())
     prim = parts.get(key)
     if prim is None:
-        prim = parts[key] = x.scale(Fraction(x.denominator, g))
+        prim = parts[key] = _wrap(x.dim, prim_num, 1)
     return g, x.denominator, prim
 
 
-def _split_all(v: Sequence[Poly], parts: dict) -> Dict[int, _Factored]:
-    """The nonzero entries of a vector, factored, keyed by index."""
-    return {k: _split(x, parts) for k, x in enumerate(v) if not x.is_zero()}
+def _split_all(v: Sequence[Poly], parts: dict, seen: dict) -> Dict[int, _Factored]:
+    """The nonzero entries of a vector, factored, keyed by index.  An entry
+    object met before is split once: ``seen`` maps its id to its factored
+    form, so it may only hold entries that the caller keeps alive for as
+    long as ``seen`` is used."""
+    out = {}
+    for k, x in enumerate(v):
+        if x.is_zero():
+            continue
+        f = seen.get(id(x))
+        if f is None:
+            f = seen[id(x)] = _split(x, parts)
+        out[k] = f
+    return out
 
 
 def _factor(matrix: Matrix, parts: dict) -> List[Dict[int, _Factored]]:
-    """The rows of a matrix as dicts column -> factored nonzero entry."""
-    return [_split_all(row, parts) for row in matrix]
+    """The rows of a matrix as dicts column -> factored nonzero entry; each
+    entry object, which a jet matrix shares among many positions, is split
+    once."""
+    seen: dict = {}
+    return [_split_all(row, parts, seen) for row in matrix]
 
 
 def _plan(plan: dict, n: int, d: int, x: Poly, y: Poly) -> None:
@@ -198,7 +214,7 @@ def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> 
     parts: dict = {}
     derivs: dict = {}
     rows1, rows2 = _factor(b1, parts), _factor(b2, parts)
-    v1, v2 = _split_all(a1, parts), _split_all(a2, parts)
+    v1, v2 = _split_all(a1, parts, {}), _split_all(a2, parts, {})
 
     def rows():
         for r1, r2 in zip(rows1, rows2):
@@ -224,6 +240,14 @@ def _levi_civita(a: int, b: int, c: int) -> int:
     return (a - b) * (b - c) * (c - a) // 2 if {a, b, c} == {0, 1, 2} else 0
 
 
+def _check_exact(what: str, values: Sequence) -> None:
+    """Require int or Fraction entries; a float fails in ``exact``."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            exact(v)
+            raise ValueError(f"{what} entries must be int or Fraction, got {v!r}")
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Totally antisymmetric real structure constants f^{abc} of a Lie
@@ -234,19 +258,20 @@ class StructureConstants:
     def __post_init__(self):
         n = self.dim
         f = self.f
+        check_int("algebra dimension", n, 0)
         if len(f) != n or any(len(r) != n or any(len(c) != n for c in r) for r in f):
             raise ValueError("structure constant tensor has wrong shape")
+        _check_exact("structure constant", [v for r in f for c in r for v in c])
+        # The checks are homogeneous, so they run on int numerators over one
+        # common denominator.
+        den = lcm(*(v.denominator for r in f for c in r for v in c))
+        f = [[[v.numerator * (den // v.denominator) for v in c] for c in r] for r in f]
         for a, b, c in itertools.product(range(n), repeat=3):
             if f[a][b][c] != -f[b][a][c] or f[a][b][c] != -f[a][c][b]:
                 raise ValueError("structure constants are not totally antisymmetric")
         for a, b, c, d in itertools.product(range(n), repeat=4):
-            s = sum(
-                f[a][b][e] * f[e][c][d]
-                + f[b][c][e] * f[e][a][d]
-                + f[c][a][e] * f[e][b][d]
-                for e in range(n)
-            )
-            if s != 0:
+            if sum(f[a][b][e] * f[e][c][d] + f[b][c][e] * f[e][a][d]
+                   + f[c][a][e] * f[e][b][d] for e in range(n)):
                 raise ValueError("structure constants violate the Jacobi identity")
 
     @classmethod
@@ -289,6 +314,14 @@ class MatrixRep:
     size: int
     generators: Tuple[Tuple[object, Tuple[Tuple[Fraction, ...], ...]], ...]
 
+    def __post_init__(self):
+        n = self.size
+        check_int("rep size", n, 1)
+        for label, m in self.generators:
+            if len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"generator {label!r} is not a {n} x {n} matrix")
+            _check_exact(f"generator {label!r}", [v for row in m for v in row])
+
     def matrix(self, label) -> Tuple[Tuple[Fraction, ...], ...]:
         for lab, m in self.generators:
             if lab == label:
@@ -322,6 +355,7 @@ class MatrixRep:
     @classmethod
     def gl_scalar_weight(cls, d: int, kappa) -> "MatrixRep":
         """One-dimensional weight rep: T^mu_nu = kappa * delta^mu_nu."""
+        check_int("dimension", d, 1)
         k = exact(kappa)
         gens = tuple(
             ((mu, nu), ((k if mu == nu else Fraction(0),),))
@@ -332,6 +366,7 @@ class MatrixRep:
     @classmethod
     def gl_vector(cls, d: int) -> "MatrixRep":
         """Defining rep: (T^mu_rho)_{ij} = delta_{i,mu} delta_{j,rho}."""
+        check_int("dimension", d, 1)
         gens = tuple(
             ((mu, rho),
              tuple(tuple(Fraction(1 if (i == mu and j == rho) else 0)
@@ -373,37 +408,71 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     base-point part xi(q).d/dq that ``JetOperator.vector`` carries, so
     the factor transports by f_k(x+q) - f_k(q).
 
-    Only the blocks of each factor's cached ``_stencil`` are visited.  Each
-    R_k is held as int numerators over one denominator, which divides f_k
-    once, so every term coefficient is an int.  An entry with a nonzero
-    term is one ``lincomb``; every other entry is one shared zero Poly.
+    Each R_k becomes its nonzero cells (i, j, int numerator) over one
+    denominator, which divides f_k once; a factor without a cell is
+    skipped.  Only the blocks of each factor's cached ``_stencil`` are
+    visited, and each derivative order is one ``deriv`` of a known lower
+    order, starting from f_k.  An entry is the sum of its terms (c, d^o f_k)
+    with int c; entries with equal term lists are one Poly object, a
+    one-term entry c * g is written directly and only an entry of two or
+    more terms is a ``lincomb``.  Every other entry is one shared zero Poly.
     """
     width = len(enumerate_indices(d, p)) * size  # checks (d, p) before the cache
-    blocks: Dict[Tuple[int, int], list] = {}  # (m, n) -> [(binom, d_order f_k, R_k)]
+    blocks: Dict[Tuple[int, int], list] = {}  # (m, n) -> [(binom, d_order f_k, cells)]
     for f, r, s in factors:
         if f.is_zero():
             continue
         den = lcm(*(v.denominator for row in r for v in row))
-        r = [[v.numerator * (den // v.denominator) for v in row] for row in r]
+        cells = [(i, j, v.numerator * (den // v.denominator))
+                 for i, row in enumerate(r) for j, v in enumerate(row) if v]
+        if not cells:
+            continue
         if den != 1:
             f = f.scale(Fraction(1, den))
-        known = {}  # order -> d_order f_k
+        known = {(0,) * d: f}  # order -> d_order f_k
         for mi, ni, b, order in _stencil(d, p, s):
-            g = known.get(order)
-            if g is None:
-                g = known[order] = f.deriv_multi(order)
+            g = _derivative(known, order)
             if not g.is_zero():
-                blocks.setdefault((mi, ni), []).append((b, g, r))
+                blocks.setdefault((mi, ni), []).append((b, g, cells))
     zero = Poly.zero(d)
     rows = [[zero] * width for _ in range(width)]
+    # term list ((c, id(g)), ...) -> entry; ``blocks`` keeps every g alive
+    built: Dict[tuple, Poly] = {}
     for (mi, ni), block in blocks.items():
-        for i in range(size):
-            row = rows[mi * size + i]
-            for j in range(size):
-                terms = [(b * r[i][j], g) for b, g, r in block if r[i][j]]
-                if terms:
-                    row[ni * size + j] = lincomb(d, terms)
+        entries: Dict[Tuple[int, int], list] = {}  # (i, j) -> [(c, g)]
+        for b, g, cells in block:
+            for i, j, n in cells:
+                entries.setdefault((i, j), []).append((b * n, g))
+        for (i, j), terms in entries.items():
+            key = tuple((c, id(g)) for c, g in terms)
+            x = built.get(key)
+            if x is None:
+                x = built[key] = _entry(d, terms)
+            rows[mi * size + i][ni * size + j] = x
     return tuple(map(tuple, rows))
+
+
+def _derivative(known: Dict[MultiIndex, Poly], order: MultiIndex) -> Poly:
+    """d^order f from the cache ``known``, which holds f at order zero: one
+    ``deriv`` of the order one lower in its first nonzero direction."""
+    g = known.get(order)
+    if g is None:
+        mu = next(k for k, o in enumerate(order) if o)
+        lower = order[:mu] + (order[mu] - 1,) + order[mu + 1:]
+        g = known[order] = _derivative(known, lower).deriv(mu)
+    return g
+
+
+def _entry(d: int, terms: List[Tuple[int, Poly]]) -> Poly:
+    """sum_t c_t g_t for nonzero ints c_t and nonzero Polys g_t.  One term
+    c * g is (c/h) * num(g) over den(g)/h with h = gcd(c, den(g)), already
+    canonical since gcd(den(g), num(g)) = 1."""
+    if len(terms) > 1:
+        return lincomb(d, terms)
+    (c, g), = terms
+    h = gcd(c, g.denominator)
+    c //= h
+    return _wrap(d, {e: n * c for e, n in g.numerators.items()}, g.denominator // h)
 
 
 # -- operators -----------------------------------------------------------------
@@ -471,7 +540,7 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
     check_field("eta", eta, d, d)
     parts: dict = {}
     derivs: dict = {}
-    fx, fe = _split_all(xi, parts), _split_all(eta, parts)
+    fx, fe = _split_all(xi, parts, {}), _split_all(eta, parts, {})
 
     row = {mu: {} for mu in range(d)}
     for mu, plan in row.items():

@@ -4,8 +4,12 @@ Each test below pins an argument that used to be misread (a bool taken as
 an int, a string taken as an enum member, a field in the wrong number of
 variables) or to fail late with a bare TypeError, IndexError or
 AttributeError.  The checks are ``multiindex.check_int``,
-``multiindex.check_direction`` and ``exactpoly.check_field``.
+``multiindex.check_direction`` and ``exactpoly.check_field``; the entries
+of rep matrices and structure constants must be ints or Fractions, and a
+float or a non-number fails in ``exactpoly.exact``.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +108,48 @@ def test_bracket_components_checks_both_sides():
     for x, y in (([x1], [x2]), ([x2], [x1]), (["x0"], [x1]), ([x1], [None])):
         _one_line_value_error(lambda: sc.bracket_components(x, y), "polynomial in")
     assert sc.bracket_components([x1], [x1]) == [Poly.zero(1)]
+
+
+@pytest.mark.parametrize("bad", [True, 0, -1, 2.0])
+def test_gl_reps_need_an_int_dimension_of_at_least_one(bad):
+    # gl_vector(True) was taken as d = 1, gl_vector(0) and
+    # gl_scalar_weight(-1, 1) returned empty reps, and gl_vector(2.0) raised
+    # a bare TypeError.
+    _one_line_value_error(lambda: MatrixRep.gl_vector(bad), "dimension must be an integer >= 1")
+    _one_line_value_error(lambda: MatrixRep.gl_scalar_weight(bad, 1),
+                          "dimension must be an integer >= 1")
+
+
+@pytest.mark.parametrize("size, gens, match", [
+    # passed, then gauge_operator raised IndexError
+    (2, ((0, ((Fraction(1),),)),), "not a 2 x 2 matrix"),
+    (1, ((0, ((Fraction(1), Fraction(0)),)),), "not a 1 x 1 matrix"),
+    # passed, then gauge_operator raised AttributeError
+    (1, ((0, ((0.5,),)),), "exact"),
+    (1, ((0, (("1/2",),)),), "int or Fraction"),
+    (1, ((0, ((None,),)),), "exact"),
+    (0, (), "rep size must be an integer >= 1"),
+    (True, ((0, ((Fraction(1),),)),), "rep size"),
+    (1.0, ((0, ((Fraction(1),),)),), "rep size"),
+])
+def test_matrix_rep_needs_square_exact_matrices_of_its_size(size, gens, match):
+    _one_line_value_error(lambda: MatrixRep(size, gens), match)
+    assert MatrixRep(1, ((0, ((1,),)),)).matrix(0) == ((1,),)
+
+
+@pytest.mark.parametrize("entry, match", [
+    (0.5, "exact"),  # was AttributeError: 'float' object has no attribute 'denominator'
+    (None, "exact"),
+    ("0", "int or Fraction"),
+])
+def test_structure_constants_need_exact_entries(entry, match):
+    f = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+    f[1][1][1] = entry
+    _one_line_value_error(lambda: StructureConstants(2, tuple(tuple(map(tuple, m)) for m in f)),
+                          match)
+    # A float dimension equal to the shape raised a bare TypeError.
+    zero = tuple(tuple((Fraction(0),) * 2 for _ in range(2)) for _ in range(2))
+    _one_line_value_error(lambda: StructureConstants(2.0, zero), "algebra dimension")
 
 
 # -- deltacalc: the enum arguments of the oracle and the closed forms ----------------

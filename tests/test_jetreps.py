@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from jetvir import exactpoly, jetreps
 from jetvir.exactpoly import Poly, lincomb, parse_poly
 from jetvir.jetreps import (
+    JetOperator,
     MatrixRep,
     StructureConstants,
     _bracket,
     _factor,
     _insert_identity,
     _jet_matrix,
+    _levi_civita,
     bracket,
     bracket_diff,
     bracket_gauge,
@@ -52,8 +54,19 @@ def test_structure_constants_validation():
     bad = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
     bad[0][1][0] = Fraction(1)  # not antisymmetric in the last pair swap
     bad[1][0][0] = Fraction(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not totally antisymmetric"):
         StructureConstants(2, tuple(tuple(tuple(r) for r in m) for m in bad))
+    # The checks run on int numerators over a common denominator: a scaled
+    # epsilon is a Lie algebra, and f^{012} = 1/2, f^{234} = 2/3 in five
+    # dimensions is totally antisymmetric but fails the Jacobi identity.
+    half = tuple(tuple(tuple(c / 2 for c in r) for r in m) for m in sc.f)
+    assert StructureConstants(3, half).f == half
+    f = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    for (a, b, c), v in (((0, 1, 2), Fraction(1, 2)), ((2, 3, 4), Fraction(2, 3))):
+        for i, j, k in itertools.permutations((a, b, c)):
+            f[i][j][k] = v * _levi_civita(*((a, b, c).index(x) for x in (i, j, k)))
+    with pytest.raises(ValueError, match="violate the Jacobi identity"):
+        StructureConstants(5, tuple(tuple(map(tuple, m)) for m in f))
 
 
 def _numeric_matrix(rows):
@@ -416,18 +429,18 @@ def test_bool_grid_raises_after_the_stencil_cache_is_primed():
 
 def _reference_jet_matrix(factors, size, d, p):
     """The dense builder: every block (m, n) of every factor is probed, and
-    every entry, zero or not, is its own lincomb.  Also returns the set of
-    positions of the entries with at least one term (whose sum may still
-    cancel)."""
+    every entry, zero or not, is its own lincomb.  Also returns the term
+    list of each entry with at least one term (whose sum may still cancel),
+    keyed by position, each term as (coefficient, factor index, order)."""
     lattice = enumerate_indices(d, p)
     derivs = [{} for _ in factors]
     rows = []
-    with_terms = set()
+    term_lists = {}
     for m in lattice:
         blocks = []
         for n in lattice:
             block = []
-            for (f, r, s), known in zip(factors, derivs):
+            for k, ((f, r, s), known) in enumerate(zip(factors, derivs)):
                 ns = tuple(x - y for x, y in zip(n, s))
                 b = binomial(m, ns)
                 if b and (m != ns or not any(s)):
@@ -436,14 +449,15 @@ def _reference_jet_matrix(factors, size, d, p):
                     if g is None:
                         g = known[order] = f.deriv_multi(order)
                     if not g.is_zero():
-                        block.append((b, g, r))
+                        block.append((b, g, r, k, order))
             blocks.append(block)
         for i in range(size):
-            terms = [[(b * r[i][j], g) for b, g, r in block if r[i][j]]
+            terms = [[(b * r[i][j], g, k, order) for b, g, r, k, order in block if r[i][j]]
                      for block in blocks for j in range(size)]
-            with_terms.update((len(rows), j) for j, t in enumerate(terms) if t)
-            rows.append(tuple(lincomb(d, t) for t in terms))
-    return tuple(rows), with_terms
+            term_lists.update(((len(rows), j), tuple((c, k, o) for c, _, k, o in t))
+                              for j, t in enumerate(terms) if t)
+            rows.append(tuple(lincomb(d, [(c, g) for c, g, _, _ in t]) for t in terms))
+    return tuple(rows), term_lists
 
 
 def _dense_poly(d, deg, rng):
@@ -455,7 +469,8 @@ def _dense_poly(d, deg, rng):
 def _jet_factor_cases(d, p, rng):
     """The factor lists of ``gauge_operator`` and ``diff_operator`` on dense
     random fields, for abelian and rotation-adjoint currents and for scalar
-    weight and vector gl-reps."""
+    weight and vector gl-reps, and one list of an all-zero R_k beside
+    fractional R_k, one of them shifted."""
     zero = (0,) * d
     for rep in (MatrixRep.g_abelian(2, [Fraction(1, 2), 3]), MatrixRep.g_rotation_adjoint()):
         mats = [m for _, m in rep.generators]
@@ -468,32 +483,55 @@ def _jet_factor_cases(d, p, rng):
         yield ([(xi[mu], eye, unit(d, mu)) for mu in range(d)]
                + [(xi[mu].deriv(nu), rep.matrix((nu, mu)), zero)
                   for nu in range(d) for mu in range(d)]), rep.size
+    nil = ((Fraction(0),) * 2,) * 2
+    r = ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(0), Fraction(5, 4)))
+    yield [(_dense_poly(d, p + 1, rng), nil, zero), (_dense_poly(d, p + 1, rng), r, zero),
+           (_dense_poly(d, 3, rng), r, unit(d, d - 1))], 2
 
 
-def test_jet_matrix_matches_the_dense_builder_with_one_lincomb_per_nonzero_entry():
+def test_jet_matrix_matches_the_dense_builder_and_builds_each_distinct_entry_once():
     """Every d <= 3, p <= 3, walked forward and then in reverse against the
     same reference matrices, so a stencil cached under a wrong key shows up
-    in one order or the other.  The builder calls lincomb once for each
-    entry with a term, which every nonzero entry has, and never for another
-    entry; the entries without a term are one shared zero Poly."""
+    in one order or the other.  Entries with equal term lists are one Poly
+    object; the builder calls lincomb only for entries of two or more
+    terms, once per distinct term list; the entries without a term are one
+    shared zero Poly.  A factor whose R_k has no nonzero cell is never
+    differentiated, and no factor takes more than one derivative per
+    nonzero order of its stencil."""
     rng = random.Random(15)
     cases = [(d, p, factors, size, *_reference_jet_matrix(factors, size, d, p))
              for d in (1, 2, 3) for p in range(4)
              for factors, size in _jet_factor_cases(d, p, rng)]
-    calls = []
+    calls, differentiated = [], []
+    deriv = Poly.deriv
 
     def counting(dim, pairs):
-        calls.append(dim)
+        calls.append(len(pairs))
         return lincomb(dim, pairs)
-    for d, p, factors, size, expected, with_terms in cases + cases[::-1]:
+
+    def logged_deriv(f, mu):
+        differentiated.append(id(f))
+        return deriv(f, mu)
+    for d, p, factors, size, expected, term_lists in cases + cases[::-1]:
         calls.clear()
-        with mock.patch.object(jetreps, "lincomb", counting):
+        differentiated.clear()
+        with (mock.patch.object(jetreps, "lincomb", counting),
+              mock.patch.object(Poly, "deriv", logged_deriv)):
             got = _jet_matrix(factors, size, d, p)
         assert got == expected
-        assert len(calls) == len(with_terms)
+        by_terms = {}
+        for (i, j), terms in term_lists.items():
+            by_terms.setdefault(terms, set()).add(id(got[i][j]))
+        assert all(len(ids) == 1 for ids in by_terms.values())
+        assert all(n >= 2 for n in calls)
+        assert len(calls) == sum(len(terms) >= 2 for terms in by_terms)
         zeros = {id(x) for i, row in enumerate(got) for j, x in enumerate(row)
-                 if (i, j) not in with_terms}
+                 if (i, j) not in term_lists}
         assert len(zeros) <= 1
+        orders = [{o for _, _, _, o in jetreps._stencil(d, p, s) if any(o)}
+                  for f, r, s in factors if any(map(any, r)) and not f.is_zero()]
+        assert len(differentiated) <= sum(map(len, orders))
+        assert not {id(f) for f, r, _ in factors if not any(map(any, r))} & set(differentiated)
 
 
 # -- differential test: one bracket kernel against the composed matrix ops -----
@@ -624,3 +662,47 @@ def test_bracket_matches_the_composed_matrix_operations(case):
     assert set(made) == {frozenset((id(x), id(y))) for n, _, x, y in planned if n}
     operands = [frozenset((_up_to_scalars(x), _up_to_scalars(y))) for x, y in log]
     assert len(set(operands)) == len(operands)
+
+
+def _built_operator_pairs(rng):
+    """Pairs of operators from ``gauge_operator``, ``diff_operator`` and the
+    two sides of ``bracket_mixed``, at d <= 2, p <= 2."""
+    for d, p in ((1, 1), (1, 3), (2, 1), (2, 2)):
+        sc_reps = (MatrixRep.g_abelian(2, [Fraction(1, 2), 3]), MatrixRep.g_rotation_adjoint())
+        gl_reps = (MatrixRep.gl_scalar_weight(d, Fraction(-3, 2)), MatrixRep.gl_vector(d))
+        for g_rep, gl_rep in zip(sc_reps, gl_reps):
+            n = len(g_rep.generators)
+            J1, J2 = (gauge_operator([_rand_poly(d, 2, rng) for _ in range(n)], g_rep, d, p)
+                      for _ in range(2))
+            L1, L2 = (diff_operator([_rand_poly(d, 3, rng) for _ in range(d)], gl_rep, d, p)
+                      for _ in range(2))
+            yield J1, J2
+            yield L1, L2
+            yield L1, L1
+            yield (JetOperator(d, p, L1.rep_size * J1.rep_size, L1.vector,
+                               _insert_identity(L1.matrix, J1.rep_size)),
+                   embed_gauge_operator(J1, L1.rep_size))
+
+
+def test_bracket_of_built_operators_matches_the_composed_matrix_operations():
+    """The bracket of jet matrices from the builders, whose entries are
+    shared objects that the bracket factors once each by id, against the
+    composition of matrix operations.  The derivatives d_nu prim that the
+    bracket takes along a vector part are temporaries: some of them are
+    freed while the bracket runs and their ids are taken by later objects,
+    which the id memo must not confuse with its entries."""
+    rng = random.Random(19)
+    reused = False
+    deriv = Poly.deriv
+    for a, b in _built_operator_pairs(rng):
+        made = []
+
+        def logged_deriv(f, mu):
+            out = deriv(f, mu)
+            made.append(id(out))
+            return out
+        with mock.patch.object(Poly, "deriv", logged_deriv):
+            got = _bracket(a.vector, a.matrix, b.vector, b.matrix)
+        assert got == _reference_bracket(a.vector, a.matrix, b.vector, b.matrix)
+        reused = reused or len(set(made)) < len(made)
+    assert reused
