@@ -16,13 +16,15 @@ Two layers are provided:
   pairs d_w delta against polynomials via
   integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  The integral is
   sum_{s,t} W(s,t) f_s g_t over Taylor exponents s of f and t of g, and each
-  row t -> W(s,t) depends only on (d, p, D1, D2, s): it is built once by
-  walking the kernel expansions and cached, so a call costs
-  |supp f| x |row| lookups.  Every kernel term has
-  |s| + |t| = (|w1| - |e1|) + (|w2| - |e2|), so a Taylor term of f above
-  the largest such sum (read off the kernel expansions) never reaches a
-  word and is skipped.  A smearing term with a negative exponent is never
-  paired.  Only field-independent data is cached, never an integral.
+  row t -> W(s,t) depends only on (d, p, D1, D2, s).  Every term of one
+  kernel factor has the same lift w - e of its word over its exponent, so
+  s + t is the summed lift Delta of the pair and only the at most 4
+  exponents 0 <= s <= Delta have a row.  Each such row is built on first
+  read by walking the kernel expansions and kept in one memo per (d, p, D1,
+  D2), so a call costs one cache lookup, a read of f at each box point and
+  |row| reads of g per nonzero one; any other Taylor term of f, a negative
+  exponent included, is never read.  Only field-independent data is cached,
+  never an integral.
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
   to, lattice sums times Taylor numerators read at 0 and at e_mu; the
   oracle never consults them, so oracle-vs-closed comparison is an
@@ -38,13 +40,13 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .exactpoly import Poly, check_field
 from .jetsums import SumKind, _closed_value
-from .multiindex import (MultiIndex, add as mi_add, check_direction, check_grid,
-                         enumerate_indices, unit)
+from .multiindex import MultiIndex, check_direction, check_grid, enumerate_indices, unit
 
 
 class Which(enum.Enum):
@@ -94,13 +96,16 @@ def _check_deriv(deriv: DerivSpec, d: int) -> None:
 # A kernel expansion maps each derivative word on the delta of one variable
 # to (coefficient, monomial exponent in the other variable); a word belongs
 # to at most one term.  The coefficient already carries the pairing factor
-# (-1)^{|word|} word! of the term's delta, so it is an integer.
+# (-1)^{|word|} word! of the term's delta, so it is an integer.  Every term of
+# one expansion has the same lift word - exponent, which is returned with it.
 _KernelTerms = Mapping[MultiIndex, Tuple[int, MultiIndex]]
 
 
 @functools.lru_cache(maxsize=128)
-def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> _KernelTerms:
-    """Expand one decorated kernel factor termwise, as a read-only map.
+def _kernel_terms(d: int, p: int, deriv: DerivSpec,
+                  poly_is_x: bool) -> Tuple[_KernelTerms, MultiIndex]:
+    """Expand one decorated kernel factor termwise, as a read-only map, and
+    return it with its lift: e_mu for a decorated factor, else 0.
 
     ``poly_is_x`` selects the argument order: True for K_p(x, y) (monomials
     in x, delta in y), False for K_p(y, x).  The decoration either
@@ -110,55 +115,52 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec, poly_is_x: bool) -> _KernelT
     factor (-1)^{|word|} word! is the integer (-1)^{|word|-|m|} word! / m!.
     The caller checks the decoration's direction before any cache is read.
     """
-    hits_poly = (deriv.which is Which.ON_X) == poly_is_x and deriv.which is not Which.NONE
-    hits_delta = deriv.which is not Which.NONE and not hits_poly
     mu = deriv.direction
-    out: Dict[MultiIndex, Tuple[int, MultiIndex]] = {}
-    for m in enumerate_indices(d, p):
-        coeff, expo, word = 1, m, m
-        if hits_poly:
-            if m[mu] == 0:
-                continue
-            coeff = m[mu]
-            expo = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
-        elif hits_delta:
-            word = mi_add(m, unit(d, mu))
-            coeff = -(m[mu] + 1)
-        out[word] = (coeff, expo)
-    return MappingProxyType(out)
+    indices = enumerate_indices(d, p)
+    if deriv.which is Which.NONE:
+        return MappingProxyType({m: (1, m) for m in indices}), (0,) * d
+    if (deriv.which is Which.ON_X) == poly_is_x:  # d_mu x^m = m_mu x^{m - e_mu}
+        out = {m: (m[mu], m[:mu] + (m[mu] - 1,) + m[mu + 1:]) for m in indices if m[mu]}
+    else:  # d_mu appended to the word m
+        out = {m[:mu] + (m[mu] + 1,) + m[mu + 1:]: (-(m[mu] + 1), m) for m in indices}
+    return MappingProxyType(out), unit(d, mu)
 
 
-# Entries per (d, p, decoration pair) and per (..., Taylor exponent); a row is
-# a handful of (exponent, weight) pairs.
-_ROW_CACHE = 1024
+# Rows of one decoration pair: t -> W(s, t) per Taylor exponent s of f.
+_Row = Tuple[Tuple[MultiIndex, int], ...]
 
 
-@functools.lru_cache(maxsize=_ROW_CACHE)
-def _reach(d: int, p: int, d1: DerivSpec, d2: DerivSpec) -> int:
-    """The largest |s| + |t| = (|w1| - |e1|) + (|w2| - |e2|) over the terms
-    of the two kernel factors; -1 when a factor has no term."""
-    lifts = [max((sum(w) - sum(e) for w, (_, e) in terms.items()), default=None)
-             for terms in (_kernel_terms(d, p, d1, True), _kernel_terms(d, p, d2, False))]
-    return -1 if None in lifts else sum(lifts)
+@functools.lru_cache(maxsize=1024)
+def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
+                ) -> Tuple[_KernelTerms, _KernelTerms, MultiIndex,
+                           Tuple[MultiIndex, ...], Dict[MultiIndex, _Row]]:
+    """The two kernel expansions of a decoration pair, their summed lift
+    Delta = lift1 + lift2, the box of exponents 0 <= s <= Delta, and the
+    memo of the rows built so far, which only ``delta_pair_integral``
+    fills.  Every term pair has s + t = Delta with t >= 0, so only an s in
+    the box has a row; as each lift is 0 or a unit, the box is
+    {0, lift1, lift2, Delta}, at most 4 points."""
+    first, lift1 = _kernel_terms(d, p, d1, True)
+    second, lift2 = _kernel_terms(d, p, d2, False)
+    lift = tuple(map(add, lift1, lift2))
+    box = tuple(dict.fromkeys(((0,) * d, lift1, lift2, lift)))
+    return first, second, lift, box, {}
 
 
-@functools.lru_cache(maxsize=_ROW_CACHE)
-def _row(d: int, p: int, d1: DerivSpec, d2: DerivSpec,
-         s: MultiIndex) -> Tuple[Tuple[MultiIndex, int], ...]:
+def _row(first: _KernelTerms, second: _KernelTerms, s: MultiIndex) -> _Row:
     """The field-independent row t -> W(s, t) of nonzero integer weights.
 
     Walks the first factor: its term (c1, e1, w1) meets the second factor's
     term at the word w2 = e1 + s, if there is one, (c2, e2, w2), and adds
     c1 c2 at t = w1 - e2 when t >= 0.
     """
-    second = _kernel_terms(d, p, d2, False)
     row: Dict[MultiIndex, int] = {}
-    for w1, (c1, e1) in _kernel_terms(d, p, d1, True).items():
-        hit = second.get(mi_add(e1, s))
+    for w1, (c1, e1) in first.items():
+        hit = second.get(tuple(map(add, e1, s)))
         if hit is None:
             continue
         c2, e2 = hit
-        t = tuple(a - b for a, b in zip(w1, e2))
+        t = tuple(map(sub, w1, e2))
         if min(t) >= 0:
             row[t] = row.get(t, 0) + c1 * c2
     return tuple((t, w) for t, w in row.items() if w)
@@ -185,12 +187,14 @@ def delta_pair_integral(
     x-integral pairs f x^{e1} against d_{w2} delta(x), the y-integral
     g y^{e2} against d_{w1} delta(y).  So the integral is
     sum_{s,t} W(s,t) f_s g_t, and for each Taylor exponent s of f the row
-    t -> W(s,t) depends on no field: it is built once per (d, p, D1, D2, s)
-    and cached.  Since |s| + |t| = (|w1| - |e1|) + (|w2| - |e2|), a term of
-    f with |s| above the largest such sum never reaches a word and is
-    skipped before any row is built.  A call costs |supp f| x |row| lookups.
-    A smearing term with a negative exponent is never paired: it has no
-    Taylor coefficient at the origin.
+    t -> W(s,t) depends on no field.  Every term of a factor has the same
+    lift w - e (e_mu if decorated, else 0), so s + t is the summed lift
+    Delta, and with t >= 0 only an s in the box 0 <= s <= Delta (at most 4
+    points) has a row.  So a call makes one cache lookup and reads f only at
+    the box points, skipping the constant term of a shifted slot; a row is
+    built on first read and kept per (d, p, D1, D2).  Any other s, a
+    negative (Laurent) exponent included, is never read or walked.  A call
+    costs at most 4 x |row| dict reads of g.
     """
     check_grid(d, p)
     check_field("the smearing pair (f, g)", (f, g), d)
@@ -198,17 +202,21 @@ def delta_pair_integral(
     _check_deriv(d2, d)
     if len(modes) != 2 or modes[0] not in _MODES or modes[1] not in _MODES:
         raise ValueError(f"modes must be two SmearModes, got {modes!r}")
-    reach = _reach(d, p, d1, d2)
+    first, second, _, box, rows = _pair_table(d, p, d1, d2)
     zero = (0,) * d
     skip_s = zero if modes[0] is SmearMode.SHIFTED else None
     skip_t = zero if modes[1] is SmearMode.SHIFTED else None
-    g_num = g.numerators
+    f_num, g_num = f.numerators, g.numerators
     # Sum int numerators; the two shared denominators divide once at the end.
     total = 0
-    for s, fc in f.numerators.items():
-        if sum(s) > reach or min(s) < 0 or s == skip_s:
+    for s in box:
+        fc = f_num.get(s)
+        if fc is None or s == skip_s:
             continue
-        for t, w in _row(d, p, d1, d2, s):
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = _row(first, second, s)
+        for t, w in row:
             gc = g_num.get(t)
             if gc is not None and t != skip_t:
                 total += w * fc * gc

@@ -56,23 +56,24 @@ from .multiindex import (
 
 Matrix = Tuple[Tuple[Poly, ...], ...]
 
-# A factored entry (g, den, prim) stands for the nonzero Poly (g/den) * prim,
-# where prim has int numerators with gcd 1 over denominator 1 and a positive
-# numerator at its largest exponent.  A jet matrix holds the same prim in
-# many entries, scaled only by binomials and rep-matrix entries, and
-# ``_jet_matrix`` makes entries with equal term lists one object.  So a
+# A factored entry (g, den, prim, id(prim)) stands for the nonzero Poly
+# (g/den) * prim, where prim has int numerators with gcd 1 over denominator 1
+# and a positive numerator at its largest exponent.  A jet matrix holds the
+# same prim in many entries, scaled only by binomials and rep-matrix entries,
+# and ``_jet_matrix`` makes entries with equal term lists one object.  So a
 # bracket takes each matrix as its rows, dicts column -> factored entry of
 # the nonzero entries, splitting each entry object once, plans each result
-# row over those dicts alone as terms [n, d, prim, prim] per column, and
-# ``_evaluate`` hands all the plans to ``exactpoly.sums_of_products`` as one
-# batch, which makes each distinct product of prims once, as one packed int
-# multiply when the prims are dense in their exponent box.
-_Factored = Tuple[int, int, Poly]
+# row over those dicts alone as terms [n, d, prim, prim] per column, keyed by
+# the pair of prim ids that the factored entries carry, and ``_evaluate``
+# hands all the plans to ``exactpoly.sums_of_products`` as one batch, which
+# makes each distinct product of prims once, as one packed int multiply when
+# the prims are dense in their exponent box.
+_Factored = Tuple[int, int, Poly, int]
 
 
 def _split(x: Poly, parts: dict) -> _Factored:
-    """x = (g/den) * prim for a nonzero x; equal prims are one object in
-    ``parts``, keyed by their numerators."""
+    """x = (g/den) * prim for a nonzero x, with prim's id; equal prims are
+    one object in ``parts``, keyed by their numerators."""
     num = x.numerators
     g = gcd(*num.values())
     if num[max(num)] < 0:
@@ -82,7 +83,7 @@ def _split(x: Poly, parts: dict) -> _Factored:
     prim = parts.get(key)
     if prim is None:
         prim = parts[key] = _wrap(x.dim, prim_num, 1)
-    return g, x.denominator, prim
+    return g, x.denominator, prim, id(prim)
 
 
 def _split_all(v: Sequence[Poly], parts: dict, seen: dict) -> Dict[int, _Factored]:
@@ -109,12 +110,14 @@ def _factor(matrix: Matrix, parts: dict) -> List[Dict[int, _Factored]]:
     return [_split_all(row, parts, seen) for row in matrix]
 
 
-def _plan(plan: dict, n: int, d: int, x: Poly, y: Poly) -> None:
+def _plan(plan: dict, n: int, d: int, x: Poly, xid: int, y: Poly, yid: int) -> None:
     """Add the term (n/d) * x * y to a plan keyed by the unordered pair of
-    prims, merging the coefficients of equal pairs."""
-    if id(x) > id(y):
+    prim ids ``xid``, ``yid``, merging the coefficients of equal pairs."""
+    if xid > yid:
         x, y = y, x
-    key = (id(x), id(y))
+        key = (yid, xid)
+    else:
+        key = (xid, yid)
     t = plan.get(key)
     if t is None:
         plan[key] = [n, d, x, y]
@@ -129,12 +132,12 @@ def _row_times(plans: dict, row: dict, rows: list, sign: int) -> None:
     """Plan the terms of sign * (row . B), for B given by its factored
     ``rows``, into ``plans`` keyed by column; only nonzero entries are
     visited."""
-    for k, (g1, d1, p1) in row.items():
-        for j, (g2, d2, p2) in rows[k].items():
+    for k, (g1, d1, p1, i1) in row.items():
+        for j, (g2, d2, p2, i2) in rows[k].items():
             plan = plans.get(j)
             if plan is None:
                 plan = plans[j] = {}
-            _plan(plan, sign * g1 * g2, d1 * d2, p1, p2)
+            _plan(plan, sign * g1 * g2, d1 * d2, p1, i1, p2, i2)
 
 
 def _along(plan: dict, a: dict, f, sign: int, parts: dict, derivs: dict) -> None:
@@ -143,16 +146,16 @@ def _along(plan: dict, a: dict, f, sign: int, parts: dict, derivs: dict) -> None
     call and cached in ``derivs``; zero terms are left out."""
     if f is None:
         return
-    g, den, prim = f
-    for nu, (ga, da, pa) in a.items():
-        key = (nu, id(prim))
+    g, den, prim, pid = f
+    for nu, (ga, da, pa, ia) in a.items():
+        key = (nu, pid)
         if key not in derivs:
             dp = prim.deriv(nu)
             derivs[key] = None if dp.is_zero() else _split(dp, parts)
         df = derivs[key]
         if df is not None:
-            gd, _, pd = df  # d_nu of a prim has denominator 1
-            _plan(plan, sign * ga * g * gd, da * den, pa, pd)
+            gd, _, pd, idd = df  # d_nu of a prim has denominator 1
+            _plan(plan, sign * ga * g * gd, da * den, pa, ia, pd, idd)
 
 
 def _evaluate(dim: int, ncols: int, rows: Iterable[dict]) -> Matrix:

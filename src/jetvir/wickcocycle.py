@@ -151,10 +151,20 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
 
 # -- base-point sector rules ----------------------------------------------------
 
-def _jacobian_at_zero(xi: Sequence[Poly]) -> List[List[Fraction]]:
-    """d_nu xi^mu(0) as [mu][nu]: the coefficient of x_nu in xi^mu."""
+def _jacobian_at_zero(xi: Sequence[Poly]) -> Tuple[List[List[int]], int]:
+    """d_nu xi^mu(0) as [mu][nu] int numerators over one denominator: the
+    numerator of xi^mu at e_nu (only x^{e_nu} differentiates to a constant)
+    over the component's denominator, brought to their lcm."""
     units = [unit(len(xi), nu) for nu in range(len(xi))]
-    return [[c.coeff(e) for e in units] for c in xi]
+    den = math.lcm(*(c.denominator for c in xi))
+    return [[c.numerators.get(e, 0) * (den // c.denominator) for e in units]
+            for c in xi], den
+
+
+def _divergence_at_zero(xi: Sequence[Poly]) -> Fraction:
+    """d_mu xi^mu(0), the trace of ``_jacobian_at_zero``."""
+    jac, den = _jacobian_at_zero(xi)
+    return Fraction(sum(row[mu] for mu, row in enumerate(jac)), den)
 
 
 def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
@@ -164,13 +174,14 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
     if ta is None or tb is None:
         return
     if ta[0] == "L" and tb[0] == "L":
-        jx, je = _jacobian_at_zero(ta[1]), _jacobian_at_zero(tb[1])
+        (jx, dx), (je, de) = _jacobian_at_zero(ta[1]), _jacobian_at_zero(tb[1])
         d = len(jx)
-        pe.add(2, -sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d)))
+        total = sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d))
+        pe.add(2, Fraction(-total, dx * de))
     elif ta[0] == "T" and tb[0] == "L":
-        pe.add(3, sum(row[mu] for mu, row in enumerate(_jacobian_at_zero(tb[1]))))
+        pe.add(3, _divergence_at_zero(tb[1]))
     elif ta[0] == "L" and tb[0] == "T":
-        pe.add(3, -sum(row[mu] for mu, row in enumerate(_jacobian_at_zero(ta[1]))))
+        pe.add(3, -_divergence_at_zero(ta[1]))
     elif ta[0] == "T" and tb[0] == "T":
         pe.add(4, Fraction(a.d))
 

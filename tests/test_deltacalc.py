@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetvir import deltacalc
 from jetvir.deltacalc import (
     DerivSpec,
     SmearMode,
@@ -200,6 +202,74 @@ def test_bool_grid_raises_after_the_caches_are_primed():
         delta_pair_integral(one, one, none, none, PLAIN, True, 2)
     with pytest.raises(ValueError, match="jet order must be"):
         delta_pair_integral(one, one, none, none, PLAIN, 1, True)
+    # The table keyed by (d, p, D1, D2) is primed for on_x(1); on_x(True)
+    # finds that entry unless the direction is checked first.
+    x = parse_poly("x0 + x1", 2)
+    assert delta_pair_integral(x, x, DerivSpec.on_x(1), none, SHIFT_PLAIN, 2, 2) == 0
+    assert deltacalc._pair_table(2, 2, DerivSpec.on_x(True), none)[4]
+    with pytest.raises(ValueError, match="derivative direction"):
+        delta_pair_integral(x, x, DerivSpec.on_x(True), none, SHIFT_PLAIN, 2, 2)
+
+
+def _all_derivs(d):
+    return [DerivSpec.none(), *(DerivSpec.on_x(mu) for mu in range(d)),
+            *(DerivSpec.on_y(mu) for mu in range(d))]
+
+
+def test_kernel_terms_share_one_lift():
+    """Every term (word w, exponent e) of a kernel expansion has w - e equal
+    to the returned lift, e_mu for a decorated factor and 0 otherwise, and
+    the terms are the reference expansion's with the pairing factor."""
+    for d in range(1, 5):
+        for p in range(6):
+            for deriv in _all_derivs(d):
+                for poly_is_x in (True, False):
+                    terms, lift = deltacalc._kernel_terms(d, p, deriv, poly_is_x)
+                    expected = ((0,) * d if deriv.which is Which.NONE
+                                else unit(d, deriv.direction))
+                    assert lift == expected, (d, p, deriv, poly_is_x)
+                    for w, (_, e) in terms.items():
+                        assert tuple(a - b for a, b in zip(w, e)) == lift
+                    reference = {w: (c * (-1) ** norm(w) * factorial(w), e)
+                                 for c, e, w in _reference_kernel_terms(d, p, deriv, poly_is_x)}
+                    assert dict(terms) == reference
+
+
+def test_rows_are_built_only_in_the_box_and_once(monkeypatch):
+    """Fields with many negative and high exponents: each decoration pair's
+    memo holds at most prod(Delta_i + 1) rows, every walked s lies in the
+    box 0 <= s <= Delta, and no row is walked twice."""
+    deltacalc._pair_table.cache_clear()
+    walks = []
+    row = deltacalc._row
+
+    def counting_row(first, second, s):
+        walks.append((id(first), id(second), s))
+        return row(first, second, s)
+    monkeypatch.setattr(deltacalc, "_row", counting_row)
+    rng = random.Random(20)
+    cases = []
+    for d, p in ((1, 3), (2, 2), (3, 2), (4, 1)):
+        for _ in range(3):
+            f, g = (Poly(d, {tuple(rng.randint(-3, p + 3) for _ in range(d)):
+                             Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                             for _ in range(30)}) for _ in range(2))
+            cases += [(f, g, d1, d2, modes, d, p) for d1 in _all_derivs(d)
+                      for d2 in _all_derivs(d)
+                      for modes in itertools.product(SmearMode, repeat=2)]
+    for case in cases:
+        assert delta_pair_integral(*case) == _reference_pair_integral(*case)
+    assert walks and len(walks) == len(set(walks))
+    tables = {(case[5], case[6], case[2], case[3]) for case in cases}
+    boxes = {}
+    for key in tables:
+        first, second, lift, box, rows = deltacalc._pair_table(*key)
+        assert len(rows) <= len(box) == math.prod(b + 1 for b in lift) <= 4
+        assert all(0 <= a <= b for s in rows for a, b in zip(s, lift))
+        boxes[id(first), id(second)] = lift
+    for first, second, s in walks:
+        lift = boxes[first, second]
+        assert all(0 <= a <= b for a, b in zip(s, lift)), (s, lift)
 
 
 def _dense_field(d, p, rng):

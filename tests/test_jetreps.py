@@ -343,8 +343,8 @@ def test_factor_splits_entries_into_content_and_shared_prims():
         assert len(rows) == len(m)
         for i, row in enumerate(m):
             assert set(rows[i]) == {j for j, x in enumerate(row) if not x.is_zero()}
-            for j, (g_, den, prim) in rows[i].items():
-                assert row[j] == prim.scale(Fraction(g_, den))
+            for j, (g_, den, prim, pid) in rows[i].items():
+                assert row[j] == prim.scale(Fraction(g_, den)) and pid == id(prim)
                 nums = prim.numerators
                 assert prim.denominator == 1 and math.gcd(*nums.values()) == 1
                 assert nums[max(nums)] > 0

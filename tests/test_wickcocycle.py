@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from jetvir.charges import GRepTraces, Statistics, closed_form, from_sl_gl1
 from jetvir.exactpoly import Poly, parse_poly
+from jetvir.multiindex import unit
 from jetvir.wickcocycle import (
     NormalBilinear,
     Term,
@@ -120,6 +122,48 @@ def test_base_point_sector_vector_pair():
     closed = closed_form(2, 0, 0, gl, gr)
     meas = extract_charges(2, 0, 0, gl, gr)
     assert meas.c1 == closed.c1 == 1
+
+
+def _coeff_jacobian(xi):
+    """d_nu xi^mu(0) as [mu][nu], read as Fraction coefficients."""
+    d = len(xi)
+    return [[c.coeff(unit(d, nu)) for nu in range(d)] for c in xi]
+
+
+@pytest.mark.parametrize("xi,eta", [
+    (["1/3 * x0", "2/5 * x1"], ["3/2 * x0 + 1/7 * x1", "-1/4 * x0 + 1/6 * x0^2"]),
+    (["1/3 * x0 + 1/2 * x2", "2/5 * x1 - x0", "1/7 * x2 + x0 * x1"],
+     ["1/9 * x1", "5/4 * x1", "-1/6 * x0 + 2/3 * x2 + 1/5"]),
+])
+def test_base_point_sector_reads_each_component_over_its_own_denominator(xi, eta):
+    """The L-L pole 2 and the T-L and L-T pole 3 are the field sector plus
+    the base-point rule, with d_nu xi^mu(0) read as Fraction coefficients;
+    the components have different denominators and Laurent terms."""
+    d = len(xi)
+    xi = [parse_poly(c, d) for c in xi]
+    # a Laurent term x_{d-1}^-1 in the last component of eta
+    eta = [parse_poly(c, d) for c in eta[:-1]] + [
+        parse_poly(eta[-1], d) + Poly.monomial((0,) * (d - 1) + (-1,), Fraction(3, 8))]
+    jx, je = _coeff_jacobian(xi), _coeff_jacobian(eta)
+    pair = -sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d))
+    div_xi, div_eta = sum(jx[mu][mu] for mu in range(d)), sum(je[mu][mu] for mu in range(d))
+    assert pair and div_xi and div_eta
+    gl = from_sl_gl1(Fraction(1, 2), 1, 2, d)
+    gr = GRepTraces(2, 1, 1, 1)
+    for p in (0, 2):
+        la, lb = build_vector_field(xi, d, p), build_vector_field(eta, d, p)
+        t = build_reparam(Fraction(3, 2), d, p)
+
+        def field_only(a, b):
+            return double_contraction(replace(a, q_sector=None), replace(b, q_sector=None),
+                                      gl, gr).coefficients
+
+        for a, b, rule in ((la, lb, {2: pair}), (t, lb, {3: div_eta}), (la, t, {3: -div_xi})):
+            expected = field_only(a, b)
+            for order, value in rule.items():
+                expected[order] = expected.get(order, 0) + value
+            got = double_contraction(a, b, gl, gr).coefficients
+            assert got == {k: v for k, v in expected.items() if v}, (p, rule)
 
 
 def test_extraction_spec_point():
