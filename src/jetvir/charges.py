@@ -34,13 +34,10 @@ single-sector formulas are recovered by setting the other dimension to 1.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
 
-from .exactpoly import exact
+from .exactpoly import _Record, _set, exact
 from .multiindex import check_grid, check_int
 
 
@@ -53,18 +50,17 @@ class Statistics(enum.Enum):
         return 1 if self is Statistics.BOSE else -1
 
 
-@dataclass(frozen=True)
-class GlRepTraces:
+class GlRepTraces(_Record):
     """Trace parameters of the gl(d) representation rho."""
-    delta_rho: int
-    k0: Fraction
-    k1: Fraction
-    k2: Fraction
 
-    def __post_init__(self):
-        check_int("delta_rho", self.delta_rho, 1)
-        for name in ("k0", "k1", "k2"):
-            object.__setattr__(self, name, exact(getattr(self, name)))
+    __slots__ = ("delta_rho", "k0", "k1", "k2")
+
+    def __init__(self, delta_rho: int, k0: Fraction, k1: Fraction, k2: Fraction):
+        check_int("delta_rho", delta_rho, 1)
+        _set(self, "delta_rho", delta_rho)
+        _set(self, "k0", exact(k0))
+        _set(self, "k1", exact(k1))
+        _set(self, "k2", exact(k2))
 
 
 def from_sl_gl1(kappa, y_rho, delta_rho: int, d: int) -> GlRepTraces:
@@ -82,45 +78,56 @@ def from_sl_gl1(kappa, y_rho, delta_rho: int, d: int) -> GlRepTraces:
     )
 
 
-@dataclass(frozen=True)
-class GRepTraces:
+class GRepTraces(_Record):
     """Trace parameters of the internal representation M, plus the field
     statistics (which enters every double-contraction sign)."""
-    delta_m: int
-    y_m: Fraction
-    z_m: Fraction
-    w_m: Fraction
-    statistics: Statistics = Statistics.BOSE
 
-    def __post_init__(self):
-        check_int("delta_m", self.delta_m, 1)
-        if not isinstance(self.statistics, Statistics):
-            raise ValueError(f"statistics must be a Statistics, got {self.statistics!r}")
-        for name in ("y_m", "z_m", "w_m"):
-            object.__setattr__(self, name, exact(getattr(self, name)))
+    __slots__ = ("delta_m", "y_m", "z_m", "w_m", "statistics")
+
+    def __init__(self, delta_m: int, y_m: Fraction, z_m: Fraction, w_m: Fraction,
+                 statistics: Statistics = Statistics.BOSE):
+        check_int("delta_m", delta_m, 1)
+        if not isinstance(statistics, Statistics):
+            raise ValueError(f"statistics must be a Statistics, got {statistics!r}")
+        _set(self, "delta_m", delta_m)
+        _set(self, "y_m", exact(y_m))
+        _set(self, "z_m", exact(z_m))
+        _set(self, "w_m", exact(w_m))
+        _set(self, "statistics", statistics)
 
 
-@dataclass(frozen=True)
-class ChargeSet:
-    d: int
-    p: int
-    conformal_weight: Fraction  # lambda of the reparametrization sector
-    glrep: GlRepTraces
-    grep: GRepTraces
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    c6: Fraction
-    c7: Fraction
-    c8: Fraction
+class ChargeSet(_Record):
+    """The eight charges c1..c8 at (d, p, lambda) for the two
+    representations; ``conformal_weight`` is lambda of the
+    reparametrization sector."""
 
-    def charges(self) -> Dict[str, Fraction]:
+    __slots__ = ("d", "p", "conformal_weight", "glrep", "grep",
+                 "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+
+    def __init__(self, d: int, p: int, conformal_weight: Fraction, glrep: GlRepTraces,
+                 grep: GRepTraces, c1: Fraction, c2: Fraction, c3: Fraction, c4: Fraction,
+                 c5: Fraction, c6: Fraction, c7: Fraction, c8: Fraction):
+        _set(self, "d", d)
+        _set(self, "p", p)
+        _set(self, "conformal_weight", conformal_weight)
+        _set(self, "glrep", glrep)
+        _set(self, "grep", grep)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c3", c3)
+        _set(self, "c4", c4)
+        _set(self, "c5", c5)
+        _set(self, "c6", c6)
+        _set(self, "c7", c7)
+        _set(self, "c8", c8)
+
+    def charges(self) -> dict[str, Fraction]:
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 9)}
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> dict:
+        """The JSON payload: the inputs and the charges, every rational as
+        a ``fraction_json`` string."""
+        return {
             "inputs": {
                 "d": self.d,
                 "p": self.p,
@@ -137,7 +144,6 @@ class ChargeSet:
             },
             "charges": {k: fraction_json(v) for k, v in self.charges().items()},
         }
-        return json.dumps(payload, indent=2)
 
 
 def fraction_json(x: Fraction) -> str:
@@ -146,7 +152,7 @@ def fraction_json(x: Fraction) -> str:
 
 
 def compare(closed: ChargeSet,
-            measured) -> List[Tuple[str, Optional[Fraction], Fraction]]:
+            measured) -> list[tuple[str, Fraction | None, Fraction]]:
     """The (name, measured, closed) rows of c1..c8 and c1+c2 for an
     engine measurement (``wickcocycle.MeasuredCharges``) of ``closed``.
     At d = 1 only c1+c2 is measurable, so the measured c1 and c2 are None."""

@@ -20,7 +20,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import List
 
 from . import __version__
 from .charges import (
@@ -62,7 +61,7 @@ def _check_ranges(d: int, p: int) -> None:
         raise ValueError("supported ranges are 1 <= d <= 6, 0 <= p <= 10")
 
 
-def _parse_components(text: str, d: int, varname: str = "x") -> List[Poly]:
+def _parse_components(text: str, d: int, varname: str = "x") -> list[Poly]:
     return [parse_poly(part.strip(), d, varname) for part in text.split(",")]
 
 
@@ -140,16 +139,14 @@ def cmd_charges(args) -> int:
     ok = table is None or all(m == c for _, m, c in table if m is not None)
 
     if args.format == "json":
-        if table is None:
-            print(cs.to_json())
-        else:
-            payload = json.loads(cs.to_json())
+        payload = cs.to_json()
+        if table is not None:
             # the json layout lists c1+c2 right after c2 (stable sort on the last digit)
             payload["measured"] = {
                 name.replace("+", "_plus_"): None if m is None else fraction_json(m)
                 for name, m, _ in sorted(table, key=lambda row: row[0][-1])}
             payload["match"] = ok
-            print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
         return 0 if ok else 1
     rows = _charge_rows(cs, table)
     if args.format == "csv":

@@ -33,29 +33,28 @@ charge is an ``exact`` value or a ``lincomb`` coefficient, so a float raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence
 
-from .exactpoly import Poly, check_field, exact, lincomb
+from .exactpoly import Poly, _Record, _set, check_field, exact, lincomb
 from .jetreps import divergence
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """A closed loop q: components are Laurent polynomials in one variable z."""
-    components: tuple
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    __slots__ = ("components",)
+
+    def __init__(self, components: Sequence[Poly]):
+        comps = tuple(components)
         check_field("trajectory", comps, 1)
-        object.__setattr__(self, "components", comps)
+        _set(self, "components", comps)
 
     @property
     def d(self) -> int:
         return len(self.components)
 
-    def velocity(self) -> List[Poly]:
+    def velocity(self) -> list[Poly]:
         return [c.deriv(0) for c in self.components]
 
 
@@ -81,7 +80,7 @@ def bracket_rep(f: Poly, g: Poly) -> Poly:
     return f * g.deriv(0) - g * f.deriv(0)
 
 
-def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> List[Poly]:
+def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> list[Poly]:
     """The weight-one density action xi . X = xi^mu d_mu X + d_mu xi^mu X,
     the formal bracket formula of the extended algebra's mixed sector."""
     d = len(xi)

@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, sub
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
 
-from .exactpoly import Poly, check_field
+from .exactpoly import Poly, _Record, _set, check_field
 from .jetsums import SumKind, _closed_value
 from .multiindex import MultiIndex, check_direction, check_grid, enumerate_indices, unit
 
@@ -55,13 +54,16 @@ class Which(enum.Enum):
     ON_Y = "on_y"
 
 
-@dataclass(frozen=True)
-class DerivSpec:
+class DerivSpec(_Record):
     """A derivative decoration on one kernel factor: none, or d/dx_mu,
     or d/dy_mu — x and y are the literal integration variables, regardless
     of the kernel's argument order."""
-    which: Which = Which.NONE
-    direction: int = 0
+
+    __slots__ = ("which", "direction")
+
+    def __init__(self, which: Which = Which.NONE, direction: int = 0):
+        _set(self, "which", which)
+        _set(self, "direction", direction)
 
     @classmethod
     def none(cls) -> "DerivSpec":
@@ -98,12 +100,12 @@ def _check_deriv(deriv: DerivSpec, d: int) -> None:
 # to at most one term.  The coefficient already carries the pairing factor
 # (-1)^{|word|} word! of the term's delta, so it is an integer.  Every term of
 # one expansion has the same lift word - exponent, which is returned with it.
-_KernelTerms = Mapping[MultiIndex, Tuple[int, MultiIndex]]
+_KernelTerms = Mapping[MultiIndex, tuple[int, MultiIndex]]
 
 
 @functools.lru_cache(maxsize=128)
 def _kernel_terms(d: int, p: int, deriv: DerivSpec,
-                  poly_is_x: bool) -> Tuple[_KernelTerms, MultiIndex]:
+                  poly_is_x: bool) -> tuple[_KernelTerms, MultiIndex]:
     """Expand one decorated kernel factor termwise, as a read-only map, and
     return it with its lift: e_mu for a decorated factor, else 0.
 
@@ -127,13 +129,13 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec,
 
 
 # Rows of one decoration pair: t -> W(s, t) per Taylor exponent s of f.
-_Row = Tuple[Tuple[MultiIndex, int], ...]
+_Row = tuple[tuple[MultiIndex, int], ...]
 
 
 @functools.lru_cache(maxsize=1024)
 def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
-                ) -> Tuple[_KernelTerms, _KernelTerms, MultiIndex,
-                           Tuple[MultiIndex, ...], Dict[MultiIndex, _Row]]:
+                ) -> tuple[_KernelTerms, _KernelTerms, MultiIndex,
+                           tuple[MultiIndex, ...], dict[MultiIndex, _Row]]:
     """The two kernel expansions of a decoration pair, their summed lift
     Delta = lift1 + lift2, the box of exponents 0 <= s <= Delta, and the
     memo of the rows built so far, which only ``delta_pair_integral``
@@ -154,7 +156,7 @@ def _row(first: _KernelTerms, second: _KernelTerms, s: MultiIndex) -> _Row:
     term at the word w2 = e1 + s, if there is one, (c2, e2, w2), and adds
     c1 c2 at t = w1 - e2 when t >= 0.
     """
-    row: Dict[MultiIndex, int] = {}
+    row: dict[MultiIndex, int] = {}
     for w1, (c1, e1) in first.items():
         hit = second.get(tuple(map(add, e1, s)))
         if hit is None:
@@ -171,7 +173,7 @@ def delta_pair_integral(
     g: Poly,
     d1: DerivSpec,
     d2: DerivSpec,
-    modes: Tuple[SmearMode, SmearMode],
+    modes: tuple[SmearMode, SmearMode],
     d: int,
     p: int,
 ) -> Fraction:
@@ -227,8 +229,8 @@ def delta_pair_closed(
     case: str,
     f: Poly,
     g: Poly,
-    mu: Optional[int],
-    nu: Optional[int],
+    mu: int | None,
+    nu: int | None,
     d: int,
     p: int,
 ) -> Fraction:

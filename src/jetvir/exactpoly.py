@@ -52,17 +52,18 @@ is the sum over terms of a composition.  Each ``Poly`` also keeps its degree
 bound max |e| once it is first needed; products, inverse powers and parsed
 terms are capped at total degree ``MAX_DEGREE``.  ``check_field`` is the one
 check of a field argument of the package: its component count and variables.
+``_Record`` is the base of the package's value records.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .multiindex import MultiIndex, check_direction, check_int
 
@@ -77,6 +78,48 @@ def exact(value) -> Fraction:
         return Fraction(value)
     except TypeError:
         raise ValueError(f"values must be exact, got {value!r}") from None
+
+
+class _Record:
+    """The base of the package's value records.  A subclass lists its fields
+    in ``__slots__`` and sets them in its own ``__init__`` through
+    ``_set``; it then compares equal to a record of the same type with equal
+    fields, hashes its fields, rejects assignment and deletion, and is
+    copied and pickled through its ``__init__``.  A subclass declared with
+    ``frozen=False`` stays mutable and unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._values = attrgetter(*cls.__slots__)
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+_set = object.__setattr__  # how a frozen record's __init__ sets its fields
 
 
 MAX_DEGREE = 64  # the total-degree cap, a guard against runaway input
@@ -100,7 +143,7 @@ class Poly:
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], object] | None = None):
         check_int("dimension", dim, 0)
-        clean: Dict[MultiIndex, Fraction] = {}
+        clean: dict[MultiIndex, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
                 e = tuple(expo)
@@ -154,7 +197,7 @@ class Poly:
         return self._den
 
     @property
-    def terms(self) -> Dict[MultiIndex, Fraction]:
+    def terms(self) -> dict[MultiIndex, Fraction]:
         """A fresh dict exponent -> nonzero Fraction coefficient."""
         den = self._den
         return {e: Fraction(n, den) for e, n in self._num.items()}
@@ -171,9 +214,6 @@ class Poly:
         if len(e) != self.dim:
             raise ValueError(f"exponent {e} has wrong dimension (expected {self.dim})")
         return Fraction(self._num.get(e, 0), self._den)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num.get((0,) * self.dim, 0), self._den)
 
     def _degree(self) -> int:
         """max |e| over the terms (0 for zero), computed on first use."""
@@ -203,7 +243,7 @@ class Poly:
         a, b = self._num, other._num
         if self._degree() + other._degree() > cap and _over_cap(self, other, cap):
             raise _degree_overflow()
-        out: Dict[MultiIndex, int] = {}
+        out: dict[MultiIndex, int] = {}
         get = out.get
         for e1, n1 in a.items():
             for e2, n2 in b.items():
@@ -292,7 +332,7 @@ class Poly:
             if s.dim != tdim:
                 raise ValueError("substitution polynomials must share a dimension")
         one = _wrap(tdim, {(0,) * tdim: 1}, 1)
-        powers: Dict[Tuple[int, int], Poly] = {}
+        powers: dict[tuple[int, int], Poly] = {}
         pairs = []
         for e, n in self._num.items():
             term = None
@@ -338,7 +378,7 @@ def _monomial_inverse_power(p: Poly, k: int) -> Poly:
     return _wrap(p.dim, {tuple(-k * x for x in e): top}, bottom)
 
 
-def _wrap(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
+def _wrap(dim: int, num: dict[MultiIndex, int], den: int) -> Poly:
     """A Poly around ``num`` over ``den``, which must already be in the
     canonical form of the module docstring; nothing is checked or copied."""
     p = object.__new__(Poly)
@@ -349,7 +389,7 @@ def _wrap(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
     return p
 
 
-def _reduce(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
+def _reduce(dim: int, num: dict[MultiIndex, int], den: int) -> Poly:
     """The canonical Poly num / den, for nonzero int numerators and an int
     den > 0: one gcd pass over the numerators and the denominator."""
     if den == 1:
@@ -360,7 +400,7 @@ def _reduce(dim: int, num: Dict[MultiIndex, int], den: int) -> Poly:
     return _wrap(dim, {e: n // g for e, n in num.items()}, den // g)
 
 
-def lincomb(dim: int, pairs: Iterable[Tuple[object, Poly]]) -> Poly:
+def lincomb(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
     """The canonical Poly sum_k c_k P_k of the pairs (c_k, P_k), each c_k an
     int or Fraction and each P_k a Poly in ``dim`` variables.
 
@@ -385,7 +425,7 @@ def lincomb(dim: int, pairs: Iterable[Tuple[object, Poly]]) -> Poly:
             if den % pd:
                 den = lcm(den, pd)
             scaled.append((cn, pd, p))
-    out: Dict[MultiIndex, int] = {}
+    out: dict[MultiIndex, int] = {}
     get = out.get
     for cn, pd, p in scaled:
         f = cn * (den // pd)
@@ -395,7 +435,7 @@ def lincomb(dim: int, pairs: Iterable[Tuple[object, Poly]]) -> Poly:
 
 
 def sums_of_products(dim: int,
-                     entries: Iterable[Iterable[Tuple[int, int, Poly, Poly]]]) -> List[Poly]:
+                     entries: Iterable[Iterable[tuple[int, int, Poly, Poly]]]) -> list[Poly]:
     """The canonical Polys sum_t (n_t/d_t) * x_t * y_t, one per entry, for
     entries of terms (n, d, x, y) with ints n and d > 0 and Polys x, y in
     ``dim`` variables.  Entries that sum to zero share one zero Poly.
@@ -426,9 +466,9 @@ def sums_of_products(dim: int,
     ``lincomb`` of them.
     """
     cap = MAX_DEGREE
-    ops: Dict[int, list] = {}  # id(x) -> [x, ||x||_1, packed x, degree bound of x]
+    ops: dict[int, list] = {}  # id(x) -> [x, ||x||_1, packed x, degree bound of x]
     batch = []  # per entry: its L and its terms (n L / d_t, product key, op x, op y)
-    last_use: Dict[Tuple[int, int], int] = {}  # product key -> index of its last entry
+    last_use: dict[tuple[int, int], int] = {}  # product key -> index of its last entry
     bound = 0
     for entry in entries:
         terms = []
@@ -471,11 +511,11 @@ def sums_of_products(dim: int,
                     for e, n in o[0]._num.items())
                 if packed else _wrap(dim, o[0]._num, 1))
     base = [2 * l for l in lo]  # the exponent of slot 0 of a product
-    exponents: Dict[int, MultiIndex] = {}  # slot -> exponent, for the slots read so far
+    exponents: dict[int, MultiIndex] = {}  # slot -> exponent, for the slots read so far
     expiring = [[] for _ in batch]
     for key, i in last_use.items():
         expiring[i].append(key)
-    made: Dict[Tuple[int, int], object] = {}
+    made: dict[tuple[int, int], object] = {}
     out = []
     for (den, terms), done in zip(batch, expiring):
         products = []
@@ -541,7 +581,7 @@ def _slot_exponent(k: int, strides: Sequence[int], base: Sequence[int]) -> Multi
     return tuple(e)
 
 
-def _unpack(total: int, width: int) -> List[Tuple[int, int]]:
+def _unpack(total: int, width: int) -> list[tuple[int, int]]:
     """The pairs (k, c) of the nonzero signed coefficients c, each below
     2^(width - 1) in magnitude, at the slots k of ``width`` bits of a
     nonzero ``total``, in increasing k."""
@@ -571,7 +611,8 @@ def _unpack(total: int, width: int) -> List[Tuple[int, int]]:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+# Compiled on first use by ``parse_poly``, from ``re``'s own pattern cache.
+_TOKEN = (
     r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_][A-Za-z_0-9]*)"
     r"(?:\^(?P<exp>-?\d+))?|(?P<mul>\*))"
 )
@@ -600,9 +641,10 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
         result_terms[tuple(expo)] = result_terms.get(tuple(expo), Fraction(0)) + sign * c
         sign, coeff, expo, started = 1, None, [0] * dim, False
 
-    result_terms: Dict[MultiIndex, Fraction] = {}
+    result_terms: dict[MultiIndex, Fraction] = {}
+    token = re.compile(_TOKEN).match
     while pos < n:
-        m = _TOKEN_RE.match(text, pos)
+        m = token(text, pos)
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
         pos = m.end()

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exactpoly import Poly, _wrap, check_field, exact, lincomb, sums_of_products
+from .exactpoly import Poly, _Record, _set, _wrap, check_field, exact, lincomb, sums_of_products
 from .multiindex import (
     MultiIndex,
     binomial,
@@ -54,7 +54,7 @@ from .multiindex import (
 
 # -- exact matrices over Poly -------------------------------------------------
 
-Matrix = Tuple[Tuple[Poly, ...], ...]
+Matrix = tuple[tuple[Poly, ...], ...]
 
 # A factored entry (g, den, prim, id(prim)) stands for the nonzero Poly
 # (g/den) * prim, where prim has int numerators with gcd 1 over denominator 1
@@ -68,7 +68,7 @@ Matrix = Tuple[Tuple[Poly, ...], ...]
 # hands all the plans to ``exactpoly.sums_of_products`` as one batch, which
 # makes each distinct product of prims once, as one packed int multiply when
 # the prims are dense in their exponent box.
-_Factored = Tuple[int, int, Poly, int]
+_Factored = tuple[int, int, Poly, int]
 
 
 def _split(x: Poly, parts: dict) -> _Factored:
@@ -86,7 +86,7 @@ def _split(x: Poly, parts: dict) -> _Factored:
     return g, x.denominator, prim, id(prim)
 
 
-def _split_all(v: Sequence[Poly], parts: dict, seen: dict) -> Dict[int, _Factored]:
+def _split_all(v: Sequence[Poly], parts: dict, seen: dict) -> dict[int, _Factored]:
     """The nonzero entries of a vector, factored, keyed by index.  An entry
     object met before is split once: ``seen`` maps its id to its factored
     form, so it may only hold entries that the caller keeps alive for as
@@ -102,7 +102,7 @@ def _split_all(v: Sequence[Poly], parts: dict, seen: dict) -> Dict[int, _Factore
     return out
 
 
-def _factor(matrix: Matrix, parts: dict) -> List[Dict[int, _Factored]]:
+def _factor(matrix: Matrix, parts: dict) -> list[dict[int, _Factored]]:
     """The rows of a matrix as dicts column -> factored nonzero entry; each
     entry object, which a jet matrix shares among many positions, is split
     once."""
@@ -251,16 +251,16 @@ def _check_exact(what: str, values: Sequence) -> None:
             raise ValueError(f"{what} entries must be int or Fraction, got {v!r}")
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(_Record):
     """Totally antisymmetric real structure constants f^{abc} of a Lie
     algebra g, with [X, Y]^c = f^{abc} X^a Y^b."""
-    dim: int
-    f: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
 
-    def __post_init__(self):
-        n = self.dim
-        f = self.f
+    __slots__ = ("dim", "f")
+
+    def __init__(self, dim: int, f: tuple[tuple[tuple[Fraction, ...], ...], ...]):
+        _set(self, "dim", dim)
+        _set(self, "f", f)
+        n = dim
         check_int("algebra dimension", n, 0)
         if len(f) != n or any(len(r) != n or any(len(c) != n for c in r) for r in f):
             raise ValueError("structure constant tensor has wrong shape")
@@ -294,7 +294,7 @@ class StructureConstants:
         )
         return cls(3, f)
 
-    def bracket_components(self, x: Sequence[Poly], y: Sequence[Poly]) -> List[Poly]:
+    def bracket_components(self, x: Sequence[Poly], y: Sequence[Poly]) -> list[Poly]:
         """Pointwise Lie bracket of g-valued functions:
         [x, y]^c = f^{abc} x^a y^b, for x and y of ``dim`` components each."""
         n = self.dim
@@ -307,25 +307,27 @@ class StructureConstants:
                 for c in range(n)]
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(_Record):
     """A labelled family of exact square matrices.
 
     For a g-rep the labels are generator indices a = 0..n-1; for a gl(d)
     rep the labels are pairs (mu, nu) for T^mu_nu.  Entries are rationals.
     """
-    size: int
-    generators: Tuple[Tuple[object, Tuple[Tuple[Fraction, ...], ...]], ...]
 
-    def __post_init__(self):
-        n = self.size
+    __slots__ = ("size", "generators")
+
+    def __init__(self, size: int,
+                 generators: tuple[tuple[object, tuple[tuple[Fraction, ...], ...]], ...]):
+        _set(self, "size", size)
+        _set(self, "generators", generators)
+        n = size
         check_int("rep size", n, 1)
-        for label, m in self.generators:
+        for label, m in generators:
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"generator {label!r} is not a {n} x {n} matrix")
             _check_exact(f"generator {label!r}", [v for row in m for v in row])
 
-    def matrix(self, label) -> Tuple[Tuple[Fraction, ...], ...]:
+    def matrix(self, label) -> tuple[tuple[Fraction, ...], ...]:
         for lab, m in self.generators:
             if lab == label:
                 return m
@@ -382,7 +384,7 @@ class MatrixRep:
 # -- jet block builders --------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _stencil(d: int, p: int, s: MultiIndex) -> Tuple[Tuple[int, int, int, MultiIndex], ...]:
+def _stencil(d: int, p: int, s: MultiIndex) -> tuple[tuple[int, int, int, MultiIndex], ...]:
     """The field-independent blocks of one shifted factor of ``_jet_matrix``:
     (index of m, index of n, binom(m, n - s), order m - n + s) over the
     lattice pairs with a nonzero binomial, without the base-point term
@@ -398,7 +400,7 @@ def _stencil(d: int, p: int, s: MultiIndex) -> Tuple[Tuple[int, int, int, MultiI
     return tuple(out)
 
 
-def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...]]],
+def _jet_matrix(factors: Sequence[tuple[Poly, Sequence[Sequence], tuple[int, ...]]],
                 size: int, d: int, p: int) -> Matrix:
     """Matrix on (jet) (x) (rep of the given size), entries Poly in q, of
     "apply sum_k f_k(x+q) R_k d_{s_k}, truncate at p" in the Taylor basis
@@ -421,7 +423,7 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     more terms is a ``lincomb``.  Every other entry is one shared zero Poly.
     """
     width = len(enumerate_indices(d, p)) * size  # checks (d, p) before the cache
-    blocks: Dict[Tuple[int, int], list] = {}  # (m, n) -> [(binom, d_order f_k, cells)]
+    blocks: dict[tuple[int, int], list] = {}  # (m, n) -> [(binom, d_order f_k, cells)]
     for f, r, s in factors:
         if f.is_zero():
             continue
@@ -440,9 +442,9 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     zero = Poly.zero(d)
     rows = [[zero] * width for _ in range(width)]
     # term list ((c, id(g)), ...) -> entry; ``blocks`` keeps every g alive
-    built: Dict[tuple, Poly] = {}
+    built: dict[tuple, Poly] = {}
     for (mi, ni), block in blocks.items():
-        entries: Dict[Tuple[int, int], list] = {}  # (i, j) -> [(c, g)]
+        entries: dict[tuple[int, int], list] = {}  # (i, j) -> [(c, g)]
         for b, g, cells in block:
             for i, j, n in cells:
                 entries.setdefault((i, j), []).append((b * n, g))
@@ -455,7 +457,7 @@ def _jet_matrix(factors: Sequence[Tuple[Poly, Sequence[Sequence], Tuple[int, ...
     return tuple(map(tuple, rows))
 
 
-def _derivative(known: Dict[MultiIndex, Poly], order: MultiIndex) -> Poly:
+def _derivative(known: dict[MultiIndex, Poly], order: MultiIndex) -> Poly:
     """d^order f from the cache ``known``, which holds f at order zero: one
     ``deriv`` of the order one lower in its first nonzero direction."""
     g = known.get(order)
@@ -466,7 +468,7 @@ def _derivative(known: Dict[MultiIndex, Poly], order: MultiIndex) -> Poly:
     return g
 
 
-def _entry(d: int, terms: List[Tuple[int, Poly]]) -> Poly:
+def _entry(d: int, terms: list[tuple[int, Poly]]) -> Poly:
     """sum_t c_t g_t for nonzero ints c_t and nonzero Polys g_t.  One term
     c * g is (c/h) * num(g) over den(g)/h with h = gcd(c, den(g)), already
     canonical since gcd(den(g), num(g)) = 1."""
@@ -480,7 +482,7 @@ def _entry(d: int, terms: List[Tuple[int, Poly]]) -> Poly:
 
 # -- operators -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # perfbench calls dataclasses.replace on it (ROADMAP item 10)
 class JetOperator:
     """The first-order operator a^mu(q) d/dq^mu + B(q) on (jet) (x) (rep):
     ``vector`` holds a^mu(q), empty for a current generator, and ``matrix``
@@ -488,7 +490,7 @@ class JetOperator:
     d: int
     p: int
     rep_size: int
-    vector: Tuple[Poly, ...]
+    vector: tuple[Poly, ...]
     matrix: Matrix
 
     def is_zero(self) -> bool:
@@ -536,7 +538,7 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOper
     return JetOperator(d, p, rep.size, tuple(xi), matrix)
 
 
-def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> List[Poly]:
+def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> list[Poly]:
     """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu."""
     d = len(xi)
     check_field("xi", xi, d, d)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
 
 from .multiindex import check_direction, check_grid, enumerate_indices
 
@@ -28,7 +27,7 @@ class SumKind(enum.Enum):
 
 
 def _check_args(kind: SumKind, d: int, p: int,
-                mu: Optional[int], nu: Optional[int]) -> None:
+                mu: int | None, nu: int | None) -> None:
     check_grid(d, p)
     if not isinstance(kind, SumKind):
         raise ValueError(f"unknown kind {kind!r}")
@@ -41,7 +40,7 @@ def _check_args(kind: SumKind, d: int, p: int,
 
 
 def sum_closed(kind: SumKind, d: int, p: int,
-               mu: Optional[int] = None, nu: Optional[int] = None) -> int:
+               mu: int | None = None, nu: int | None = None) -> int:
     """Closed binomial form of the lattice sum."""
     _check_args(kind, d, p, mu, nu)
     return _closed_value(kind, d, p)
@@ -63,7 +62,7 @@ def _closed_value(kind: SumKind, d: int, p: int) -> int:
 
 
 def sum_brute(kind: SumKind, d: int, p: int,
-              mu: Optional[int] = None, nu: Optional[int] = None) -> int:
+              mu: int | None = None, nu: int | None = None) -> int:
     """Direct enumeration of the lattice sum: the kind picks the summand
     once, then one pass adds it up over every m with |m| <= p."""
     _check_args(kind, d, p, mu, nu)

@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Sequence, Tuple
+from collections.abc import Iterator, Sequence
 
-MultiIndex = Tuple[int, ...]
+MultiIndex = tuple[int, ...]
 
 
 def _check_same_dim(a: Sequence[int], b: Sequence[int]) -> None:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-
-
-def norm(m: Sequence[int]) -> int:
-    """Total degree |m|."""
-    return sum(m)
 
 
 def add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
@@ -98,7 +93,7 @@ def check_grid(d: int, p: int) -> None:
     check_int("jet order", p, 0)
 
 
-def enumerate_indices(d: int, p: int) -> Tuple[MultiIndex, ...]:
+def enumerate_indices(d: int, p: int) -> tuple[MultiIndex, ...]:
     """All multi-indices m with |m| <= p in graded order (by total degree,
     then first component decreasing).  Length is binom(d+p, d)."""
     check_grid(d, p)
@@ -106,7 +101,7 @@ def enumerate_indices(d: int, p: int) -> Tuple[MultiIndex, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _lattice(d: int, p: int) -> Tuple[MultiIndex, ...]:
+def _lattice(d: int, p: int) -> tuple[MultiIndex, ...]:
     """The lattice of ``enumerate_indices``, built once per checked (d, p)."""
     out = []
     for t in range(p + 1):

@@ -21,23 +21,25 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List
 
 from . import charges as charges_mod
 from . import cocycles as cocycles_mod
 from . import deltacalc, jetreps, jetsums, wickcocycle
 from .charges import GRepTraces, Statistics, from_sl_gl1
-from .exactpoly import Poly
+from .exactpoly import Poly, _Record
 from .multiindex import enumerate_indices
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: List[str] = field(default_factory=list)
+class SuiteResult(_Record, frozen=False):
+    """One suite's name, its number of checks and a witness per failure."""
+
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -50,9 +52,13 @@ class SuiteResult:
             self.failures.append(witness)
 
 
-@dataclass
-class VerifyReport:
-    suites: List[SuiteResult] = field(default_factory=list)
+class VerifyReport(_Record, frozen=False):
+    """The results of the suites of one ``run_all``."""
+
+    __slots__ = ("suites",)
+
+    def __init__(self, suites: list[SuiteResult] | None = None):
+        self.suites = [] if suites is None else suites
 
     @property
     def ok(self) -> bool:

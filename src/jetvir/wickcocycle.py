@@ -36,36 +36,38 @@ equality at the origin for all polynomial inputs implies equality at all q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charges import GlRepTraces, GRepTraces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral
-from .exactpoly import Poly, check_field, exact
+from .exactpoly import Poly, _Record, _set, check_field, exact
 from .multiindex import check_grid, unit
 
 
 # A matrix insertion is a pair (t, a) acting on rho (x) M: t = (nu, mu) for
 # the gl generator T^nu_mu on the rho factor, a for the internal generator M^a
 # on the M factor, and None for the identity on that factor.
-Insertion = Tuple[Optional[Tuple[int, int]], Optional[int]]
+Insertion = tuple[tuple[int, int] | None, int | None]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """One field-sector term: prefactor * int :(d_z^pi_dots pi) coeff
-    insertion (d_z^phi_dots d_{phi_deriv} phi):."""
-    prefactor: Fraction
-    coeff: Poly
-    insertion: Insertion
-    pi_dots: int = 0
-    phi_dots: int = 0
-    phi_deriv: Optional[int] = None  # direction of a spatial derivative on phi
+    insertion (d_z^phi_dots d_{phi_deriv} phi):, where ``phi_deriv`` is the
+    direction of a spatial derivative on phi or None."""
 
-    def __post_init__(self):
+    __slots__ = ("prefactor", "coeff", "insertion", "pi_dots", "phi_dots", "phi_deriv")
+
+    def __init__(self, prefactor: Fraction, coeff: Poly, insertion: Insertion,
+                 pi_dots: int = 0, phi_dots: int = 0, phi_deriv: int | None = None):
+        _set(self, "prefactor", prefactor)
+        _set(self, "coeff", coeff)
+        _set(self, "insertion", insertion)
+        _set(self, "pi_dots", pi_dots)
+        _set(self, "phi_dots", phi_dots)
+        _set(self, "phi_deriv", phi_deriv)
         # with one dot per term, no pair of terms reaches a pole above 4
-        if (self.pi_dots, self.phi_dots) not in ((0, 0), (1, 0), (0, 1)):
+        if (pi_dots, phi_dots) not in ((0, 0), (1, 0), (0, 1)):
             raise ValueError("at most one z-derivative per term")
 
     @property
@@ -74,19 +76,27 @@ class Term:
         return SmearMode.PLAIN if self.phi_deriv is None else SmearMode.SHIFTED
 
 
-@dataclass(frozen=True)
-class NormalBilinear:
-    d: int
-    p: int
-    terms: Tuple[Term, ...]
-    # base-point sector tag: None, ("L", xi components), or ("T",)
-    q_sector: Optional[Tuple] = None
+class NormalBilinear(_Record):
+    """A normal-ordered bilinear generator at (d, p): its field-sector terms
+    and its base-point sector tag ``q_sector``, None, ("L", xi components)
+    or ("T",)."""
+
+    __slots__ = ("d", "p", "terms", "q_sector")
+
+    def __init__(self, d: int, p: int, terms: tuple[Term, ...], q_sector: tuple | None = None):
+        _set(self, "d", d)
+        _set(self, "p", p)
+        _set(self, "terms", terms)
+        _set(self, "q_sector", q_sector)
 
 
-@dataclass
-class PoleExpansion:
+class PoleExpansion(_Record, frozen=False):
     """Map pole order -> exact rational coefficient of (z - w)^(-order)."""
-    coefficients: Dict[int, Fraction] = field(default_factory=dict)
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: dict[int, Fraction] | None = None):
+        self.coefficients = {} if coefficients is None else coefficients
 
     def add(self, order: int, value: Fraction) -> None:
         if value == 0:
@@ -103,7 +113,7 @@ class PoleExpansion:
 
 # -- the contraction rule --------------------------------------------------------
 
-def _pole(r: int, s: int) -> Tuple[int, int]:
+def _pole(r: int, s: int) -> tuple[int, int]:
     """d_z^r d_w^s (z-w)^(-1) = (-1)^r (r+s)! (z-w)^(-(1+r+s)), as
     (coefficient, pole order)."""
     return (-1) ** r * math.factorial(r + s), 1 + r + s
@@ -151,7 +161,7 @@ def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
 
 # -- base-point sector rules ----------------------------------------------------
 
-def _jacobian_at_zero(xi: Sequence[Poly]) -> Tuple[List[List[int]], int]:
+def _jacobian_at_zero(xi: Sequence[Poly]) -> tuple[list[list[int]], int]:
     """d_nu xi^mu(0) as [mu][nu] int numerators over one denominator: the
     numerator of xi^mu at e_nu (only x^{e_nu} differentiates to a constant)
     over the component's denominator, brought to their lcm."""
@@ -239,7 +249,7 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     pi d_nu xi^mu T^nu_mu phi, plus the base-point tag."""
     check_grid(d, p)
     check_field("vector field", xi, d, d)
-    terms: List[Term] = []
+    terms: list[Term] = []
     for mu in range(d):
         if any(any(e) for e in xi[mu].numerators):  # xi^mu is not constant
             terms.append(Term(Fraction(1), xi[mu], (None, None), phi_deriv=mu))
@@ -266,23 +276,29 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
 
 # -- charge extraction ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasuredCharges:
+class MeasuredCharges(_Record):
     """Engine-measured charges.  At d = 1 the two quadratic vector-field
     channels coincide as functionals, so only their sum is measurable there:
     c1 and c2 are None and c1_plus_c2 carries the sum."""
-    d: int
-    p: int
-    conformal_weight: Fraction
-    c1: Optional[Fraction]
-    c2: Optional[Fraction]
-    c1_plus_c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    c6: Fraction
-    c7: Fraction
-    c8: Fraction
+
+    __slots__ = ("d", "p", "conformal_weight", "c1", "c2", "c1_plus_c2",
+                 "c3", "c4", "c5", "c6", "c7", "c8")
+
+    def __init__(self, d: int, p: int, conformal_weight: Fraction, c1: Fraction | None,
+                 c2: Fraction | None, c1_plus_c2: Fraction, c3: Fraction, c4: Fraction,
+                 c5: Fraction, c6: Fraction, c7: Fraction, c8: Fraction):
+        _set(self, "d", d)
+        _set(self, "p", p)
+        _set(self, "conformal_weight", conformal_weight)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c1_plus_c2", c1_plus_c2)
+        _set(self, "c3", c3)
+        _set(self, "c4", c4)
+        _set(self, "c5", c5)
+        _set(self, "c6", c6)
+        _set(self, "c7", c7)
+        _set(self, "c8", c8)
 
 
 def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
@@ -305,7 +321,7 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
     zero = Poly.zero(d)
     one = Poly.constant(d, 1)
 
-    def vec(mu: int, comp: Poly) -> List[Poly]:
+    def vec(mu: int, comp: Poly) -> list[Poly]:
         return [comp if i == mu else zero for i in range(d)]
 
     # vector-field channels

@@ -21,7 +21,7 @@ GR1 = GRepTraces(1, 1, 0, 0)
 
 
 def _charge_set_from_json(text: str) -> ChargeSet:
-    """The inverse of ``ChargeSet.to_json``."""
+    """The inverse of ``json.dumps(ChargeSet.to_json())``."""
     data = json.loads(text)
     ins = data["inputs"]
 
@@ -111,7 +111,7 @@ def test_json_round_trip():
     gl = from_sl_gl1(Fraction(-1, 2), 1, 2, 2)
     gr = GRepTraces(3, Fraction(2, 7), 1, Fraction(-5, 3), Statistics.FERMI)
     cs = closed_form(2, 3, Fraction(1, 2), gl, gr)
-    text = cs.to_json()
+    text = json.dumps(cs.to_json(), indent=2)
     assert _charge_set_from_json(text) == cs
     payload = json.loads(text)
     for value in payload["charges"].values():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 import jetvir.cli
 from jetvir.cli import main
 from jetvir.verify import SuiteResult, VerifyReport
+from jetvir.wickcocycle import MeasuredCharges
 
 
 def run(capsys, *argv):
@@ -126,8 +126,9 @@ def test_charges_measure_mismatch_exits_1_in_every_format(capsys, monkeypatch, f
     extract = jetvir.cli.extract_charges
 
     def off_by_one(*args):
-        measured = extract(*args)
-        return dataclasses.replace(measured, c5=measured.c5 + 1)
+        m = extract(*args)
+        return MeasuredCharges(m.d, m.p, m.conformal_weight, m.c1, m.c2, m.c1_plus_c2,
+                               m.c3, m.c4, m.c5 + 1, m.c6, m.c7, m.c8)
 
     monkeypatch.setattr(jetvir.cli, "extract_charges", off_by_one)
     code, _, _ = run(capsys, "charges", "--d", "2", "--p", "1", "--y-m", "1",

@@ -33,7 +33,7 @@ from jetvir.jetreps import (
     mat_mul,
     vector_field_bracket,
 )
-from jetvir.multiindex import binomial, enumerate_indices, norm, sub as mi_sub, unit
+from jetvir.multiindex import binomial, enumerate_indices, sub as mi_sub, unit
 
 
 def _mat_add(a, b):
@@ -375,7 +375,7 @@ def _reference_transport(xi, d, p):
                 if b == 0:
                     continue
                 k = tuple(mi - ni for mi, ni in zip(m, nprime))
-                if any(c < 0 for c in k) or norm(k) == 0:
+                if any(c < 0 for c in k) or sum(k) == 0:
                     continue
                 entry = entry + xi[mu].deriv_multi(k).scale(b)
             row.append(entry)

@@ -9,7 +9,6 @@ from jetvir.multiindex import (
     check_grid,
     enumerate_indices,
     factorial,
-    norm,
     sub,
     unit,
 )
@@ -19,7 +18,7 @@ def test_add():
     assert add((1, 0), (0, 2)) == (1, 2)
     assert add((0, 0), (3, 1)) == (3, 1)
     assert add((2, 1), (1, 1)) == (3, 2)
-    assert norm(add((2, 1), (1, 1))) == norm((2, 1)) + norm((1, 1))
+    assert sum(add((2, 1), (1, 1))) == sum((2, 1)) + sum((1, 1))
 
 
 def test_add_dimension_mismatch():
@@ -55,7 +54,7 @@ def test_enumerate_order_and_size():
             seq = enumerate_indices(d, p)
             assert len(seq) == math.comb(d + p, d)
             assert len(set(seq)) == len(seq)
-            grades = [norm(m) for m in seq]
+            grades = [sum(m) for m in seq]
             assert grades == sorted(grades)
 
 
