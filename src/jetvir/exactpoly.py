@@ -23,11 +23,15 @@ expose them; ``terms`` returns a fresh ``{exponent: Fraction}`` dict.
 
 There are three ways to build a ``Poly``:
 
-* ``Poly(dim, terms)`` checks and normalises any input: it rejects a wrong
-  dimension, non-int exponents and floats, merges duplicate keys, drops
-  zeros and puts the coefficients over the lcm of their denominators.
-  ``parse_poly`` and the ``constant``/``monomial``/``variable`` constructors
-  go through it, as does every caller outside this module.
+* ``Poly(dim, terms)`` checks and normalises any input: it rejects a
+  ``terms`` that is not a mapping, a wrong dimension, non-int exponents and
+  floats, merges duplicate keys, drops zeros and puts the coefficients over
+  the lcm of their denominators.  An int or ``Fraction`` coefficient is
+  read as it is, so terms with distinct exponents build and add no
+  ``Fraction``; only another type goes through ``exact``.  ``Poly.coeff``
+  checks its exponent with the same helper.  ``parse_poly`` and the
+  ``constant``/``monomial``/``variable`` constructors go through it, as
+  does every caller outside this module.
 * ``_wrap(dim, num, den)`` takes fields that already hold the invariant and
   checks nothing.
 * ``_reduce(dim, num, den)`` takes nonzero int numerators over any positive
@@ -71,7 +75,10 @@ from .multiindex import MultiIndex, check_direction, check_int
 def exact(value) -> Fraction:
     """``value`` as a Fraction; a float, which would carry its binary
     rounding error into the exact arithmetic, raises ValueError, and so
-    does a value that is not a number at all."""
+    does a value that is not a number at all.  A Fraction is returned as it
+    is: it is immutable, so a copy gains nothing."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValueError(f"values must be exact, got the float {value!r}")
     try:
@@ -125,6 +132,21 @@ _set = object.__setattr__  # how a frozen record's __init__ sets its fields
 MAX_DEGREE = 64  # the total-degree cap, a guard against runaway input
 
 
+def _exponent(expo, dim: int) -> MultiIndex:
+    """``expo`` as a tuple of ``dim`` ints: the one check of an exponent,
+    for ``Poly(dim, terms)`` and ``Poly.coeff``."""
+    try:
+        e = tuple(expo)
+    except TypeError:
+        raise ValueError(f"exponents must be sequences of integers, got {expo!r}") from None
+    if len(e) != dim:
+        raise ValueError(f"exponent {e} has wrong dimension (expected {dim})")
+    for k in e:
+        if type(k) is not int:
+            raise ValueError(f"exponents must be integers: {e}")
+    return e
+
+
 def _degree_overflow() -> OverflowError:
     return OverflowError(f"product exceeds degree cap {MAX_DEGREE}")
 
@@ -143,23 +165,30 @@ class Poly:
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], object] | None = None):
         check_int("dimension", dim, 0)
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[MultiIndex, int | Fraction] = {}
         if terms:
-            for expo, coeff in terms.items():
-                e = tuple(expo)
-                if len(e) != dim:
-                    raise ValueError(f"exponent {e} has wrong dimension (expected {dim})")
-                if any(type(c) is not int for c in e):
-                    raise ValueError(f"exponents must be integers: {e}")
-                c = exact(coeff)
-                if c != 0:
-                    clean[e] = clean.get(e, 0) + c
-                    if clean[e] == 0:
-                        del clean[e]
+            try:
+                items = terms.items()
+            except AttributeError:
+                raise ValueError("terms must map exponents to coefficients, "
+                                 f"got {type(terms).__name__}") from None
+            for expo, c in items:
+                e = _exponent(expo, dim)
+                # An int or a Fraction is stored as it is; only a duplicate
+                # exponent adds, so distinct terms build no Fraction.
+                if type(c) is not int and type(c) is not Fraction:
+                    c = exact(c)
+                if c:
+                    if e in clean:
+                        c = clean[e] + c
+                        if not c:
+                            del clean[e]
+                            continue
+                    clean[e] = c
         # Over the lcm of reduced denominators the gcd is already 1: a prime
         # power that divides the lcm exactly divides some coefficient's
         # denominator exactly, and that coefficient's numerator is prime to it.
-        den = lcm(*(c.denominator for c in clean.values()))
+        den = lcm(*[c.denominator for c in clean.values()])
         self.dim = dim
         self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._den = den
@@ -210,10 +239,7 @@ class Poly:
         return any(c < 0 for e in self._num for c in e)
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
-        e = tuple(expo)
-        if len(e) != self.dim:
-            raise ValueError(f"exponent {e} has wrong dimension (expected {self.dim})")
-        return Fraction(self._num.get(e, 0), self._den)
+        return Fraction(self._num.get(_exponent(expo, self.dim), 0), self._den)
 
     def _degree(self) -> int:
         """max |e| over the terms (0 for zero), computed on first use."""

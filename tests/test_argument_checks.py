@@ -77,6 +77,28 @@ def test_deriv_multi_orders_are_ints(bad):
     assert f.deriv_multi((1, 0)) == parse_poly("2 x0", 2)
 
 
+@pytest.mark.parametrize("terms", [[((1,), 2)], (((1,), 2),), "x0"])
+def test_poly_terms_are_a_mapping(terms):
+    # Poly(1, [((1,), 2)]) raised a bare AttributeError.
+    _one_line_value_error(lambda: Poly(1, terms), "terms must map exponents to coefficients")
+
+
+@pytest.mark.parametrize("bad", [3, None, 1.5])
+def test_poly_exponents_are_sequences(bad):
+    # Poly(1, {3: 1}) raised a bare TypeError.
+    _one_line_value_error(lambda: Poly(1, {bad: 1}), "exponents must be sequences of integers")
+    _one_line_value_error(lambda: Poly.zero(1).coeff(bad), "exponents must be sequences of integers")
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0), (True, 0), ("a", 0), (0, False)])
+def test_coeff_checks_its_exponent_like_the_constructor(bad):
+    # coeff((1.0, 0)) and coeff((True, 0)) read the x0 term, coeff(("a", 0)) returned 0.
+    f = parse_poly("5 x0 + 3 x1^2", 2)
+    _one_line_value_error(lambda: f.coeff(bad), "exponents must be integers")
+    _one_line_value_error(lambda: Poly(2, {bad: 1}), "exponents must be integers")
+    assert f.coeff((1, 0)) == 5 and f.coeff([0, 2]) == 3 and f.coeff(range(2)) == 0
+
+
 # -- charges: the dimension of from_sl_gl1 and the statistics -----------------------
 
 @pytest.mark.parametrize("bad", [True, 1.5, 0])

@@ -193,6 +193,156 @@ def test_deriv_multi_rejects_malformed_orders():
     assert Poly.constant(0, 3).deriv_multi(()) == Poly.constant(0, 3)
 
 
+# -- the checked constructor against a Fraction reference --------------------
+
+def _reference_exact(value):
+    if isinstance(value, float):
+        raise ValueError(f"values must be exact, got the float {value!r}")
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise ValueError(f"values must be exact, got {value!r}") from None
+
+
+def _reference_fields(dim, terms):
+    """(numerators, denominator) of Poly(dim, terms) by Fraction arithmetic:
+    each coefficient made a Fraction, summed per exponent into a dict, and
+    put over the lcm of the denominators."""
+    exactpoly.check_int("dimension", dim, 0)
+    clean = {}
+    if terms:
+        for expo, coeff in terms.items():
+            e = tuple(expo)
+            if len(e) != dim:
+                raise ValueError(f"exponent {e} has wrong dimension (expected {dim})")
+            if any(type(c) is not int for c in e):
+                raise ValueError(f"exponents must be integers: {e}")
+            c = _reference_exact(coeff)
+            if c != 0:
+                clean[e] = clean.get(e, 0) + c
+                if clean[e] == 0:
+                    del clean[e]
+    den = math.lcm(*(c.denominator for c in clean.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den
+
+
+class _Key:
+    """A dict key that is not a tuple and iterates as ``expo``; each
+    instance is its own key, so two of them can name one exponent."""
+
+    def __init__(self, expo):
+        self.expo = expo
+
+    def __iter__(self):
+        return iter(self.expo)
+
+    def __repr__(self):
+        return f"_Key({self.expo!r})"
+
+
+_ANY_COEFF = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.booleans(), st.decimals(min_value=-3, max_value=3, places=1),
+    st.sampled_from(["0", "-2", "1/3", "2/4", " 5 "]))
+_BAD_COEFF = st.one_of(st.floats(-2, 2), st.sampled_from(["x", "1/0", None, 1j, [1]]))
+
+
+@st.composite
+def _constructor_args(draw):
+    """Terms of every kind: int, Fraction, bool, Decimal and str coefficients,
+    zeros, duplicate exponents under tuple, range and ``_Key`` keys (so that
+    terms cancel), and now and then a bad exponent or coefficient."""
+    dim = draw(st.integers(0, 3))
+    expo = st.tuples(*[st.integers(-1, 1)] * dim)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = draw(expo)
+        key = draw(st.sampled_from(["tuple", "range", "key"]))
+        if key == "range" and all(b == a + 1 for a, b in zip(e, e[1:])):
+            e = range(e[0], e[0] + dim) if dim else range(0)
+        elif key == "key":
+            e = _Key(e)
+        c = draw(_ANY_COEFF)
+        terms[e] = c
+        if draw(st.integers(0, 3)) == 0:
+            terms[_Key(tuple(e))] = -_reference_exact(c)  # cancels the term above
+    if draw(st.integers(0, 5)) == 0:
+        bad = draw(st.sampled_from(["dim", "bool", "float", "str"]))
+        e = {"dim": (0,) * (dim + 1), "bool": (True,) * dim or (True,),
+             "float": (0.0,) * dim or (0.0,), "str": "ab"}[bad]
+        terms[e] = 1
+    if draw(st.integers(0, 5)) == 0:
+        terms[_Key((0,) * dim)] = draw(_BAD_COEFF)
+    return dim, terms
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_constructor_args())
+def test_constructor_matches_a_fraction_reference(case):
+    """Equal numerators in equal insertion order over an equal denominator,
+    or the same exception type and message."""
+    dim, terms = case
+    try:
+        want = _reference_fields(dim, terms)
+    except Exception as error:
+        with pytest.raises(type(error)) as info:
+            Poly(dim, terms)
+        assert str(info.value) == str(error)
+        return
+    got = Poly(dim, terms)
+    assert list(got.numerators.items()) == list(want[0].items())
+    assert got.denominator == want[1]
+    _assert_clean(got, dim)
+
+
+def _count_fraction_arithmetic(monkeypatch):
+    """Counts of Fraction constructions and additions from here on."""
+    counts = {"__new__": 0, "__add__": 0, "__radd__": 0}
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["__new__"] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for name in ("__add__", "__radd__"):
+        def counting(a, b, name=name, op=getattr(Fraction, name)):
+            counts[name] += 1
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    return counts
+
+
+def test_constructor_builds_and_adds_no_fraction(monkeypatch):
+    """Distinct exponents with int and Fraction coefficients cost no
+    Fraction; the Fraction reference does (the control), and a duplicate
+    exponent still adds."""
+    terms = {(0, 1): 3, (1, 0): Fraction(1, 2), (2, 2): Fraction(-5, 3), (1, 1): -7,
+             (0, 0): 0, (3, 0): Fraction(0)}
+    want = {(0, 1): 18, (1, 0): 3, (2, 2): -10, (1, 1): -42}, 6
+    counts = _count_fraction_arithmetic(monkeypatch)
+    f = Poly(2, terms)
+    assert counts == {"__new__": 0, "__add__": 0, "__radd__": 0}
+    assert (dict(f.numerators), f.denominator) == want
+    assert _reference_fields(2, terms) == want
+    assert counts["__new__"] > 0 and counts["__radd__"] > 0
+    counts.update(dict.fromkeys(counts, 0))
+    g = Poly(1, {(1,): Fraction(1, 2), range(1, 2): Fraction(1, 3), _Key((1,)): 1})
+    assert counts["__add__"] + counts["__radd__"] == 2
+    assert (dict(g.numerators), g.denominator) == ({(1,): 11}, 6)
+
+
+def test_exact_returns_a_fraction_as_it_is():
+    half = Fraction(1, 2)
+    assert exactpoly.exact(half) is half
+    assert exactpoly.exact("1/10") == Fraction(1, 10) and exactpoly.exact(True) == 1
+    assert type(exactpoly.exact(3)) is Fraction
+    for bad in (0.5, float("nan"), None, 1j):
+        with pytest.raises(ValueError, match="exact"):
+            exactpoly.exact(bad)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        exactpoly.exact("x")
+
+
 # -- properties on random polynomials ------------------------------------------
 
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
