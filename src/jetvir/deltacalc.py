@@ -19,10 +19,11 @@ Two layers are provided:
   row t -> W(s,t) depends only on (d, p, D1, D2, s).  Every term of one
   kernel factor has the same lift w - e of its word over its exponent, so
   s + t is the summed lift Delta of the pair and only the at most 4
-  exponents 0 <= s <= Delta have a row.  Each such row is built on first
-  read by walking the kernel expansions and kept in one memo per (d, p, D1,
+  exponents 0 <= s <= Delta have a row.  A row has at most one entry, at
+  t = Delta - s, whose weight is one sum over a walk of the first kernel
+  expansion; it is built on first read and kept in one memo per (d, p, D1,
   D2), so a call costs one cache lookup, a read of f at each box point and
-  |row| reads of g per nonzero one; any other Taylor term of f, a negative
+  one read of g per nonzero one; any other Taylor term of f, a negative
   exponent included, is never read.  Only field-independent data is cached,
   never an integral.
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
@@ -128,7 +129,7 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec,
     return MappingProxyType(out), unit(d, mu)
 
 
-# Rows of one decoration pair: t -> W(s, t) per Taylor exponent s of f.
+# The row of one Taylor exponent s of f: at most one pair (t, W(s, t)).
 _Row = tuple[tuple[MultiIndex, int], ...]
 
 
@@ -150,22 +151,28 @@ def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
 
 
 def _row(first: _KernelTerms, second: _KernelTerms, s: MultiIndex) -> _Row:
-    """The field-independent row t -> W(s, t) of nonzero integer weights.
+    """The field-independent row of s: ((t, W),) with W = W(s, t) nonzero,
+    or () if no term pair reaches a t >= 0 or the weights cancel.
 
-    Walks the first factor: its term (c1, e1, w1) meets the second factor's
-    term at the word w2 = e1 + s, if there is one, (c2, e2, w2), and adds
-    c1 c2 at t = w1 - e2 when t >= 0.
+    A first-factor term (c1, e1, w1) meets the second factor's term at the
+    word w2 = e1 + s, if there is one, (c2, e2, w2), at t = w1 - e2.  As
+    w1 = e1 + lift1 and e2 = w2 - lift2, t = Delta - s for every term pair,
+    so the row is one sum W = sum c1 c2 over one walk of the first factor,
+    and t is read off the last pair met.
     """
-    row: dict[MultiIndex, int] = {}
+    get = second.get
+    shift = any(s)  # for s = 0 the partner's word is e1 itself
+    weight = 0
+    w1_met = e2_met = None
     for w1, (c1, e1) in first.items():
-        hit = second.get(tuple(map(add, e1, s)))
-        if hit is None:
-            continue
-        c2, e2 = hit
-        t = tuple(map(sub, w1, e2))
-        if min(t) >= 0:
-            row[t] = row.get(t, 0) + c1 * c2
-    return tuple((t, w) for t, w in row.items() if w)
+        hit = get(tuple(map(add, e1, s)) if shift else e1)
+        if hit is not None:
+            weight += c1 * hit[0]
+            w1_met, e2_met = w1, hit[1]
+    if not weight:
+        return ()
+    t = tuple(map(sub, w1_met, e2_met))
+    return ((t, weight),) if min(t) >= 0 else ()
 
 
 def delta_pair_integral(
@@ -191,12 +198,13 @@ def delta_pair_integral(
     sum_{s,t} W(s,t) f_s g_t, and for each Taylor exponent s of f the row
     t -> W(s,t) depends on no field.  Every term of a factor has the same
     lift w - e (e_mu if decorated, else 0), so s + t is the summed lift
-    Delta, and with t >= 0 only an s in the box 0 <= s <= Delta (at most 4
-    points) has a row.  So a call makes one cache lookup and reads f only at
-    the box points, skipping the constant term of a shifted slot; a row is
-    built on first read and kept per (d, p, D1, D2).  Any other s, a
-    negative (Laurent) exponent included, is never read or walked.  A call
-    costs at most 4 x |row| dict reads of g.
+    Delta: a row has the one entry t = Delta - s, and with t >= 0 only an s
+    in the box 0 <= s <= Delta (at most 4 points) has one.  So a call makes
+    one cache lookup and reads f only at the box points, skipping the
+    constant term of a shifted slot; a row is built on first read and kept
+    per (d, p, D1, D2).  Any other s, a negative (Laurent) exponent
+    included, is never read or walked.  A call costs at most 4 dict reads
+    of g.
     """
     check_grid(d, p)
     check_field("the smearing pair (f, g)", (f, g), d)

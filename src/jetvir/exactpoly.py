@@ -147,6 +147,15 @@ def _exponent(expo, dim: int) -> MultiIndex:
     return e
 
 
+def _length(seq) -> int:
+    """``len(seq)``, or -1 for an argument that has no length, so that the
+    caller's length check rejects it with its own message."""
+    try:
+        return len(seq)
+    except TypeError:
+        return -1
+
+
 def _degree_overflow() -> OverflowError:
     return OverflowError(f"product exceeds degree cap {MAX_DEGREE}")
 
@@ -206,7 +215,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, expo: Sequence[int], coeff=1) -> "Poly":
-        return cls(len(tuple(expo)), {tuple(expo): coeff})
+        e = _exponent(expo, _length(expo))
+        return cls(len(e), {e: coeff})
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Poly":
@@ -320,8 +330,8 @@ class Poly:
 
     def deriv_multi(self, m: Sequence[int]) -> "Poly":
         """Repeated partial derivative d^m, one order (an int >= 0) per variable."""
-        if len(m) != self.dim:
-            raise ValueError(f"derivative order {tuple(m)} needs {self.dim} entries")
+        if _length(m) != self.dim:
+            raise ValueError(f"derivative order {m!r} needs {self.dim} entries")
         out = self
         for mu, k in enumerate(m):
             check_int("derivative order", k, 0)
@@ -331,8 +341,8 @@ class Poly:
 
     def eval(self, point: Sequence) -> Fraction:
         """Evaluate at an exact rational point (no negative exponents at 0)."""
-        if len(point) != self.dim:
-            raise ValueError(f"point has wrong dimension: {len(point)} vs {self.dim}")
+        if _length(point) != self.dim:
+            raise ValueError(f"point {point!r} needs {self.dim} coordinates")
         pt = [exact(v) for v in point]
         total = Fraction(0)
         for e, n in self._num.items():
@@ -349,7 +359,7 @@ class Poly:
         target space).  Negative exponents require the corresponding
         substitution to be a single monomial, whose inverse is well defined.
         """
-        if len(substitutions) != self.dim:
+        if _length(substitutions) != self.dim:
             raise ValueError("need one substitution polynomial per variable")
         if not substitutions:
             raise ValueError("composition needs at least one variable")

@@ -18,9 +18,13 @@ and its z- and w-derivatives: each contraction is a power of 1/(z-w) times
 a jet delta kernel, decorated by the phi factor's spatial derivative, if
 any.  Exchanging the factors costs the statistics sign.  The engine
 evaluates the resulting bilinear delta-pair integrals with the exact
-symbolic oracle of ``deltacalc``, multiplies by the trace of the matrix
-insertions (expressed through the trace parameters of ``charges``), and
-accumulates an exact pole expansion in (z - w).
+symbolic oracle of ``deltacalc`` and collects them in a field-sector table
+keyed by pole order and by the trace of the matrix insertions, written as
+two int linear forms in the trace parameters of ``charges``; the statistics
+sign and the parameter values are applied to the table, which gives an
+exact pole expansion in (z - w).  The contractions of basis generators that
+measure the charges are tabulated once per (d, p), with the conformal
+weight lambda left symbolic as well, and each measurement evaluates them.
 
 The base-point (q, p) sector cannot be contracted field-wise; its two
 closed-form contributions — the pole-2 term -d_nu xi^mu(0) d_mu eta^nu(0)
@@ -35,6 +39,7 @@ equality at the origin for all polynomial inputs implies equality at all q.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -121,42 +126,53 @@ def _pole(r: int, s: int) -> tuple[int, int]:
 
 # -- traces --------------------------------------------------------------------
 
+# A trace form: the int coefficients of a linear form in four trace
+# parameters, (delta_rho, k0, k1, k2) on the rho factor or
+# (delta_m, z_m, y_m, w_m) on the M factor.
+_Form = tuple[int, int, int, int]
+
+
+def _trace_forms(ins_a: Insertion, ins_b: Insertion) -> tuple[_Form, _Form]:
+    """The traces over rho and over M of the product of two insertions, as
+    linear forms in the trace parameters of each factor."""
+    ta, ma = ins_a
+    tb, mb = ins_b
+    if ta is None and tb is None:
+        rho = (1, 0, 0, 0)
+    elif ta is None or tb is None:
+        nu, mu = tb if ta is None else ta
+        rho = (0, int(nu == mu), 0, 0)
+    else:
+        # tr T^a_b T^c_d = k1 d^{a,d} d^{c,b} + k2 d^{a,b} d^{c,d}
+        (a_up, b_lo), (c_up, d_lo) = ta, tb
+        rho = (0, 0, int(a_up == d_lo and c_up == b_lo), int(a_up == b_lo and c_up == d_lo))
+    if ma is None and mb is None:
+        m = (1, 0, 0, 0)
+    elif ma is None or mb is None:
+        m = (0, int((mb if ma is None else ma) == 0), 0, 0)
+    else:
+        m = (0, 0, int(ma == mb), int(ma == 0 and mb == 0))
+    return rho, m
+
+
+def _trace_values(glrep: GlRepTraces, grep: GRepTraces) -> tuple[tuple, tuple]:
+    """The values of the trace parameters in the order of a ``_Form``."""
+    return ((glrep.delta_rho, glrep.k0, glrep.k1, glrep.k2),
+            (grep.delta_m, grep.z_m, grep.y_m, grep.w_m))
+
+
+def _value(form: _Form, values: tuple):
+    """The value of a trace form at the parameter values ``values``."""
+    return sum(c * v for c, v in zip(form, values) if c)
+
+
 def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
                grep: GRepTraces) -> Fraction:
     """Trace over the combined rho (x) M space of the product of two
     insertions, expressed through the trace parameters."""
-    ta, ma = ins_a
-    tb, mb = ins_b
-    # rho-factor trace
-    if ta is None and tb is None:
-        tr_rho = Fraction(glrep.delta_rho)
-    elif ta is None or tb is None:
-        nu, mu = tb if ta is None else ta
-        tr_rho = glrep.k0 if nu == mu else Fraction(0)
-    else:
-        # tr T^a_b T^c_d = k1 d^{a,d} d^{c,b} + k2 d^{a,b} d^{c,d}
-        a_up, b_lo = ta
-        c_up, d_lo = tb
-        tr_rho = Fraction(0)
-        if a_up == d_lo and c_up == b_lo:
-            tr_rho += glrep.k1
-        if a_up == b_lo and c_up == d_lo:
-            tr_rho += glrep.k2
-    if tr_rho == 0:
-        return Fraction(0)
-    # M-factor trace
-    if ma is None and mb is None:
-        tr_m = Fraction(grep.delta_m)
-    elif ma is None or mb is None:
-        m = mb if ma is None else ma
-        tr_m = grep.z_m if m == 0 else Fraction(0)
-    else:
-        tr_m = Fraction(0)
-        if ma == mb:
-            tr_m += grep.y_m
-        if ma == 0 and mb == 0:
-            tr_m += grep.w_m
-    return tr_rho * tr_m
+    rho, m = _trace_forms(ins_a, ins_b)
+    rho_values, m_values = _trace_values(glrep, grep)
+    return Fraction(_value(rho, rho_values) * _value(m, m_values))
 
 
 # -- base-point sector rules ----------------------------------------------------
@@ -196,16 +212,19 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
         pe.add(4, Fraction(a.d))
 
 
-def double_contraction(a: NormalBilinear, b: NormalBilinear,
-                       glrep: GlRepTraces, grep: GRepTraces) -> PoleExpansion:
-    """Full double contraction of A(z) with B(w): field sector via the OPE
-    and the exact delta-pair oracle, base-point sector via the closed rules.
-    Returns the exact pole expansion in (z - w)."""
-    if (a.d, a.p) != (b.d, b.p):
-        raise ValueError("bilinears must share (d, p)")
+# The field sector of a contraction without the statistics sign eps:
+# (pole order, rho form, M form) -> coefficient.  The sector's coefficient
+# of (z - w)^(-order) is eps times the sum, over the entries at that order,
+# of coefficient x rho-form value x M-form value.
+_FieldTable = dict[tuple[int, _Form, _Form], Fraction]
+
+
+def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
+    """Contract every term of A(z) with every term of B(w) through the OPE
+    and the exact delta-pair oracle; a pair whose integral or trace form
+    vanishes adds nothing."""
     d, p = a.d, a.p
-    eps = grep.statistics.sign
-    pe = PoleExpansion()
+    table: _FieldTable = {}
     for ta in a.terms:
         deco_a = DerivSpec.none() if ta.phi_deriv is None else DerivSpec.on_x(ta.phi_deriv)
         for tb in b.terms:
@@ -219,10 +238,25 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
             )
             if integral == 0:
                 continue
-            tr = trace_pair(ta.insertion, tb.insertion, glrep, grep)
-            if tr == 0:
-                continue
-            pe.add(k1 + k2, -eps * s1 * s2 * ta.prefactor * tb.prefactor * integral * tr)
+            rho, m = _trace_forms(ta.insertion, tb.insertion)
+            if any(rho) and any(m):
+                key = (k1 + k2, rho, m)
+                table[key] = table.get(key, 0) - s1 * s2 * ta.prefactor * tb.prefactor * integral
+    return table
+
+
+def double_contraction(a: NormalBilinear, b: NormalBilinear,
+                       glrep: GlRepTraces, grep: GRepTraces) -> PoleExpansion:
+    """Full double contraction of A(z) with B(w): field sector via the OPE
+    and the exact delta-pair oracle, base-point sector via the closed rules.
+    Returns the exact pole expansion in (z - w)."""
+    if (a.d, a.p) != (b.d, b.p):
+        raise ValueError("bilinears must share (d, p)")
+    eps = grep.statistics.sign
+    rho_values, m_values = _trace_values(glrep, grep)
+    pe = PoleExpansion()
+    for (order, rho, m), coeff in _field_table(a, b).items():
+        pe.add(order, eps * coeff * _value(rho, rho_values) * _value(m, m_values))
     _q_sector(a, b, pe)
     if any(order > 4 for order in pe.coefficients):
         raise AssertionError("pole order above 4 should be impossible")
@@ -301,6 +335,77 @@ class MeasuredCharges(_Record):
         _set(self, "c8", c8)
 
 
+# A basis channel: entries (k, i, j, c) and the base-point constant q; its
+# pole coefficient is q + eps * sum c lambda^k rho_i m_j, with rho and m the
+# trace parameter values of ``_trace_values``.
+_Channel = tuple[tuple[tuple[int, int, int, Fraction], ...], Fraction]
+
+
+def _channel(order: int, contractions: Sequence[tuple[int, NormalBilinear, NormalBilinear]]
+             ) -> _Channel:
+    """The pole-``order`` coefficient of sum lambda^k A(z) B(w) over the
+    contractions (k, A, B), which all carry the same base-point tags, so the
+    last pair gives the base-point constant."""
+    acc: dict[tuple[int, int, int], Fraction] = {}
+    for k, a, b in contractions:
+        for (pole, rho, m), c in _field_table(a, b).items():
+            if pole != order:
+                continue
+            for i, ri in enumerate(rho):
+                for j, mj in enumerate(m):
+                    if ri and mj:
+                        acc[k, i, j] = acc.get((k, i, j), 0) + ri * mj * c
+    q = PoleExpansion()
+    _q_sector(a, b, q)
+    # an integral coefficient is kept as an int, so that a call multiplies
+    # ints wherever its parameters are ints
+    return tuple((k, i, j, c.numerator if c.denominator == 1 else c)
+                 for (k, i, j), c in acc.items() if c), q.at(order)
+
+
+@functools.lru_cache(maxsize=128)
+def _basis_channels(d: int, p: int) -> dict[str, _Channel]:
+    """The basis contractions of ``extract_charges`` at (d, p), each read at
+    the one pole order it measures, with the parameters left symbolic.
+    T(lambda) = lambda T1 + T0, with T1 = :pi phi-dot: + :pi-dot phi: and
+    T0 = -:pi phi-dot:, is ``build_reparam`` split by its powers of lambda;
+    both parts carry T's base-point tag, which lambda does not scale."""
+    x0 = Poly.variable(d, 0)
+    zero = Poly.zero(d)
+    one = Poly.constant(d, 1)
+
+    def vec(mu: int, comp: Poly) -> list[Poly]:
+        return [comp if i == mu else zero for i in range(d)]
+
+    def reparam(*terms: Term) -> NormalBilinear:
+        return NormalBilinear(d, p, terms, q_sector=("T",))
+
+    def plain(prefactor: int, **dots: int) -> Term:
+        return Term(Fraction(prefactor), one, (None, None), **dots)
+
+    l_diag = build_vector_field(vec(0, x0), d, p)
+    # two internal components: 0 privileged, 1 generic
+    j_generic = build_current([zero, one], d, p)
+    j_priv = build_current([one, zero], d, p)
+    t = ((1, reparam(plain(1, phi_dots=1), plain(1, pi_dots=1))),
+         (0, reparam(plain(-1, phi_dots=1))))
+    # L is L_{x0 d_0}, J the generic current and J0 the privileged one
+    contractions = {
+        "L L": (2, [(0, l_diag, l_diag)]),
+        "J J": (2, [(0, j_generic, j_generic)]),
+        "J0 J0": (2, [(0, j_priv, j_priv)]),
+        "L J0": (2, [(0, l_diag, j_priv)]),
+        "T L": (3, [(k, tk, l_diag) for k, tk in t]),
+        "T T": (4, [(ka + kb, ta, tb) for ka, ta in t for kb, tb in t]),
+        "T J0": (3, [(k, tk, j_priv) for k, tk in t]),
+    }
+    if d >= 2:
+        l_a = build_vector_field(vec(0, Poly.variable(d, 1)), d, p)
+        l_b = build_vector_field(vec(1, x0), d, p)
+        contractions["L(x1 d0) L(x0 d1)"] = (2, [(0, l_a, l_b)])
+    return {name: _channel(order, pairs) for name, (order, pairs) in contractions.items()}
+
+
 def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
                     grep: GRepTraces) -> MeasuredCharges:
     """Measure every charge from double contractions of basis generators.
@@ -314,44 +419,26 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
       c3:          T(z) L_{x0 d_0}(w), pole3 = c3;
       c4:          T(z) T(w), pole4 = c4 / 2;
       c6:          T(z) J_{e0}(w), pole3 = c6.
+
+    The contractions are run once per (d, p), with lambda, the statistics
+    sign and the trace parameters left symbolic (``_basis_channels``); a
+    call evaluates them at its parameters.
     """
     check_grid(d, p)
     lam = exact(conformal_weight)
-    x0 = Poly.variable(d, 0)
-    zero = Poly.zero(d)
-    one = Poly.constant(d, 1)
-
-    def vec(mu: int, comp: Poly) -> list[Poly]:
-        return [comp if i == mu else zero for i in range(d)]
-
-    # vector-field channels
-    xi_diag = vec(0, x0)
-    l_diag = build_vector_field(xi_diag, d, p)
-    pole_diag = double_contraction(l_diag, l_diag, glrep, grep).at(2)
-    c1_plus_c2 = -pole_diag
+    eps = grep.statistics.sign
+    powers = (1, lam, lam * lam)
+    rho, m = _trace_values(glrep, grep)
+    pole = {name: q + eps * sum(c * powers[k] * rho[i] * m[j] for k, i, j, c in entries)
+            for name, (entries, q) in _basis_channels(d, p).items()}
+    c1_plus_c2 = -pole["L L"]
     if d >= 2:
-        x1 = Poly.variable(d, 1)
-        l_a = build_vector_field(vec(0, x1), d, p)
-        l_b = build_vector_field(vec(1, x0), d, p)
-        c1 = -double_contraction(l_a, l_b, glrep, grep).at(2)
+        c1 = -pole["L(x1 d0) L(x0 d1)"]
         c2 = c1_plus_c2 - c1
     else:
         c1 = None
         c2 = None
-
-    # current channels (two internal components: 0 privileged, 1 generic)
-    j_generic = build_current([zero, one], d, p)
-    c5 = double_contraction(j_generic, j_generic, glrep, grep).at(2)
-    j_priv = build_current([one, zero], d, p)
-    c8 = double_contraction(j_priv, j_priv, glrep, grep).at(2) - c5
-
-    # mixed channel
-    c7 = double_contraction(l_diag, j_priv, glrep, grep).at(2)
-
-    # reparametrization channels
-    t_gen = build_reparam(lam, d, p)
-    c3 = double_contraction(t_gen, l_diag, glrep, grep).at(3)
-    c4 = 2 * double_contraction(t_gen, t_gen, glrep, grep).at(4)
-    c6 = double_contraction(t_gen, j_priv, glrep, grep).at(3)
-
-    return MeasuredCharges(d, p, lam, c1, c2, c1_plus_c2, c3, c4, c5, c6, c7, c8)
+    c5 = pole["J J"]
+    c8 = pole["J0 J0"] - c5
+    return MeasuredCharges(d, p, lam, c1, c2, c1_plus_c2, pole["T L"], 2 * pole["T T"],
+                           c5, pole["T J0"], pole["L J0"], c8)

@@ -90,6 +90,20 @@ def test_poly_exponents_are_sequences(bad):
     _one_line_value_error(lambda: Poly.zero(1).coeff(bad), "exponents must be sequences of integers")
 
 
+@pytest.mark.parametrize("bad", [3, None, 1.5])
+def test_poly_sequence_arguments_are_sequences(bad):
+    # Poly.monomial(3) raised "'int' object is not iterable", and eval(3),
+    # deriv_multi(3) and compose_univariate(3) "object of type 'int' has no len()".
+    f = parse_poly("x0 + x1", 2)
+    _one_line_value_error(lambda: Poly.monomial(bad), "exponents must be sequences of integers")
+    _one_line_value_error(lambda: f.eval(bad), "needs 2 coordinates")
+    _one_line_value_error(lambda: f.deriv_multi(bad), "needs 2 entries")
+    _one_line_value_error(lambda: f.compose_univariate(bad), "one substitution polynomial per")
+    assert Poly.monomial([1, 0]) == parse_poly("x0", 2) and f.eval([1, 2]) == 3
+    assert f.deriv_multi([0, 1]) == Poly.constant(2, 1)
+    assert f.compose_univariate([f, f]) == f.scale(2)
+
+
 @pytest.mark.parametrize("bad", [(1.0, 0), (True, 0), ("a", 0), (0, False)])
 def test_coeff_checks_its_exponent_like_the_constructor(bad):
     # coeff((1.0, 0)) and coeff((True, 0)) read the x0 term, coeff(("a", 0)) returned 0.

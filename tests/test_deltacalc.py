@@ -277,6 +277,45 @@ def test_rows_are_built_only_in_the_box_and_once(monkeypatch):
         assert all(0 <= a <= b for a, b in zip(s, lift)), (s, lift)
 
 
+def _reference_row(first, second, s):
+    """The row t -> W(s, t) as a dict over every term pair, t read off each
+    pair, the walk that kept one dict entry per t."""
+    row = {}
+    for w1, (c1, e1) in first.items():
+        hit = second.get(tuple(map(sum, zip(e1, s))))
+        if hit is not None:
+            c2, e2 = hit
+            t = tuple(a - b for a, b in zip(w1, e2))
+            if min(t) >= 0:
+                row[t] = row.get(t, 0) + c1 * c2
+    return {t: w for t, w in row.items() if w}
+
+
+def test_each_row_is_one_weight_at_delta_minus_s():
+    """After integrals of dense fields at every decoration pair and smear
+    modes, every row held in a memo has at most one entry, at t = Delta - s,
+    and equals the row a dict over every term pair gives."""
+    deltacalc._pair_table.cache_clear()
+    rng = random.Random(23)
+    keys = []
+    for d, p in ((1, 0), (1, 4), (2, 3), (3, 2)):
+        f, g = _dense_field(d, p, rng), _dense_field(d, p, rng)
+        for d1, d2 in itertools.product(_all_derivs(d), repeat=2):
+            for modes in itertools.product(SmearMode, repeat=2):
+                delta_pair_integral(f, g, d1, d2, modes, d, p)
+            keys.append((d, p, d1, d2))
+    held = 0
+    for key in keys:
+        first, second, lift, box, rows = deltacalc._pair_table(*key)
+        for s, row in rows.items():
+            held += 1
+            assert len(row) <= 1
+            assert dict(row) == _reference_row(first, second, s), (key, s)
+            if row:
+                assert row[0][0] == tuple(a - b for a, b in zip(lift, s))
+    assert held >= len(keys)
+
+
 def _dense_field(d, p, rng):
     """Every monomial of degree <= p + 2 with a nonzero coefficient, plus one
     Laurent term."""

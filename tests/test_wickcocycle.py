@@ -1,12 +1,19 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetvir.charges import GRepTraces, Statistics, closed_form, from_sl_gl1
+from jetvir import wickcocycle
+from jetvir.charges import GlRepTraces, GRepTraces, Statistics, closed_form, from_sl_gl1
+from jetvir.deltacalc import DerivSpec, delta_pair_integral
 from jetvir.exactpoly import Poly, parse_poly
 from jetvir.multiindex import unit
 from jetvir.wickcocycle import (
+    MeasuredCharges,
     NormalBilinear,
+    PoleExpansion,
     Term,
     build_current,
     build_reparam,
@@ -220,3 +227,172 @@ def test_pole_orders_bounded():
     j = build_current([Poly.constant(2, 1)], 2, 1)
     pe = double_contraction(j, j, from_sl_gl1(0, 0, 1, 2), GR1)
     assert set(pe.coefficients) <= {2}
+
+
+# -- the contraction table against the Fraction chain ---------------------------------
+
+def _reference_trace(ins_a, ins_b, glrep, grep):
+    """tr over rho (x) M of the product of two insertions, case by case."""
+    (ta, ma), (tb, mb) = ins_a, ins_b
+    if ta is None and tb is None:
+        tr_rho = Fraction(glrep.delta_rho)
+    elif ta is None or tb is None:
+        nu, mu = tb if ta is None else ta
+        tr_rho = glrep.k0 if nu == mu else Fraction(0)
+    else:
+        (a_up, b_lo), (c_up, d_lo) = ta, tb
+        tr_rho = (glrep.k1 if a_up == d_lo and c_up == b_lo else 0) + (
+            glrep.k2 if a_up == b_lo and c_up == d_lo else 0)
+    if ma is None and mb is None:
+        tr_m = Fraction(grep.delta_m)
+    elif ma is None or mb is None:
+        tr_m = grep.z_m if (mb if ma is None else ma) == 0 else Fraction(0)
+    else:
+        tr_m = (grep.y_m if ma == mb else 0) + (grep.w_m if ma == mb == 0 else 0)
+    return tr_rho * tr_m
+
+
+def _reference_contraction(a, b, glrep, grep):
+    """The double contraction as one Fraction chain per term pair,
+    -eps s1 s2 prefactors integral trace, plus the base-point rules."""
+    eps = grep.statistics.sign
+    pe = PoleExpansion()
+    for ta in a.terms:
+        deco_a = DerivSpec.none() if ta.phi_deriv is None else DerivSpec.on_x(ta.phi_deriv)
+        for tb in b.terms:
+            deco_b = DerivSpec.none() if tb.phi_deriv is None else DerivSpec.on_y(tb.phi_deriv)
+            r1, r2 = ta.pi_dots, ta.phi_dots
+            w1, w2 = tb.phi_dots, tb.pi_dots
+            s1 = (-1) ** r1 * math.factorial(r1 + w1)
+            s2 = (-1) ** r2 * math.factorial(r2 + w2)
+            integral = delta_pair_integral(ta.coeff, tb.coeff, deco_a, deco_b,
+                                           (ta.mode, tb.mode), a.d, a.p)
+            tr = _reference_trace(ta.insertion, tb.insertion, glrep, grep)
+            pe.add(2 + r1 + w1 + r2 + w2,
+                   -eps * s1 * s2 * ta.prefactor * tb.prefactor * integral * tr)
+    wickcocycle._q_sector(a, b, pe)
+    return pe
+
+
+def _reference_charges(d, p, lam, glrep, grep):
+    """Every charge from one full contraction of the basis generators."""
+    x0, zero, one = Poly.variable(d, 0), Poly.zero(d), Poly.constant(d, 1)
+
+    def vec(mu, comp):
+        return [comp if i == mu else zero for i in range(d)]
+
+    def pole(a, b, order):
+        return _reference_contraction(a, b, glrep, grep).at(order)
+
+    l_diag = build_vector_field(vec(0, x0), d, p)
+    c1_plus_c2 = -pole(l_diag, l_diag, 2)
+    c1 = c2 = None
+    if d >= 2:
+        c1 = -pole(build_vector_field(vec(0, Poly.variable(d, 1)), d, p),
+                   build_vector_field(vec(1, x0), d, p), 2)
+        c2 = c1_plus_c2 - c1
+    j_generic = build_current([zero, one], d, p)
+    j_priv = build_current([one, zero], d, p)
+    c5 = pole(j_generic, j_generic, 2)
+    t = build_reparam(lam, d, p)
+    return MeasuredCharges(d, p, lam, c1, c2, c1_plus_c2, pole(t, l_diag, 3),
+                           2 * pole(t, t, 4), c5, pole(t, j_priv, 3),
+                           pole(l_diag, j_priv, 2), pole(j_priv, j_priv, 2) - c5)
+
+
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_LAMBDAS = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 2)]) | _SMALL
+
+
+@st.composite
+def _traces(draw, d):
+    gl = GlRepTraces(draw(st.integers(1, 3)), draw(_SMALL), draw(_SMALL), draw(_SMALL))
+    gr = GRepTraces(draw(st.integers(1, 3)), draw(_SMALL), draw(_SMALL), draw(_SMALL),
+                    draw(st.sampled_from(Statistics)))
+    return gl, gr
+
+
+@st.composite
+def _poly(draw, d):
+    """Each Taylor term the oracle reads (the constant and the units) drawn
+    with a coefficient that may be zero, plus a few terms of exponents -1 to 2."""
+    terms = {e: draw(_SMALL) for e in [(0,) * d] + [unit(d, mu) for mu in range(d)]}
+    terms.update(draw(st.dictionaries(st.tuples(*[st.integers(-1, 2)] * d), _SMALL,
+                                      max_size=3)))
+    return Poly(d, terms)
+
+
+@st.composite
+def _bilinear(draw, d, p):
+    directions = st.integers(0, d - 1)
+    term = st.builds(
+        lambda pre, coeff, rho, m, dots, deriv: Term(pre, coeff, (rho, m), *dots, deriv),
+        _SMALL, _poly(d), st.none() | st.tuples(directions, directions),
+        st.none() | st.integers(0, 2), st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+        st.none() | directions)
+    tag = draw(st.sampled_from([None, "L", "T"]))
+    if tag == "L":
+        tag = ("L", tuple(draw(_poly(d)) for _ in range(d)))
+    elif tag == "T":
+        tag = ("T",)
+    return NormalBilinear(d, p, tuple(draw(st.lists(term, min_size=1, max_size=3))), tag)
+
+
+@st.composite
+def _contraction_cases(draw):
+    d, p = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    return (draw(_bilinear(d, p)), draw(_bilinear(d, p)), *draw(_traces(d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_contraction_cases())
+def test_contraction_table_equals_the_fraction_chain(case):
+    """Random bilinears with every kind of insertion, dot, spatial
+    derivative and base-point tag, at random traces under both statistics."""
+    got = double_contraction(*case).coefficients
+    assert got == _reference_contraction(*case).coefficients
+    assert all(v != 0 for v in got.values())
+
+
+@st.composite
+def _charge_cases(draw):
+    d, p = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return (d, p, draw(_LAMBDAS), *draw(_traces(d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_charge_cases())
+def test_charges_from_the_cached_tables_equal_the_fraction_chain(case):
+    """Random lambda (0, 1, 1/2, -3/2 or a small rational) and traces, at
+    grid points whose tables are often already cached."""
+    meas = extract_charges(*case)
+    assert meas == _reference_charges(*case)
+    charges = [getattr(meas, n) for n in ("c1_plus_c2", "c3", "c4", "c5", "c6", "c7", "c8")]
+    if case[0] >= 2:
+        charges += [meas.c1, meas.c2]
+    else:
+        assert meas.c1 is None and meas.c2 is None
+    assert all(type(c) is Fraction for c in charges)
+
+
+def test_a_cached_grid_point_calls_no_oracle(monkeypatch):
+    """The second extract_charges at a (d, p), with other lambda, traces and
+    statistics, makes no delta_pair_integral call; after cache_clear the
+    first call makes them again."""
+    calls = []
+    oracle = wickcocycle.delta_pair_integral
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+    monkeypatch.setattr(wickcocycle, "delta_pair_integral", counting)
+    wickcocycle._basis_channels.cache_clear()
+    extract_charges(2, 3, Fraction(1, 2), GlRepTraces(2, 1, 0, 3), GRepTraces(1, 1, 0, 0))
+    first = len(calls)
+    assert first
+    extract_charges(2, 3, Fraction(-3, 2), GlRepTraces(1, Fraction(2, 3), 5, -1),
+                    GRepTraces(3, 2, 1, Fraction(1, 4), Statistics.FERMI))
+    assert len(calls) == first
+    wickcocycle._basis_channels.cache_clear()
+    extract_charges(2, 3, 0, GlRepTraces(2, 1, 0, 3), GRepTraces(1, 1, 0, 0))
+    assert len(calls) == 2 * first
