@@ -34,10 +34,10 @@ single-sector formulas are recovered by setting the other dimension to 1.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 
 from .exactpoly import _Record, _set, exact
+from .jetsums import SumKind, _closed_value
 from .multiindex import check_grid, check_int
 
 
@@ -168,10 +168,10 @@ def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
     check_grid(d, p)
     lam = exact(conformal_weight)
     eps = grep.statistics.sign
-    a = math.comb(d + p, d)
-    b = math.comb(d + p, d + 1)
-    dd = math.comb(d + p, d + 2)
-    e = math.comb(d + p + 1, d + 2)
+    a = _closed_value(SumKind.A, d, p)
+    b = _closed_value(SumKind.B, d, p)
+    dd = _closed_value(SumKind.D, d, p)
+    e = _closed_value(SumKind.E, d, p)
     drho, dm = glrep.delta_rho, grep.delta_m
     c1 = 1 + eps * dm * (e * drho + a * glrep.k1)
     c2 = eps * dm * (dd * drho + 2 * b * glrep.k0 + a * glrep.k2)

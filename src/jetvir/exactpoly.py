@@ -132,14 +132,15 @@ _set = object.__setattr__  # how a frozen record's __init__ sets its fields
 MAX_DEGREE = 64  # the total-degree cap, a guard against runaway input
 
 
-def _exponent(expo, dim: int) -> MultiIndex:
-    """``expo`` as a tuple of ``dim`` ints: the one check of an exponent,
-    for ``Poly(dim, terms)`` and ``Poly.coeff``."""
+def _exponent(expo, dim: int | None) -> MultiIndex:
+    """``expo`` as a tuple of ``dim`` ints, of any length if ``dim`` is None:
+    the one check of an exponent, for ``Poly(dim, terms)``, ``Poly.coeff``
+    and ``Poly.monomial``."""
     try:
         e = tuple(expo)
     except TypeError:
         raise ValueError(f"exponents must be sequences of integers, got {expo!r}") from None
-    if len(e) != dim:
+    if len(e) != dim and dim is not None:
         raise ValueError(f"exponent {e} has wrong dimension (expected {dim})")
     for k in e:
         if type(k) is not int:
@@ -214,8 +215,8 @@ class Poly:
         return cls(dim, {(0,) * dim: value})
 
     @classmethod
-    def monomial(cls, expo: Sequence[int], coeff=1) -> "Poly":
-        e = _exponent(expo, _length(expo))
+    def monomial(cls, expo: Iterable[int], coeff=1) -> "Poly":
+        e = _exponent(expo, None)
         return cls(len(e), {e: coeff})
 
     @classmethod

@@ -18,13 +18,13 @@ and its z- and w-derivatives: each contraction is a power of 1/(z-w) times
 a jet delta kernel, decorated by the phi factor's spatial derivative, if
 any.  Exchanging the factors costs the statistics sign.  The engine
 evaluates the resulting bilinear delta-pair integrals with the exact
-symbolic oracle of ``deltacalc`` and collects them in a field-sector table
-keyed by pole order and by the trace of the matrix insertions, written as
-two int linear forms in the trace parameters of ``charges``; the statistics
-sign and the parameter values are applied to the table, which gives an
-exact pole expansion in (z - w).  The contractions of basis generators that
-measure the charges are tabulated once per (d, p), with the conformal
-weight lambda left symbolic as well, and each measurement evaluates them.
+symbolic oracle of ``deltacalc`` and collects them in one field-sector
+table keyed by pole order and by the indices of the trace parameters
+(Delta_rho, k0, k1, k2) and (Delta_M, z_M, y_M, w_M) that the trace of the
+matrix insertions sums; the statistics sign and the parameter values are
+applied to it, which gives an exact pole expansion in (z - w).  The basis
+contractions that measure the charges read it once per (d, p), with lambda
+symbolic, as T(lambda) = (1 - lambda) T(0) + lambda T(1) of ``build_reparam``.
 
 The base-point (q, p) sector cannot be contracted field-wise; its two
 closed-form contributions — the pole-2 term -d_nu xi^mu(0) d_mu eta^nu(0)
@@ -126,53 +126,34 @@ def _pole(r: int, s: int) -> tuple[int, int]:
 
 # -- traces --------------------------------------------------------------------
 
-# A trace form: the int coefficients of a linear form in four trace
-# parameters, (delta_rho, k0, k1, k2) on the rho factor or
-# (delta_m, z_m, y_m, w_m) on the M factor.
-_Form = tuple[int, int, int, int]
-
-
-def _trace_forms(ins_a: Insertion, ins_b: Insertion) -> tuple[_Form, _Form]:
+def _trace_forms(ins_a: Insertion, ins_b: Insertion) -> tuple[tuple, tuple]:
     """The traces over rho and over M of the product of two insertions, as
-    linear forms in the trace parameters of each factor."""
+    the indices, in the order of ``_trace_values``, of the trace parameters
+    each one sums; every parameter enters with coefficient 1."""
     ta, ma = ins_a
     tb, mb = ins_b
     if ta is None and tb is None:
-        rho = (1, 0, 0, 0)
+        rho = (0,)
     elif ta is None or tb is None:
         nu, mu = tb if ta is None else ta
-        rho = (0, int(nu == mu), 0, 0)
+        rho = (1,) if nu == mu else ()
     else:
         # tr T^a_b T^c_d = k1 d^{a,d} d^{c,b} + k2 d^{a,b} d^{c,d}
         (a_up, b_lo), (c_up, d_lo) = ta, tb
-        rho = (0, 0, int(a_up == d_lo and c_up == b_lo), int(a_up == b_lo and c_up == d_lo))
+        rho = (2,) * (a_up == d_lo and c_up == b_lo) + (3,) * (a_up == b_lo and c_up == d_lo)
     if ma is None and mb is None:
-        m = (1, 0, 0, 0)
+        m = (0,)
     elif ma is None or mb is None:
-        m = (0, int((mb if ma is None else ma) == 0), 0, 0)
+        m = (1,) if (mb if ma is None else ma) == 0 else ()
     else:
-        m = (0, 0, int(ma == mb), int(ma == 0 and mb == 0))
+        m = (2,) * (ma == mb) + (3,) * (ma == mb == 0)
     return rho, m
 
 
 def _trace_values(glrep: GlRepTraces, grep: GRepTraces) -> tuple[tuple, tuple]:
-    """The values of the trace parameters in the order of a ``_Form``."""
+    """The trace parameters in the order of the indices of ``_trace_forms``."""
     return ((glrep.delta_rho, glrep.k0, glrep.k1, glrep.k2),
             (grep.delta_m, grep.z_m, grep.y_m, grep.w_m))
-
-
-def _value(form: _Form, values: tuple):
-    """The value of a trace form at the parameter values ``values``."""
-    return sum(c * v for c, v in zip(form, values) if c)
-
-
-def trace_pair(ins_a: Insertion, ins_b: Insertion, glrep: GlRepTraces,
-               grep: GRepTraces) -> Fraction:
-    """Trace over the combined rho (x) M space of the product of two
-    insertions, expressed through the trace parameters."""
-    rho, m = _trace_forms(ins_a, ins_b)
-    rho_values, m_values = _trace_values(glrep, grep)
-    return Fraction(_value(rho, rho_values) * _value(m, m_values))
 
 
 # -- base-point sector rules ----------------------------------------------------
@@ -193,35 +174,37 @@ def _divergence_at_zero(xi: Sequence[Poly]) -> Fraction:
     return Fraction(sum(row[mu] for mu, row in enumerate(jac)), den)
 
 
-def _q_sector(a: NormalBilinear, b: NormalBilinear, pe: PoleExpansion) -> None:
-    """Closed-form contributions of the base-point (q, p) contractions."""
+def _q_sector(a: NormalBilinear, b: NormalBilinear) -> tuple[int, Fraction] | None:
+    """The closed-form contribution of the base-point (q, p) contractions,
+    as (pole order, coefficient), or None if the tags give none."""
     ta = a.q_sector
     tb = b.q_sector
     if ta is None or tb is None:
-        return
+        return None
     if ta[0] == "L" and tb[0] == "L":
         (jx, dx), (je, de) = _jacobian_at_zero(ta[1]), _jacobian_at_zero(tb[1])
         d = len(jx)
         total = sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d))
-        pe.add(2, Fraction(-total, dx * de))
-    elif ta[0] == "T" and tb[0] == "L":
-        pe.add(3, _divergence_at_zero(tb[1]))
-    elif ta[0] == "L" and tb[0] == "T":
-        pe.add(3, -_divergence_at_zero(ta[1]))
-    elif ta[0] == "T" and tb[0] == "T":
-        pe.add(4, Fraction(a.d))
+        return 2, Fraction(-total, dx * de)
+    if ta[0] == "T" and tb[0] == "L":
+        return 3, _divergence_at_zero(tb[1])
+    if ta[0] == "L" and tb[0] == "T":
+        return 3, -_divergence_at_zero(ta[1])
+    if ta[0] == "T" and tb[0] == "T":
+        return 4, Fraction(a.d)
+    return None
 
 
 # The field sector of a contraction without the statistics sign eps:
-# (pole order, rho form, M form) -> coefficient.  The sector's coefficient
-# of (z - w)^(-order) is eps times the sum, over the entries at that order,
-# of coefficient x rho-form value x M-form value.
-_FieldTable = dict[tuple[int, _Form, _Form], Fraction]
+# (pole order, i, j) -> c.  The sector's coefficient of (z - w)^(-order) is
+# eps times the sum of c rho_i m_j over the entries at that order, with rho
+# and m the trace parameter values of ``_trace_values``.
+_FieldTable = dict[tuple[int, int, int], Fraction]
 
 
 def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
     """Contract every term of A(z) with every term of B(w) through the OPE
-    and the exact delta-pair oracle; a pair whose integral or trace form
+    and the exact delta-pair oracle; a pair whose integral or trace
     vanishes adds nothing."""
     d, p = a.d, a.p
     table: _FieldTable = {}
@@ -239,9 +222,11 @@ def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
             if integral == 0:
                 continue
             rho, m = _trace_forms(ta.insertion, tb.insertion)
-            if any(rho) and any(m):
-                key = (k1 + k2, rho, m)
-                table[key] = table.get(key, 0) - s1 * s2 * ta.prefactor * tb.prefactor * integral
+            c = -s1 * s2 * ta.prefactor * tb.prefactor * integral
+            for i in rho:
+                for j in m:
+                    key = (k1 + k2, i, j)
+                    table[key] = table.get(key, 0) + c
     return table
 
 
@@ -253,11 +238,13 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
     if (a.d, a.p) != (b.d, b.p):
         raise ValueError("bilinears must share (d, p)")
     eps = grep.statistics.sign
-    rho_values, m_values = _trace_values(glrep, grep)
+    rho, m = _trace_values(glrep, grep)
     pe = PoleExpansion()
-    for (order, rho, m), coeff in _field_table(a, b).items():
-        pe.add(order, eps * coeff * _value(rho, rho_values) * _value(m, m_values))
-    _q_sector(a, b, pe)
+    for (order, i, j), c in _field_table(a, b).items():
+        pe.add(order, eps * c * rho[i] * m[j])
+    q = _q_sector(a, b)
+    if q is not None:
+        pe.add(*q)
     if any(order > 4 for order in pe.coefficients):
         raise AssertionError("pole order above 4 should be impossible")
     return pe
@@ -341,35 +328,34 @@ class MeasuredCharges(_Record):
 _Channel = tuple[tuple[tuple[int, int, int, Fraction], ...], Fraction]
 
 
-def _channel(order: int, contractions: Sequence[tuple[int, NormalBilinear, NormalBilinear]]
+def _channel(order: int, contractions: Sequence[tuple[tuple, NormalBilinear, NormalBilinear]]
              ) -> _Channel:
-    """The pole-``order`` coefficient of sum lambda^k A(z) B(w) over the
-    contractions (k, A, B), which all carry the same base-point tags, so the
-    last pair gives the base-point constant."""
+    """The pole-``order`` coefficient of sum w(lambda) A(z) B(w) over the
+    contractions (w, A, B), each weight w given by its coefficients of
+    lambda^0, lambda^1, ...  The weights sum to 1 and the pairs all carry the
+    same base-point tags, so the last pair gives the base-point constant."""
     acc: dict[tuple[int, int, int], Fraction] = {}
-    for k, a, b in contractions:
-        for (pole, rho, m), c in _field_table(a, b).items():
-            if pole != order:
-                continue
-            for i, ri in enumerate(rho):
-                for j, mj in enumerate(m):
-                    if ri and mj:
-                        acc[k, i, j] = acc.get((k, i, j), 0) + ri * mj * c
-    q = PoleExpansion()
-    _q_sector(a, b, q)
+    for weight, a, b in contractions:
+        for (pole, i, j), c in _field_table(a, b).items():
+            if pole == order:
+                for k, wk in enumerate(weight):
+                    if wk:
+                        acc[k, i, j] = acc.get((k, i, j), 0) + wk * c
+    q = _q_sector(a, b)
     # an integral coefficient is kept as an int, so that a call multiplies
     # ints wherever its parameters are ints
-    return tuple((k, i, j, c.numerator if c.denominator == 1 else c)
-                 for (k, i, j), c in acc.items() if c), q.at(order)
+    return (tuple((k, i, j, c.numerator if c.denominator == 1 else c)
+                  for (k, i, j), c in acc.items() if c),
+            q[1] if q is not None and q[0] == order else Fraction(0))
 
 
 @functools.lru_cache(maxsize=128)
 def _basis_channels(d: int, p: int) -> dict[str, _Channel]:
     """The basis contractions of ``extract_charges`` at (d, p), each read at
     the one pole order it measures, with the parameters left symbolic.
-    T(lambda) = lambda T1 + T0, with T1 = :pi phi-dot: + :pi-dot phi: and
-    T0 = -:pi phi-dot:, is ``build_reparam`` split by its powers of lambda;
-    both parts carry T's base-point tag, which lambda does not scale."""
+    ``build_reparam`` is affine in lambda, so T(lambda) = (1 - lambda) T(0)
+    + lambda T(1): a T contraction has the weight 1 - lambda or lambda, and
+    a T-T contraction their product."""
     x0 = Poly.variable(d, 0)
     zero = Poly.zero(d)
     one = Poly.constant(d, 1)
@@ -377,32 +363,26 @@ def _basis_channels(d: int, p: int) -> dict[str, _Channel]:
     def vec(mu: int, comp: Poly) -> list[Poly]:
         return [comp if i == mu else zero for i in range(d)]
 
-    def reparam(*terms: Term) -> NormalBilinear:
-        return NormalBilinear(d, p, terms, q_sector=("T",))
-
-    def plain(prefactor: int, **dots: int) -> Term:
-        return Term(Fraction(prefactor), one, (None, None), **dots)
-
     l_diag = build_vector_field(vec(0, x0), d, p)
     # two internal components: 0 privileged, 1 generic
     j_generic = build_current([zero, one], d, p)
     j_priv = build_current([one, zero], d, p)
-    t = ((1, reparam(plain(1, phi_dots=1), plain(1, pi_dots=1))),
-         (0, reparam(plain(-1, phi_dots=1))))
+    t = (((1, -1), build_reparam(0, d, p)), ((0, 1), build_reparam(1, d, p)))
     # L is L_{x0 d_0}, J the generic current and J0 the privileged one
     contractions = {
-        "L L": (2, [(0, l_diag, l_diag)]),
-        "J J": (2, [(0, j_generic, j_generic)]),
-        "J0 J0": (2, [(0, j_priv, j_priv)]),
-        "L J0": (2, [(0, l_diag, j_priv)]),
-        "T L": (3, [(k, tk, l_diag) for k, tk in t]),
-        "T T": (4, [(ka + kb, ta, tb) for ka, ta in t for kb, tb in t]),
-        "T J0": (3, [(k, tk, j_priv) for k, tk in t]),
+        "L L": (2, [((1,), l_diag, l_diag)]),
+        "J J": (2, [((1,), j_generic, j_generic)]),
+        "J0 J0": (2, [((1,), j_priv, j_priv)]),
+        "L J0": (2, [((1,), l_diag, j_priv)]),
+        "T L": (3, [(w, tk, l_diag) for w, tk in t]),
+        "T T": (4, [((wa[0] * wb[0], wa[0] * wb[1] + wa[1] * wb[0], wa[1] * wb[1]), ta, tb)
+                    for wa, ta in t for wb, tb in t]),
+        "T J0": (3, [(w, tk, j_priv) for w, tk in t]),
     }
     if d >= 2:
         l_a = build_vector_field(vec(0, Poly.variable(d, 1)), d, p)
         l_b = build_vector_field(vec(1, x0), d, p)
-        contractions["L(x1 d0) L(x0 d1)"] = (2, [(0, l_a, l_b)])
+        contractions["L(x1 d0) L(x0 d1)"] = (2, [((1,), l_a, l_b)])
     return {name: _channel(order, pairs) for name, (order, pairs) in contractions.items()}
 
 

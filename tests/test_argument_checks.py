@@ -100,6 +100,9 @@ def test_poly_sequence_arguments_are_sequences(bad):
     _one_line_value_error(lambda: f.deriv_multi(bad), "needs 2 entries")
     _one_line_value_error(lambda: f.compose_univariate(bad), "one substitution polynomial per")
     assert Poly.monomial([1, 0]) == parse_poly("x0", 2) and f.eval([1, 2]) == 3
+    # an iterator is read once: Poly.monomial(x for x in (1, 2)) raised
+    # "exponent (1, 2) has wrong dimension (expected -1)"
+    assert Poly.monomial(x for x in (1, 2)) == Poly.monomial((1, 2))
     assert f.deriv_multi([0, 1]) == Poly.constant(2, 1)
     assert f.compose_univariate([f, f]) == f.scale(2)
 

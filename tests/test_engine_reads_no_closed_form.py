@@ -1,0 +1,65 @@
+"""The charge engine is one of the two computations that every charge
+check pits against each other, so it must never consult the other one: with
+every module's binding of a closed form made to raise, a cold
+``extract_charges`` and a ``double_contraction`` still return what they
+return without it.  The cold oracle-call counts of the basis tables are
+pinned as well."""
+
+import importlib
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from jetvir import deltacalc, wickcocycle
+from jetvir.charges import GlRepTraces, GRepTraces, Statistics
+from jetvir.exactpoly import parse_poly
+
+MODULES = [importlib.import_module(f"jetvir.{path.stem}") for path in
+           sorted((Path(__file__).parents[1] / "src" / "jetvir").glob("*.py"))]
+CLOSED_FORMS = ("_closed_value", "sum_closed", "closed_form", "delta_pair_closed")
+
+
+def _measure():
+    xi = [parse_poly("x0 + x1^2", 2), parse_poly("1/2 * x0 * x1", 2)]
+    la = wickcocycle.build_vector_field(xi, 2, 2)
+    t = wickcocycle.build_reparam(Fraction(1, 3), 2, 2)
+    return (wickcocycle.extract_charges(2, 3, Fraction(1, 2), GlRepTraces(2, 1, 0, 3),
+                                        GRepTraces(1, 1, 0, 0, Statistics.FERMI)),
+            wickcocycle.double_contraction(t, la, GlRepTraces(2, 1, 0, 3),
+                                           GRepTraces(2, 1, 1, 1)).coefficients)
+
+
+def test_a_cold_engine_consults_no_closed_form(monkeypatch):
+    expected = _measure()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine consulted a closed form")
+
+    patched = set()
+    for module in MODULES:
+        for name in CLOSED_FORMS:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+                patched.add(name)
+    assert patched == set(CLOSED_FORMS)
+    wickcocycle._basis_channels.cache_clear()
+    deltacalc._pair_table.cache_clear()
+    deltacalc._kernel_terms.cache_clear()
+    assert _measure() == expected
+
+
+@pytest.mark.parametrize("d,p,calls", [(2, 3, 22), (1, 0, 18)])
+def test_cold_basis_tables_make_a_fixed_number_of_oracle_calls(monkeypatch, d, p, calls):
+    """One call per term pair: T(0) and T(1) have one term each, so the
+    T-T channel contracts 4 term pairs."""
+    count = []
+    oracle = wickcocycle.delta_pair_integral
+
+    def counting(*args):
+        count.append(args)
+        return oracle(*args)
+    monkeypatch.setattr(wickcocycle, "delta_pair_integral", counting)
+    wickcocycle._basis_channels.cache_clear()
+    wickcocycle._basis_channels(d, p)
+    assert len(count) == calls
