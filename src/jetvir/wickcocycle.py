@@ -199,7 +199,7 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear) -> tuple[int, Fraction] | No
 # (pole order, i, j) -> c.  The sector's coefficient of (z - w)^(-order) is
 # eps times the sum of c rho_i m_j over the entries at that order, with rho
 # and m the trace parameter values of ``_trace_values``.
-_FieldTable = dict[tuple[int, int, int], Fraction]
+_FieldTable = dict[tuple[int, int, int], int | Fraction]
 
 
 def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
@@ -222,7 +222,12 @@ def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
             if integral == 0:
                 continue
             rho, m = _trace_forms(ta.insertion, tb.insertion)
-            c = -s1 * s2 * ta.prefactor * tb.prefactor * integral
+            # -s1 s2 prefactor_a prefactor_b integral from int numerators and
+            # denominators: one Fraction at most, and an int where it is one
+            pa, pb = ta.prefactor, tb.prefactor
+            num = -s1 * s2 * pa.numerator * pb.numerator * integral.numerator
+            den = pa.denominator * pb.denominator * integral.denominator
+            c = num // den if num % den == 0 else Fraction(num, den)
             for i in rho:
                 for j in m:
                     key = (k1 + k2, i, j)

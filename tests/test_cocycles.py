@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetvir import cocycles, exactpoly
 from jetvir.cocycles import (
     Trajectory,
     _product_residue,
@@ -308,3 +309,210 @@ def test_product_residue_equals_the_residue_of_the_product(pair):
     a, b = pair
     assert _product_residue(a, b) == residue(a * b)
     assert _product_residue(b, a) == residue(a * b)
+
+
+# -- errors: raised where composing the summed 1-form raises --------------------
+
+def _outcome(call):
+    """The value of ``call()``, or the type of the OverflowError or ValueError
+    it raises."""
+    try:
+        return call()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _outcomes(case):
+    """The three trajectory cocycles of ``case`` and their reference loops, as
+    pairs of outcomes."""
+    q, xi, eta, X, Y, (c1, c2, c5, c7, c8) = case
+    return [(_outcome(lambda: virasoro_cocycle(xi, eta, q, c1, c2)),
+             _outcome(lambda: _reference_virasoro(xi, eta, q, c1, c2))),
+            (_outcome(lambda: affine_cocycle(X, Y, q, c5, c8)),
+             _outcome(lambda: _reference_affine(X, Y, q, c5, c8))),
+            (_outcome(lambda: mixed_cocycle(xi, X, q, c7)),
+             _outcome(lambda: _reference_mixed(xi, X, q, c7)))]
+
+
+@st.composite
+def _capped_cases(draw):
+    """Fields of degree <= 5 at d <= 2 on loops of components a z + b with
+    a != 0, and a degree cap of 2..9.  Each velocity is a nonzero constant,
+    so the reference loops' product q'^rho compose(omega_rho, q) tests no
+    degree that composing omega_rho does not."""
+    d = draw(st.integers(1, 2))
+    comps = [Poly(1, {(1,): draw(_NONZERO), (0,): draw(_RATIONALS)}) for _ in range(d)]
+    field = _poly_in(d, enumerate_indices(d, 5))
+    n = draw(st.integers(1, 2))
+    xi, eta = ([draw(field) for _ in range(d)] for _ in range(2))
+    X, Y = ([draw(field) for _ in range(n)] for _ in range(2))
+    charges = [draw(_NONZERO) for _ in range(5)]
+    return draw(st.integers(2, 9)), (Trajectory(tuple(comps)), xi, eta, X, Y, charges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_capped_cases())
+def test_a_low_degree_cap_raises_where_the_reference_loops_raise(capped):
+    cap, case = capped
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactpoly, "MAX_DEGREE", cap)
+        for got, want in _outcomes(case):
+            assert got == want
+
+
+def test_a_zero_velocity_still_tests_its_products_against_the_cap():
+    # q^1 is constant, so rho = 1 adds nothing, but its products pass the cap
+    zero = Poly.zero(2)
+    x1 = [zero, Poly.monomial((0, 35))]
+    q = Trajectory((_z("z"), Poly.constant(1, 1)))
+    with pytest.raises(OverflowError):
+        affine_cocycle([Poly.monomial((0, 40))], [Poly.monomial((0, 30))], q, 1, 0)
+    with pytest.raises(OverflowError):
+        virasoro_cocycle(x1, x1, q, 1, 0)
+    with pytest.raises(OverflowError):
+        mixed_cocycle(x1, [Poly.monomial((0, 35))], q, 1)
+    assert affine_cocycle([Poly.monomial((0, 20))], [Poly.monomial((0, 30))], q, 1, 0) == 0
+
+
+def test_an_image_is_capped_as_compose_builds_it():
+    # omega_0 = 2 x0^2 x1: compose squares z^5 (degree 10) before it meets
+    # z^-5, while the table may reach z^10 z^-5 through z^-5 and z^0
+    q = Trajectory((_z("z^5"), _z("z^-5")))
+    X, Y = [Poly.monomial((2, 0))], [Poly.monomial((1, 1))]
+    value = affine_cocycle(X, Y, q, 1, 0)
+    assert value == _reference_affine(X, Y, q, 1, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactpoly, "MAX_DEGREE", 9)
+        with pytest.raises(OverflowError):
+            affine_cocycle(X, Y, q, 1, 0)
+        patch.setattr(exactpoly, "MAX_DEGREE", 10)
+        assert affine_cocycle(X, Y, q, 1, 0) == value
+    assert affine_cocycle(X, Y, q, 1, 0) == value
+
+
+@st.composite
+def _mixed_loop_cases(draw):
+    """Laurent fields (powers -2..2) at d <= 3 on loops whose components are
+    each a monomial, a constant or a general Laurent polynomial, with nonzero
+    charges, so that a field meets a non-monomial component in some cases
+    and not in others."""
+    d = draw(st.integers(1, 3))
+    laurent = _poly_in(1, [(k,) for k in range(-2, 3)])
+    comps = [draw(st.one_of(st.builds(lambda k, c: Poly.monomial((k,), c),
+                                      st.integers(-2, 2), _NONZERO),
+                            st.builds(lambda c: Poly.constant(1, c), _NONZERO),
+                            laurent))
+             for _ in range(d)]
+    field = _poly_in(d, list(itertools.product(range(-2, 3), repeat=d)))
+    n = draw(st.integers(1, 2))
+    xi, eta = ([draw(field) for _ in range(d)] for _ in range(2))
+    X, Y = ([draw(field) for _ in range(n)] for _ in range(2))
+    charges = [draw(_NONZERO) for _ in range(5)]
+    return Trajectory(tuple(comps)), xi, eta, X, Y, charges
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_mixed_loop_cases())
+def test_laurent_fields_on_any_loop_raise_where_the_reference_loops_raise(case):
+    for got, want in _outcomes(case):
+        assert got == want
+
+
+def test_a_term_that_cancels_in_omega_is_not_composed():
+    # omega = (c5 + c8) X0' Y0 + c5 X1' Y1 = x^-1 - x^-1 = 0: nothing meets
+    # the non-monomial loop
+    x, inverse = parse_poly("x0", 1), Poly.monomial((-1,))
+    q = Trajectory((_z("z + z^2"),))
+    assert affine_cocycle([inverse, inverse], [x, x], q, 1, -2) == 0
+    assert _reference_affine([inverse, inverse], [x, x], q, 1, -2) == 0
+    with pytest.raises(ValueError, match="monomial substitution"):
+        affine_cocycle([inverse, inverse], [x, x], q, 1, -1)
+
+
+# -- the residue table of a loop ------------------------------------------------
+
+def _assert_table_matches_compose(q):
+    """Every residue the loop's table holds equals res q'^rho compose(x^e, q)."""
+    velocity = q.velocity()
+    _, _, rows = cocycles._loop_table(q, exactpoly.MAX_DEGREE)
+    for rho, row in enumerate(rows):
+        for e, r in row.items():
+            assert r == residue(velocity[rho] * compose(Poly.monomial(e), q))
+            assert type(r) is int or r.denominator > 1
+
+
+def _field_pairs(d, count, rng):
+    return [([_rand_poly(d, 3, rng) for _ in range(d)], [_rand_poly(d, 3, rng) for _ in range(d)])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("comps", [
+    ("z^-2 + 3 z - z^2", "2 z^-1 + z"),
+    ("z^-1 - 2 z^2", "3"),                         # a constant component
+    ("1/2 z^-1 + 2/3 z^2", "-3/5 z + 7/4"),        # non-integer coefficients
+], ids=["laurent", "constant-component", "fractions"])
+def test_one_table_serves_many_field_pairs_in_any_order(comps):
+    rng = random.Random(12)
+    q = Trajectory(tuple(_z(c) for c in comps))
+    pairs = _field_pairs(2, 12, rng)
+    calls = [(kind, i) for kind in ("vir", "aff", "mix") for i in range(len(pairs))]
+    rng.shuffle(calls)
+    c1, c2, c5, c7, c8 = Fraction(3, 2), Fraction(-1, 3), 2, Fraction(7, 4), Fraction(1, 5)
+    for kind, i in calls + calls[::-1]:
+        a, b = pairs[i]
+        if kind == "vir":
+            assert virasoro_cocycle(a, b, q, c1, c2) == _reference_virasoro(a, b, q, c1, c2)
+        elif kind == "aff":
+            assert affine_cocycle(a, b, q, c5, c8) == _reference_affine(a, b, q, c5, c8)
+        else:
+            assert mixed_cocycle(a, b, q, c7) == _reference_mixed(a, b, q, c7)
+    _assert_table_matches_compose(q)
+
+
+def test_equal_loops_share_one_table():
+    rng = random.Random(13)
+    q = Trajectory((_z("z^-1 + 2 z"), _z("z^2 - z")))
+    twin = Trajectory((_z("2 z + z^-1"), _z("-z + z^2")))
+    assert twin == q and twin is not q
+    xi, eta = _field_pairs(2, 1, rng)[0]
+    value = virasoro_cocycle(xi, eta, q, 1, 2)
+    assert cocycles._loop_table(twin, exactpoly.MAX_DEGREE) is \
+        cocycles._loop_table(q, exactpoly.MAX_DEGREE)
+    assert virasoro_cocycle(xi, eta, twin, 1, 2) == value == _reference_virasoro(xi, eta, q, 1, 2)
+    _assert_table_matches_compose(twin)
+
+
+def test_a_call_that_raised_leaves_no_entry_a_later_call_reads():
+    q = Trajectory((_z("z + z^2"), _z("z^-1")))
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    # x0^-1 needs the inverse of z + z^2; x1^-2 is read before it
+    bad = [Poly(2, {(0, -2): 1, (-1, 0): 1})]
+    with pytest.raises(ValueError, match="monomial substitution"):
+        affine_cocycle([x0 * x1], bad, q, 1, 0)
+    _assert_table_matches_compose(q)
+    good = [Poly(2, {(0, -2): 1, (1, 0): 1})]
+    assert affine_cocycle([x0 * x1], good, q, 1, 0) == _reference_affine([x0 * x1], good, q, 1, 0)
+    with pytest.raises(ValueError, match="monomial substitution"):
+        affine_cocycle([x0 * x1], bad, q, 1, 0)
+    big = [Poly.monomial((3, 3))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactpoly, "MAX_DEGREE", 6)
+        with pytest.raises(OverflowError):
+            affine_cocycle(big, big, q, 1, 0)
+    assert affine_cocycle(big, big, q, 1, 0) == _reference_affine(big, big, q, 1, 0)
+    _assert_table_matches_compose(q)
+
+
+def test_a_warm_call_multiplies_and_composes_nothing(monkeypatch):
+    rng = random.Random(14)
+    q = Trajectory((_z("z^-2 + 3 z - z^2"), _z("2 z^-1 + z")))
+    (xi, eta), (X, Y) = _field_pairs(2, 2, rng)
+    first = (virasoro_cocycle(xi, eta, q, 3, -1), affine_cocycle(X, Y, q, 2, 5))
+
+    def refuse(*args):
+        raise AssertionError("a warm call built a product or a composition")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "compose_univariate", refuse)
+    monkeypatch.setattr(cocycles, "compose", refuse)
+    assert (virasoro_cocycle(xi, eta, q, 3, -1), affine_cocycle(X, Y, q, 2, 5)) == first
