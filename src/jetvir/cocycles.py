@@ -229,6 +229,8 @@ def _pullback_residue(omega: Sequence[_Terms], q: Trajectory) -> Fraction:
     velocities, _, rows = table
     forms = []
     for rho, (terms, velocity) in enumerate(zip(omega, velocities)):
+        # a rho's products meet the cap before its coefficients are read, as
+        # they would if built for ``lincomb``
         for _, a, b in terms:
             if a._degree() + b._degree() > cap and _over_cap(a, b, cap):
                 raise _degree_overflow()
