@@ -47,6 +47,18 @@ from .wickcocycle import extract_charges
 
 USAGE_ERROR = 2
 
+# kind -> (cocycle, its operand flags in call order, its charge flags).
+# --f and --g are Laurent polynomials in z, --traj is the loop, and every
+# other operand is a comma-separated field in d variables.
+COCYCLES = {
+    "virasoro": (virasoro_cocycle, ("xi", "eta", "traj"), ("c1", "c2")),
+    "affine": (affine_cocycle, ("x", "y", "traj"), ("c5", "c8")),
+    "mixed": (mixed_cocycle, ("xi", "x", "traj"), ("c7",)),
+    "reparam-reparam": (reparam_reparam_cocycle, ("f", "g"), ("c4",)),
+    "reparam-vector": (reparam_vector_cocycle, ("f", "xi", "traj"), ("c3",)),
+    "reparam-current": (reparam_current_cocycle, ("f", "x", "traj"), ("c6",)),
+}
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -75,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("charges", help="closed-form (and measured) charges")
+    pc.set_defaults(run=cmd_charges)
     pc.add_argument("--d", type=int, required=True, help="spatial dimension")
     pc.add_argument("--p", type=int, required=True, help="jet order")
     pc.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(0),
@@ -93,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     pv = sub.add_parser("verify", help="run all verification sweeps")
+    pv.set_defaults(run=cmd_verify)
     pv.add_argument("--d-max", type=int, default=2)
     pv.add_argument("--p-max", type=int, default=3)
     pv.add_argument("--seed", type=int, default=0)
@@ -100,31 +114,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="inject a deliberate mismatch; must exit 1")
 
     ps = sub.add_parser("sums", help="lattice sum table, closed vs brute")
+    ps.set_defaults(run=cmd_sums)
     ps.add_argument("--d", type=int, required=True)
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     pk = sub.add_parser("cocycle", help="evaluate one extension term")
-    pk.add_argument("--kind", required=True,
-                    choices=["virasoro", "affine", "mixed",
-                             "reparam-reparam", "reparam-vector",
-                             "reparam-current"])
+    pk.set_defaults(run=cmd_cocycle)
+    pk.add_argument("--kind", required=True, choices=list(COCYCLES))
     pk.add_argument("--d", type=int, default=1)
     pk.add_argument("--xi", help="comma-separated vector-field components in x0..")
     pk.add_argument("--eta", help="comma-separated vector-field components")
-    pk.add_argument("--x", dest="x_comp", help="comma-separated gauge components")
-    pk.add_argument("--y", dest="y_comp", help="comma-separated gauge components")
+    pk.add_argument("--x", metavar="X_COMP", help="comma-separated gauge components")
+    pk.add_argument("--y", metavar="Y_COMP", help="comma-separated gauge components")
     pk.add_argument("--f", help="Laurent polynomial in z")
     pk.add_argument("--g", help="Laurent polynomial in z")
     pk.add_argument("--traj", help="comma-separated trajectory components in z")
-    pk.add_argument("--c1", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c2", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c3", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c4", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c5", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c6", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c7", type=_fraction, default=Fraction(0))
-    pk.add_argument("--c8", type=_fraction, default=Fraction(0))
+    for i in range(1, 9):
+        pk.add_argument(f"--c{i}", type=_fraction, default=Fraction(0))
     return parser
 
 
@@ -150,11 +157,7 @@ def cmd_charges(args) -> int:
         return 0 if ok else 1
     rows = _charge_rows(cs, table)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(rows[0])
-        writer.writerows(rows[1:])
-        print(out.getvalue(), end="")
+        _print_csv(rows)
         return 0 if ok else 1
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
@@ -162,6 +165,12 @@ def cmd_charges(args) -> int:
     if table is not None:
         print(f"engine match: {'exact' if ok else 'MISMATCH'}")
     return 0 if ok else 1
+
+
+def _print_csv(rows) -> None:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    print(out.getvalue(), end="")
 
 
 def _charge_rows(cs, table):
@@ -207,10 +216,7 @@ def cmd_sums(args) -> int:
                           "sums": {r[0]: {"closed": r[1], "brute": r[2]}
                                    for r in rows[1:]}}, indent=2))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerows(rows)
-        print(out.getvalue(), end="")
+        _print_csv(rows)
     else:
         for r in rows:
             print("  ".join(str(v).ljust(6) for v in r).rstrip())
@@ -220,12 +226,6 @@ def cmd_sums(args) -> int:
 def cmd_cocycle(args) -> int:
     d = args.d
     check_int("--d", d, 1)
-
-    def need(value, flag):
-        if value is None:
-            raise ValueError(f"--{flag} is required for kind {args.kind}")
-        return value
-
     traj = None
     if args.traj is not None:
         comps = _parse_components(args.traj, 1, "z")
@@ -233,50 +233,26 @@ def cmd_cocycle(args) -> int:
             raise ValueError(f"trajectory needs {d} components")
         traj = Trajectory(tuple(comps))
 
-    if args.kind == "virasoro":
-        xi = _parse_components(need(args.xi, "xi"), d)
-        eta = _parse_components(need(args.eta, "eta"), d)
-        value = virasoro_cocycle(xi, eta, need(traj, "traj"), args.c1, args.c2)
-    elif args.kind == "affine":
-        x = _parse_components(need(args.x_comp, "x"), d)
-        y = _parse_components(need(args.y_comp, "y"), d)
-        value = affine_cocycle(x, y, need(traj, "traj"), args.c5, args.c8)
-    elif args.kind == "mixed":
-        xi = _parse_components(need(args.xi, "xi"), d)
-        x = _parse_components(need(args.x_comp, "x"), d)
-        value = mixed_cocycle(xi, x, need(traj, "traj"), args.c7)
-    elif args.kind == "reparam-reparam":
-        f = parse_poly(need(args.f, "f"), 1, "z")
-        g = parse_poly(need(args.g, "g"), 1, "z")
-        value = reparam_reparam_cocycle(f, g, args.c4)
-    elif args.kind == "reparam-vector":
-        f = parse_poly(need(args.f, "f"), 1, "z")
-        xi = _parse_components(need(args.xi, "xi"), d)
-        value = reparam_vector_cocycle(f, xi, need(traj, "traj"), args.c3)
-    else:  # reparam-current
-        f = parse_poly(need(args.f, "f"), 1, "z")
-        x = _parse_components(need(args.x_comp, "x"), d)
-        value = reparam_current_cocycle(f, x, need(traj, "traj"), args.c6)
-    print(value)
+    cocycle, operands, charges = COCYCLES[args.kind]
+    values = []
+    for flag in operands:
+        text = getattr(args, flag)
+        if text is None:
+            raise ValueError(f"--{flag} is required for kind {args.kind}")
+        values.append(traj if flag == "traj"
+                      else parse_poly(text, 1, "z") if flag in ("f", "g")
+                      else _parse_components(text, d))
+    print(cocycle(*values, *(getattr(args, c) for c in charges)))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "charges":
-            return cmd_charges(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sums":
-            return cmd_sums(args)
-        if args.command == "cocycle":
-            return cmd_cocycle(args)
+        return args.run(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -90,12 +90,6 @@ def compose(f: Poly, q: Trajectory) -> Poly:
 
 # -- classical brackets --------------------------------------------------------
 
-def bracket_rep(f: Poly, g: Poly) -> Poly:
-    """[f, g] = f g' - g f' (one-variable vector fields on the circle)."""
-    check_field("the pair (f, g)", (f, g), 1)
-    return f * g.deriv(0) - g * f.deriv(0)
-
-
 def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> list[Poly]:
     """The weight-one density action xi . X = xi^mu d_mu X + d_mu xi^mu X,
     the formal bracket formula of the extended algebra's mixed sector."""

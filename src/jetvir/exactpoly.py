@@ -329,17 +329,6 @@ class Poly:
         return _reduce(self.dim, {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: n * e[mu]
                                   for e, n in self._num.items() if e[mu]}, self._den)
 
-    def deriv_multi(self, m: Sequence[int]) -> "Poly":
-        """Repeated partial derivative d^m, one order (an int >= 0) per variable."""
-        if _length(m) != self.dim:
-            raise ValueError(f"derivative order {m!r} needs {self.dim} entries")
-        out = self
-        for mu, k in enumerate(m):
-            check_int("derivative order", k, 0)
-            for _ in range(k):
-                out = out.deriv(mu)
-        return out
-
     def eval(self, point: Sequence) -> Fraction:
         """Evaluate at an exact rational point (no negative exponents at 0)."""
         if _length(point) != self.dim:

@@ -575,7 +575,7 @@ def bracket(a: JetOperator, b: JetOperator) -> JetOperator:
                        _bracket(a.vector, a.matrix, b.vector, b.matrix))
 
 
-GaugeJetOperator = DiffJetOperator = JetOperator  # ROADMAP item 4 step 1 deletes this
+GaugeJetOperator = JetOperator  # ROADMAP item 4 step 1 deletes this
 bracket_gauge = bracket_diff = bracket  # ROADMAP item 4 step 1 deletes this
 
 

@@ -20,12 +20,6 @@ def _check_same_dim(a: Sequence[int], b: Sequence[int]) -> None:
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
-def add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
-    """Componentwise sum of two multi-indices of equal dimension."""
-    _check_same_dim(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def sub(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
     """Componentwise difference a - b; defined only when b <= a componentwise."""
     _check_same_dim(a, b)

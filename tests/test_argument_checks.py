@@ -68,15 +68,6 @@ def test_poly_dimension_is_an_int(bad):
     _one_line_value_error(lambda: Poly(bad, {(1,): 1}), "dimension must be")
 
 
-@pytest.mark.parametrize("bad", [True, False, 1.0, -1])
-def test_deriv_multi_orders_are_ints(bad):
-    # (True, 0) was taken as order 1.
-    f = parse_poly("x0^2 + x1", 2)
-    for order in ((bad, 0), (0, bad)):
-        _one_line_value_error(lambda: f.deriv_multi(order), "derivative order")
-    assert f.deriv_multi((1, 0)) == parse_poly("2 x0", 2)
-
-
 @pytest.mark.parametrize("terms", [[((1,), 2)], (((1,), 2),), "x0"])
 def test_poly_terms_are_a_mapping(terms):
     # Poly(1, [((1,), 2)]) raised a bare AttributeError.
@@ -92,18 +83,16 @@ def test_poly_exponents_are_sequences(bad):
 
 @pytest.mark.parametrize("bad", [3, None, 1.5])
 def test_poly_sequence_arguments_are_sequences(bad):
-    # Poly.monomial(3) raised "'int' object is not iterable", and eval(3),
-    # deriv_multi(3) and compose_univariate(3) "object of type 'int' has no len()".
+    # Poly.monomial(3) raised "'int' object is not iterable", and eval(3) and
+    # compose_univariate(3) "object of type 'int' has no len()".
     f = parse_poly("x0 + x1", 2)
     _one_line_value_error(lambda: Poly.monomial(bad), "exponents must be sequences of integers")
     _one_line_value_error(lambda: f.eval(bad), "needs 2 coordinates")
-    _one_line_value_error(lambda: f.deriv_multi(bad), "needs 2 entries")
     _one_line_value_error(lambda: f.compose_univariate(bad), "one substitution polynomial per")
     assert Poly.monomial([1, 0]) == parse_poly("x0", 2) and f.eval([1, 2]) == 3
     # an iterator is read once: Poly.monomial(x for x in (1, 2)) raised
     # "exponent (1, 2) has wrong dimension (expected -1)"
     assert Poly.monomial(x for x in (1, 2)) == Poly.monomial((1, 2))
-    assert f.deriv_multi([0, 1]) == Poly.constant(2, 1)
     assert f.compose_univariate([f, f]) == f.scale(2)
 
 

@@ -168,3 +168,46 @@ def test_cocycle_zero_denominator(capsys):
                        "--f", "1/0 z^3", "--g", "z", "--c4", "1")
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# the operands of each cocycle kind in call order, with a valid value at d = 1
+COCYCLE_OPERANDS = {
+    "virasoro": (("xi", "x^2"), ("eta", "x"), ("traj", "z^-1")),
+    "affine": (("x", "x"), ("y", "x^-1"), ("traj", "z")),
+    "mixed": (("xi", "x^2"), ("x", "x"), ("traj", "z")),
+    "reparam-reparam": (("f", "z^3"), ("g", "z^-1")),
+    "reparam-vector": (("f", "z^2"), ("xi", "x^2"), ("traj", "z^-1")),
+    "reparam-current": (("f", "z^2"), ("x", "x"), ("traj", "z^-1")),
+}
+MISSING_OPERAND_CASES = [(kind, dropped) for kind, operands in COCYCLE_OPERANDS.items()
+                         for dropped in range(len(operands))]
+
+
+@pytest.mark.parametrize("kind, dropped", MISSING_OPERAND_CASES,
+                         ids=[f"{kind}-no-{COCYCLE_OPERANDS[kind][i][0]}"
+                              for kind, i in MISSING_OPERAND_CASES])
+def test_cocycle_missing_operand_is_a_usage_error(capsys, kind, dropped):
+    argv = ["cocycle", "--kind", kind]
+    for i, (flag, value) in enumerate(COCYCLE_OPERANDS[kind]):
+        if i != dropped:
+            argv += [f"--{flag}", value]
+    code, out, err = run(capsys, *argv)
+    flag = COCYCLE_OPERANDS[kind][dropped][0]
+    assert (code, out, err) == (2, "", f"error: --{flag} is required for kind {kind}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --d is checked first, then a given --traj, then the operands in call order
+    (["--kind", "virasoro", "--d", "0", "--traj", "z"], "--d must be an integer >= 1, got 0"),
+    (["--kind", "virasoro", "--d", "2", "--traj", "z"], "trajectory needs 2 components"),
+    (["--kind", "reparam-vector", "--d", "2", "--f", "z^2", "--xi", "x0,x1", "--traj", "z"],
+     "trajectory needs 2 components"),
+    (["--kind", "reparam-reparam", "--f", "z", "--g", "z", "--traj", "z~"],
+     "cannot parse polynomial at: '~'"),
+    (["--kind", "mixed"], "--xi is required for kind mixed"),
+    (["--kind", "reparam-current", "--x", "x"], "--f is required for kind reparam-current"),
+], ids=["d-first", "short-traj", "short-traj-with-operands", "traj-parsed-for-every-kind",
+        "first-operand-first", "operand-before-traj"])
+def test_cocycle_usage_errors_come_in_a_fixed_order(capsys, argv, message):
+    code, out, err = run(capsys, "cocycle", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

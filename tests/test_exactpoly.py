@@ -91,9 +91,8 @@ def test_arithmetic_ring_laws():
 def test_derivative_and_taylor():
     f = parse_poly("x0^3 x1 + 2 x1^2", 2)
     assert f.deriv(0) == parse_poly("3 x0^2 x1", 2)
-    assert f.deriv_multi((3, 1)) == Poly.constant(2, 6)
-    assert f.deriv_multi((3, 1)).eval([0, 0]) == 6
-    assert f.deriv_multi((0, 2)).eval([0, 0]) == 4
+    assert f.deriv(0).deriv(0).deriv(0).deriv(1) == Poly.constant(2, 6)
+    assert f.deriv(1).deriv(1).eval([0, 0]) == 4
 
 
 def test_laurent_derivative():
@@ -182,15 +181,6 @@ def test_eval_rejects_float():
     with pytest.raises(ValueError, match="exact"):
         parse_poly("x0^2 + x1", 2).eval([0.1, 0])
     assert parse_poly("x0^2 + x1", 2).eval([Fraction(1, 2), 1]) == Fraction(5, 4)
-
-
-def test_deriv_multi_rejects_malformed_orders():
-    f = parse_poly("x0^2 + x1", 2)
-    for order in ((-1, 0), (0, -2), (1,), (1, 0, 0)):
-        with pytest.raises(ValueError):
-            f.deriv_multi(order)
-    assert f.deriv_multi((1, 0)) == parse_poly("2 x0", 2)
-    assert Poly.constant(0, 3).deriv_multi(()) == Poly.constant(0, 3)
 
 
 # -- the checked constructor against a Fraction reference --------------------

@@ -4,7 +4,6 @@ import pytest
 
 from jetvir.multiindex import (
     _compositions,
-    add,
     binomial,
     check_grid,
     enumerate_indices,
@@ -14,16 +13,11 @@ from jetvir.multiindex import (
 )
 
 
-def test_add():
-    assert add((1, 0), (0, 2)) == (1, 2)
-    assert add((0, 0), (3, 1)) == (3, 1)
-    assert add((2, 1), (1, 1)) == (3, 2)
-    assert sum(add((2, 1), (1, 1))) == sum((2, 1)) + sum((1, 1))
-
-
-def test_add_dimension_mismatch():
-    with pytest.raises(ValueError):
-        add((1, 0), (1, 0, 0))
+def test_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sub((1, 0, 0), (1, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        binomial((1, 0), (1, 0, 0))
 
 
 def test_sub():
