@@ -10,9 +10,11 @@ omega_rho = sum_t c_t a_t b_t (a Poly omega_rho is the one term
 (1, omega_rho, 1)), summed as int numerators over one denominator without
 building the products.  The residue is then read off one table per loop,
 which holds the images q^e and the residues r_rho(e) = res q'^rho q^e, each
-built once and shared by every call on an equal loop, so no Laurent
-polynomial is composed.  The three reparametrization terms read each
-residue off its two factors by ``_product_residue``.  The six terms are:
+built once and shared by every call on an equal loop.  Each image comes from
+``exactpoly._image``, the builder that ``compose`` runs on each term, so a
+summed omega_rho is never composed as a whole.  Every residue, here and in
+the three reparametrization terms, is read off its two factors by
+``_product_residue``.  The six terms are:
 
     vector/vector:   omega_rho = - (c1 d_rho d_nu xi^mu d_mu eta^nu
                                     + c2 d_rho div xi div eta)
@@ -33,12 +35,13 @@ Gauge and vector-field components may be Laurent polynomials in x (Fourier
 modes of a periodic function space); composing a negative power with the
 trajectory then requires the corresponding trajectory component to be a
 single monomial.  The integrator raises where composing the summed 1-form
-would: OverflowError when a product term or an image passes the degree cap,
-and ValueError for a non-monomial inverse only at an exponent that survives
-the sum on a rho with nonzero velocity.  Every field argument is checked by
-``exactpoly.check_field`` (component count, d variables each), and every
-charge is an ``exact`` value or an int or Fraction coefficient, so a float
-raises.
+would.  A product term past the degree cap raises OverflowError.  An image is
+built only at an exponent that survives the sum on a rho with nonzero
+velocity, and raises there what its builder raises in ``compose``:
+OverflowError past the cap, or ValueError for a non-monomial inverse.  Every
+field argument is checked by ``exactpoly.check_field`` (component count, d
+variables each), and every charge is an ``exact`` value or an int or
+Fraction coefficient, so a float raises.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from math import lcm
 from operator import add
 
 from . import exactpoly
-from .exactpoly import (Poly, _degree_overflow, _monomial_inverse_power, _over_cap, _Record,
-                        _set, check_field, exact, lincomb)
+from .exactpoly import (Poly, _degree_overflow, _over_cap, _ratio, _Record, _set, check_field,
+                        exact, lincomb)
 from .jetreps import divergence
 from .multiindex import MultiIndex
 
@@ -106,100 +109,37 @@ def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> list[Poly]:
 
 # -- extension terms -------------------------------------------------------------
 
-def _product_residue(a: Poly, b: Poly) -> Fraction:
-    """res (a b) = sum_k a_k b_(-1-k), read off the numerators of a and b."""
-    b_num = b.numerators
-    total = sum(n * b_num.get((-1 - k,), 0) for (k,), n in a.numerators.items())
-    return Fraction(total, a.denominator * b.denominator)
+def _product_residue(a: Poly, b: Poly) -> int | Fraction:
+    """res (a b) = sum_k a_k b_(-1-k), read off the numerators of a and b;
+    an int where its denominator is 1."""
+    b_num = b._num
+    total = sum(n * b_num.get((-1 - k,), 0) for (k,), n in a._num.items())
+    den = a._den * b._den
+    return total // den if total % den == 0 else Fraction(total, den)
 
 
-# A loop's residue table: per rho the velocity q'^rho as (numerators by power
-# of z, denominator), or None where it is zero; the images q^e built so far,
-# as (numerators by power of z, denominator); and per rho the residues
-# r_rho(e) = res q'^rho q^e read so far.
-_Table = tuple[list, dict, list]
+# A loop's residue table: per rho the velocity q'^rho, or None where it is
+# zero; the images q^e and the powers q_i^k that ``exactpoly._image`` has
+# built so far; and per rho the residues r_rho(e) = res q'^rho q^e read so far.
+_Table = tuple[list, tuple[dict, dict], list]
 
 
 @functools.lru_cache(maxsize=256)
 def _loop_table(q: Trajectory, cap: int) -> _Table:
-    """The residue table of the loop q, empty but for its velocities and
-    q^0 = 1; only ``_residue`` fills it.  It is keyed by the degree cap as
-    well, since whether an image overflows depends on the cap."""
-    velocities = [({k: n for (k,), n in v.numerators.items()}, v.denominator)
-                  if not v.is_zero() else None for v in q.velocity()]
-    return velocities, {(0,) * q.d: ({0: 1}, 1)}, [{} for _ in range(q.d)]
+    """The residue table of the loop q, empty but for its velocities; only
+    ``_residue`` fills it.  It is keyed by the degree cap as well, since
+    whether an image overflows depends on the cap."""
+    return ([None if v.is_zero() else v for v in q.velocity()], ({}, {}),
+            [{} for _ in range(q.d)])
 
 
-def _check_image(q: Trajectory, e: MultiIndex, cap: int) -> None:
-    """Raise where ``compose`` raises on the term x^e: it takes the powers
-    q_i^(e_i) in order of i, by squaring or as a monomial inverse, and
-    multiplies each into the running term.  A product of Laurent
-    polynomials in z spans exactly the sums of its factors' extreme
-    exponents, so every cap test is read off those extremes."""
-    span = None  # the extreme exponents of the running term; () if it is 0
-    for i, k in enumerate(e):
-        if not k:
-            continue
-        s = q.components[i]
-        if k < 0:
-            (t,), = _monomial_inverse_power(s, -k).numerators
-            part = (t, t)
-        elif s.is_zero():
-            part = ()
-        else:
-            if k > 1 and k * s._degree() > cap:
-                raise _degree_overflow()
-            powers = [t for (t,) in s.numerators]
-            part = (k * min(powers), k * max(powers))
-        if span is None:
-            span = part
-        elif span and part:
-            lo, hi = span[0] + part[0], span[1] + part[1]
-            if max(-lo, hi) > cap:
-                raise _degree_overflow()
-            span = (lo, hi)
-        else:
-            span = ()
-
-
-def _image(q: Trajectory, images: dict, e: MultiIndex) -> tuple[dict[int, int], int]:
-    """q^e as (numerators, denominator), built once from the image of
-    e - e_i times q_i (or times q_i^-1 for e_i < 0) at e's first nonzero i.
-    Only a caller that has checked e with ``_check_image`` may ask for it."""
+def _residue(q: Trajectory, table: _Table, rho: int, e: MultiIndex) -> int | Fraction:
+    """r_rho(e) = res q'^rho q^e, with q^e built once, as compose builds it."""
+    velocities, (images, powers), _ = table
     img = images.get(e)
     if img is None:
-        i = next(i for i, k in enumerate(e) if k)
-        s = q.components[i]
-        if e[i] < 0:
-            s = _monomial_inverse_power(s, 1)
-        num, den = _image(q, images, e[:i] + (e[i] - (1 if e[i] > 0 else -1),) + e[i + 1:])
-        out: dict[int, int] = {}
-        get = out.get
-        for (k2,), n2 in s.numerators.items():
-            for k1, n1 in num.items():
-                out[k1 + k2] = get(k1 + k2, 0) + n1 * n2
-        img = images[e] = ({k: n for k, n in out.items() if n}, den * s.denominator)
-    return img
-
-
-def _residue(q: Trajectory, table: _Table, rho: int, e: MultiIndex, cap: int) -> int | Fraction:
-    """r_rho(e) = res q'^rho q^e, an int where its denominator is 1."""
-    velocities, images, _ = table
-    _check_image(q, e, cap)
-    num, den = _image(q, images, e)
-    v_num, v_den = velocities[rho]
-    total = sum(n * num.get(-1 - k, 0) for k, n in v_num.items())
-    den *= v_den
-    return total // den if total % den == 0 else Fraction(total, den)
-
-
-def _ratio(c) -> tuple[int, int]:
-    """An int or Fraction coefficient as (numerator, denominator)."""
-    if type(c) is int:
-        return c, 1
-    if isinstance(c, (int, Fraction)):
-        return c.numerator, c.denominator
-    raise ValueError(f"coefficients must be exact (int or Fraction), got {c!r}")
+        img = images[e] = exactpoly._image(q.components, e, powers)
+    return _product_residue(velocities[rho], img)
 
 
 # A 1-form component as its product terms (c_t, a_t, b_t): omega_rho is the
@@ -256,7 +196,7 @@ def _pullback_residue(omega: Sequence[_Terms], q: Trajectory) -> Fraction:
             if n:
                 r = row.get(e)
                 if r is None:
-                    r = row[e] = _residue(q, table, rho, e, cap)
+                    r = row[e] = _residue(q, table, rho, e)
                 acc += n * r
         total += Fraction(acc, den)
     return total

@@ -52,7 +52,8 @@ bracket.
 ``lincomb(dim, pairs)`` is the one kernel for linear combinations: all
 numerators go into one dict over the lcm of the scaled denominators, reduced
 once.  Every sum, difference, negation and scaling is one ``lincomb``, and so
-is the sum over terms of a composition.  Each ``Poly`` also keeps its degree
+is the sum over terms of a composition, each term built by ``_image``, which
+the loop tables of ``cocycles`` share.  Each ``Poly`` also keeps its degree
 bound max |e| once it is first needed; products, inverse powers and parsed
 terms are capped at total degree ``MAX_DEGREE``.  ``check_field`` is the one
 check of a field argument of the package: its component count and variables.
@@ -357,21 +358,9 @@ class Poly:
         for s in substitutions:
             if s.dim != tdim:
                 raise ValueError("substitution polynomials must share a dimension")
-        one = _wrap(tdim, {(0,) * tdim: 1}, 1)
         powers: dict[tuple[int, int], Poly] = {}
-        pairs = []
-        for e, n in self._num.items():
-            term = None
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                q = powers.get((i, k))
-                if q is None:
-                    s = substitutions[i]
-                    q = powers[i, k] = s ** k if k > 0 else _monomial_inverse_power(s, -k)
-                term = q if term is None else term * q
-            pairs.append((Fraction(n, self._den), one if term is None else term))
-        return lincomb(tdim, pairs)
+        return lincomb(tdim, [(Fraction(n, self._den), _image(substitutions, e, powers))
+                              for e, n in self._num.items()])
 
     # -- formatting ---------------------------------------------------------
 
@@ -404,6 +393,24 @@ def _monomial_inverse_power(p: Poly, k: int) -> Poly:
     return _wrap(p.dim, {tuple(-k * x for x in e): top}, bottom)
 
 
+def _image(subs: Sequence[Poly], e: MultiIndex, powers: dict[tuple[int, int], Poly]) -> Poly:
+    """x^e under x_i -> subs[i], 1 for e = 0: the powers subs[i]^e_i, each
+    built by squaring or as a monomial inverse and kept in ``powers`` under
+    (i, e_i), multiplied in order of i.  ``compose_univariate`` and the loop
+    tables of ``cocycles`` both build their images here."""
+    term = None
+    for i, k in enumerate(e):
+        if k:
+            p = powers.get((i, k))
+            if p is None:
+                s = subs[i]
+                p = powers[i, k] = s ** k if k > 0 else _monomial_inverse_power(s, -k)
+            term = p if term is None else term * p
+    if term is None:  # e = 0
+        return _wrap(subs[0].dim, {(0,) * subs[0].dim: 1}, 1)
+    return term
+
+
 def _wrap(dim: int, num: dict[MultiIndex, int], den: int) -> Poly:
     """A Poly around ``num`` over ``den``, which must already be in the
     canonical form of the module docstring; nothing is checked or copied."""
@@ -426,6 +433,15 @@ def _reduce(dim: int, num: dict[MultiIndex, int], den: int) -> Poly:
     return _wrap(dim, {e: n // g for e, n in num.items()}, den // g)
 
 
+def _ratio(c) -> tuple[int, int]:
+    """An int or Fraction coefficient as (numerator, denominator)."""
+    if type(c) is int:
+        return c, 1
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
+    raise ValueError(f"coefficients must be exact (int or Fraction), got {c!r}")
+
+
 def lincomb(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
     """The canonical Poly sum_k c_k P_k of the pairs (c_k, P_k), each c_k an
     int or Fraction and each P_k a Poly in ``dim`` variables.
@@ -440,12 +456,7 @@ def lincomb(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
     for c, p in pairs:
         if p.dim != dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
-        if type(c) is int:
-            cn, cd = c, 1
-        elif isinstance(c, (int, Fraction)):
-            cn, cd = c.numerator, c.denominator
-        else:
-            raise ValueError(f"coefficients must be exact (int or Fraction), got {c!r}")
+        cn, cd = _ratio(c)
         if cn and p._num:
             pd = p._den * cd
             if den % pd:
@@ -649,9 +660,11 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
 
     Variables are ``x0 ... x{dim-1}`` (configurable stem); for ``dim == 1``
     the bare stem (e.g. ``z``) is also accepted, with negative exponents
-    allowed (Laurent).  Coefficients are integers or fractions ``p/q``.
+    allowed (Laurent).  Coefficients are integers or fractions ``p/q``.  A
+    text with no term, or whose last sign no term follows, does not parse.
     """
     pos = 0
+    tail = 0  # where the text after the last complete term begins
     n = len(text)
     # term state
     sign = 1
@@ -677,6 +690,7 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
         if m.group("sign"):
             if started:
                 flush()
+                tail = m.start("sign")
             if m.group("sign") == "-":
                 sign = -sign
             continue
@@ -706,6 +720,8 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
             started = True
             continue
         # bare '*': separator, nothing to do
+    if not started:
+        raise ValueError(f"cannot parse polynomial at: {text[tail:]!r}")
     flush()
     if any(sum(abs(c) for c in e) > MAX_DEGREE for e in result_terms):
         raise OverflowError("parsed polynomial exceeds the degree cap")

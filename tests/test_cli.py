@@ -211,3 +211,11 @@ def test_cocycle_missing_operand_is_a_usage_error(capsys, kind, dropped):
 def test_cocycle_usage_errors_come_in_a_fixed_order(capsys, argv, message):
     code, out, err = run(capsys, "cocycle", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("xi, rest", [("x0,", ""), ("x0,x1 +", "+"), ("x0,-", "-")],
+                         ids=["empty-component", "trailing-sign", "sign-only"])
+def test_a_component_with_no_term_is_a_usage_error(capsys, xi, rest):
+    code, out, err = run(capsys, "cocycle", "--kind", "virasoro", "--d", "2", "--xi", xi,
+                         "--eta", "x1,x0", "--traj", "z,z^-1", "--c1", "1")
+    assert (code, out, err) == (2, "", f"error: cannot parse polynomial at: {rest!r}\n")

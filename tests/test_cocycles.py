@@ -434,13 +434,23 @@ def test_a_term_that_cancels_in_omega_is_not_composed():
 # -- the residue table of a loop ------------------------------------------------
 
 def _assert_table_matches_compose(q):
-    """Every residue the loop's table holds equals res q'^rho compose(x^e, q)."""
+    """Every residue the loop's table holds equals res q'^rho compose(x^e, q),
+    every image q^e equals compose(x^e, q), and every power q_i^k equals the
+    product of k factors q_i, or for k < 0 times -k of them gives 1."""
     velocity = q.velocity()
-    _, _, rows = cocycles._loop_table(q, exactpoly.MAX_DEGREE)
+    _, (images, powers), rows = cocycles._loop_table(q, exactpoly.MAX_DEGREE)
     for rho, row in enumerate(rows):
         for e, r in row.items():
             assert r == residue(velocity[rho] * compose(Poly.monomial(e), q))
             assert type(r) is int or r.denominator > 1
+    for e, image in images.items():
+        assert image == compose(Poly.monomial(e), q)
+    one = Poly.constant(1, 1)
+    for (i, k), power in powers.items():
+        product = one if k > 0 else power
+        for _ in range(abs(k)):
+            product = product * q.components[i]
+        assert product == (power if k > 0 else one)
 
 
 def _field_pairs(d, count, rng):

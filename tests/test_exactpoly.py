@@ -47,6 +47,23 @@ def test_parse_errors():
         parse_poly("y0", 2)
 
 
+@pytest.mark.parametrize("text, rest", [
+    ("", ""), ("+", "+"), ("-", "-"), ("*", "*"), ("+ +", "+ +"), ("  ", "  "),
+    ("x0 +", "+"), ("x0 - x1 -", "-"), ("x0 + *", "+ *"),
+], ids=["empty", "plus", "minus", "star", "two-signs", "blank", "trailing-plus",
+        "trailing-minus", "sign-then-star"])
+def test_a_text_with_no_term_after_its_sign_does_not_parse(text, rest):
+    with pytest.raises(ValueError) as caught:
+        parse_poly(text, 2)
+    assert str(caught.value) == f"cannot parse polynomial at: {rest!r}"
+
+
+def test_zero_and_signed_terms_still_parse():
+    assert parse_poly("0", 2) == parse_poly("x0 - x0", 2) == Poly.zero(2)
+    assert parse_poly("- - x0", 2) == parse_poly("* x0", 2) == parse_poly("x0 *", 2) \
+        == Poly.variable(2, 0)
+
+
 def test_rejects_float_coefficients():
     with pytest.raises(ValueError, match="exact"):
         Poly(1, {(0,): 0.1})
