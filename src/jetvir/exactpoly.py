@@ -283,9 +283,10 @@ class Poly:
             raise _degree_overflow()
         out: dict[MultiIndex, int] = {}
         get = out.get
+        one_var = self.dim == 1  # then a 1-tuple of one sum is quicker to build than a map
         for e1, n1 in a.items():
             for e2, n2 in b.items():
-                e = tuple(map(add, e1, e2))
+                e = (e1[0] + e2[0],) if one_var else tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + n1 * n2
         return _reduce(self.dim, {e: n for e, n in out.items() if n},
                        self._den * other._den)
