@@ -13,7 +13,7 @@ from jetvir.exactpoly import Poly, parse_poly
 SOURCE = Path(__file__).parents[1] / "src" / "jetvir"
 
 
-def _counting_image(monkeypatch):
+def test_compose_and_a_cold_cocycle_build_images_and_a_warm_call_does_not(monkeypatch):
     calls = []
     image = exactpoly._image
 
@@ -22,11 +22,6 @@ def _counting_image(monkeypatch):
         return image(subs, e, powers)
 
     monkeypatch.setattr(exactpoly, "_image", counting)
-    return calls
-
-
-def test_compose_and_a_cold_cocycle_build_images_and_a_warm_call_does_not(monkeypatch):
-    calls = _counting_image(monkeypatch)
     q = Trajectory((parse_poly("z^-1 + 2 z", 1, "z"), parse_poly("3 z^2", 1, "z")))
     f = Poly(2, {(2, 1): 1, (0, -1): 1, (0, 0): -4})
     f.compose_univariate(list(q.components))
