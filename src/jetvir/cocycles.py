@@ -166,7 +166,7 @@ def _pullback_residue(omega: Sequence[_Terms], q: Trajectory) -> Fraction:
         # a rho's products meet the cap before its coefficients are read, as
         # they would if built for ``lincomb``
         for _, a, b in terms:
-            if a._degree() + b._degree() > cap and _over_cap(a, b, cap):
+            if a._degree() + b._degree() > cap and _over_cap(a._num, b._num, cap):
                 raise _degree_overflow()
         scaled = []
         den = 1

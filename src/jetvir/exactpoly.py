@@ -40,15 +40,17 @@ There are three ways to build a ``Poly``:
 Only the arithmetic and calculus of this module use the last two, on
 results they compute from valid operands, so nothing built from outside
 input reaches them.  A product ``x * y`` multiplies int numerators term by
-term into one dict over the product of the two denominators and reduces
-once.  ``sums_of_products(dim, entries)`` computes a whole batch of sums of
-products (n/d) * x * y, the entries of a jet bracket, by Kronecker
-substitution: each distinct operand is packed into one int, each distinct
-product is one int multiply, and each entry is unpacked once; a batch too
-sparse in its layout for that to pay multiplies each distinct pair term by
-term once instead.  ``jetreps`` hands it primitive parts (int numerators
-with gcd 1 over 1), so each distinct product of prims is made once per
-bracket.
+term (``_num_mul``) into one dict over the product of the two denominators
+and reduces once; ``deriv`` differentiates them with ``_num_deriv``.
+``prim_products(dim, prims, den, ncols, rows)`` is the one kernel of the jet
+brackets: it takes int numerator dicts ("prims") and one plan per result
+row, a dict (column, a, b) -> int coefficient over ``den``, and makes the
+rows by Kronecker substitution: each prim is packed into one int, each
+distinct product of prims is one int multiply, and each entry is unpacked
+once; a call too sparse in its layout for that to pay multiplies each
+distinct pair term by term once instead.  ``jetreps`` hands it primitive
+parts (int numerators with gcd 1), so each distinct product of prims is
+made once per bracket.
 ``lincomb(dim, pairs)`` is the one kernel for linear combinations: all
 numerators go into one dict over the lcm of the scaled denominators, reduced
 once.  Every sum, difference, negation and scaling is one ``lincomb``, and so
@@ -162,11 +164,32 @@ def _degree_overflow() -> OverflowError:
     return OverflowError(f"product exceeds degree cap {MAX_DEGREE}")
 
 
-def _over_cap(x: "Poly", y: "Poly", cap: int) -> bool:
-    """True if some term pair of x * y has total degree above ``cap``.  Worth
-    asking only when the operand degrees sum to more than the cap: then
-    |e1 + e2| <= |e1| + |e2| decides nothing, as Laurent exponents cancel."""
-    return any(sum(map(abs, map(add, e1, e2))) > cap for e1 in x._num for e2 in y._num)
+def _over_cap(a: Mapping[MultiIndex, int], b: Mapping[MultiIndex, int], cap: int) -> bool:
+    """True if some term pair of the numerators a and b of a product has total
+    degree above ``cap``.  Worth asking only when the operand degrees sum to
+    more than the cap: then |e1 + e2| <= |e1| + |e2| decides nothing, as
+    Laurent exponents cancel."""
+    return any(sum(map(abs, map(add, e1, e2))) > cap for e1 in a for e2 in b)
+
+
+def _num_mul(a: Mapping[MultiIndex, int], b: Mapping[MultiIndex, int],
+             one_var: bool) -> dict[MultiIndex, int]:
+    """The int numerators of a product, term pair by term pair, zeros kept;
+    in one variable (``one_var``) each exponent is a 1-tuple of one int sum,
+    quicker to build than a map."""
+    out: dict[MultiIndex, int] = {}
+    get = out.get
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            e = (e1[0] + e2[0],) if one_var else tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + n1 * n2
+    return out
+
+
+def _num_deriv(a: Mapping[MultiIndex, int], mu: int) -> dict[MultiIndex, int]:
+    """The nonzero int numerators of d_mu of the numerators a (mu unchecked);
+    e -> e - e_mu is injective, so no two terms land on one key."""
+    return {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: n * e[mu] for e, n in a.items() if e[mu]}
 
 
 class Poly:
@@ -279,15 +302,9 @@ class Poly:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cap = MAX_DEGREE
         a, b = self._num, other._num
-        if self._degree() + other._degree() > cap and _over_cap(self, other, cap):
+        if self._degree() + other._degree() > cap and _over_cap(a, b, cap):
             raise _degree_overflow()
-        out: dict[MultiIndex, int] = {}
-        get = out.get
-        one_var = self.dim == 1  # then a 1-tuple of one sum is quicker to build than a map
-        for e1, n1 in a.items():
-            for e2, n2 in b.items():
-                e = (e1[0] + e2[0],) if one_var else tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + n1 * n2
+        out = _num_mul(a, b, self.dim == 1)
         return _reduce(self.dim, {e: n for e, n in out.items() if n},
                        self._den * other._den)
 
@@ -327,9 +344,7 @@ class Poly:
     def deriv(self, mu: int) -> "Poly":
         """Partial derivative with respect to variable mu (Laurent-aware)."""
         check_direction(mu, self.dim, "direction")
-        # e -> e - e_mu is injective, so no two terms land on one key.
-        return _reduce(self.dim, {e[:mu] + (e[mu] - 1,) + e[mu + 1:]: n * e[mu]
-                                  for e, n in self._num.items() if e[mu]}, self._den)
+        return _reduce(self.dim, _num_deriv(self._num, mu), self._den)
 
     def eval(self, point: Sequence) -> Fraction:
         """Evaluate at an exact rational point (no negative exponents at 0)."""
@@ -472,157 +487,164 @@ def lincomb(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
     return _reduce(dim, {e: n for e, n in out.items() if n}, den)
 
 
-def sums_of_products(dim: int,
-                     entries: Iterable[Iterable[tuple[int, int, Poly, Poly]]]) -> list[Poly]:
-    """The canonical Polys sum_t (n_t/d_t) * x_t * y_t, one per entry, for
-    entries of terms (n, d, x, y) with ints n and d > 0 and Polys x, y in
-    ``dim`` variables.  Entries that sum to zero share one zero Poly.
-    Raises OverflowError exactly when some term, with n = 0 or not, has a
-    term pair above ``MAX_DEGREE``, as x * y would.
+def prim_products(dim: int, prims: Sequence[Mapping[MultiIndex, int]], den: int,
+                  ncols: int, rows: Iterable[Mapping[tuple[int, int, int], int]]
+                  ) -> list[tuple[Poly, ...]]:
+    """Rows of ``ncols`` canonical Polys in ``dim`` variables, one per plan of
+    ``rows``: entry j is sum (c/den) * prims[a] * prims[b] over the keys
+    (j, a, b) -> c of the plan, for int numerator dicts ``prims``, int
+    coefficients c and an int den > 0.  A planner writes each pair with
+    a <= b, so that the coefficients of one product merge, and cancel, in
+    one key.  An entry with no nonzero c is one shared zero Poly.  Raises
+    OverflowError exactly when some key, its c zero or not, has a term pair
+    above ``MAX_DEGREE``, and ValueError on a prim of another dimension or a
+    coefficient that is not an int.
+    Each plan is checked as it arrives, so ``rows`` may be a generator that
+    appends to ``prims`` the prims its next plan uses.
 
     Kronecker substitution: with lo_i and hi_i the extreme exponents of
-    variable i over the operands of the batch, x^e is packed at slot
+    variable i over the prims of the nonzero keys, x^e is packed at slot
     sum_i (e_i - lo_i) s_i of an int, where s_i is the product of the
     spans 2 (hi_i - lo_i) + 1 of the later variables.  The product of two
-    packed operands then holds x^(e1 + e2) at the sum of their slots, and
-    no slot spills into another: a slot has w bits, the least of 8, 16, 32
-    and the multiples of 64 with 2^(w-1) above every
-    sum_t |n_t L / d_t| ||x_t||_1 ||y_t||_1, where L is the entry's lcm of
-    d_t den(x_t) den(y_t), and that bounds each coefficient of the entry
-    over L.  Each distinct operand is packed once and each distinct
-    product is one int multiply (``_times``), dropped after the last entry
-    that uses it; a term with n = 0 is never multiplied.  Each entry is
-    summed over its L as one int and unpacked once, read off as machine
-    words when w is at most 64.
+    packed prims then holds x^(e1 + e2) at the sum of their slots, and no
+    slot spills into another: a slot has w bits, the least of 8, 16, 32 and
+    the multiples of 64 with 2^(w-1) above every entry's
+    sum |c| ||prims[a]||_1 ||prims[b]||_1, which bounds its coefficients
+    over den.  Each prim is packed once and each distinct product is one
+    int multiply, dropped after the last row that uses it; a key with c = 0
+    is never multiplied.  Each entry is summed as one int and unpacked
+    once, read off as machine words when w is at most 64.
 
     The packed path costs time in proportion to the layout, slots * w bits
-    per distinct product, and pays off only for operands dense in their
-    box.  So a batch whose distinct products have fewer than
-    slots * w / ``_BITS_PER_PAIR`` term pairs on average (sparse operands of
-    high degree, Laurent operands far apart) multiplies the numerator Polys
-    of each distinct product once instead and takes each entry as one
-    ``lincomb`` of them.
+    per distinct product, and pays off only for prims dense in their box.
+    So when the distinct products have fewer than slots * w /
+    ``_BITS_PER_PAIR`` term pairs on average (sparse prims of high degree,
+    Laurent prims far apart), each distinct product is made term pair by
+    term pair once instead and each entry summed as one numerator dict.
     """
+    if type(den) is not int or den < 1:
+        raise ValueError(f"the denominator must be an int > 0, got {den!r}")
     cap = MAX_DEGREE
-    ops: dict[int, list] = {}  # id(x) -> [x, ||x||_1, packed x, degree bound of x]
-    batch = []  # per entry: its L and its terms (n L / d_t, product key, op x, op y)
-    last_use: dict[tuple[int, int], int] = {}  # product key -> index of its last entry
+    sizes: dict[int, tuple[int, int]] = {}  # prim index -> (degree bound, ||prim||_1)
+    last_use: dict[tuple[int, int], int] = {}  # pair -> last row with a nonzero c, or -1
+    plans = []
     bound = 0
-    for entry in entries:
-        terms = []
-        den = 1
-        for n, d, x, y in entry:
-            if type(n) is not int or type(d) is not int or d < 1:
-                raise ValueError(f"a term needs ints n and d > 0, got {n!r} and {d!r}")
-            ix, iy = id(x), id(y)
-            ox = ops.get(ix)
-            if ox is None:
-                ox = ops[ix] = _operand(x, dim)
-            oy = ops.get(iy)
-            if oy is None:
-                oy = ops[iy] = _operand(y, dim)
-            if ox[3] + oy[3] > cap and _over_cap(x, y, cap):
-                raise _degree_overflow()
-            if n and ox[1] and oy[1]:
-                d *= x._den * y._den
-                if den % d:
-                    den = lcm(den, d)
-                terms.append((n, d, (ix, iy) if ix < iy else (iy, ix), ox, oy))
-        terms = [(n * (den // d), key, ox, oy) for n, d, key, ox, oy in terms]
-        for _, key, _, _ in terms:
-            last_use[key] = len(batch)
-        bound = max(bound, sum(abs(c) * ox[1] * oy[1] for c, _, ox, oy in terms))
-        batch.append((den, terms))
-    zero = _wrap(dim, {}, 1)
-    live = [o for o in ops.values() if o[1]]
-    exps = [e for o in live for e in o[0]._num]
+    for i, plan in enumerate(rows):
+        entry_bounds: dict[int, int] = {}
+        for (j, a, b), c in plan.items():
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be ints, got {c!r}")
+            pair = (a, b)
+            if pair not in last_use:
+                for k in pair:
+                    if k not in sizes:
+                        prim = prims[k]
+                        n = len(next(iter(prim)))
+                        if n != dim:
+                            raise ValueError(f"dimension mismatch: {n} vs {dim}")
+                        sizes[k] = (max(sum(map(abs, e)) for e in prim),
+                                    sum(map(abs, prim.values())))
+                if (sizes[a][0] + sizes[b][0] > cap
+                        and _over_cap(prims[a], prims[b], cap)):
+                    raise _degree_overflow()
+                last_use[pair] = -1
+            if c:
+                last_use[pair] = i
+                entry_bounds[j] = entry_bounds.get(j, 0) + abs(c) * sizes[a][1] * sizes[b][1]
+        bound = max(bound, *entry_bounds.values(), 0)
+        plans.append(plan)
+    live = [pair for pair, i in last_use.items() if i >= 0]
+    used = {k for pair in live for k in pair}
+    exps = {e for k in used for e in prims[k]}
     lo = list(map(min, zip(*exps))) if exps else [0] * dim
     hi = list(map(max, zip(*exps))) if exps else [0] * dim
     spans = [2 * (h - l) + 1 for l, h in zip(lo, hi)]
     strides = [prod(spans[i + 1:]) for i in range(dim)]
     need = bound.bit_length() + 1
     width = next((w for w in (8, 16, 32) if w >= need), 64 * ((need + 63) // 64))
-    term_pairs = sum(len(ops[i][0]._num) * len(ops[j][0]._num) for i, j in last_use)
-    packed = len(last_use) * prod(spans) * width <= _BITS_PER_PAIR * term_pairs
-    for o in live:
-        o[2] = (sum(n << width * sum(map(mul, map(sub, e, lo), strides))
-                    for e, n in o[0]._num.items())
-                if packed else _wrap(dim, o[0]._num, 1))
-    base = [2 * l for l in lo]  # the exponent of slot 0 of a product
-    exponents: dict[int, MultiIndex] = {}  # slot -> exponent, for the slots read so far
-    expiring = [[] for _ in batch]
-    for key, i in last_use.items():
-        expiring[i].append(key)
+    term_pairs = sum(len(prims[a]) * len(prims[b]) for a, b in live)
+    packed = len(live) * prod(spans) * width <= _BITS_PER_PAIR * term_pairs
+    if packed:
+        shifts = {e: width * sum(map(mul, map(sub, e, lo), strides)) for e in exps}
+        ops = {k: sum(n << shifts[e] for e, n in prims[k].items()) for k in used}
+        exponents = _SlotExponents(strides, [2 * l for l in lo])
+    else:
+        ops = prims
+    one_var = dim == 1
+    expiring: list[list] = [[] for _ in plans]
+    for pair in live:
+        expiring[last_use[pair]].append(pair)
     made: dict[tuple[int, int], object] = {}
+    zero = _wrap(dim, {}, 1)
     out = []
-    for (den, terms), done in zip(batch, expiring):
-        products = []
-        for c, key, ox, oy in terms:
-            xy = made.get(key)
-            if xy is None:
-                xy = made[key] = _times(ox, oy)
-            products.append((c, xy))
-        for key in done:
-            del made[key]
-        if not packed:
-            r = lincomb(dim, products)  # int c times products over 1: over 1
-            out.append(_reduce(dim, r._num, den) if r._num else zero)
-            continue
-        total = sum(c * xy for c, xy in products)
-        if not total:
-            out.append(zero)
-            continue
-        num = {}
-        for k, c in _unpack(total, width):
-            e = exponents.get(k)
-            if e is None:
-                e = exponents[k] = _slot_exponent(k, strides, base)
-            num[e] = c
-        out.append(_reduce(dim, num, den))
+    for plan, done in zip(plans, expiring):
+        terms: dict[int, list] = {}  # column -> [(c, product)]
+        for (j, a, b), c in plan.items():
+            if c:
+                xy = made.get((a, b))
+                if xy is None:
+                    xy = made[a, b] = (ops[a] * ops[b] if packed
+                                       else _num_mul(ops[a], ops[b], one_var))
+                terms.setdefault(j, []).append((c, xy))
+        for pair in done:
+            del made[pair]
+        row = [zero] * ncols
+        for j, products in terms.items():
+            num: dict[MultiIndex, int] = {}
+            if packed:
+                total = sum(c * xy for c, xy in products)
+                if total:
+                    num = _unpack(total, width, exponents)
+            else:
+                get = num.get
+                for c, xy in products:
+                    for e, n in xy.items():
+                        num[e] = get(e, 0) + c * n
+                num = {e: n for e, n in num.items() if n}
+            if num:
+                row[j] = _reduce(dim, num, den)
+        out.append(tuple(row))
     return out
 
 
-# The packed bits that cost as much as one term pair of x * y: per distinct
-# product, the packed path does about slots * width bits of int work (the
-# multiply, the sums and the unpacking) and the other path one dict update
-# per term pair.  On jet brackets at d = 3 the two paths cost the same
+# The packed bits that cost as much as one term pair of a product: per
+# distinct product, the packed path does about slots * width bits of int work
+# (the multiply, the sums and the unpacking) and the other path one dict
+# update per term pair.  On jet brackets at d = 3 the two paths cost the same
 # between about 500 bits per term pair (operands of many terms) and 5,000
-# (one or two terms, where each x * y costs more than its term pairs); 512
+# (one or two terms, where each product costs more than its term pairs); 512
 # packs only where packing is faster (BENCH_packed_products.json,
 # "layout_choice").
 _BITS_PER_PAIR = 512
 _WORDS = {8 * memoryview(b"").cast(f).itemsize: f for f in "BHIQ"}  # bits -> word format
 
 
-def _operand(x: Poly, dim: int) -> list:
-    """The record [x, ||x||_1, packed x, degree bound of x] of an operand of
-    ``sums_of_products``, packed once the path is chosen: an int, or the
-    numerators of x over 1."""
-    if x.dim != dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {dim}")
-    return [x, sum(map(abs, x._num.values())), 0, x._degree()]
+class _SlotExponents(dict):
+    """slot -> the exponent that a packed product holds there, made on first
+    read: the digits of the slot in the mixed radix of ``strides``, offset
+    by ``base``, the exponent of slot 0."""
+
+    __slots__ = ("strides", "base")
+
+    def __init__(self, strides: Sequence[int], base: Sequence[int]):
+        super().__init__()
+        self.strides = strides
+        self.base = base
+
+    def __missing__(self, slot: int) -> MultiIndex:
+        e = []
+        k = slot
+        for s, b in zip(self.strides, self.base):
+            q, k = divmod(k, s)
+            e.append(q + b)
+        e = self[slot] = tuple(e)
+        return e
 
 
-def _times(ox: list, oy: list) -> int | Poly:
-    """The one multiply of ``sums_of_products``: two packed operands, or
-    two numerator Polys."""
-    return ox[2] * oy[2]
-
-
-def _slot_exponent(k: int, strides: Sequence[int], base: Sequence[int]) -> MultiIndex:
-    """The exponent held at slot k of a packed product: its digits in the
-    mixed radix of ``strides``, offset by ``base``."""
-    e = []
-    for s, b in zip(strides, base):
-        q, k = divmod(k, s)
-        e.append(q + b)
-    return tuple(e)
-
-
-def _unpack(total: int, width: int) -> list[tuple[int, int]]:
-    """The pairs (k, c) of the nonzero signed coefficients c, each below
-    2^(width - 1) in magnitude, at the slots k of ``width`` bits of a
-    nonzero ``total``, in increasing k."""
+def _unpack(total: int, width: int, exponents: Mapping[int, MultiIndex]) -> dict[MultiIndex, int]:
+    """The nonzero signed coefficients c, each below 2^(width - 1) in
+    magnitude, at the slots k of ``width`` bits of a nonzero ``total``,
+    keyed by ``exponents[k]``."""
     # Read the slots from the lowest nonzero one up, each shifted by half so
     # that it is unsigned; |total| < 2^(width k) bounds the top slot k - 1
     # up to one extra slot, which then holds 0.
@@ -637,14 +659,11 @@ def _unpack(total: int, width: int) -> list[tuple[int, int]]:
         words = memoryview(total.to_bytes(nbytes * count, sys.byteorder)).cast(fmt).tolist()
         if sys.byteorder == "big":
             words.reverse()
-        return [(first + k, w - half) for k, w in enumerate(words) if w != half]
-    raw = total.to_bytes(nbytes * count, "little")
-    out = []
-    for k in range(count):
-        w = int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half
-        if w:
-            out.append((first + k, w))
-    return out
+    else:
+        raw = total.to_bytes(nbytes * count, "little")
+        words = [int.from_bytes(raw[k:k + nbytes], "little")
+                 for k in range(0, nbytes * count, nbytes)]
+    return {exponents[k]: w - half for k, w in enumerate(words, first) if w != half}
 
 
 # -- parsing -----------------------------------------------------------------
@@ -663,10 +682,11 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
     the bare stem (e.g. ``z``) is also accepted, with negative exponents
     allowed (Laurent).  Coefficients are integers or fractions ``p/q``.  A
     text with no term, or whose last sign no term follows, does not parse.
+    Whitespace before and after the text is ignored.
     """
     pos = 0
     tail = 0  # where the text after the last complete term begins
-    n = len(text)
+    n = len(text.rstrip())
     # term state
     sign = 1
     coeff: Fraction | None = None

@@ -37,15 +37,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactpoly import Poly, _Record, _set, _wrap, check_field, exact, lincomb, sums_of_products
+from .exactpoly import (Poly, _num_deriv, _Record, _set, _wrap, check_field, exact, lincomb,
+                        prim_products)
 from .multiindex import (
     MultiIndex,
     binomial,
+    check_direction,
     check_int,
     enumerate_indices,
     sub as mi_sub,
@@ -56,133 +58,80 @@ from .multiindex import (
 
 Matrix = tuple[tuple[Poly, ...], ...]
 
-# A factored entry (g, den, prim, id(prim)) stands for the nonzero Poly
-# (g/den) * prim, where prim has int numerators with gcd 1 over denominator 1
-# and a positive numerator at its largest exponent.  A jet matrix holds the
-# same prim in many entries, scaled only by binomials and rep-matrix entries,
-# and ``_jet_matrix`` makes entries with equal term lists one object.  So a
-# bracket takes each matrix as its rows, dicts column -> factored entry of
-# the nonzero entries, splitting each entry object once, plans each result
-# row over those dicts alone as terms [n, d, prim, prim] per column, keyed by
-# the pair of prim ids that the factored entries carry, and ``_evaluate``
-# hands all the plans to ``exactpoly.sums_of_products`` as one batch, which
-# makes each distinct product of prims once, as one packed int multiply when
-# the prims are dense in their exponent box.
-_Factored = tuple[int, int, Poly, int]
+# A bracket factors each nonzero entry x of an operator a.d + B once, as
+# x = (g/L) * prims[k]: L is the lcm of the denominators of the operator's
+# entries, g an int, and prims[k] an int numerator dict with gcd 1 and a
+# positive numerator at its largest exponent, one index for all entries
+# equal up to a scalar.  A jet matrix holds the same prim in many entries,
+# scaled only by binomials and rep-matrix entries, and ``_jet_matrix`` makes
+# entries with equal term lists one object.  Each row of the result is then
+# planned as one dict (column, a, b) -> int with a <= b, over L1 * L2, so
+# the terms of B1 B2 and B2 B1 merge, and cancel, before any product is
+# made; the terms a.dB are planned the same way on d_nu prims[k], each
+# factored once into a prim of its own.  ``exactpoly.prim_products`` then
+# makes each distinct product of prims once per bracket, on int numerators
+# alone: a bracket calls neither ``Poly.deriv`` nor ``Poly.__mul__``.
+class _Prims:
+    """The prims of one bracket, each held once, and their derivatives."""
 
+    __slots__ = ("prims", "_index", "_derivs")
 
-def _split(x: Poly, parts: dict) -> _Factored:
-    """x = (g/den) * prim for a nonzero x, with prim's id; equal prims are
-    one object in ``parts``, keyed by their numerators."""
-    num = x.numerators
-    g = gcd(*num.values())
-    if num[max(num)] < 0:
-        g = -g
-    prim_num = {e: n // g for e, n in num.items()}
-    key = frozenset(prim_num.items())
-    prim = parts.get(key)
-    if prim is None:
-        prim = parts[key] = _wrap(x.dim, prim_num, 1)
-    return g, x.denominator, prim, id(prim)
+    def __init__(self):
+        self.prims: list[dict[MultiIndex, int]] = []
+        self._index: dict[frozenset, int] = {}  # prim items -> index
+        self._derivs: dict[tuple[int, int], tuple[int, int] | None] = {}
 
+    def factor(self, num: dict[MultiIndex, int]) -> tuple[int, int]:
+        """(g, k) with num = g * prims[k], for nonzero int numerators."""
+        g = gcd(*num.values())
+        if num[max(num)] < 0:
+            g = -g
+        prim = num if g == 1 else {e: n // g for e, n in num.items()}
+        key = frozenset(prim.items())
+        k = self._index.get(key)
+        if k is None:
+            k = self._index[key] = len(self.prims)
+            self.prims.append(prim)
+        return g, k
 
-def _split_all(v: Sequence[Poly], parts: dict, seen: dict) -> dict[int, _Factored]:
-    """The nonzero entries of a vector, factored, keyed by index.  An entry
-    object met before is split once: ``seen`` maps its id to its factored
-    form, so it may only hold entries that the caller keeps alive for as
-    long as ``seen`` is used."""
-    out = {}
-    for k, x in enumerate(v):
-        if x.is_zero():
-            continue
-        f = seen.get(id(x))
-        if f is None:
-            f = seen[id(x)] = _split(x, parts)
-        out[k] = f
-    return out
+    def operator(self, vector: Sequence[Poly], matrix: Matrix):
+        """(L, a, rows) for the operator a.d + B: L the lcm of the
+        denominators of its entries, and a and each row of B as a dict
+        index -> (g, k) of their nonzero entries x = (g/L) * prims[k].  Each
+        entry object, which a jet matrix shares among many positions, is
+        factored once."""
+        den = lcm(*{x._den for x in vector}, *{x._den for row in matrix for x in row})
+        seen: dict[int, tuple[int, int]] = {}  # id(x) -> (g, k); ``matrix`` keeps x alive
 
+        def factored(row):
+            out = {}
+            for j, x in enumerate(row):
+                if x._num:
+                    f = seen.get(id(x))
+                    if f is None:
+                        g, k = self.factor(x._num)
+                        f = seen[id(x)] = (g * (den // x._den), k)
+                    out[j] = f
+            return out
+        return den, factored(vector), [factored(row) for row in matrix]
 
-def _factor(matrix: Matrix, parts: dict) -> list[dict[int, _Factored]]:
-    """The rows of a matrix as dicts column -> factored nonzero entry; each
-    entry object, which a jet matrix shares among many positions, is split
-    once."""
-    seen: dict = {}
-    return [_split_all(row, parts, seen) for row in matrix]
-
-
-def _plan(plan: dict, n: int, d: int, x: Poly, xid: int, y: Poly, yid: int) -> None:
-    """Add the term (n/d) * x * y to a plan keyed by the unordered pair of
-    prim ids ``xid``, ``yid``, merging the coefficients of equal pairs."""
-    if xid > yid:
-        x, y = y, x
-        key = (yid, xid)
-    else:
-        key = (xid, yid)
-    t = plan.get(key)
-    if t is None:
-        plan[key] = [n, d, x, y]
-    elif t[1] == d:
-        t[0] += n
-    else:
-        t[0] = t[0] * d + n * t[1]
-        t[1] *= d
-
-
-def _row_times(plans: dict, row: dict, rows: list, sign: int) -> None:
-    """Plan the terms of sign * (row . B), for B given by its factored
-    ``rows``, into ``plans`` keyed by column; only nonzero entries are
-    visited."""
-    for k, (g1, d1, p1, i1) in row.items():
-        for j, (g2, d2, p2, i2) in rows[k].items():
-            plan = plans.get(j)
-            if plan is None:
-                plan = plans[j] = {}
-            _plan(plan, sign * g1 * g2, d1 * d2, p1, i1, p2, i2)
-
-
-def _along(plan: dict, a: dict, f, sign: int, parts: dict, derivs: dict) -> None:
-    """Plan the terms of sign * a^nu d_nu f for a factored vector a and a
-    factored entry f (None for zero).  Each d_nu prim is split once per
-    call and cached in ``derivs``; zero terms are left out."""
-    if f is None:
-        return
-    g, den, prim, pid = f
-    for nu, (ga, da, pa, ia) in a.items():
-        key = (nu, pid)
-        if key not in derivs:
-            dp = prim.deriv(nu)
-            derivs[key] = None if dp.is_zero() else _split(dp, parts)
-        df = derivs[key]
-        if df is not None:
-            gd, _, pd, idd = df  # d_nu of a prim has denominator 1
-            _plan(plan, sign * ga * g * gd, da * den, pa, ia, pd, idd)
-
-
-def _evaluate(dim: int, ncols: int, rows: Iterable[dict]) -> Matrix:
-    """The matrix whose ``rows`` are dicts column -> plan: the plans are
-    one batch of ``sums_of_products``, which makes each distinct product
-    of prims once and skips the terms whose coefficients cancelled (the
-    degree cap still sees them), and a column without a plan is one shared
-    zero Poly.  The kernel takes each row's terms into its batch as the row
-    is yielded, so a row's plan dicts are freed then, while the terms of
-    all rows are held until the batch is multiplied (0.5 MiB less peak RSS
-    in ``verify.suite_closures(0, 3, 3)`` than listing the rows first)."""
-    columns = []  # the planned columns of each row
-
-    def entries():
-        for row in rows:
-            columns.append(list(row))
-            for plan in row.values():
-                yield plan.values()
-    sums = iter(sums_of_products(dim, entries()))
-    zero = Poly.zero(dim)
-    out = []
-    for planned in columns:
-        row = [zero] * ncols
-        for j in planned:
-            row[j] = next(sums)
-        out.append(tuple(row))
-    return tuple(out)
+    def along(self, plan: dict, j: int, v: dict, f: tuple[int, int], sign: int) -> None:
+        """Plan sign * v^nu d_nu f at column j, for a factored vector v and
+        a factored entry f = (g, k).  Each d_nu prims[k] is factored once
+        per bracket; a zero one plans nothing."""
+        g, k = f
+        derivs = self._derivs
+        for nu, (gv, a) in v.items():
+            if (k, nu) not in derivs:
+                prim = self.prims[k]
+                check_direction(nu, len(next(iter(prim))), "direction")
+                num = _num_deriv(prim, nu)
+                derivs[k, nu] = self.factor(num) if num else None
+            df = derivs[k, nu]
+            if df is not None:
+                gd, b = df
+                key = (j, a, b) if a <= b else (j, b, a)
+                plan[key] = plan.get(key, 0) + sign * gv * g * gd
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -208,28 +157,32 @@ def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> 
     a1, a2 are vector parts (Polys in q, empty for none) and b1, b2 square
     matrices of Polys in q.  Row i is planned as
     sum_k B1[i,k] B2[k,.] - B2[i,k] B1[k,.] over the nonzero entries, plus
-    a1.d B2[i,.] - a2.d B1[i,.] over the nonzero entries of row i.  All
-    planned entries are one batch of ``sums_of_products``, which makes each
-    distinct product of prims once; any other entry is the shared zero.
+    a1.d B2[i,.] - a2.d B1[i,.] over the nonzero entries of row i, and
+    ``prim_products`` takes each plan as it is made; any other entry is the
+    shared zero.
     """
     if not b1:
         return ()
-    parts: dict = {}
-    derivs: dict = {}
-    rows1, rows2 = _factor(b1, parts), _factor(b2, parts)
-    v1, v2 = _split_all(a1, parts, {}), _split_all(a2, parts, {})
+    prims = _Prims()
+    den1, v1, rows1 = prims.operator(a1, b1)
+    den2, v2, rows2 = prims.operator(a2, b2)
 
-    def rows():
+    def plans():
         for r1, r2 in zip(rows1, rows2):
-            row: dict = {}
-            _row_times(row, r1, rows2, 1)
-            _row_times(row, r2, rows1, -1)
-            for v, r, sign in ((v1, r2, 1), (v2, r1, -1)):
+            plan: dict[tuple[int, int, int], int] = {}
+            get = plan.get
+            for row, rows, sign in ((r1, rows2, 1), (r2, rows1, -1)):
+                for k, (g1, a) in row.items():
+                    g1 *= sign
+                    for j, (g2, b) in rows[k].items():
+                        key = (j, a, b) if a <= b else (j, b, a)
+                        plan[key] = get(key, 0) + g1 * g2
+            for v, row, sign in ((v1, r2, 1), (v2, r1, -1)):
                 if v:
-                    for j, f in r.items():
-                        _along(row.setdefault(j, {}), v, f, sign, parts, derivs)
-            yield row
-    return _evaluate(b1[0][0].dim, len(b1), rows())
+                    for j, f in row.items():
+                        prims.along(plan, j, v, f, sign)
+            yield plan
+    return tuple(prim_products(b1[0][0].dim, prims.prims, den1 * den2, len(b1), plans()))
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -470,11 +423,13 @@ def _derivative(known: dict[MultiIndex, Poly], order: MultiIndex) -> Poly:
 
 def _entry(d: int, terms: list[tuple[int, Poly]]) -> Poly:
     """sum_t c_t g_t for nonzero ints c_t and nonzero Polys g_t.  One term
-    c * g is (c/h) * num(g) over den(g)/h with h = gcd(c, den(g)), already
-    canonical since gcd(den(g), num(g)) = 1."""
+    1 * g is g itself, and c * g is (c/h) * num(g) over den(g)/h with
+    h = gcd(c, den(g)), already canonical since gcd(den(g), num(g)) = 1."""
     if len(terms) > 1:
         return lincomb(d, terms)
     (c, g), = terms
+    if c == 1:
+        return g
     h = gcd(c, g.denominator)
     c //= h
     return _wrap(d, {e: n * c for e, n in g.numerators.items()}, g.denominator // h)
@@ -543,15 +498,17 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> list[Poly]:
     d = len(xi)
     check_field("xi", xi, d, d)
     check_field("eta", eta, d, d)
-    parts: dict = {}
-    derivs: dict = {}
-    fx, fe = _split_all(xi, parts, {}), _split_all(eta, parts, {})
-
-    row = {mu: {} for mu in range(d)}
-    for mu, plan in row.items():
-        _along(plan, fx, fe.get(mu), 1, parts, derivs)
-        _along(plan, fe, fx.get(mu), -1, parts, derivs)
-    return list(_evaluate(d, d, [row])[0])
+    prims = _Prims()
+    den1, fx, _ = prims.operator(xi, ())
+    den2, fe, _ = prims.operator(eta, ())
+    plan: dict[tuple[int, int, int], int] = {}
+    for mu in range(d):
+        if mu in fe:
+            prims.along(plan, mu, fx, fe[mu], 1)
+        if mu in fx:
+            prims.along(plan, mu, fe, fx[mu], -1)
+    (row,) = prim_products(d, prims.prims, den1 * den2, d, [plan])
+    return list(row)
 
 
 def divergence(xi: Sequence[Poly]) -> Poly:

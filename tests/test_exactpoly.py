@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -13,7 +14,7 @@ from jetvir.exactpoly import (
     format_poly,
     lincomb,
     parse_poly,
-    sums_of_products,
+    prim_products,
 )
 from jetvir.jetreps import mat_mul
 from jetvir.multiindex import enumerate_indices
@@ -53,6 +54,20 @@ def test_parse_errors():
 ], ids=["empty", "plus", "minus", "star", "two-signs", "blank", "trailing-plus",
         "trailing-minus", "sign-then-star"])
 def test_a_text_with_no_term_after_its_sign_does_not_parse(text, rest):
+    with pytest.raises(ValueError) as caught:
+        parse_poly(text, 2)
+    assert str(caught.value) == f"cannot parse polynomial at: {rest!r}"
+
+
+@pytest.mark.parametrize("text", ["x0 ", "x0 + 1 ", "x0\t", " x0 ", "\t2 * x0 x1^2\n"])
+def test_whitespace_after_a_text_is_ignored_like_whitespace_before_it(text):
+    assert parse_poly(text, 2) == parse_poly(text.strip(), 2)
+
+
+@pytest.mark.parametrize("text, rest", [
+    ("\t", "\t"), (" \n ", " \n "), ("x0 + ", "+ "), ("x0 -\t", "-\t"),
+], ids=["tab", "blank-lines", "trailing-plus-space", "trailing-minus-tab"])
+def test_a_blank_text_or_a_trailing_sign_still_does_not_parse(text, rest):
     with pytest.raises(ValueError) as caught:
         parse_poly(text, 2)
     assert str(caught.value) == f"cannot parse polynomial at: {rest!r}"
@@ -514,15 +529,48 @@ def _product_sums(draw):
     return d, pairs, draw(st.integers(2, 16)), draw(_COEFFS)
 
 
+def _plan_batch(entries, ncols):
+    """The prims, denominator and plans of ``prim_products`` for entries of
+    terms (n, den, x, y), (n/den) * x * y each: the numerators of each
+    nonzero operand object are one prim, entry t is column t % ncols of
+    plan t // ncols, and every coefficient is over the lcm D of the
+    den * den(x) * den(y); a term with n = 0 keeps its key."""
+    prims, index = [], {}
+
+    def prim(x):
+        if id(x) not in index:
+            index[id(x)] = len(prims)
+            prims.append(dict(x.numerators))
+        return index[id(x)]
+    terms = [t for entry in entries for t in entry]
+    den = math.lcm(*(d * x.denominator * y.denominator for _, d, x, y in terms))
+    plans = [{} for _ in range(0, len(entries), ncols)]
+    for t, entry in enumerate(entries):
+        plan = plans[t // ncols]
+        for n, d, x, y in entry:
+            if not x.is_zero() and not y.is_zero():
+                a, b = sorted((prim(x), prim(y)))
+                key = (t % ncols, a, b)
+                plan[key] = plan.get(key, 0) + n * (den // (d * x.denominator * y.denominator))
+    return prims, den, plans
+
+
+def _entries(rows, count):
+    """The first ``count`` entries of ``prim_products`` rows, row by row."""
+    return [x for row in rows for x in row][:count]
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(_product_sums())
 def test_sums_of_products_match_a_fraction_reference(case):
     """Left folds of * with + and with -, the one matrix entry that mat_mul
-    computes from the same pairs, and unary - and scale of the sum, against
-    sums of Fraction products; OverflowError exactly when some term pair
-    exceeds the degree cap."""
+    computes from the same pairs, the one entry of ``prim_products`` planned
+    from them, and unary - and scale of the sum, against sums of Fraction
+    products; OverflowError exactly when some term pair exceeds the degree
+    cap."""
     d, pairs, cap, k = case
     row, col = (tuple(x for x, _ in pairs),), tuple((y,) for _, y in pairs)
+    prims, den, plans = _plan_batch([[(1, 1, x, y) for x, y in pairs]], 1)
     over = any(sum(abs(a + b) for a, b in zip(e1, e2)) > cap
                for x, y in pairs for e1 in x.numerators for e2 in y.numerators)
     with pytest.MonkeyPatch.context() as mp:
@@ -534,11 +582,14 @@ def test_sums_of_products_match_a_fraction_reference(case):
                 reduce(lambda acc, xy: acc - xy[0] * xy[1], pairs, Poly.zero(d))
             with pytest.raises(OverflowError):
                 mat_mul(row, col)
+            with pytest.raises(OverflowError):
+                prim_products(d, prims, den, 1, plans)
             return
         r = reduce(lambda acc, xy: acc + xy[0] * xy[1], pairs, Poly.zero(d))
         s = reduce(lambda acc, xy: acc - xy[0] * xy[1], pairs, Poly.zero(d))
         if pairs:
             assert mat_mul(row, col) == ((r,),)
+        assert prim_products(d, prims, den, 1, plans) == [(r,)]
     assert r == _reference_sum_of_products(d, pairs)
     assert s == -r == _reference_sum_of_products(d, pairs, -1)
     assert r.scale(k) == _reference_sum_of_products(d, pairs, k)
@@ -615,78 +666,100 @@ def _product_batches(draw):
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(_product_batches())
 def test_batched_sums_of_products_match_a_fraction_reference(case):
-    """Every entry equals its Fraction reference, on the packed path and on
-    the path of numerator products and ``lincomb``, each forced through
-    ``_BITS_PER_PAIR``; OverflowError exactly when some term, its
-    coefficient zero or not, has a term pair above the degree cap."""
+    """Every entry of ``prim_products``, with the entries laid out one, two
+    or three to a row, equals its Fraction reference, on the packed path
+    and on the per-pair path, each forced through ``_BITS_PER_PAIR``;
+    OverflowError exactly when some term, its coefficient zero or not, has
+    a term pair above the degree cap."""
     d, entries, cap = case
     over = any(sum(map(abs, (a + b for a, b in zip(e1, e2)))) > cap
                for entry in entries for _, _, x, y in entry
                for e1 in x.numerators for e2 in y.numerators)
-    for bits in (1 << 60, 0):
+    expected = [_reference_sum_of_products(
+        d, [(x, y, Fraction(n, den)) for n, den, x, y in entry]) for entry in entries]
+    for bits, ncols in itertools.product((1 << 60, 0), (1, 2, 3)):
+        prims, den, plans = _plan_batch(entries, ncols)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exactpoly, "MAX_DEGREE", cap)
             mp.setattr(exactpoly, "_BITS_PER_PAIR", bits)
             if over:
                 with pytest.raises(OverflowError):
-                    sums_of_products(d, entries)
+                    prim_products(d, prims, den, ncols, plans)
                 continue
-            got = sums_of_products(d, entries)
-        assert got == [_reference_sum_of_products(
-            d, [(x, y, Fraction(n, den)) for n, den, x, y in entry]) for entry in entries]
-        for r in got:
+            got = prim_products(d, prims, den, ncols, iter(plans))
+        assert len(got) == len(plans) and all(len(row) == ncols for row in got)
+        assert _entries(got, len(entries)) == expected
+        assert all(x.is_zero() for x in _entries(got, len(plans) * ncols)[len(entries):])
+        for r in _entries(got, len(entries)):
             _assert_clean(r, d)
 
 
 def test_sums_of_products_slot_widths_degree_cap_and_argument_checks(monkeypatch):
-    """Slots of 8, 16, 32, 64 and 128 bits on the packed path, chosen by the
-    coefficient bound and wide enough for a coefficient at the bound; a zero coefficient does not spare a pair above the cap; operands of
-    another dimension and inexact or bool coefficients raise ValueError."""
+    """Slots of 8, 16, 32, 64 and 128 bits on the packed path of
+    ``prim_products``, chosen by the coefficient bound and wide enough for
+    a coefficient at the bound; a zero coefficient does not spare a pair
+    above the cap; prims of another dimension, inexact or bool
+    coefficients and a denominator that is not an int > 0 raise
+    ValueError."""
     z = parse_poly("z", 1, "z")
     widths = []
     unpack = exactpoly._unpack
 
-    def logged(total, width):
+    def logged(total, width, exponents):
         widths.append(width)
-        return unpack(total, width)
+        return unpack(total, width, exponents)
+
+    def products(*entries):
+        prims, den, plans = _plan_batch(entries, 1)
+        return _entries(prim_products(1, prims, den, 1, plans), len(entries))
     monkeypatch.setattr(exactpoly, "_unpack", logged)
     monkeypatch.setattr(exactpoly, "_BITS_PER_PAIR", 1 << 60)
     for k in (1, 2 ** 10, 2 ** 20, 2 ** 40, 2 ** 80):
         x = z.scale(k) - Poly.constant(1, 1)
         y = parse_poly("z^-2 - 1", 1, "z")
-        assert (sums_of_products(1, [[(1, 1, x, y)], [(3, 2, y, y)]])
+        assert (products([(1, 1, x, y)], [(3, 2, y, y)])
                 == [x * y, (y * y).scale(Fraction(3, 2))])
     assert widths == [w for w in (8, 16, 32, 64, 128) for _ in range(2)]
     one = Poly.constant(1, 1)
     for k in (7, 15, 31, 63):  # a coefficient of +-2^k at the bound: k + 2 bits
         c = Poly.constant(1, 2 ** k)
-        assert sums_of_products(1, [[(1, 1, c, one)], [(-1, 1, c, one)]]) == [c, -c]
+        assert products([(1, 1, c, one)], [(-1, 1, c, one)]) == [c, -c]
     assert widths[10:] == [w for w in (16, 32, 64, 128) for _ in range(2)]
     monkeypatch.setattr(exactpoly, "MAX_DEGREE", 3)
     w = parse_poly("z^2", 1, "z")
-    assert sums_of_products(1, [[(1, 1, w, z)]]) == [w * z]
+    assert products([(1, 1, w, z)]) == [w * z]
     with pytest.raises(OverflowError):
-        sums_of_products(1, [[(1, 1, w, z)], [(0, 1, w, w)]])
+        products([(1, 1, w, z)], [(0, 1, w, w)])
     with pytest.raises(ValueError, match="dimension"):
-        sums_of_products(1, [[(1, 1, z, parse_poly("x0", 2))]])
-    for n, d in ((0.5, 1), (Fraction(1, 2), 1), (True, 1), (1, 0), (1, 2.0)):
-        with pytest.raises(ValueError, match="ints n and d > 0"):
-            sums_of_products(1, [[(n, d, z, z)]])
+        prim_products(1, [{(1,): 1}, {(1, 0): 1}], 1, 1, [{(0, 0, 1): 1}])
+    for c in (0.5, Fraction(1, 2), True):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            prim_products(1, [{(1,): 1}], 1, 1, [{(0, 0, 0): c}])
+    for den in (0, -1, 2.0, Fraction(2), True):
+        with pytest.raises(ValueError, match="denominator must be an int > 0"):
+            prim_products(1, [{(1,): 1}], den, 1, [{(0, 0, 0): 1}])
 
 
 def test_sums_of_products_pack_only_batches_dense_in_their_layout(monkeypatch):
-    """A batch is packed when its distinct products have at least
+    """``prim_products`` packs when its distinct products have at least
     slots * width / ``_BITS_PER_PAIR`` term pairs on average; two far-apart
-    monomials are multiplied as numerator Polys instead."""
-    made = []
-    times = exactpoly._times
+    monomials are multiplied term pair by term pair instead, and only a
+    packed entry is unpacked."""
+    paths = []
+    num_mul, unpack = exactpoly._num_mul, exactpoly._unpack
 
-    def logged(ox, oy):
-        made.append(times(ox, oy))
-        return made[-1]
-    monkeypatch.setattr(exactpoly, "_times", logged)
+    def logged_mul(a, b, one_var):
+        paths.append("pairs")
+        return num_mul(a, b, one_var)
+
+    def logged_unpack(total, width, exponents):
+        paths.append("packed")
+        return unpack(total, width, exponents)
     sparse = parse_poly("z^40", 1, "z"), parse_poly("z^-40 + 1", 1, "z")
     dense = (parse_poly(" + ".join(f"z^{j}" for j in range(10)), 1, "z"),) * 2
-    for x, y in (sparse, dense):
-        assert sums_of_products(1, [[(1, 1, x, y)]]) == [x * y]
-    assert [type(xy) for xy in made] == [Poly, int]
+    cases = [(_plan_batch([[(1, 1, x, y)]], 1), x * y) for x, y in (sparse, dense)]
+    monkeypatch.setattr(exactpoly, "_num_mul", logged_mul)
+    monkeypatch.setattr(exactpoly, "_unpack", logged_unpack)
+    for (prims, den, plans), xy in cases:
+        assert prim_products(1, prims, den, 1, plans) == [(xy,)]
+    assert paths == ["pairs", "packed"]

@@ -17,7 +17,7 @@ from jetvir.jetreps import (
     MatrixRep,
     StructureConstants,
     _bracket,
-    _factor,
+    _Prims,
     _insert_identity,
     _jet_matrix,
     _levi_civita,
@@ -338,28 +338,39 @@ def test_mat_mul_rejects_a_shape_mismatch():
 
 def test_factor_splits_entries_into_content_and_shared_prims():
     # Laurent entries, zeros, and entries equal up to a rational scalar of
-    # either sign, within one matrix and across two.
+    # either sign, within one operator and across two, vector parts included.
     f = parse_poly("2/3 * z^-2 - 4/3 * z^3", 1, "z")
     g = parse_poly("6 z - 9", 1, "z")
     z = Poly.zero(1)
     a = ((f, z, g.scale(Fraction(-1, 2))), (f.scale(-3), g, z))
     b = ((z, f.scale(Fraction(5, 7))), (g.scale(4), z))
-    parts = {}
-    rows_a = _factor(a, parts)
-    rows_b = _factor(b, parts)
-    for m, rows in ((a, rows_a), (b, rows_b)):
+    va, vb = (g.scale(Fraction(1, 5)), z), (z, f.scale(-1))
+    prims = _Prims()
+    factored = [(va, a, prims.operator(va, a)), (vb, b, prims.operator(vb, b))]
+    assert [den for _, _, (den, _, _) in factored] == [30, 21]
+    for v, m, (den, fv, rows) in factored:
         assert len(rows) == len(m)
-        for i, row in enumerate(m):
-            assert set(rows[i]) == {j for j, x in enumerate(row) if not x.is_zero()}
-            for j, (g_, den, prim, pid) in rows[i].items():
-                assert row[j] == prim.scale(Fraction(g_, den)) and pid == id(prim)
-                nums = prim.numerators
-                assert prim.denominator == 1 and math.gcd(*nums.values()) == 1
-                assert nums[max(nums)] > 0
-    prims_f = {rows_a[0][0][2], rows_a[1][0][2], rows_b[0][1][2]}
-    prims_g = {rows_a[0][2][2], rows_a[1][1][2], rows_b[1][0][2]}
+        for row, fr in zip((v, *m), (fv, *rows)):
+            assert set(fr) == {j for j, x in enumerate(row) if not x.is_zero()}
+            for j, (c, k) in fr.items():
+                prim = prims.prims[k]
+                assert row[j] == Poly(1, prim).scale(Fraction(c, den))
+                assert math.gcd(*prim.values()) == 1 and prim[max(prim)] > 0
+    (_, fa, rows_a), (_, fb, rows_b) = (f for _, _, f in factored)
+    prims_f = {rows_a[0][0][1], rows_a[1][0][1], rows_b[0][1][1], fb[1][1]}
+    prims_g = {rows_a[0][2][1], rows_a[1][1][1], rows_b[1][0][1], fa[0][1]}
     assert len(prims_f) == len(prims_g) == 1 and prims_f != prims_g
-    assert {id(p) for p in parts.values()} == {id(p) for p in prims_f | prims_g}
+    assert len(prims.prims) == 2
+    # An entry object is factored once per operator, however often it occurs.
+    calls = []
+    factor = _Prims.factor
+
+    def logged(self, num):
+        calls.append(num)
+        return factor(self, num)
+    with mock.patch.object(_Prims, "factor", logged):
+        _Prims().operator((f, f), ((f, g), (g, f)))
+    assert len(calls) == 2
 
 
 # -- differential test: diff_operator against a separate transport matrix ------
@@ -505,12 +516,14 @@ def test_jet_matrix_matches_the_dense_builder_and_builds_each_distinct_entry_onc
     terms, once per distinct term list; the entries without a term are one
     shared zero Poly.  A factor whose R_k has no nonzero cell is never
     differentiated, and no factor takes more than one derivative per
-    nonzero order of its stencil."""
+    nonzero order of its stencil.  An entry of one term with coefficient 1
+    is the derivative object itself, not a copy."""
     rng = random.Random(15)
     cases = [(d, p, factors, size, *_reference_jet_matrix(factors, size, d, p))
              for d in (1, 2, 3) for p in range(4)
              for factors, size in _jet_factor_cases(d, p, rng)]
-    calls, differentiated = [], []
+    calls, differentiated, derivatives = [], [], []
+    ones = 0  # entries of one term with coefficient 1
     deriv = Poly.deriv
 
     def counting(dim, pairs):
@@ -519,10 +532,12 @@ def test_jet_matrix_matches_the_dense_builder_and_builds_each_distinct_entry_onc
 
     def logged_deriv(f, mu):
         differentiated.append(id(f))
-        return deriv(f, mu)
+        derivatives.append(deriv(f, mu))
+        return derivatives[-1]
     for d, p, factors, size, expected, term_lists in cases + cases[::-1]:
         calls.clear()
         differentiated.clear()
+        derivatives.clear()
         with (mock.patch.object(jetreps, "lincomb", counting),
               mock.patch.object(Poly, "deriv", logged_deriv)):
             got = _jet_matrix(factors, size, d, p)
@@ -540,6 +555,21 @@ def test_jet_matrix_matches_the_dense_builder_and_builds_each_distinct_entry_onc
                   for f, r, s in factors if any(map(any, r)) and not f.is_zero()]
         assert len(differentiated) <= sum(map(len, orders))
         assert not {id(f) for f, r, _ in factors if not any(map(any, r))} & set(differentiated)
+        # The builder's coefficient of a term is the reference's times the
+        # lcm of the denominators of its R_k; a coefficient 1 of order 0
+        # over R_k of denominator 1 is the factor f_k itself.
+        dens = [math.lcm(*(v.denominator for row in r for v in row)) for _, r, _ in factors]
+        made = {id(g) for g in derivatives}
+        for (i, j), terms in term_lists.items():
+            if len(terms) == 1 and terms[0][0] * dens[terms[0][1]] == 1:
+                _, k, order = terms[0]
+                x = got[i][j]
+                ones += 1
+                if any(order):
+                    assert id(x) in made
+                elif dens[k] == 1:
+                    assert x is factors[k][0]
+    assert ones
 
 
 # -- differential test: one bracket kernel against the composed matrix ops -----
@@ -604,38 +634,39 @@ def _counting_products(log):
     original = Poly.__mul__
 
     def mul(x, y):
-        log.append((x, y))
+        log.append((x.numerators, y.numerators))
         return original(x, y)
     return mock.patch.object(Poly, "__mul__", mul)
 
 
-def _up_to_scalars(p):
-    """p divided by its coefficient at its largest exponent."""
-    terms = p.terms
-    lead = terms[max(terms)]
-    return frozenset((e, c / lead) for e, c in terms.items())
+def _up_to_scalars(num):
+    """The numerators ``num`` divided by the one at their largest exponent."""
+    lead = num[max(num)]
+    return frozenset((e, Fraction(n, lead)) for e, n in num.items())
 
 
 def _term_pairs(log):
-    return Counter(len(x.numerators) * len(y.numerators) for x, y in log)
+    return Counter(len(x) * len(y) for x, y in log)
 
 
 @contextlib.contextmanager
 def _counting_kernel_products(log, planned):
-    """Log the operand pairs of each multiply of ``sums_of_products``, packed
-    or not, in ``log``, and the terms (n, d, x, y) the bracket plans in ``planned``."""
-    times, kernel = exactpoly._times, jetreps.sums_of_products
+    """Log the operand prims of each product of ``prim_products`` on its
+    per-pair path in ``log``, and the prims and plans the bracket hands it
+    in ``planned`` as (prim, prim, coefficient)."""
+    num_mul, kernel = exactpoly._num_mul, jetreps.prim_products
 
-    def logged_times(ox, oy):
-        log.append((ox[0], oy[0]))
-        return times(ox, oy)
+    def logged_mul(a, b, one_var):
+        log.append((a, b))
+        return num_mul(a, b, one_var)
 
-    def logged_kernel(dim, entries):
-        entries = [list(entry) for entry in entries]
-        planned.extend(t for entry in entries for t in entry)
-        return kernel(dim, entries)
-    with (mock.patch.object(exactpoly, "_times", logged_times),
-          mock.patch.object(jetreps, "sums_of_products", logged_kernel)):
+    def logged_kernel(dim, prims, den, ncols, rows):
+        rows = list(rows)
+        planned.extend((prims[a], prims[b], c) for row in rows for (_, a, b), c in row.items())
+        return kernel(dim, prims, den, ncols, rows)
+    with (mock.patch.object(exactpoly, "_num_mul", logged_mul),
+          mock.patch.object(jetreps, "prim_products", logged_kernel),
+          mock.patch.object(exactpoly, "_BITS_PER_PAIR", 0)):
         yield
 
 
@@ -643,13 +674,14 @@ def _counting_kernel_products(log, planned):
 @given(_bracket_cases())
 def test_bracket_matches_the_composed_matrix_operations(case):
     """The one-kernel bracket against the composition it replaces, on Laurent
-    entries with zeros: the same matrix; its products, counted at the one
-    multiply of ``sums_of_products``, are a sub-multiset of the
-    composition's (by term-pair count); each distinct pair of prims with a
-    nonzero planned coefficient is multiplied exactly once and a pair whose
-    coefficients all cancelled never; no two of its products have operands
-    equal up to rational scalars, in either order; and OverflowError
-    exactly when the composition raises under a small degree cap."""
+    entries with zeros, on the packed path and on the per-pair path: the
+    same matrix; the products of the per-pair path, counted at its one
+    multiply, are a sub-multiset of the composition's (by term-pair count);
+    each distinct pair of prims with a nonzero planned coefficient is
+    multiplied exactly once and a pair whose coefficients all cancelled
+    never; no two of its products have operands equal up to rational
+    scalars, in either order; and OverflowError exactly when the
+    composition raises under a small degree cap."""
     args, cap = case
     ref_log, log, planned = [], [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -658,16 +690,20 @@ def test_bracket_matches_the_composed_matrix_operations(case):
             with _counting_products(ref_log):
                 expected = _reference_bracket(*args)
         except OverflowError:
-            with pytest.raises(OverflowError):
-                _bracket(*args)
+            for bits in (1 << 60, 0):
+                mp.setattr(exactpoly, "_BITS_PER_PAIR", bits)
+                with pytest.raises(OverflowError):
+                    _bracket(*args)
             return
+        mp.setattr(exactpoly, "_BITS_PER_PAIR", 1 << 60)
+        packed = _bracket(*args)
         with _counting_kernel_products(log, planned):
             got = _bracket(*args)
-    assert got == expected
+    assert got == packed == expected
     assert _term_pairs(log) <= _term_pairs(ref_log)
     made = [frozenset((id(x), id(y))) for x, y in log]
     assert len(set(made)) == len(made)
-    assert set(made) == {frozenset((id(x), id(y))) for n, _, x, y in planned if n}
+    assert set(made) == {frozenset((id(x), id(y))) for x, y, c in planned if c}
     operands = [frozenset((_up_to_scalars(x), _up_to_scalars(y))) for x, y in log]
     assert len(set(operands)) == len(operands)
 
@@ -695,22 +731,12 @@ def _built_operator_pairs(rng):
 def test_bracket_of_built_operators_matches_the_composed_matrix_operations():
     """The bracket of jet matrices from the builders, whose entries are
     shared objects that the bracket factors once each by id, against the
-    composition of matrix operations.  The derivatives d_nu prim that the
-    bracket takes along a vector part are temporaries: some of them are
-    freed while the bracket runs and their ids are taken by later objects,
-    which the id memo must not confuse with its entries."""
+    composition of matrix operations.  The bracket takes its derivatives
+    and products on int numerators: it calls neither ``Poly.deriv`` nor
+    ``Poly.__mul__``."""
     rng = random.Random(19)
-    reused = False
-    deriv = Poly.deriv
     for a, b in _built_operator_pairs(rng):
-        made = []
-
-        def logged_deriv(f, mu):
-            out = deriv(f, mu)
-            made.append(id(out))
-            return out
-        with mock.patch.object(Poly, "deriv", logged_deriv):
+        with (mock.patch.object(Poly, "deriv", side_effect=AssertionError("deriv")),
+              mock.patch.object(Poly, "__mul__", side_effect=AssertionError("mul"))):
             got = _bracket(a.vector, a.matrix, b.vector, b.matrix)
         assert got == _reference_bracket(a.vector, a.matrix, b.vector, b.matrix)
-        reused = reused or len(set(made)) < len(made)
-    assert reused
