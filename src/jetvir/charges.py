@@ -29,6 +29,11 @@ and eps = +1 (bose) / -1 (fermi), the eight charges are
 
 The cross-multiplicities (Delta_M on c1/c2, Delta_rho on c5) are baked in;
 single-sector formulas are recovered by setting the other dimension to 1.
+
+``ChargeSet`` is the one record of the charges, whichever route computes
+them: ``closed_form`` evaluates the formulas above, the contraction engine
+measures them (``wickcocycle.extract_charges``), and ``compare`` lines two
+records up row by row.
 """
 
 from __future__ import annotations
@@ -98,35 +103,29 @@ class GRepTraces(_Record):
 
 class ChargeSet(_Record):
     """The eight charges c1..c8 at (d, p, lambda) for the two
-    representations; ``conformal_weight`` is lambda of the
-    reparametrization sector."""
+    representations, whichever route computed them, and their sum
+    ``c1_plus_c2``; ``conformal_weight`` is lambda of the reparametrization
+    sector.  c1 and c2 are None, and then both, only in an engine
+    measurement at d = 1: there the two quadratic vector-field channels
+    coincide as functionals, so only their sum is measurable."""
 
     __slots__ = ("d", "p", "conformal_weight", "glrep", "grep",
-                 "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+                 "c1", "c2", "c1_plus_c2", "c3", "c4", "c5", "c6", "c7", "c8")
 
     def __init__(self, d: int, p: int, conformal_weight: Fraction, glrep: GlRepTraces,
-                 grep: GRepTraces, c1: Fraction, c2: Fraction, c3: Fraction, c4: Fraction,
-                 c5: Fraction, c6: Fraction, c7: Fraction, c8: Fraction):
-        _set(self, "d", d)
-        _set(self, "p", p)
-        _set(self, "conformal_weight", conformal_weight)
-        _set(self, "glrep", glrep)
-        _set(self, "grep", grep)
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
-        _set(self, "c3", c3)
-        _set(self, "c4", c4)
-        _set(self, "c5", c5)
-        _set(self, "c6", c6)
-        _set(self, "c7", c7)
-        _set(self, "c8", c8)
+                 grep: GRepTraces, c1: Fraction | None, c2: Fraction | None,
+                 c1_plus_c2: Fraction, c3: Fraction, c4: Fraction, c5: Fraction,
+                 c6: Fraction, c7: Fraction, c8: Fraction):
+        for name, value in zip(self.__slots__, (d, p, conformal_weight, glrep, grep, c1, c2,
+                                                c1_plus_c2, c3, c4, c5, c6, c7, c8)):
+            _set(self, name, value)
 
-    def charges(self) -> dict[str, Fraction]:
+    def charges(self) -> dict[str, Fraction | None]:
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 9)}
 
     def to_json(self) -> dict:
-        """The JSON payload: the inputs and the charges, every rational as
-        a ``fraction_json`` string."""
+        """The JSON payload: the inputs and c1..c8, every rational as a
+        ``fraction_json`` string."""
         return {
             "inputs": {
                 "d": self.d,
@@ -146,26 +145,33 @@ class ChargeSet(_Record):
         }
 
 
-def fraction_json(x: Fraction) -> str:
-    """The exact "num/den" string under which rationals are serialized."""
-    return f"{x.numerator}/{x.denominator}"
+def fraction_json(x: Fraction | None) -> str | None:
+    """The exact "num/den" string under which rationals are serialized; a
+    charge that a record leaves None stays None (JSON null)."""
+    return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
 def compare(closed: ChargeSet,
-            measured) -> list[tuple[str, Fraction | None, Fraction]]:
-    """The (name, measured, closed) rows of c1..c8 and c1+c2 for an
-    engine measurement (``wickcocycle.MeasuredCharges``) of ``closed``.
-    At d = 1 only c1+c2 is measurable, so the measured c1 and c2 are None."""
-    rows = [(name, getattr(measured, name), value)
-            for name, value in closed.charges().items()]
-    rows.append(("c1+c2", measured.c1_plus_c2, closed.c1 + closed.c2))
+            measured: ChargeSet) -> list[tuple[str, Fraction | None, Fraction]]:
+    """The (name, measured, closed) rows of c1..c8 and then c1+c2, one
+    field each; the measured c1 and c2 are None at d = 1."""
+    rows = [(name, getattr(measured, name), value) for name, value in closed.charges().items()]
+    rows.append(("c1+c2", measured.c1_plus_c2, closed.c1_plus_c2))
     return rows
+
+
+def check_traces(glrep, grep) -> None:
+    """The one check of the two trace records that the charges are read at."""
+    for name, value, kind in (("glrep", glrep, GlRepTraces), ("grep", grep, GRepTraces)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
                 grep: GRepTraces) -> ChargeSet:
     """Evaluate the eight charge formulas exactly."""
     check_grid(d, p)
+    check_traces(glrep, grep)
     lam = exact(conformal_weight)
     eps = grep.statistics.sign
     a = _closed_value(SumKind.A, d, p)
@@ -181,9 +187,9 @@ def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
     c6 = eps * (2 * lam - 1) * grep.z_m * a * drho
     c7 = -eps * grep.z_m * (b * drho + a * glrep.k0)
     c8 = -eps * grep.w_m * a * drho
-    return ChargeSet(d, p, lam, glrep, grep,
-                     Fraction(c1), Fraction(c2), Fraction(c3), Fraction(c4),
-                     Fraction(c5), Fraction(c6), Fraction(c7), Fraction(c8))
+    return ChargeSet(d, p, lam, glrep, grep, Fraction(c1), Fraction(c2), Fraction(c1 + c2),
+                     Fraction(c3), Fraction(c4), Fraction(c5), Fraction(c6), Fraction(c7),
+                     Fraction(c8))
 
 
 def kac_moody_level(p: int, y_m, statistics: Statistics) -> Fraction:

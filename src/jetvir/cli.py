@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .charges import (
+    ChargeSet,
     GRepTraces,
     Statistics,
     closed_form,
@@ -141,17 +142,17 @@ def cmd_charges(args) -> int:
     grep = GRepTraces(args.delta_m, args.y_m, args.z_m, args.w_m,
                       Statistics(args.statistics))
     cs = closed_form(args.d, args.p, args.lam, glrep, grep)
-    table = compare(cs, extract_charges(args.d, args.p, args.lam, glrep, grep)) \
+    measured = extract_charges(args.d, args.p, args.lam, glrep, grep) \
         if args.measure else None
+    table = None if measured is None else compare(cs, measured)
     ok = table is None or all(m == c for _, m, c in table if m is not None)
 
     if args.format == "json":
         payload = cs.to_json()
-        if table is not None:
-            # the json layout lists c1+c2 right after c2 (stable sort on the last digit)
-            payload["measured"] = {
-                name.replace("+", "_plus_"): None if m is None else fraction_json(m)
-                for name, m, _ in sorted(table, key=lambda row: row[0][-1])}
+        if measured is not None:
+            # the charge slots in order: c1, c2, c1_plus_c2, c3..c8
+            payload["measured"] = {name: fraction_json(getattr(measured, name))
+                                   for name in ChargeSet.__slots__[5:]}
             payload["match"] = ok
         print(json.dumps(payload, indent=2))
         return 0 if ok else 1

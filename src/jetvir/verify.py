@@ -30,6 +30,12 @@ from .charges import GRepTraces, Statistics, from_sl_gl1
 from .exactpoly import Poly, _Record
 from .multiindex import enumerate_indices
 
+# The fixed sizes of three suites: the delta grid and its random pairs per
+# (d, p), the random closure pairs per (d, p), the random cocycle triples.
+DELTA_D_MAX, DELTA_P_MAX, DELTA_PAIRS = 3, 4, 20
+CLOSURE_PAIRS = 10
+COCYCLE_TRIPLES = 20
+
 
 class SuiteResult(_Record, frozen=False):
     """One suite's name, its number of checks and a witness per failure."""
@@ -125,13 +131,12 @@ def suite_sums(d_max: int = 4, p_max: int = 8, fault: bool = False) -> SuiteResu
     return res
 
 
-def suite_delta(seed: int, d_max: int = 3, p_max: int = 4,
-                pairs: int = 20) -> SuiteResult:
+def suite_delta(seed: int) -> SuiteResult:
     res = SuiteResult("delta-pairs")
     rng = random.Random(seed)
-    for d in range(1, d_max + 1):
-        for p in range(0, p_max + 1):
-            for _ in range(pairs):
+    for d in range(1, DELTA_D_MAX + 1):
+        for p in range(0, DELTA_P_MAX + 1):
+            for _ in range(DELTA_PAIRS):
                 f = _random_poly(d, p + 2, rng)
                 g = _random_poly(d, p + 2, rng)
                 oracle = deltacalc.delta_pair_integral(
@@ -160,8 +165,7 @@ def suite_delta(seed: int, d_max: int = 3, p_max: int = 4,
     return res
 
 
-def suite_closures(seed: int, d_max: int = 2, p_max: int = 3,
-                   pairs: int = 10) -> SuiteResult:
+def suite_closures(seed: int, d_max: int = 2, p_max: int = 3) -> SuiteResult:
     res = SuiteResult("closures")
     rng = random.Random(seed)
     sc_ab = jetreps.StructureConstants.abelian(1)
@@ -171,7 +175,7 @@ def suite_closures(seed: int, d_max: int = 2, p_max: int = 3,
     for d in range(1, d_max + 1):
         gl_rep = jetreps.MatrixRep.gl_scalar_weight(d, Fraction(1, 2))
         for p in range(0, p_max + 1):
-            for _ in range(pairs):
+            for _ in range(CLOSURE_PAIRS):
                 # current closure, abelian and non-abelian
                 for sc, grep in ((sc_ab, rep_ab), (sc_eps, rep_eps)):
                     X = [_random_poly(d, p + 1, rng) for _ in range(sc.dim)]
@@ -230,7 +234,7 @@ def suite_charges(d_max: int = 2, p_max: int = 3) -> SuiteResult:
     return res
 
 
-def suite_cocycles(seed: int, triples: int = 20) -> SuiteResult:
+def suite_cocycles(seed: int) -> SuiteResult:
     res = SuiteResult("cocycles")
     rng = random.Random(seed)
 
@@ -243,7 +247,7 @@ def suite_cocycles(seed: int, triples: int = 20) -> SuiteResult:
         return cocycles_mod.Trajectory(tuple(comps))
 
     c1, c2, c5, c8 = Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 5)
-    for _ in range(triples):
+    for _ in range(COCYCLE_TRIPLES):
         for d in (1, 2):
             q = rand_traj(d)
             xi = [_random_poly(d, 2, rng) for _ in range(d)]

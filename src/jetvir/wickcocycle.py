@@ -24,7 +24,9 @@ table keyed by pole order and by the indices of the trace parameters
 matrix insertions sums; the statistics sign and the parameter values are
 applied to it, which gives an exact pole expansion in (z - w).  The basis
 contractions that measure the charges read it once per (d, p), with lambda
-symbolic, as T(lambda) = (1 - lambda) T(0) + lambda T(1) of ``build_reparam``.
+symbolic, as T(lambda) = (1 - lambda) T(0) + lambda T(1) of ``build_reparam``;
+``extract_charges`` returns the measurement as a ``charges.ChargeSet``, the
+record that ``charges.closed_form`` returns.
 
 The base-point (q, p) sector cannot be contracted field-wise; its two
 closed-form contributions — the pole-2 term -d_nu xi^mu(0) d_mu eta^nu(0)
@@ -44,7 +46,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .charges import GlRepTraces, GRepTraces
+from .charges import ChargeSet, GlRepTraces, GRepTraces, check_traces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral
 from .exactpoly import Poly, _Record, _set, check_field, exact
 from .multiindex import check_grid, unit
@@ -302,31 +304,6 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
 
 # -- charge extraction ------------------------------------------------------------
 
-class MeasuredCharges(_Record):
-    """Engine-measured charges.  At d = 1 the two quadratic vector-field
-    channels coincide as functionals, so only their sum is measurable there:
-    c1 and c2 are None and c1_plus_c2 carries the sum."""
-
-    __slots__ = ("d", "p", "conformal_weight", "c1", "c2", "c1_plus_c2",
-                 "c3", "c4", "c5", "c6", "c7", "c8")
-
-    def __init__(self, d: int, p: int, conformal_weight: Fraction, c1: Fraction | None,
-                 c2: Fraction | None, c1_plus_c2: Fraction, c3: Fraction, c4: Fraction,
-                 c5: Fraction, c6: Fraction, c7: Fraction, c8: Fraction):
-        _set(self, "d", d)
-        _set(self, "p", p)
-        _set(self, "conformal_weight", conformal_weight)
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
-        _set(self, "c1_plus_c2", c1_plus_c2)
-        _set(self, "c3", c3)
-        _set(self, "c4", c4)
-        _set(self, "c5", c5)
-        _set(self, "c6", c6)
-        _set(self, "c7", c7)
-        _set(self, "c8", c8)
-
-
 # A basis channel: entries (k, i, j, c) and the base-point constant q; its
 # pole coefficient is q + eps * sum c lambda^k rho_i m_j, with rho and m the
 # trace parameter values of ``_trace_values``.
@@ -392,7 +369,7 @@ def _basis_channels(d: int, p: int) -> dict[str, _Channel]:
 
 
 def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
-                    grep: GRepTraces) -> MeasuredCharges:
+                    grep: GRepTraces) -> ChargeSet:
     """Measure every charge from double contractions of basis generators.
 
     Basis choices isolate one tensor channel each:
@@ -407,9 +384,11 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
 
     The contractions are run once per (d, p), with lambda, the statistics
     sign and the trace parameters left symbolic (``_basis_channels``); a
-    call evaluates them at its parameters.
+    call evaluates them at its parameters.  The record carries ``glrep`` and
+    ``grep`` as given; at d = 1 its c1 and c2 are None.
     """
     check_grid(d, p)
+    check_traces(glrep, grep)
     lam = exact(conformal_weight)
     eps = grep.statistics.sign
     powers = (1, lam, lam * lam)
@@ -417,13 +396,11 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
     pole = {name: q + eps * sum(c * powers[k] * rho[i] * m[j] for k, i, j, c in entries)
             for name, (entries, q) in _basis_channels(d, p).items()}
     c1_plus_c2 = -pole["L L"]
+    c1 = c2 = None
     if d >= 2:
         c1 = -pole["L(x1 d0) L(x0 d1)"]
         c2 = c1_plus_c2 - c1
-    else:
-        c1 = None
-        c2 = None
     c5 = pole["J J"]
     c8 = pole["J0 J0"] - c5
-    return MeasuredCharges(d, p, lam, c1, c2, c1_plus_c2, pole["T L"], 2 * pole["T T"],
-                           c5, pole["T J0"], pole["L J0"], c8)
+    return ChargeSet(d, p, lam, glrep, grep, c1, c2, c1_plus_c2, pole["T L"],
+                     2 * pole["T T"], c5, pole["T J0"], pole["L J0"], c8)

@@ -48,9 +48,11 @@ def test_criterion_1_lattice_sum_identities():
 
 def test_criterion_2_delta_pair_oracle_vs_closed():
     start = time.monotonic()
-    result = suite_delta(SEED, d_max=3, p_max=4, pairs=20)
+    result = suite_delta(SEED)
     elapsed = time.monotonic() - start
     assert result.ok, result.failures[:5]
+    # d <= 3, p <= 4, 20 pairs per point, 1 + d + d^2 checks per pair
+    assert result.checks == 2300
     assert elapsed < 30.0, f"delta pair sweep took {elapsed:.1f}s"
 
 
@@ -72,9 +74,11 @@ def test_criterion_2_equal_direction_covariant_case():
 
 def test_criterion_3_closures():
     start = time.monotonic()
-    result = suite_closures(SEED, d_max=2, p_max=3, pairs=10)
+    result = suite_closures(SEED, d_max=2, p_max=3)
     elapsed = time.monotonic() - start
     assert result.ok, result.failures[:5]
+    # 8 (d, p) points, 10 pairs per point, 4 closures per pair
+    assert result.checks == 320
     assert elapsed < 60.0, f"closure sweep took {elapsed:.1f}s"
 
 
@@ -128,6 +132,7 @@ def test_criterion_4_engine_reproduces_charge_formulas_beyond_d2(d, p):
             measured = wickcocycle.extract_charges(d, p, lam, gl, gr)
             for name, m, c in charges_mod.compare(closed, measured):
                 assert m == c, f"{name} at d={d}, p={p}, lambda={lam}, {stats.value}"
+            assert measured == closed
 
 
 def test_criterion_4_cli_measure_at_the_largest_grid_point():

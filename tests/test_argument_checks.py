@@ -4,7 +4,8 @@ Each test below pins an argument that used to be misread (a bool taken as
 an int, a string taken as an enum member, a field in the wrong number of
 variables) or to fail late with a bare TypeError, IndexError or
 AttributeError.  The checks are ``multiindex.check_int``,
-``multiindex.check_direction`` and ``exactpoly.check_field``; the entries
+``multiindex.check_direction``, ``exactpoly.check_field`` and
+``charges.check_traces``; the entries
 of rep matrices and structure constants must be ints or Fractions, and a
 float or a non-number fails in ``exactpoly.exact``.
 """
@@ -19,6 +20,7 @@ from jetvir.deltacalc import DerivSpec, SmearMode, delta_pair_closed, delta_pair
 from jetvir.exactpoly import Poly, check_field, parse_poly
 from jetvir.jetreps import MatrixRep, StructureConstants, embed_gauge_operator, gauge_operator
 from jetvir.multiindex import check_direction, check_int
+from jetvir.wickcocycle import extract_charges
 
 
 def _one_line_value_error(call, match):
@@ -105,7 +107,7 @@ def test_coeff_checks_its_exponent_like_the_constructor(bad):
     assert f.coeff((1, 0)) == 5 and f.coeff([0, 2]) == 3 and f.coeff(range(2)) == 0
 
 
-# -- charges: the dimension of from_sl_gl1 and the statistics -----------------------
+# -- charges: the dimension of from_sl_gl1, the statistics and the trace records ----
 
 @pytest.mark.parametrize("bad", [True, 1.5, 0])
 def test_from_sl_gl1_dimension_is_a_positive_int(bad):
@@ -118,6 +120,24 @@ def test_statistics_must_be_a_statistics(bad):
     # "fermi" was stored, and closed_form raised AttributeError later.
     _one_line_value_error(lambda: GRepTraces(1, 0, 0, 0, bad), "statistics")
     assert closed_form(1, 0, 0, from_sl_gl1(0, 0, 1, 1), GRepTraces(1, 1, 0, 0)).c5 == -1
+
+
+_GL = from_sl_gl1(0, 0, 1, 2)
+_GR = GRepTraces(1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("glrep, grep, name", [
+    (_GL, None, "grep"),
+    (None, _GR, "glrep"),
+    (_GL, (1, 1, 0, 0), "grep"),
+    ((1, 0, 0, 0), _GR, "glrep"),
+    (_GR, _GL, "glrep"),
+    (_GL, _GL, "grep"),
+])
+@pytest.mark.parametrize("charges", [closed_form, extract_charges])
+def test_the_charges_take_their_two_trace_records_in_order(charges, glrep, grep, name):
+    # grep=None and swapped records raised AttributeError from the formulas.
+    _one_line_value_error(lambda: charges(2, 1, 0, glrep, grep), f"^{name} must be a ")
 
 
 # -- jetreps: the gl-rep size and both sides of a bracket ---------------------------

@@ -34,7 +34,9 @@ def _charge_set_from_json(text: str) -> ChargeSet:
     grep = GRepTraces(ins["delta_m"], frac(ins["y_m"]), frac(ins["z_m"]),
                       frac(ins["w_m"]), Statistics(ins["statistics"]))
     ch = {k: frac(v) for k, v in data["charges"].items()}
-    return ChargeSet(ins["d"], ins["p"], frac(ins["lambda"]), glrep, grep, **ch)
+    # the payload lists c1..c8; the record also holds their sum c1 + c2
+    return ChargeSet(ins["d"], ins["p"], frac(ins["lambda"]), glrep, grep,
+                     c1_plus_c2=ch["c1"] + ch["c2"], **ch)
 
 
 def test_closed_form_scalar_point():
@@ -117,6 +119,15 @@ def test_json_round_trip():
     for value in payload["charges"].values():
         num, den = value.split("/")
         int(num), int(den)  # exact rational strings, never floats
+
+
+def test_a_measured_record_at_d_1_serializes_its_missing_charges_as_null():
+    # to_json of an engine record at d = 1 raised AttributeError on c1.
+    gl, gr = from_sl_gl1(1, 0, 1, 1), GRepTraces(1, 1, 1, 2, Statistics.FERMI)
+    payload = json.loads(json.dumps(extract_charges(1, 2, Fraction(1, 2), gl, gr).to_json()))
+    closed = closed_form(1, 2, Fraction(1, 2), gl, gr).to_json()
+    assert payload["charges"] == {**closed["charges"], "c1": None, "c2": None}
+    assert payload["inputs"] == closed["inputs"]
 
 
 def test_validation():

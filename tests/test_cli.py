@@ -3,9 +3,9 @@ import json
 import pytest
 
 import jetvir.cli
+from jetvir.charges import ChargeSet
 from jetvir.cli import main
 from jetvir.verify import SuiteResult, VerifyReport
-from jetvir.wickcocycle import MeasuredCharges
 
 
 def run(capsys, *argv):
@@ -127,8 +127,8 @@ def test_charges_measure_mismatch_exits_1_in_every_format(capsys, monkeypatch, f
 
     def off_by_one(*args):
         m = extract(*args)
-        return MeasuredCharges(m.d, m.p, m.conformal_weight, m.c1, m.c2, m.c1_plus_c2,
-                               m.c3, m.c4, m.c5 + 1, m.c6, m.c7, m.c8)
+        return ChargeSet(m.d, m.p, m.conformal_weight, m.glrep, m.grep, m.c1, m.c2,
+                         m.c1_plus_c2, m.c3, m.c4, m.c5 + 1, m.c6, m.c7, m.c8)
 
     monkeypatch.setattr(jetvir.cli, "extract_charges", off_by_one)
     code, _, _ = run(capsys, "charges", "--d", "2", "--p", "1", "--y-m", "1",

@@ -2,7 +2,8 @@
 equal records with equal hashes, a changed field gives an unequal one, a
 frozen field can be neither assigned nor deleted, and a mutable record owns
 its containers.  The table below lists every record type with one valid
-value and one other valid value per field."""
+value and one other valid value per field, and ChargeSet once more as the
+engine measures it at d = 1."""
 
 import copy
 import pickle
@@ -13,10 +14,10 @@ import pytest
 from jetvir.charges import ChargeSet, GlRepTraces, GRepTraces, Statistics
 from jetvir.cocycles import Trajectory
 from jetvir.deltacalc import DerivSpec, Which
-from jetvir.exactpoly import Poly, parse_poly
+from jetvir.exactpoly import Poly, _Record, parse_poly
 from jetvir.jetreps import JetOperator, MatrixRep, StructureConstants
 from jetvir.verify import SuiteResult, VerifyReport
-from jetvir.wickcocycle import MeasuredCharges, NormalBilinear, PoleExpansion, Term
+from jetvir.wickcocycle import NormalBilinear, PoleExpansion, Term
 
 ONE = Poly.constant(1, 1)
 TWO = Poly.constant(1, 2)
@@ -24,11 +25,13 @@ Z = parse_poly("z + z^-1", 1, "z")
 GL = GlRepTraces(1, 0, 1, 2)
 GR = GRepTraces(2, 3, 4, 5)
 TERM = Term(Fraction(1), ONE, (None, None))
-CHARGES = {f"c{i}": Fraction(i) for i in range(1, 9)}
+CHARGES = {"c1": Fraction(1), "c2": Fraction(2), "c1_plus_c2": Fraction(3),
+           **{f"c{i}": Fraction(i) for i in range(3, 9)}}
 
-# type -> (the fields in order with a valid value each, another valid value
-# for each field)
-FROZEN = {
+# label -> (type, the fields in order with a valid value each, another valid
+# value for each field); a type's label is its name, and "MeasuredCharges" is
+# a ChargeSet as the engine measures it at d = 1, with c1 = c2 = None
+FROZEN = {t.__name__: (t, *variants) for t, variants in {
     DerivSpec: ({"which": Which.ON_X, "direction": 1},
                 {"which": Which.ON_Y, "direction": 0}),
     StructureConstants: ({"dim": 3, "f": StructureConstants.epsilon().f},
@@ -55,69 +58,88 @@ FROZEN = {
             "pi_dots": 1, "phi_dots": 1, "phi_deriv": 0}),
     NormalBilinear: ({"d": 1, "p": 0, "terms": (TERM,), "q_sector": None},
                      {"d": 2, "p": 1, "terms": (), "q_sector": ("T",)}),
-    MeasuredCharges: ({"d": 2, "p": 1, "conformal_weight": Fraction(0), "c1": Fraction(1),
-                       "c2": Fraction(2), "c1_plus_c2": Fraction(3), **{
-                           f"c{i}": Fraction(i) for i in range(3, 9)}},
-                      {"d": 1, "p": 2, "conformal_weight": Fraction(1), "c1": None, "c2": None,
-                       "c1_plus_c2": Fraction(4), **{
-                           f"c{i}": Fraction(-i) for i in range(3, 9)}}),
-}
+}.items()}
+FROZEN["MeasuredCharges"] = (
+    ChargeSet,
+    {"d": 1, "p": 2, "conformal_weight": Fraction(0), "glrep": GL, "grep": GR, "c1": None,
+     "c2": None, "c1_plus_c2": Fraction(4), **{f"c{i}": Fraction(-i) for i in range(3, 9)}},
+    {"d": 2, "p": 1, "conformal_weight": Fraction(1), "glrep": GlRepTraces(2, 0, 1, 2),
+     "grep": GRepTraces(1, 3, 4, 5), "c1": Fraction(1), "c2": Fraction(2),
+     "c1_plus_c2": Fraction(3), **{f"c{i}": Fraction(i) for i in range(3, 9)}})
 
-FIELDS = [(t, name) for t, (_, other) in FROZEN.items() for name in other]
+FIELDS = [(label, name) for label, (_, _, other) in FROZEN.items() for name in other]
 
 
-def _make(t, **changes):
-    values, _ = FROZEN[t]
+def _make(label, **changes):
+    t, values, _ = FROZEN[label]
     return t(**{**values, **changes})
 
 
-@pytest.mark.parametrize("t", FROZEN, ids=lambda t: t.__name__)
-def test_equal_fields_give_equal_records_with_equal_hashes(t):
-    values, _ = FROZEN[t]
-    a, b = _make(t), t(*values.values())
+@pytest.mark.parametrize("label", FROZEN)
+def test_equal_fields_give_equal_records_with_equal_hashes(label):
+    t, values, _ = FROZEN[label]
+    a, b = _make(label), t(*values.values())
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b)
     assert [getattr(a, name) for name in values] == list(values.values())
 
 
-@pytest.mark.parametrize("t, name", FIELDS, ids=[f"{t.__name__}.{n}" for t, n in FIELDS])
-def test_a_changed_field_gives_an_unequal_record(t, name):
-    other = FROZEN[t][1][name]
-    assert _make(t, **{name: other}) != _make(t)
-    assert getattr(_make(t, **{name: other}), name) == other
+@pytest.mark.parametrize("label, name", FIELDS, ids=[f"{t}.{n}" for t, n in FIELDS])
+def test_a_changed_field_gives_an_unequal_record(label, name):
+    other = FROZEN[label][2][name]
+    assert _make(label, **{name: other}) != _make(label)
+    assert getattr(_make(label, **{name: other}), name) == other
 
 
-@pytest.mark.parametrize("t, name", FIELDS, ids=[f"{t.__name__}.{n}" for t, n in FIELDS])
-def test_a_frozen_field_rejects_assignment_and_deletion(t, name):
-    a = _make(t)
+@pytest.mark.parametrize("label, name", FIELDS, ids=[f"{t}.{n}" for t, n in FIELDS])
+def test_a_frozen_field_rejects_assignment_and_deletion(label, name):
+    a = _make(label)
     before = getattr(a, name)
     with pytest.raises(AttributeError):
-        setattr(a, name, FROZEN[t][1][name])
+        setattr(a, name, FROZEN[label][2][name])
     with pytest.raises(AttributeError):
         delattr(a, name)
     assert getattr(a, name) is before
 
 
-@pytest.mark.parametrize("t", FROZEN, ids=lambda t: t.__name__)
-def test_repr_names_every_field(t):
-    values, _ = FROZEN[t]
+@pytest.mark.parametrize("label", FROZEN)
+def test_repr_names_every_field(label):
+    t, values, _ = FROZEN[label]
     fields = ", ".join(f"{k}={v!r}" for k, v in values.items())
-    assert repr(_make(t)) == f"{t.__name__}({fields})"
+    assert repr(_make(label)) == f"{t.__name__}({fields})"
 
 
-@pytest.mark.parametrize("t", FROZEN, ids=lambda t: t.__name__)
-def test_a_record_equals_no_other_type(t):
-    values, _ = FROZEN[t]
-    a = _make(t)
+@pytest.mark.parametrize("label", FROZEN)
+def test_a_record_equals_no_other_type(label):
+    _, values, _ = FROZEN[label]
+    a = _make(label)
     assert a.__eq__(tuple(values.values())) is NotImplemented
     assert a != tuple(values.values())
 
 
-@pytest.mark.parametrize("t", FROZEN, ids=lambda t: t.__name__)
-def test_copies_and_pickles_are_equal(t):
-    a = _make(t)
+@pytest.mark.parametrize("label", FROZEN)
+def test_copies_and_pickles_are_equal(label):
+    a = _make(label)
     for other in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert type(other) is t and other == a and hash(other) == hash(a)
+        assert type(other) is FROZEN[label][0] and other == a and hash(other) == hash(a)
+
+
+def _records(cls=_Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_the_charge_set_is_the_one_record_of_the_charges():
+    """Every route to c1..c8 returns a ChargeSet: no other record type of the
+    package has a charge slot."""
+    import jetvir.cli  # noqa: F401  (imports every module of the package)
+
+    holders = [t for t in _records() if t.__module__.startswith("jetvir.")
+               and "c5" in t.__slots__]
+    assert holders == [ChargeSet]
+    assert ChargeSet.__slots__[5:] == ("c1", "c2", "c1_plus_c2", "c3", "c4", "c5", "c6",
+                                       "c7", "c8")
 
 
 def test_a_deriv_spec_is_not_a_tuple():

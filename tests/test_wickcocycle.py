@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvir import wickcocycle
-from jetvir.charges import GlRepTraces, GRepTraces, Statistics, closed_form, from_sl_gl1
+from jetvir.charges import (
+    ChargeSet,
+    GlRepTraces,
+    GRepTraces,
+    Statistics,
+    closed_form,
+    from_sl_gl1,
+)
 from jetvir.deltacalc import DerivSpec, delta_pair_integral
 from jetvir.exactpoly import Poly, parse_poly
 from jetvir.multiindex import unit
 from jetvir.wickcocycle import (
-    MeasuredCharges,
     NormalBilinear,
     PoleExpansion,
     Term,
@@ -309,9 +315,9 @@ def _reference_charges(d, p, lam, glrep, grep):
     j_priv = build_current([one, zero], d, p)
     c5 = pole(j_generic, j_generic, 2)
     t = build_reparam(lam, d, p)
-    return MeasuredCharges(d, p, lam, c1, c2, c1_plus_c2, pole(t, l_diag, 3),
-                           2 * pole(t, t, 4), c5, pole(t, j_priv, 3),
-                           pole(l_diag, j_priv, 2), pole(j_priv, j_priv, 2) - c5)
+    return ChargeSet(d, p, lam, glrep, grep, c1, c2, c1_plus_c2, pole(t, l_diag, 3),
+                     2 * pole(t, t, 4), c5, pole(t, j_priv, 3),
+                     pole(l_diag, j_priv, 2), pole(j_priv, j_priv, 2) - c5)
 
 
 _SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -381,12 +387,38 @@ def test_charges_from_the_cached_tables_equal_the_fraction_chain(case):
     grid points whose tables are often already cached."""
     meas = extract_charges(*case)
     assert meas == _reference_charges(*case)
+    assert meas.glrep is case[3] and meas.grep is case[4]
     charges = [getattr(meas, n) for n in ("c1_plus_c2", "c3", "c4", "c5", "c6", "c7", "c8")]
     if case[0] >= 2:
         charges += [meas.c1, meas.c2]
     else:
         assert meas.c1 is None and meas.c2 is None
     assert all(type(c) is Fraction for c in charges)
+
+
+@pytest.mark.parametrize("d, p, lam, stats", [
+    (2, 0, 0, Statistics.BOSE),
+    (2, 3, Fraction(1, 2), Statistics.FERMI),
+    (3, 1, 2, Statistics.BOSE),
+    (3, 2, Fraction(-3, 2), Statistics.FERMI),
+])
+def test_the_measured_record_is_the_closed_form_record(d, p, lam, stats):
+    """At d >= 2 the engine returns the record that the closed forms return,
+    with the trace records it was given; at d = 1 the same record with c1
+    and c2 None."""
+    gr = GRepTraces(2, 1, 3, Fraction(1, 2), stats)
+    for dim in (d, 1):
+        gl = from_sl_gl1(Fraction(1, 3), 2, 2, dim)
+        closed = closed_form(dim, p, lam, gl, gr)
+        meas = extract_charges(dim, p, lam, gl, gr)
+        assert meas.glrep is gl and meas.grep is gr
+        assert closed.c1_plus_c2 == closed.c1 + closed.c2
+        if dim >= 2:
+            assert meas == closed
+        else:
+            assert meas.c1 is None and meas.c2 is None
+            assert meas == ChargeSet(*(None if name in ("c1", "c2") else getattr(closed, name)
+                                       for name in ChargeSet.__slots__))
 
 
 def test_a_cached_grid_point_calls_no_oracle(monkeypatch):
