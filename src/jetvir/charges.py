@@ -33,7 +33,9 @@ single-sector formulas are recovered by setting the other dimension to 1.
 ``ChargeSet`` is the one record of the charges, whichever route computes
 them: ``closed_form`` evaluates the formulas above, the contraction engine
 measures them (``wickcocycle.extract_charges``), and ``compare`` lines two
-records up row by row.
+records up row by row.  Both routes sum each charge as an int numerator
+over a common denominator of lambda and the trace parameters and make one
+Fraction per charge.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .exactpoly import _Record, _set, exact
+from .exactpoly import _Record, _over_lcm, _set, exact
 from .jetsums import SumKind, _closed_value
 from .multiindex import check_grid, check_int
 
@@ -169,7 +171,14 @@ def check_traces(glrep, grep) -> None:
 
 def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
                 grep: GRepTraces) -> ChargeSet:
-    """Evaluate the eight charge formulas exactly."""
+    """Evaluate the eight charge formulas exactly on ints.
+
+    lambda and the six rational trace parameters go over one common
+    denominator t, lambda = n/t, k0 = k0'/t, ..., w_M = w_M'/t; each line
+    below is its formula above with every rational replaced by its
+    numerator and each term scaled to the charge times t (c1, c2, c5, c8)
+    or t^2 (c3, c4, c6, c7), and each charge is one Fraction of the two.
+    """
     check_grid(d, p)
     check_traces(glrep, grep)
     lam = exact(conformal_weight)
@@ -179,17 +188,20 @@ def closed_form(d: int, p: int, conformal_weight, glrep: GlRepTraces,
     dd = _closed_value(SumKind.D, d, p)
     e = _closed_value(SumKind.E, d, p)
     drho, dm = glrep.delta_rho, grep.delta_m
-    c1 = 1 + eps * dm * (e * drho + a * glrep.k1)
-    c2 = eps * dm * (dd * drho + 2 * b * glrep.k0 + a * glrep.k2)
-    c3 = 1 + eps * (2 * lam - 1) * dm * (b * drho + a * glrep.k0)
-    c4 = 2 * d + 2 * eps * (6 * lam * lam - 6 * lam + 1) * a * drho * dm
-    c5 = -eps * a * grep.y_m * drho
-    c6 = eps * (2 * lam - 1) * grep.z_m * a * drho
-    c7 = -eps * grep.z_m * (b * drho + a * glrep.k0)
-    c8 = -eps * grep.w_m * a * drho
-    return ChargeSet(d, p, lam, glrep, grep, Fraction(c1), Fraction(c2), Fraction(c1 + c2),
-                     Fraction(c3), Fraction(c4), Fraction(c5), Fraction(c6), Fraction(c7),
-                     Fraction(c8))
+    (n, k0, k1, k2, y_m, z_m, w_m), t = _over_lcm(lam, glrep.k0, glrep.k1, glrep.k2,
+                                                   grep.y_m, grep.z_m, grep.w_m)
+    c1 = t + eps * dm * (e * drho * t + a * k1)
+    c2 = eps * dm * (dd * drho * t + 2 * b * k0 + a * k2)
+    c3 = t * t + eps * (2 * n - t) * dm * (b * drho * t + a * k0)
+    c4 = 2 * d * t * t + 2 * eps * (6 * n * n - 6 * n * t + t * t) * a * drho * dm
+    c5 = -eps * a * y_m * drho
+    c6 = eps * (2 * n - t) * z_m * a * drho
+    c7 = -eps * z_m * (b * drho * t + a * k0)
+    c8 = -eps * w_m * a * drho
+    t2 = t * t
+    return ChargeSet(d, p, lam, glrep, grep, Fraction(c1, t), Fraction(c2, t),
+                     Fraction(c1 + c2, t), Fraction(c3, t2), Fraction(c4, t2), Fraction(c5, t),
+                     Fraction(c6, t2), Fraction(c7, t2), Fraction(c8, t))
 
 
 def kac_moody_level(p: int, y_m, statistics: Statistics) -> Fraction:

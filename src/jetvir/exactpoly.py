@@ -458,6 +458,13 @@ def _ratio(c) -> tuple[int, int]:
     raise ValueError(f"coefficients must be exact (int or Fraction), got {c!r}")
 
 
+def _over_lcm(*values) -> tuple[tuple[int, ...], int]:
+    """Ints and Fractions as int numerators over the lcm of their
+    denominators: (numerators, lcm), with lcm 1 for no values."""
+    den = lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
+
 def lincomb(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
     """The canonical Poly sum_k c_k P_k of the pairs (c_k, P_k), each c_k an
     int or Fraction and each P_k a Poly in ``dim`` variables.

@@ -68,7 +68,8 @@ class VerifyReport(_Record, frozen=False):
 
     @property
     def ok(self) -> bool:
-        return all(s.ok for s in self.suites)
+        """A report with no suite has shown nothing, so it does not pass."""
+        return bool(self.suites) and all(s.ok for s in self.suites)
 
 
 def _random_poly(d: int, deg: int, rng: random.Random, density=0.6) -> Poly:

@@ -21,8 +21,10 @@ evaluates the resulting bilinear delta-pair integrals with the exact
 symbolic oracle of ``deltacalc`` and collects them in one field-sector
 table keyed by pole order and by the indices of the trace parameters
 (Delta_rho, k0, k1, k2) and (Delta_M, z_M, y_M, w_M) that the trace of the
-matrix insertions sums; the statistics sign and the parameter values are
-applied to it, which gives an exact pole expansion in (z - w).  The basis
+matrix insertions sums.  Each pole order of it becomes a channel of int
+coefficients over one denominator, and ``_read``, the one evaluator,
+applies the statistics sign and the parameter values on int numerators,
+which gives an exact pole expansion in (z - w).  The basis
 contractions that measure the charges read it once per (d, p), with lambda
 symbolic, as T(lambda) = (1 - lambda) T(0) + lambda T(1) of ``build_reparam``;
 ``extract_charges`` returns the measurement as a ``charges.ChargeSet``, the
@@ -48,7 +50,7 @@ from fractions import Fraction
 
 from .charges import ChargeSet, GlRepTraces, GRepTraces, check_traces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral
-from .exactpoly import Poly, _Record, _set, check_field, exact
+from .exactpoly import Poly, _Record, _over_lcm, _set, check_field, exact
 from .multiindex import check_grid, unit
 
 
@@ -130,7 +132,7 @@ def _pole(r: int, s: int) -> tuple[int, int]:
 
 def _trace_forms(ins_a: Insertion, ins_b: Insertion) -> tuple[tuple, tuple]:
     """The traces over rho and over M of the product of two insertions, as
-    the indices, in the order of ``_trace_values``, of the trace parameters
+    the indices, in the order of ``_parameters``, of the trace parameters
     each one sums; every parameter enters with coefficient 1."""
     ta, ma = ins_a
     tb, mb = ins_b
@@ -152,10 +154,18 @@ def _trace_forms(ins_a: Insertion, ins_b: Insertion) -> tuple[tuple, tuple]:
     return rho, m
 
 
-def _trace_values(glrep: GlRepTraces, grep: GRepTraces) -> tuple[tuple, tuple]:
-    """The trace parameters in the order of the indices of ``_trace_forms``."""
-    return ((glrep.delta_rho, glrep.k0, glrep.k1, glrep.k2),
-            (grep.delta_m, grep.z_m, grep.y_m, grep.w_m))
+_Parameters = tuple[tuple[int, int, int], tuple[int, ...], tuple[int, ...], int]
+
+
+def _parameters(lam: Fraction | int, glrep: GlRepTraces, grep: GRepTraces) -> _Parameters:
+    """lambda and the trace parameters as int numerators over one
+    denominator t: the powers (1, lambda, lambda^2) times t^2, the rho and m
+    parameters in the order of the indices of ``_trace_forms`` times t, and
+    t^4, the denominator of a product of one of each."""
+    (n, k0, k1, k2, z_m, y_m, w_m), t = _over_lcm(lam, glrep.k0, glrep.k1, glrep.k2,
+                                                   grep.z_m, grep.y_m, grep.w_m)
+    return ((t * t, n * t, n * n), (glrep.delta_rho * t, k0, k1, k2),
+            (grep.delta_m * t, z_m, y_m, w_m), t ** 4)
 
 
 # -- base-point sector rules ----------------------------------------------------
@@ -199,8 +209,8 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear) -> tuple[int, Fraction] | No
 
 # The field sector of a contraction without the statistics sign eps:
 # (pole order, i, j) -> c.  The sector's coefficient of (z - w)^(-order) is
-# eps times the sum of c rho_i m_j over the entries at that order, with rho
-# and m the trace parameter values of ``_trace_values``.
+# eps times the sum of c rho_i m_j over the entries at that order, with rho_i
+# and m_j the trace parameters that ``_trace_forms`` indexes.
 _FieldTable = dict[tuple[int, int, int], int | Fraction]
 
 
@@ -237,6 +247,50 @@ def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
     return table
 
 
+# -- channels --------------------------------------------------------------------
+
+# A channel, the coefficient of one pole order: int entries (k, i, j, c) over
+# one denominator and the base-point constant q as (numerator, denominator).
+# The coefficient is q + eps * sum c lambda^k rho_i m_j over the entries.
+_Channel = tuple[tuple[tuple[int, int, int, int], ...], int, tuple[int, int]]
+
+
+def _channels(contractions: Sequence[tuple[tuple, NormalBilinear, NormalBilinear]]
+              ) -> dict[int, _Channel]:
+    """The coefficients of sum w(lambda) A(z) B(w) over the contractions
+    (w, A, B) by pole order, each weight w given by its coefficients of
+    lambda^0, lambda^1, ...  The weights sum to 1 and the pairs all carry the
+    same base-point tags, so the last pair gives the base-point constant."""
+    acc: dict[int, dict[tuple[int, int, int], int | Fraction]] = {}
+    for weight, a, b in contractions:
+        for (order, i, j), c in _field_table(a, b).items():
+            sums = acc.setdefault(order, {})
+            for k, wk in enumerate(weight):
+                if wk:
+                    sums[k, i, j] = sums.get((k, i, j), 0) + wk * c
+    q = _q_sector(a, b)
+    if q is not None:
+        acc.setdefault(q[0], {})
+    out = {}
+    for order, sums in acc.items():
+        keys = [key for key, c in sums.items() if c]
+        nums, den = _over_lcm(*[sums[key] for key in keys])
+        qc = q[1] if q is not None and q[0] == order else Fraction(0)
+        out[order] = (tuple(key + (c,) for key, c in zip(keys, nums)), den,
+                      (qc.numerator, qc.denominator))
+    return out
+
+
+def _read(channel: _Channel, eps: int, params: _Parameters) -> tuple[int, int]:
+    """The one evaluator of a channel: its coefficient at the statistics sign
+    ``eps`` and the ``_parameters``, as an int (numerator, denominator)."""
+    entries, den, (qn, qd) = channel
+    powers, rho, m, pden = params
+    den *= pden
+    total = sum([c * powers[k] * rho[i] * m[j] for k, i, j, c in entries])
+    return qn * den + eps * qd * total, qd * den
+
+
 def double_contraction(a: NormalBilinear, b: NormalBilinear,
                        glrep: GlRepTraces, grep: GRepTraces) -> PoleExpansion:
     """Full double contraction of A(z) with B(w): field sector via the OPE
@@ -245,13 +299,12 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
     if (a.d, a.p) != (b.d, b.p):
         raise ValueError("bilinears must share (d, p)")
     eps = grep.statistics.sign
-    rho, m = _trace_values(glrep, grep)
+    params = _parameters(0, glrep, grep)
     pe = PoleExpansion()
-    for (order, i, j), c in _field_table(a, b).items():
-        pe.add(order, eps * c * rho[i] * m[j])
-    q = _q_sector(a, b)
-    if q is not None:
-        pe.add(*q)
+    for order, channel in _channels([((1,), a, b)]).items():
+        num, den = _read(channel, eps, params)
+        if num:
+            pe.coefficients[order] = Fraction(num, den)
     if any(order > 4 for order in pe.coefficients):
         raise AssertionError("pole order above 4 should be impossible")
     return pe
@@ -304,33 +357,6 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
 
 # -- charge extraction ------------------------------------------------------------
 
-# A basis channel: entries (k, i, j, c) and the base-point constant q; its
-# pole coefficient is q + eps * sum c lambda^k rho_i m_j, with rho and m the
-# trace parameter values of ``_trace_values``.
-_Channel = tuple[tuple[tuple[int, int, int, Fraction], ...], Fraction]
-
-
-def _channel(order: int, contractions: Sequence[tuple[tuple, NormalBilinear, NormalBilinear]]
-             ) -> _Channel:
-    """The pole-``order`` coefficient of sum w(lambda) A(z) B(w) over the
-    contractions (w, A, B), each weight w given by its coefficients of
-    lambda^0, lambda^1, ...  The weights sum to 1 and the pairs all carry the
-    same base-point tags, so the last pair gives the base-point constant."""
-    acc: dict[tuple[int, int, int], Fraction] = {}
-    for weight, a, b in contractions:
-        for (pole, i, j), c in _field_table(a, b).items():
-            if pole == order:
-                for k, wk in enumerate(weight):
-                    if wk:
-                        acc[k, i, j] = acc.get((k, i, j), 0) + wk * c
-    q = _q_sector(a, b)
-    # an integral coefficient is kept as an int, so that a call multiplies
-    # ints wherever its parameters are ints
-    return (tuple((k, i, j, c.numerator if c.denominator == 1 else c)
-                  for (k, i, j), c in acc.items() if c),
-            q[1] if q is not None and q[0] == order else Fraction(0))
-
-
 @functools.lru_cache(maxsize=128)
 def _basis_channels(d: int, p: int) -> dict[str, _Channel]:
     """The basis contractions of ``extract_charges`` at (d, p), each read at
@@ -365,7 +391,7 @@ def _basis_channels(d: int, p: int) -> dict[str, _Channel]:
         l_a = build_vector_field(vec(0, Poly.variable(d, 1)), d, p)
         l_b = build_vector_field(vec(1, x0), d, p)
         contractions["L(x1 d0) L(x0 d1)"] = (2, [((1,), l_a, l_b)])
-    return {name: _channel(order, pairs) for name, (order, pairs) in contractions.items()}
+    return {name: _channels(pairs)[order] for name, (order, pairs) in contractions.items()}
 
 
 def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
@@ -384,23 +410,25 @@ def extract_charges(d: int, p: int, conformal_weight, glrep: GlRepTraces,
 
     The contractions are run once per (d, p), with lambda, the statistics
     sign and the trace parameters left symbolic (``_basis_channels``); a
-    call evaluates them at its parameters.  The record carries ``glrep`` and
-    ``grep`` as given; at d = 1 its c1 and c2 are None.
+    call reads them at its parameters with ``_read``, derives the charges
+    from those int numerators and makes one Fraction per charge.  The record
+    carries ``glrep`` and ``grep`` as given; at d = 1 its c1 and c2 are None.
     """
     check_grid(d, p)
     check_traces(glrep, grep)
     lam = exact(conformal_weight)
     eps = grep.statistics.sign
-    powers = (1, lam, lam * lam)
-    rho, m = _trace_values(glrep, grep)
-    pole = {name: q + eps * sum(c * powers[k] * rho[i] * m[j] for k, i, j, c in entries)
-            for name, (entries, q) in _basis_channels(d, p).items()}
-    c1_plus_c2 = -pole["L L"]
+    params = _parameters(lam, glrep, grep)
+    pole = {name: _read(channel, eps, params)
+            for name, channel in _basis_channels(d, p).items()}
+    (n12, d12), (n5, d5), (n58, d58) = pole["L L"], pole["J J"], pole["J0 J0"]
+    (n3, d3), (n4, d4), (n6, d6), (n7, d7) = (pole[name]
+                                              for name in ("T L", "T T", "T J0", "L J0"))
     c1 = c2 = None
     if d >= 2:
-        c1 = -pole["L(x1 d0) L(x0 d1)"]
-        c2 = c1_plus_c2 - c1
-    c5 = pole["J J"]
-    c8 = pole["J0 J0"] - c5
-    return ChargeSet(d, p, lam, glrep, grep, c1, c2, c1_plus_c2, pole["T L"],
-                     2 * pole["T T"], c5, pole["T J0"], pole["L J0"], c8)
+        n1, d1 = pole["L(x1 d0) L(x0 d1)"]
+        # c1 = -pole, c2 = (c1 + c2) - c1
+        c1, c2 = Fraction(-n1, d1), Fraction(n1 * d12 - n12 * d1, d12 * d1)
+    return ChargeSet(d, p, lam, glrep, grep, c1, c2, Fraction(-n12, d12), Fraction(n3, d3),
+                     Fraction(2 * n4, d4), Fraction(n5, d5), Fraction(n6, d6), Fraction(n7, d7),
+                     Fraction(n58 * d5 - n5 * d58, d58 * d5))

@@ -163,6 +163,13 @@ def test_suite_without_checks_does_not_pass():
     assert not VerifyReport([SuiteResult("empty")]).ok
 
 
+def test_report_without_suites_does_not_pass():
+    assert not VerifyReport().ok
+    passed = SuiteResult("one")
+    passed.record(True, "")
+    assert VerifyReport([passed]).ok
+
+
 def test_cocycle_zero_denominator(capsys):
     code, _, err = run(capsys, "cocycle", "--kind", "reparam-reparam",
                        "--f", "1/0 z^3", "--g", "z", "--c4", "1")

@@ -74,11 +74,11 @@ def test_term_has_at_most_one_dot():
 
 
 def trace_pair(ins_a, ins_b, glrep, grep):
-    """The trace of two insertions: ``_trace_forms`` evaluated at
-    ``_trace_values``."""
+    """The trace of two insertions: ``_trace_forms`` evaluated at the
+    numerators of ``_parameters``, over their denominator t^2."""
     rho, m = wickcocycle._trace_forms(ins_a, ins_b)
-    rho_values, m_values = wickcocycle._trace_values(glrep, grep)
-    return sum(rho_values[i] * m_values[j] for i in rho for j in m)
+    (t2, _, _), rho_values, m_values, _ = wickcocycle._parameters(0, glrep, grep)
+    return Fraction(sum(rho_values[i] * m_values[j] for i in rho for j in m), t2)
 
 
 def test_trace_pair():
