@@ -30,11 +30,12 @@ symbolic, as T(lambda) = (1 - lambda) T(0) + lambda T(1) of ``build_reparam``;
 ``extract_charges`` returns the measurement as a ``charges.ChargeSet``, the
 record that ``charges.closed_form`` returns.
 
-The base-point (q, p) sector cannot be contracted field-wise; its two
-closed-form contributions — the pole-2 term -d_nu xi^mu(0) d_mu eta^nu(0)
-for a pair of vector-field generators and the pole-4 term d for a pair of
-reparametrization generators, with the mixed pole-3 divergence term between
-them — are added by rule.
+The base point (q, p) is one more field: a bosonic multiplet of weight
+lambda = 1 in the vector representation of gl(d) with trivial M, the
+weight-(lambda, 1 - lambda) pair of Friedan, Martinec and Shenker.  A
+generator carries its base-point terms in ``q_sector``, and the engine
+contracts them as it contracts the field sector, at p = 0, read at the
+statistics sign +1 and the traces (Delta_rho, k0, k1, k2) = (d, 1, 1, 0).
 
 Extensions are extracted at base point q = 0: the closed forms are local
 polynomial expressions in derivatives of the input functions at q, so
@@ -51,7 +52,7 @@ from fractions import Fraction
 from .charges import ChargeSet, GlRepTraces, GRepTraces, check_traces
 from .deltacalc import DerivSpec, SmearMode, delta_pair_integral
 from .exactpoly import Poly, _Record, _over_lcm, _set, check_field, exact
-from .multiindex import check_grid, unit
+from .multiindex import check_grid
 
 
 # A matrix insertion is a pair (t, a) acting on rho (x) M: t = (nu, mu) for
@@ -87,12 +88,11 @@ class Term(_Record):
 
 class NormalBilinear(_Record):
     """A normal-ordered bilinear generator at (d, p): its field-sector terms
-    and its base-point sector tag ``q_sector``, None, ("L", xi components)
-    or ("T",)."""
+    and the terms ``q_sector`` of its base point, contracted at p = 0."""
 
     __slots__ = ("d", "p", "terms", "q_sector")
 
-    def __init__(self, d: int, p: int, terms: tuple[Term, ...], q_sector: tuple | None = None):
+    def __init__(self, d: int, p: int, terms: tuple[Term, ...], q_sector: tuple[Term, ...] = ()):
         _set(self, "d", d)
         _set(self, "p", p)
         _set(self, "terms", terms)
@@ -106,18 +106,6 @@ class PoleExpansion(_Record, frozen=False):
 
     def __init__(self, coefficients: dict[int, Fraction] | None = None):
         self.coefficients = {} if coefficients is None else coefficients
-
-    def add(self, order: int, value: Fraction) -> None:
-        if value == 0:
-            return
-        cur = self.coefficients.get(order, Fraction(0)) + value
-        if cur == 0:
-            self.coefficients.pop(order, None)
-        else:
-            self.coefficients[order] = cur
-
-    def at(self, order: int) -> Fraction:
-        return self.coefficients.get(order, Fraction(0))
 
 
 # -- the contraction rule --------------------------------------------------------
@@ -168,45 +156,6 @@ def _parameters(lam: Fraction | int, glrep: GlRepTraces, grep: GRepTraces) -> _P
             (grep.delta_m * t, z_m, y_m, w_m), t ** 4)
 
 
-# -- base-point sector rules ----------------------------------------------------
-
-def _jacobian_at_zero(xi: Sequence[Poly]) -> tuple[list[list[int]], int]:
-    """d_nu xi^mu(0) as [mu][nu] int numerators over one denominator: the
-    numerator of xi^mu at e_nu (only x^{e_nu} differentiates to a constant)
-    over the component's denominator, brought to their lcm."""
-    units = [unit(len(xi), nu) for nu in range(len(xi))]
-    den = math.lcm(*(c.denominator for c in xi))
-    return [[c.numerators.get(e, 0) * (den // c.denominator) for e in units]
-            for c in xi], den
-
-
-def _divergence_at_zero(xi: Sequence[Poly]) -> Fraction:
-    """d_mu xi^mu(0), the trace of ``_jacobian_at_zero``."""
-    jac, den = _jacobian_at_zero(xi)
-    return Fraction(sum(row[mu] for mu, row in enumerate(jac)), den)
-
-
-def _q_sector(a: NormalBilinear, b: NormalBilinear) -> tuple[int, Fraction] | None:
-    """The closed-form contribution of the base-point (q, p) contractions,
-    as (pole order, coefficient), or None if the tags give none."""
-    ta = a.q_sector
-    tb = b.q_sector
-    if ta is None or tb is None:
-        return None
-    if ta[0] == "L" and tb[0] == "L":
-        (jx, dx), (je, de) = _jacobian_at_zero(ta[1]), _jacobian_at_zero(tb[1])
-        d = len(jx)
-        total = sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d))
-        return 2, Fraction(-total, dx * de)
-    if ta[0] == "T" and tb[0] == "L":
-        return 3, _divergence_at_zero(tb[1])
-    if ta[0] == "L" and tb[0] == "T":
-        return 3, -_divergence_at_zero(ta[1])
-    if ta[0] == "T" and tb[0] == "T":
-        return 4, Fraction(a.d)
-    return None
-
-
 # The field sector of a contraction without the statistics sign eps:
 # (pole order, i, j) -> c.  The sector's coefficient of (z - w)^(-order) is
 # eps times the sum of c rho_i m_j over the entries at that order, with rho_i
@@ -214,15 +163,15 @@ def _q_sector(a: NormalBilinear, b: NormalBilinear) -> tuple[int, Fraction] | No
 _FieldTable = dict[tuple[int, int, int], int | Fraction]
 
 
-def _field_table(a: NormalBilinear, b: NormalBilinear) -> _FieldTable:
+def _field_table(terms_a: Sequence[Term], terms_b: Sequence[Term], d: int, p: int
+                 ) -> _FieldTable:
     """Contract every term of A(z) with every term of B(w) through the OPE
-    and the exact delta-pair oracle; a pair whose integral or trace
-    vanishes adds nothing."""
-    d, p = a.d, a.p
+    and the exact delta-pair oracle at (d, p); a pair whose integral or
+    trace vanishes adds nothing."""
     table: _FieldTable = {}
-    for ta in a.terms:
+    for ta in terms_a:
         deco_a = DerivSpec.none() if ta.phi_deriv is None else DerivSpec.on_x(ta.phi_deriv)
-        for tb in b.terms:
+        for tb in terms_b:
             # A's pi (x, z) with B's phi (y, w): -eps K_p(y, x) / (z - w) ...
             s1, k1 = _pole(ta.pi_dots, tb.phi_dots)
             # ... and A's phi (x, z) with B's pi (y, w): K_p(x, y) / (z - w).
@@ -260,22 +209,26 @@ def _channels(contractions: Sequence[tuple[tuple, NormalBilinear, NormalBilinear
     """The coefficients of sum w(lambda) A(z) B(w) over the contractions
     (w, A, B) by pole order, each weight w given by its coefficients of
     lambda^0, lambda^1, ...  The weights sum to 1 and the pairs all carry the
-    same base-point tags, so the last pair gives the base-point constant."""
+    same base-point terms, so the last pair gives the base-point constant:
+    their p = 0 field table read at the sign +1, the traces (d, 1, 1, 0) of
+    the vector representation of gl(d) and trivial M."""
     acc: dict[int, dict[tuple[int, int, int], int | Fraction]] = {}
     for weight, a, b in contractions:
-        for (order, i, j), c in _field_table(a, b).items():
+        for (order, i, j), c in _field_table(a.terms, b.terms, a.d, a.p).items():
             sums = acc.setdefault(order, {})
             for k, wk in enumerate(weight):
                 if wk:
                     sums[k, i, j] = sums.get((k, i, j), 0) + wk * c
-    q = _q_sector(a, b)
-    if q is not None:
-        acc.setdefault(q[0], {})
+    rho, m = (a.d, 1, 1, 0), (1, 0, 0, 0)
+    q: dict[int, int | Fraction] = {}
+    for (order, i, j), c in _field_table(a.q_sector, b.q_sector, a.d, 0).items():
+        q[order] = q.get(order, 0) + c * rho[i] * m[j]
+        acc.setdefault(order, {})
     out = {}
     for order, sums in acc.items():
         keys = [key for key, c in sums.items() if c]
         nums, den = _over_lcm(*[sums[key] for key in keys])
-        qc = q[1] if q is not None and q[0] == order else Fraction(0)
+        qc = Fraction(q.get(order, 0))
         out[order] = (tuple(key + (c,) for key, c in zip(keys, nums)), den,
                       (qc.numerator, qc.denominator))
     return out
@@ -293,9 +246,9 @@ def _read(channel: _Channel, eps: int, params: _Parameters) -> tuple[int, int]:
 
 def double_contraction(a: NormalBilinear, b: NormalBilinear,
                        glrep: GlRepTraces, grep: GRepTraces) -> PoleExpansion:
-    """Full double contraction of A(z) with B(w): field sector via the OPE
-    and the exact delta-pair oracle, base-point sector via the closed rules.
-    Returns the exact pole expansion in (z - w)."""
+    """Full double contraction of A(z) with B(w) through the OPE and the
+    exact delta-pair oracle: the field sector at (d, p) and the base-point
+    sector at p = 0.  Returns the exact pole expansion in (z - w)."""
     if (a.d, a.p) != (b.d, b.p):
         raise ValueError("bilinears must share (d, p)")
     eps = grep.statistics.sign
@@ -322,12 +275,13 @@ def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
         if comp.is_zero():
             continue
         terms.append(Term(Fraction(1), comp, (None, a_idx)))
-    return NormalBilinear(d, p, tuple(terms), q_sector=None)
+    return NormalBilinear(d, p, tuple(terms))
 
 
 def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """L_xi: shifted transport terms pi xi_0^mu d_mu phi, plain frame terms
-    pi d_nu xi^mu T^nu_mu phi, plus the base-point tag."""
+    pi d_nu xi^mu T^nu_mu phi; they do not depend on p, so they are the base
+    point's terms too."""
     check_grid(d, p)
     check_field("vector field", xi, d, d)
     terms: list[Term] = []
@@ -338,12 +292,13 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
             dxi = xi[mu].deriv(nu)
             if not dxi.is_zero():
                 terms.append(Term(Fraction(1), dxi, ((nu, mu), None)))
-    return NormalBilinear(d, p, tuple(terms), q_sector=("L", tuple(xi)))
+    own = tuple(terms)
+    return NormalBilinear(d, p, own, own)
 
 
 def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
-    """T(z) of weight lambda: (lambda-1) :pi phi-dot: + lambda :pi-dot phi:,
-    plus the base-point tag."""
+    """T(z) of weight lambda: (lambda-1) :pi phi-dot: + lambda :pi-dot phi:;
+    the base point is T's one term at weight 1."""
     check_grid(d, p)
     lam = exact(conformal_weight)
     one = Poly.constant(d, 1)
@@ -352,7 +307,7 @@ def build_reparam(conformal_weight, d: int, p: int) -> NormalBilinear:
         terms.append(Term(lam - 1, one, (None, None), phi_dots=1))
     if lam != 0:
         terms.append(Term(lam, one, (None, None), pi_dots=1))
-    return NormalBilinear(d, p, tuple(terms), q_sector=("T",))
+    return NormalBilinear(d, p, tuple(terms), (Term(Fraction(1), one, (None, None), pi_dots=1),))
 
 
 # -- charge extraction ------------------------------------------------------------

@@ -49,10 +49,12 @@ def test_a_cold_engine_consults_no_closed_form(monkeypatch):
     assert _measure() == expected
 
 
-@pytest.mark.parametrize("d,p,calls", [(2, 3, 22), (1, 0, 18)])
+@pytest.mark.parametrize("d,p,calls", [(2, 3, 33), (1, 0, 25)])
 def test_cold_basis_tables_make_a_fixed_number_of_oracle_calls(monkeypatch, d, p, calls):
     """One call per term pair: T(0) and T(1) have one term each, so the
-    T-T channel contracts 4 term pairs."""
+    T-T channel contracts 4 term pairs.  Each channel contracts its base
+    point's term pairs at p = 0 once more: 4 for each L-L channel, 2 for
+    T-L and 1 for T-T, 11 at d = 2 and 7 at d = 1."""
     count = []
     oracle = wickcocycle.delta_pair_integral
 

@@ -56,8 +56,8 @@ FROZEN = {t.__name__: (t, *variants) for t, variants in {
             "pi_dots": 0, "phi_dots": 0, "phi_deriv": None},
            {"prefactor": Fraction(2), "coeff": TWO, "insertion": (None, 0),
             "pi_dots": 1, "phi_dots": 1, "phi_deriv": 0}),
-    NormalBilinear: ({"d": 1, "p": 0, "terms": (TERM,), "q_sector": None},
-                     {"d": 2, "p": 1, "terms": (), "q_sector": ("T",)}),
+    NormalBilinear: ({"d": 1, "p": 0, "terms": (TERM,), "q_sector": ()},
+                     {"d": 2, "p": 1, "terms": (), "q_sector": (TERM,)}),
 }.items()}
 FROZEN["MeasuredCharges"] = (
     ChargeSet,
@@ -153,7 +153,7 @@ def test_defaults():
     assert GRepTraces(1, 0, 0, 0).statistics is Statistics.BOSE
     t = Term(Fraction(1), ONE, (None, None))
     assert (t.pi_dots, t.phi_dots, t.phi_deriv) == (0, 0, None)
-    assert NormalBilinear(1, 0, ()).q_sector is None
+    assert NormalBilinear(1, 0, ()).q_sector == ()
     assert SuiteResult("a").checks == 0 and SuiteResult("a").failures == []
     assert VerifyReport().suites == [] and PoleExpansion().coefficients == {}
 
@@ -217,8 +217,8 @@ def test_a_mutable_record_copies_like_a_dataclass(t):
 
 def test_mutable_records_change_in_place():
     pe = PoleExpansion()
-    pe.add(2, Fraction(1, 2))
-    assert pe.at(2) == Fraction(1, 2) and PoleExpansion().at(2) == 0
+    pe.coefficients[2] = Fraction(1, 2)
+    assert pe.coefficients == {2: Fraction(1, 2)} and PoleExpansion().coefficients == {}
     assert pe != PoleExpansion()
     res = SuiteResult("a")
     res.record(False, "w")

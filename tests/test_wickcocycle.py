@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from jetvir.charges import (
 )
 from jetvir.deltacalc import DerivSpec, delta_pair_integral
 from jetvir.exactpoly import Poly, parse_poly
-from jetvir.multiindex import unit
+from jetvir.multiindex import enumerate_indices, unit
 from jetvir.wickcocycle import (
     NormalBilinear,
     PoleExpansion,
@@ -113,7 +115,7 @@ def test_reparam_pair_pole():
     t = build_reparam(0, 1, 0)
     pe = double_contraction(t, t, GL1, GR1)
     # field sector +1 at pole 4, base-point sector +d = +1
-    assert pe.at(4) == 2
+    assert pe.coefficients[4] == 2
 
 
 def test_reparam_weight_one_is_single_term():
@@ -124,9 +126,16 @@ def test_reparam_weight_one_is_single_term():
 
 
 def test_vector_field_constant_has_only_base_point_sector():
+    """xi(q) p has no field-sector term, and its base point, L's own terms,
+    is empty too: -d_nu xi^mu(0) d_mu eta^nu(0) and div xi(0) vanish, so it
+    contracts to nothing with L or T."""
     l = build_vector_field([Poly.constant(1, 3)], 1, 2)
-    assert l.terms == ()
-    assert l.q_sector is not None and l.q_sector[0] == "L"
+    assert l.terms == () and l.q_sector == ()
+    eta = build_vector_field([parse_poly("x0 + x0^2", 1)], 1, 2)
+    assert eta.q_sector == eta.terms != ()
+    for other in (eta, build_reparam(Fraction(3, 2), 1, 2)):
+        assert double_contraction(l, other, GL1, GR1).coefficients == {}
+        assert double_contraction(other, l, GL1, GR1).coefficients == {}
 
 
 def test_base_point_sector_vector_pair():
@@ -142,7 +151,7 @@ def test_base_point_sector_vector_pair():
     pe = double_contraction(la, lb, gl, gr)
     # at d=2, p=0 with weight-zero traces the field sector vanishes
     # (all quadratic lattice sums are zero), leaving the pure base-point value
-    assert pe.at(2) == -1
+    assert pe.coefficients == {2: -1}
     closed = closed_form(2, 0, 0, gl, gr)
     meas = extract_charges(2, 0, 0, gl, gr)
     assert meas.c1 == closed.c1 == 1
@@ -154,24 +163,106 @@ def _coeff_jacobian(xi):
     return [[c.coeff(unit(d, nu)) for nu in range(d)] for c in xi]
 
 
+def _typed_rule(kind_a, kind_b, d):
+    """The base-point sector as a rule on the kinds None, ("L", xi) and
+    ("T",) of A and B, as the engine once typed it: -d_nu xi^mu(0)
+    d_mu eta^nu(0) at pole 2 for L L, +div eta(0) for T L and -div xi(0) for
+    L T at pole 3, and d at pole 4 for T T."""
+    if kind_a is None or kind_b is None:
+        return {}
+    if kind_a[0] == kind_b[0] == "T":
+        return {4: Fraction(d)}
+    if kind_a[0] == kind_b[0] == "L":
+        jx, je = _coeff_jacobian(kind_a[1]), _coeff_jacobian(kind_b[1])
+        order, value = 2, -sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d))
+    else:
+        jac = _coeff_jacobian(kind_b[1] if kind_a[0] == "T" else kind_a[1])
+        order, value = 3, (1 if kind_a[0] == "T" else -1) * sum(jac[mu][mu] for mu in range(d))
+    return {order: value} if value else {}
+
+
+def _random_field(rng, d):
+    """A vector field of degree <= 3, each monomial present with probability
+    1/2 and a small rational coefficient."""
+    monomials = [m for m in enumerate_indices(d, 3) if rng.random() < 0.5]
+    return [Poly(d, {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in monomials})
+            for _ in range(d)]
+
+
+@functools.cache
+def _base_point_pairs(t_weight=None):
+    """800 pairs (A, A's kind, B, B's kind) at p = 0: L L, T L, L T and T T
+    for 200 random xi, eta of degree <= 3 at d = 1, 2, 3 in turn.  T is T(3/2)
+    as built, or with ``t_weight`` a T whose base point is T's terms at that
+    weight instead of at 1."""
+    rng = random.Random(14)
+    pairs = []
+    for n in range(200):
+        d = 1 + n % 3
+        xi, eta = _random_field(rng, d), _random_field(rng, d)
+        la, lb = build_vector_field(xi, d, 0), build_vector_field(eta, d, 0)
+        t = build_reparam(Fraction(3, 2), d, 0)
+        if t_weight is not None:
+            t = NormalBilinear(d, 0, t.terms, build_reparam(t_weight, d, 0).terms)
+        kx, ke, kt = ("L", xi), ("L", eta), ("T",)
+        pairs += [(la, kx, lb, ke), (t, kt, lb, ke), (la, kx, t, kt), (t, kt, t, kt)]
+    return pairs
+
+
+def _engine_base_point(a, b):
+    """The engine's base-point sector of A B: the double contraction of
+    their base points alone."""
+    return double_contraction(NormalBilinear(a.d, 0, (), a.q_sector),
+                              NormalBilinear(b.d, 0, (), b.q_sector), GL1, GR1).coefficients
+
+
+def _base_point_read_at(k2=0, eps=1):
+    """The base-point sector of A B as the p = 0 field table of their
+    base-point terms read at the sign ``eps``, the traces (Delta_rho, k0, k1,
+    k2) = (d, 1, 1, ``k2``) and trivial M; the defaults are the engine's."""
+    def read(a, b):
+        coefficients = {}
+        rho = (a.d, 1, 1, k2)
+        for (order, i, j), c in wickcocycle._field_table(a.q_sector, b.q_sector, a.d, 0).items():
+            if j == 0:
+                coefficients[order] = coefficients.get(order, 0) + eps * c * rho[i]
+        return {order: c for order, c in coefficients.items() if c}
+    return read
+
+
+def _mismatches(pairs, read):
+    """How many pairs ``read`` gives another base-point sector than the
+    typed rule."""
+    return sum(read(a, b) != _typed_rule(ka, kb, a.d) for a, ka, b, kb in pairs)
+
+
 @pytest.mark.parametrize("xi,eta", [
     (["1/3 * x0", "2/5 * x1"], ["3/2 * x0 + 1/7 * x1", "-1/4 * x0 + 1/6 * x0^2"]),
     (["1/3 * x0 + 1/2 * x2", "2/5 * x1 - x0", "1/7 * x2 + x0 * x1"],
      ["1/9 * x1", "5/4 * x1", "-1/6 * x0 + 2/3 * x2 + 1/5"]),
+    pytest.param(None, None, id="random"),
 ])
 def test_base_point_sector_reads_each_component_over_its_own_denominator(xi, eta):
-    """The L-L pole 2 and the T-L and L-T pole 3 are the field sector plus
-    the base-point rule, with d_nu xi^mu(0) read as Fraction coefficients;
-    the components have different denominators and Laurent terms."""
+    """The L-L, T-L, L-T and T-T poles are the field sector plus the typed
+    base-point rule, with d_nu xi^mu(0) read as Fraction coefficients; the
+    fixed components have different denominators and Laurent terms.  The
+    random case compares the base-point sector alone, as the engine
+    contracts it and as the field table read at the engine's traces, with
+    the rule on 800 random pairs."""
+    if xi is None:
+        pairs = _base_point_pairs()
+        assert _mismatches(pairs, _engine_base_point) == 0
+        assert _mismatches(pairs, _base_point_read_at()) == 0
+        # more than half of the pairs have a nonzero base-point sector
+        assert sum(bool(_typed_rule(ka, kb, a.d)) for a, ka, _, kb in pairs) > 400
+        return
     d = len(xi)
     xi = [parse_poly(c, d) for c in xi]
     # a Laurent term x_{d-1}^-1 in the last component of eta
     eta = [parse_poly(c, d) for c in eta[:-1]] + [
         parse_poly(eta[-1], d) + Poly.monomial((0,) * (d - 1) + (-1,), Fraction(3, 8))]
-    jx, je = _coeff_jacobian(xi), _coeff_jacobian(eta)
-    pair = -sum(jx[mu][nu] * je[nu][mu] for mu in range(d) for nu in range(d))
-    div_xi, div_eta = sum(jx[mu][mu] for mu in range(d)), sum(je[mu][mu] for mu in range(d))
-    assert pair and div_xi and div_eta
+    kx, ke, kt = ("L", xi), ("L", eta), ("T",)
+    assert _typed_rule(kx, ke, d) and _typed_rule(kt, ke, d) and _typed_rule(kx, kt, d)
     gl = from_sl_gl1(Fraction(1, 2), 1, 2, d)
     gr = GRepTraces(2, 1, 1, 1)
     for p in (0, 2):
@@ -182,12 +273,25 @@ def test_base_point_sector_reads_each_component_over_its_own_denominator(xi, eta
             return double_contraction(NormalBilinear(a.d, a.p, a.terms),
                                       NormalBilinear(b.d, b.p, b.terms), gl, gr).coefficients
 
-        for a, b, rule in ((la, lb, {2: pair}), (t, lb, {3: div_eta}), (la, t, {3: -div_xi})):
+        for a, ka, b, kb in ((la, kx, lb, ke), (t, kt, lb, ke), (la, kx, t, kt), (t, kt, t, kt)):
             expected = field_only(a, b)
-            for order, value in rule.items():
+            for order, value in _typed_rule(ka, kb, d).items():
                 expected[order] = expected.get(order, 0) + value
             got = double_contraction(a, b, gl, gr).coefficients
-            assert got == {k: v for k, v in expected.items() if v}, (p, rule)
+            assert got == {k: v for k, v in expected.items() if v}, (p, ka[0], kb[0])
+
+
+@pytest.mark.parametrize("t_weight, read", [
+    (None, _base_point_read_at(k2=Fraction(1, 7))),
+    (0, _engine_base_point),
+    (Fraction(1, 2), _engine_base_point),
+    (None, _base_point_read_at(eps=-1)),
+], ids=["k2 = 1-7", "T base point at weight 0", "T base point at weight 1-2", "fermi sign"])
+def test_a_wrong_base_point_multiplet_disagrees_with_the_typed_rule(t_weight, read):
+    """Negative controls of the random case above: a k2 trace of 1/7, T's
+    base point at weight 0 or 1/2 instead of 1, or the fermi sign each make
+    some of the 800 pairs disagree with the rule."""
+    assert _mismatches(_base_point_pairs(t_weight), read) > 0
 
 
 def test_extraction_spec_point():
@@ -270,11 +374,12 @@ def _reference_trace(ins_a, ins_b, glrep, grep):
     return tr_rho * tr_m
 
 
-def _reference_contraction(a, b, glrep, grep):
+def _reference_contraction(a, b, glrep, grep, kinds=(None, None)):
     """The double contraction as one Fraction chain per term pair,
-    -eps s1 s2 prefactors integral trace, plus the base-point rules."""
+    -eps s1 s2 prefactors integral trace, plus the typed base-point rule at
+    the ``kinds`` of A and B."""
     eps = grep.statistics.sign
-    pe = PoleExpansion()
+    coefficients = {}
     for ta in a.terms:
         deco_a = DerivSpec.none() if ta.phi_deriv is None else DerivSpec.on_x(ta.phi_deriv)
         for tb in b.terms:
@@ -286,12 +391,12 @@ def _reference_contraction(a, b, glrep, grep):
             integral = delta_pair_integral(ta.coeff, tb.coeff, deco_a, deco_b,
                                            (ta.mode, tb.mode), a.d, a.p)
             tr = _reference_trace(ta.insertion, tb.insertion, glrep, grep)
-            pe.add(2 + r1 + w1 + r2 + w2,
-                   -eps * s1 * s2 * ta.prefactor * tb.prefactor * integral * tr)
-    q = wickcocycle._q_sector(a, b)
-    if q is not None:
-        pe.add(*q)
-    return pe
+            order = 2 + r1 + w1 + r2 + w2
+            coefficients[order] = coefficients.get(order, 0) + (
+                -eps * s1 * s2 * ta.prefactor * tb.prefactor * integral * tr)
+    for order, value in _typed_rule(*kinds, a.d).items():
+        coefficients[order] = coefficients.get(order, 0) + value
+    return PoleExpansion({order: c for order, c in coefficients.items() if c})
 
 
 def _reference_charges(d, p, lam, glrep, grep):
@@ -299,22 +404,24 @@ def _reference_charges(d, p, lam, glrep, grep):
     x0, zero, one = Poly.variable(d, 0), Poly.zero(d), Poly.constant(d, 1)
 
     def vec(mu, comp):
-        return [comp if i == mu else zero for i in range(d)]
+        xi = [comp if i == mu else zero for i in range(d)]
+        return build_vector_field(xi, d, p), ("L", xi)
 
     def pole(a, b, order):
-        return _reference_contraction(a, b, glrep, grep).at(order)
+        """The pole of two (generator, kind) pairs."""
+        pe = _reference_contraction(a[0], b[0], glrep, grep, (a[1], b[1]))
+        return pe.coefficients.get(order, 0)
 
-    l_diag = build_vector_field(vec(0, x0), d, p)
+    l_diag = vec(0, x0)
     c1_plus_c2 = -pole(l_diag, l_diag, 2)
     c1 = c2 = None
     if d >= 2:
-        c1 = -pole(build_vector_field(vec(0, Poly.variable(d, 1)), d, p),
-                   build_vector_field(vec(1, x0), d, p), 2)
+        c1 = -pole(vec(0, Poly.variable(d, 1)), vec(1, x0), 2)
         c2 = c1_plus_c2 - c1
-    j_generic = build_current([zero, one], d, p)
-    j_priv = build_current([one, zero], d, p)
+    j_generic = build_current([zero, one], d, p), None
+    j_priv = build_current([one, zero], d, p), None
     c5 = pole(j_generic, j_generic, 2)
-    t = build_reparam(lam, d, p)
+    t = build_reparam(lam, d, p), ("T",)
     return ChargeSet(d, p, lam, glrep, grep, c1, c2, c1_plus_c2, pole(t, l_diag, 3),
                      2 * pole(t, t, 4), c5, pole(t, j_priv, 3),
                      pole(l_diag, j_priv, 2), pole(j_priv, j_priv, 2) - c5)
@@ -350,26 +457,32 @@ def _bilinear(draw, d, p):
         _SMALL, _poly(d), st.none() | st.tuples(directions, directions),
         st.none() | st.integers(0, 2), st.sampled_from([(0, 0), (1, 0), (0, 1)]),
         st.none() | directions)
-    tag = draw(st.sampled_from([None, "L", "T"]))
-    if tag == "L":
-        tag = ("L", tuple(draw(_poly(d)) for _ in range(d)))
-    elif tag == "T":
-        tag = ("T",)
-    return NormalBilinear(d, p, tuple(draw(st.lists(term, min_size=1, max_size=3))), tag)
+    kind = draw(st.sampled_from([None, "L", "T"]))
+    base_point = ()
+    if kind == "L":
+        kind = ("L", [draw(_poly(d)) for _ in range(d)])
+        base_point = build_vector_field(kind[1], d, 0).q_sector
+    elif kind == "T":
+        kind = ("T",)
+        base_point = build_reparam(0, d, 0).q_sector
+    terms = tuple(draw(st.lists(term, min_size=1, max_size=3)))
+    return NormalBilinear(d, p, terms, base_point), kind
 
 
 @st.composite
 def _contraction_cases(draw):
     d, p = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    return (draw(_bilinear(d, p)), draw(_bilinear(d, p)), *draw(_traces(d)))
+    (a, kind_a), (b, kind_b) = draw(_bilinear(d, p)), draw(_bilinear(d, p))
+    return a, b, *draw(_traces(d)), (kind_a, kind_b)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_contraction_cases())
 def test_contraction_table_equals_the_fraction_chain(case):
     """Random bilinears with every kind of insertion, dot, spatial
-    derivative and base-point tag, at random traces under both statistics."""
-    got = double_contraction(*case).coefficients
+    derivative and base point, at random traces under both statistics,
+    against the Fraction chain plus the typed base-point rule."""
+    got = double_contraction(*case[:4]).coefficients
     assert got == _reference_contraction(*case).coefficients
     assert all(v != 0 for v in got.values())
 
