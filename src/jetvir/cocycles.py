@@ -55,7 +55,6 @@ from operator import add
 from . import exactpoly
 from .exactpoly import (Poly, _degree_overflow, _over_cap, _ratio, _Record, _set, check_field,
                         exact, lincomb)
-from .jetreps import divergence
 from .multiindex import MultiIndex
 
 
@@ -92,6 +91,12 @@ def compose(f: Poly, q: Trajectory) -> Poly:
 
 
 # -- classical brackets --------------------------------------------------------
+
+def divergence(xi: Sequence[Poly]) -> Poly:
+    """div xi = d_mu xi^mu of a vector field: d components in d variables."""
+    check_field("vector field", xi, len(xi))
+    return lincomb(len(xi), [(1, c.deriv(mu)) for mu, c in enumerate(xi)])
+
 
 def density_action(xi: Sequence[Poly], X: Sequence[Poly]) -> list[Poly]:
     """The weight-one density action xi . X = xi^mu d_mu X + d_mu xi^mu X,

@@ -449,13 +449,14 @@ def _reduce(dim: int, num: dict[MultiIndex, int], den: int) -> Poly:
     return _wrap(dim, {e: n // g for e, n in num.items()}, den // g)
 
 
-def _ratio(c) -> tuple[int, int]:
-    """An int or Fraction coefficient as (numerator, denominator)."""
+def _ratio(c, what: str = "coefficients") -> tuple[int, int]:
+    """An int or Fraction value as (numerator, denominator); anything else
+    raises ValueError, naming the values ``what``."""
     if type(c) is int:
         return c, 1
     if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
-    raise ValueError(f"coefficients must be exact (int or Fraction), got {c!r}")
+    raise ValueError(f"{what} must be exact (int or Fraction), got {c!r}")
 
 
 def _over_lcm(*values) -> tuple[tuple[int, ...], int]:

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactpoly import (Poly, _num_deriv, _Record, _set, _wrap, check_field, exact, lincomb,
-                        prim_products)
+from .exactpoly import (Poly, _num_deriv, _ratio, _Record, _set, _wrap, check_field, exact,
+                        lincomb, prim_products)
 from .multiindex import (
     MultiIndex,
     binomial,
@@ -196,14 +196,6 @@ def _levi_civita(a: int, b: int, c: int) -> int:
     return (a - b) * (b - c) * (c - a) // 2 if {a, b, c} == {0, 1, 2} else 0
 
 
-def _check_exact(what: str, values: Sequence) -> None:
-    """Require int or Fraction entries; a float fails in ``exact``."""
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            exact(v)
-            raise ValueError(f"{what} entries must be int or Fraction, got {v!r}")
-
-
 class StructureConstants(_Record):
     """Totally antisymmetric real structure constants f^{abc} of a Lie
     algebra g, with [X, Y]^c = f^{abc} X^a Y^b."""
@@ -217,7 +209,8 @@ class StructureConstants(_Record):
         check_int("algebra dimension", n, 0)
         if len(f) != n or any(len(r) != n or any(len(c) != n for c in r) for r in f):
             raise ValueError("structure constant tensor has wrong shape")
-        _check_exact("structure constant", [v for r in f for c in r for v in c])
+        for v in (v for r in f for c in r for v in c):
+            _ratio(v, "structure constant entries")
         # The checks are homogeneous, so they run on int numerators over one
         # common denominator.
         den = lcm(*(v.denominator for r in f for c in r for v in c))
@@ -278,7 +271,8 @@ class MatrixRep(_Record):
         for label, m in generators:
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"generator {label!r} is not a {n} x {n} matrix")
-            _check_exact(f"generator {label!r}", [v for row in m for v in row])
+            for v in (v for row in m for v in row):
+                _ratio(v, f"generator {label!r} entries")
 
     def matrix(self, label) -> tuple[tuple[Fraction, ...], ...]:
         for lab, m in self.generators:
@@ -509,12 +503,6 @@ def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> list[Poly]:
             prims.along(plan, mu, fe, fx[mu], -1)
     (row,) = prim_products(d, prims.prims, den1 * den2, d, [plan])
     return list(row)
-
-
-def divergence(xi: Sequence[Poly]) -> Poly:
-    """div xi = d_mu xi^mu of a vector field: d components in d variables."""
-    check_field("vector field", xi, len(xi))
-    return lincomb(len(xi), [(1, c.deriv(mu)) for mu, c in enumerate(xi)])
 
 
 def bracket(a: JetOperator, b: JetOperator) -> JetOperator:

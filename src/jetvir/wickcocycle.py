@@ -99,15 +99,6 @@ class NormalBilinear(_Record):
         _set(self, "q_sector", q_sector)
 
 
-class PoleExpansion(_Record, frozen=False):
-    """Map pole order -> exact rational coefficient of (z - w)^(-order)."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: dict[int, Fraction] | None = None):
-        self.coefficients = {} if coefficients is None else coefficients
-
-
 # -- the contraction rule --------------------------------------------------------
 
 def _pole(r: int, s: int) -> tuple[int, int]:
@@ -245,22 +236,23 @@ def _read(channel: _Channel, eps: int, params: _Parameters) -> tuple[int, int]:
 
 
 def double_contraction(a: NormalBilinear, b: NormalBilinear,
-                       glrep: GlRepTraces, grep: GRepTraces) -> PoleExpansion:
+                       glrep: GlRepTraces, grep: GRepTraces) -> dict[int, Fraction]:
     """Full double contraction of A(z) with B(w) through the OPE and the
     exact delta-pair oracle: the field sector at (d, p) and the base-point
-    sector at p = 0.  Returns the exact pole expansion in (z - w)."""
+    sector at p = 0.  Returns the exact pole expansion in (z - w) as a dict
+    pole order -> nonzero coefficient of (z - w)^(-order)."""
     if (a.d, a.p) != (b.d, b.p):
         raise ValueError("bilinears must share (d, p)")
     eps = grep.statistics.sign
     params = _parameters(0, glrep, grep)
-    pe = PoleExpansion()
+    poles = {}
     for order, channel in _channels([((1,), a, b)]).items():
         num, den = _read(channel, eps, params)
         if num:
-            pe.coefficients[order] = Fraction(num, den)
-    if any(order > 4 for order in pe.coefficients):
+            poles[order] = Fraction(num, den)
+    if any(order > 4 for order in poles):
         raise AssertionError("pole order above 4 should be impossible")
-    return pe
+    return poles
 
 
 # -- generator builders ----------------------------------------------------------

@@ -7,7 +7,7 @@ AttributeError.  The checks are ``multiindex.check_int``,
 ``multiindex.check_direction``, ``exactpoly.check_field`` and
 ``charges.check_traces``; the entries
 of rep matrices and structure constants must be ints or Fractions, and a
-float or a non-number fails in ``exactpoly.exact``.
+float or a non-number fails in ``exactpoly._ratio``.
 """
 
 from fractions import Fraction

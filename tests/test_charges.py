@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,62 @@ def test_level_is_d1_charge():
             gr = GRepTraces(1, Fraction(7, 3), 0, 0, stats)
             assert closed_form(1, p, 0, gl, gr).c5 == \
                 kac_moody_level(p, Fraction(7, 3), stats)
+
+
+# The charges compared at d = 1, where the engine measures c1 + c2 only.
+D1_CHARGES = ("c1_plus_c2", "c3", "c4", "c5", "c6", "c7", "c8")
+
+
+def _d1_component_sums(lam, weights, grep):
+    """The d = 1 charges, in the order of ``D1_CHARGES``, as the base point's
+    constant plus one free field per jet component, the component of weight
+    w in ``weights`` adding its single-field value of each charge."""
+    eps, dm = grep.statistics.sign, grep.delta_m
+    sums = [1, 1, 2, 0, 0, 0, 0]
+    for w in weights:
+        values = (eps * dm * w * w, eps * (2 * lam - 1) * dm * w,
+                  2 * eps * (6 * lam * lam - 6 * lam + 1) * dm, -eps * grep.y_m,
+                  eps * (2 * lam - 1) * grep.z_m, -eps * grep.z_m * w, -eps * grep.w_m)
+        for k, value in enumerate(values):
+            sums[k] += value
+    return sums
+
+
+def _d1_mismatches(moved):
+    """Compare the component sums with ``closed_form`` and ``extract_charges``
+    at d = 1 for p = 0..8, both statistics and 5 random points each, with
+    rho = ``from_sl_gl1(kappa, 0, 1, 1)`` and component j at weight kappa + j,
+    or kappa + j + 1 for j = p if ``moved``.  Returns the number of
+    comparisons and the points with a mismatch."""
+    rng = random.Random(61)
+
+    def rand():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    comparisons, failed = 0, []
+    for p in range(9):
+        for stats in Statistics:
+            for _ in range(5):
+                kappa, lam = rand(), rand()
+                grep = GRepTraces(rng.randint(1, 3), rand(), rand(), rand(), stats)
+                glrep = from_sl_gl1(kappa, 0, 1, 1)
+                weights = [kappa + j + (1 if moved and j == p else 0) for j in range(p + 1)]
+                sums = _d1_component_sums(lam, weights, grep)
+                for route in (closed_form, extract_charges):
+                    got = route(1, p, lam, glrep, grep)
+                    comparisons += len(D1_CHARGES)
+                    if [getattr(got, name) for name in D1_CHARGES] != sums:
+                        failed.append((route.__name__, p, stats, kappa, lam))
+    return comparisons, failed
+
+
+def test_d1_charges_are_sums_over_the_jet_components():
+    assert _d1_mismatches(moved=False) == (1260, [])
+
+
+def test_a_moved_component_weight_breaks_the_d1_sums():
+    _, failed = _d1_mismatches(moved=True)
+    assert len(failed) == 2 * 90
 
 
 def test_linearity_in_internal_dimension():

@@ -13,6 +13,7 @@ from jetvir.cocycles import (
     affine_cocycle,
     compose,
     density_action,
+    divergence,
     mixed_cocycle,
     reparam_current_cocycle,
     reparam_reparam_cocycle,
@@ -21,7 +22,7 @@ from jetvir.cocycles import (
     virasoro_cocycle,
 )
 from jetvir.exactpoly import Poly, parse_poly
-from jetvir.jetreps import StructureConstants, divergence, vector_field_bracket
+from jetvir.jetreps import StructureConstants, vector_field_bracket
 from jetvir.multiindex import enumerate_indices
 
 
@@ -111,6 +112,26 @@ def test_affine_level_reduction():
     X = [parse_poly("x0", 1)]
     Y = [Poly.monomial((-1,))]
     assert affine_cocycle(X, Y, q, Fraction(7), 0) == 7
+
+
+def test_the_algebras_on_the_circle():
+    """At d = 1 on the loop q = z the mode generators x^(m+1) d_x and x^m
+    give the Virasoro cocycle (c1 + c2)(m^3 - m) and the affine levels
+    c5 + c8 (direction 0) and c5 (any other direction), each at m + n = 0
+    and 0 otherwise."""
+    q = Trajectory((_z("z"),))
+    c1, c2, c5, c8 = Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 5)
+    zero = Poly.zero(1)
+
+    def x(k):
+        return Poly.monomial((k,))
+
+    for m, n in itertools.product(range(-4, 5), repeat=2):
+        on = m + n == 0
+        assert virasoro_cocycle([x(m + 1)], [x(n + 1)], q, c1, c2) == \
+            on * (c1 + c2) * (m ** 3 - m), (m, n)
+        assert affine_cocycle([x(m)], [x(n)], q, c5, c8) == on * (c5 + c8) * m, (m, n)
+        assert affine_cocycle([zero, x(m)], [zero, x(n)], q, c5, c8) == on * c5 * m, (m, n)
 
 
 def test_antisymmetry_random():

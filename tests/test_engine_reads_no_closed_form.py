@@ -27,7 +27,7 @@ def _measure():
     return (wickcocycle.extract_charges(2, 3, Fraction(1, 2), GlRepTraces(2, 1, 0, 3),
                                         GRepTraces(1, 1, 0, 0, Statistics.FERMI)),
             wickcocycle.double_contraction(t, la, GlRepTraces(2, 1, 0, 3),
-                                           GRepTraces(2, 1, 1, 1)).coefficients)
+                                           GRepTraces(2, 1, 1, 1)))
 
 
 def test_a_cold_engine_consults_no_closed_form(monkeypatch):

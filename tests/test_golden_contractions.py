@@ -2,7 +2,7 @@
 
 The charge tests compare the engine with the closed forms at the basis
 fields only, so a wrong sign or kernel order in a term those fields never
-reach would go unseen.  This test pins ``double_contraction(a, b).coefficients``
+reach would go unseen.  This test pins ``double_contraction(a, b)``
 for every ordered pair of current, vector-field and reparametrization
 generators, at the ``extract_charges`` basis fields and at seeded random
 fields, in ``golden_contractions.json``.  The random vector fields have a
@@ -82,7 +82,7 @@ def _record(d, p, stats):
     for (na, a), (nb, b) in itertools.product(gens.items(), repeat=2):
         pe = double_contraction(a, b, GLREP, grep)
         out[f"{na} x {nb}"] = {str(k): fraction_json(v)
-                               for k, v in sorted(pe.coefficients.items())}
+                               for k, v in sorted(pe.items())}
     return out
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvir import exactpoly, jetreps
+from jetvir.cocycles import divergence
 from jetvir.exactpoly import Poly, lincomb, parse_poly
 from jetvir.jetreps import (
     JetOperator,
@@ -26,7 +27,6 @@ from jetvir.jetreps import (
     bracket_gauge,
     bracket_mixed,
     diff_operator,
-    divergence,
     embed_gauge_operator,
     gauge_operator,
     mat_is_zero,

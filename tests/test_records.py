@@ -17,7 +17,7 @@ from jetvir.deltacalc import DerivSpec, Which
 from jetvir.exactpoly import Poly, _Record, parse_poly
 from jetvir.jetreps import JetOperator, MatrixRep, StructureConstants
 from jetvir.verify import SuiteResult, VerifyReport
-from jetvir.wickcocycle import NormalBilinear, PoleExpansion, Term
+from jetvir.wickcocycle import NormalBilinear, Term
 
 ONE = Poly.constant(1, 1)
 TWO = Poly.constant(1, 2)
@@ -155,7 +155,7 @@ def test_defaults():
     assert (t.pi_dots, t.phi_dots, t.phi_deriv) == (0, 0, None)
     assert NormalBilinear(1, 0, ()).q_sector == ()
     assert SuiteResult("a").checks == 0 and SuiteResult("a").failures == []
-    assert VerifyReport().suites == [] and PoleExpansion().coefficients == {}
+    assert VerifyReport().suites == []
 
 
 def test_traces_are_normalised_to_fractions():
@@ -188,7 +188,6 @@ def test_each_record_keeps_its_checks(build, message):
 
 
 MUTABLE = {
-    PoleExpansion: (lambda: PoleExpansion(), "coefficients"),
     SuiteResult: (lambda: SuiteResult("a"), "failures"),
     VerifyReport: (lambda: VerifyReport(), "suites"),
 }
@@ -216,10 +215,6 @@ def test_a_mutable_record_copies_like_a_dataclass(t):
 
 
 def test_mutable_records_change_in_place():
-    pe = PoleExpansion()
-    pe.coefficients[2] = Fraction(1, 2)
-    assert pe.coefficients == {2: Fraction(1, 2)} and PoleExpansion().coefficients == {}
-    assert pe != PoleExpansion()
     res = SuiteResult("a")
     res.record(False, "w")
     res.name = "b"
@@ -229,4 +224,3 @@ def test_mutable_records_change_in_place():
     report.suites.append(res)
     assert VerifyReport().suites == [] and not report.ok
     assert repr(res) == "SuiteResult(name='b', checks=1, failures=['w'])"
-    assert repr(pe) == "PoleExpansion(coefficients={2: Fraction(1, 2)})"
