@@ -14,18 +14,17 @@ Two layers are provided:
   product [D1 K_p(x,y)] [D2 K_p(y,x)], evaluated by a fully symbolic oracle
   that expands both kernels, applies the derivative decorations termwise and
   pairs d_w delta against polynomials via
-  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  The integral is
-  sum_{s,t} W(s,t) f_s g_t over Taylor exponents s of f and t of g, and each
-  row t -> W(s,t) depends only on (d, p, D1, D2, s).  Every term of one
+  integral P(u) d_w delta(u) du = (-1)^{|w|} d_w P(0).  Every term of one
   kernel factor has the same lift w - e of its word over its exponent, so
-  s + t is the summed lift Delta of the pair and only the at most 4
-  exponents 0 <= s <= Delta have a row.  A row has at most one entry, at
-  t = Delta - s, whose weight is one sum over a walk of the first kernel
-  expansion; it is built on first read and kept in one memo per (d, p, D1,
-  D2), so a call costs one cache lookup, a read of f at each box point and
-  one read of g per nonzero one; any other Taylor term of f, a negative
-  exponent included, is never read.  Only field-independent data is cached,
-  never an integral.
+  a term pair pairs f_s with g_t only where s + t is the summed lift Delta
+  of the pair, and the integral is sum_s W(s) f_s g_{Delta-s} over the at
+  most 4 exponents 0 <= s <= Delta.  The weight W(s) depends only on
+  (d, p, D1, D2, s) and is one sum over a walk of the first kernel
+  expansion; it is built the first time both f_s and g_{Delta-s} are read
+  and kept in one memo per (d, p, D1, D2), so a call costs one cache
+  lookup and at most 4 reads of f and of g; any other Taylor term, a
+  negative exponent included, is never read.  Only field-independent data
+  is cached, never an integral.
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
   to, lattice sums times Taylor numerators read at 0 and at e_mu; the
   oracle never consults them, so oracle-vs-closed comparison is an
@@ -129,50 +128,39 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec,
     return MappingProxyType(out), unit(d, mu)
 
 
-# The row of one Taylor exponent s of f: at most one pair (t, W(s, t)).
-_Row = tuple[tuple[MultiIndex, int], ...]
-
-
 @functools.lru_cache(maxsize=1024)
 def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
-                ) -> tuple[_KernelTerms, _KernelTerms, MultiIndex,
-                           tuple[MultiIndex, ...], dict[MultiIndex, _Row]]:
-    """The two kernel expansions of a decoration pair, their summed lift
-    Delta = lift1 + lift2, the box of exponents 0 <= s <= Delta, and the
-    memo of the rows built so far, which only ``delta_pair_integral``
-    fills.  Every term pair has s + t = Delta with t >= 0, so only an s in
-    the box has a row; as each lift is 0 or a unit, the box is
-    {0, lift1, lift2, Delta}, at most 4 points."""
+                ) -> tuple[_KernelTerms, _KernelTerms,
+                           tuple[tuple[MultiIndex, MultiIndex], ...], dict[MultiIndex, int]]:
+    """The two kernel expansions of a decoration pair, the pairs
+    (s, Delta - s) of Taylor exponents of f and g that a term pair can
+    meet, and the memo s -> W(s) of the weights built so far, which only
+    ``delta_pair_integral`` fills.  Every term pair has s + t = Delta =
+    lift1 + lift2, and as each lift is 0 or a unit the s with t >= 0 are
+    {0, lift1, lift2, Delta}, at most 4 pairs."""
     first, lift1 = _kernel_terms(d, p, d1, True)
     second, lift2 = _kernel_terms(d, p, d2, False)
     lift = tuple(map(add, lift1, lift2))
-    box = tuple(dict.fromkeys(((0,) * d, lift1, lift2, lift)))
-    return first, second, lift, box, {}
+    pairs = tuple((s, tuple(map(sub, lift, s)))
+                  for s in dict.fromkeys(((0,) * d, lift1, lift2, lift)))
+    return first, second, pairs, {}
 
 
-def _row(first: _KernelTerms, second: _KernelTerms, s: MultiIndex) -> _Row:
-    """The field-independent row of s: ((t, W),) with W = W(s, t) nonzero,
-    or () if no term pair reaches a t >= 0 or the weights cancel.
+def _weight(first: _KernelTerms, second: _KernelTerms, s: MultiIndex) -> int:
+    """The field-independent weight W(s) of f_s g_{Delta-s}.
 
-    A first-factor term (c1, e1, w1) meets the second factor's term at the
-    word w2 = e1 + s, if there is one, (c2, e2, w2), at t = w1 - e2.  As
-    w1 = e1 + lift1 and e2 = w2 - lift2, t = Delta - s for every term pair,
-    so the row is one sum W = sum c1 c2 over one walk of the first factor,
-    and t is read off the last pair met.
+    A first-factor term (c1, e1) meets the second factor's term at the word
+    e1 + s, if there is one, (c2, e2), so W(s) = sum c1 c2 over one walk of
+    the first factor.
     """
     get = second.get
     shift = any(s)  # for s = 0 the partner's word is e1 itself
     weight = 0
-    w1_met = e2_met = None
-    for w1, (c1, e1) in first.items():
+    for c1, e1 in first.values():
         hit = get(tuple(map(add, e1, s)) if shift else e1)
         if hit is not None:
             weight += c1 * hit[0]
-            w1_met, e2_met = w1, hit[1]
-    if not weight:
-        return ()
-    t = tuple(map(sub, w1_met, e2_met))
-    return ((t, weight),) if min(t) >= 0 else ()
+    return weight
 
 
 def delta_pair_integral(
@@ -194,17 +182,15 @@ def delta_pair_integral(
     A term (c1, e1, w1) of the first factor and a term (c2, e2, w2) of the
     second contribute c1 c2 f_s g_t with s = w2 - e1 and t = w1 - e2: the
     x-integral pairs f x^{e1} against d_{w2} delta(x), the y-integral
-    g y^{e2} against d_{w1} delta(y).  So the integral is
-    sum_{s,t} W(s,t) f_s g_t, and for each Taylor exponent s of f the row
-    t -> W(s,t) depends on no field.  Every term of a factor has the same
-    lift w - e (e_mu if decorated, else 0), so s + t is the summed lift
-    Delta: a row has the one entry t = Delta - s, and with t >= 0 only an s
-    in the box 0 <= s <= Delta (at most 4 points) has one.  So a call makes
-    one cache lookup and reads f only at the box points, skipping the
-    constant term of a shifted slot; a row is built on first read and kept
-    per (d, p, D1, D2).  Any other s, a negative (Laurent) exponent
-    included, is never read or walked.  A call costs at most 4 dict reads
-    of g.
+    g y^{e2} against d_{w1} delta(y).  Every term of a factor has the same
+    lift w - e (e_mu if decorated, else 0), so t = Delta - s for the summed
+    lift Delta, and with t >= 0 the integral is sum_s W(s) f_s g_{Delta-s}
+    over the box 0 <= s <= Delta (at most 4 points), whose weights W(s)
+    depend on no field.  So a call makes one cache lookup and reads f and g
+    only at the box pairs, skipping the constant term of a shifted slot; a
+    weight is built the first time both its terms are read and kept per
+    (d, p, D1, D2).  Any other exponent, a negative (Laurent) one included,
+    is never read or walked.
     """
     check_grid(d, p)
     check_field("the smearing pair (f, g)", (f, g), d)
@@ -212,24 +198,21 @@ def delta_pair_integral(
     _check_deriv(d2, d)
     if len(modes) != 2 or modes[0] not in _MODES or modes[1] not in _MODES:
         raise ValueError(f"modes must be two SmearModes, got {modes!r}")
-    first, second, _, box, rows = _pair_table(d, p, d1, d2)
+    first, second, pairs, weights = _pair_table(d, p, d1, d2)
     zero = (0,) * d
     skip_s = zero if modes[0] is SmearMode.SHIFTED else None
     skip_t = zero if modes[1] is SmearMode.SHIFTED else None
     f_num, g_num = f.numerators, g.numerators
     # Sum int numerators; the two shared denominators divide once at the end.
     total = 0
-    for s in box:
-        fc = f_num.get(s)
-        if fc is None or s == skip_s:
+    for s, t in pairs:
+        fc, gc = f_num.get(s), g_num.get(t)
+        if fc is None or gc is None or s == skip_s or t == skip_t:
             continue
-        row = rows.get(s)
-        if row is None:
-            row = rows[s] = _row(first, second, s)
-        for t, w in row:
-            gc = g_num.get(t)
-            if gc is not None and t != skip_t:
-                total += w * fc * gc
+        w = weights.get(s)
+        if w is None:
+            w = weights[s] = _weight(first, second, s)
+        total += w * fc * gc
     return Fraction(total, f.denominator * g.denominator)
 
 

@@ -35,6 +35,8 @@ from .multiindex import enumerate_indices
 DELTA_D_MAX, DELTA_P_MAX, DELTA_PAIRS = 3, 4, 20
 CLOSURE_PAIRS = 10
 COCYCLE_TRIPLES = 20
+# The chance that a random field has each monomial up to its degree.
+TERM_DENSITY = 0.6
 
 
 class SuiteResult(_Record, frozen=False):
@@ -72,10 +74,10 @@ class VerifyReport(_Record, frozen=False):
         return bool(self.suites) and all(s.ok for s in self.suites)
 
 
-def _random_poly(d: int, deg: int, rng: random.Random, density=0.6) -> Poly:
+def _random_poly(d: int, deg: int, rng: random.Random) -> Poly:
     terms = {}
     for e in enumerate_indices(d, deg):
-        if rng.random() < density:
+        if rng.random() < TERM_DENSITY:
             terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return Poly(d, terms)
 
@@ -135,34 +137,26 @@ def suite_sums(d_max: int = 4, p_max: int = 8, fault: bool = False) -> SuiteResu
 def suite_delta(seed: int) -> SuiteResult:
     res = SuiteResult("delta-pairs")
     rng = random.Random(seed)
+    none, on_x, on_y = (deltacalc.DerivSpec.none(), deltacalc.DerivSpec.on_x,
+                        deltacalc.DerivSpec.on_y)
+    plain, shifted = deltacalc.SmearMode.PLAIN, deltacalc.SmearMode.SHIFTED
     for d in range(1, DELTA_D_MAX + 1):
+        # (case, mu, nu, D1, D2, modes) of each oracle-vs-closed check
+        cases = [("i", None, None, none, none, (plain, plain))]
+        for mu in range(d):
+            cases.append(("ii", mu, None, on_x(mu), none, (shifted, plain)))
+            cases += [("iii", mu, nu, on_x(mu), on_y(nu), (shifted, shifted))
+                      for nu in range(d)]
         for p in range(0, DELTA_P_MAX + 1):
             for _ in range(DELTA_PAIRS):
                 f = _random_poly(d, p + 2, rng)
                 g = _random_poly(d, p + 2, rng)
-                oracle = deltacalc.delta_pair_integral(
-                    f, g, deltacalc.DerivSpec.none(), deltacalc.DerivSpec.none(),
-                    (deltacalc.SmearMode.PLAIN, deltacalc.SmearMode.PLAIN), d, p)
-                res.record(
-                    oracle == deltacalc.delta_pair_closed("i", f, g, None, None, d, p),
-                    f"case i at d={d}, p={p}")
-                for mu in range(d):
-                    oracle = deltacalc.delta_pair_integral(
-                        f, g, deltacalc.DerivSpec.on_x(mu), deltacalc.DerivSpec.none(),
-                        (deltacalc.SmearMode.SHIFTED, deltacalc.SmearMode.PLAIN), d, p)
-                    res.record(
-                        oracle == deltacalc.delta_pair_closed("ii", f, g, mu, None, d, p),
-                        f"case ii at d={d}, p={p}, mu={mu}")
-                    for nu in range(d):
-                        oracle = deltacalc.delta_pair_integral(
-                            f, g, deltacalc.DerivSpec.on_x(mu),
-                            deltacalc.DerivSpec.on_y(nu),
-                            (deltacalc.SmearMode.SHIFTED,
-                             deltacalc.SmearMode.SHIFTED), d, p)
-                        res.record(
-                            oracle == deltacalc.delta_pair_closed(
-                                "iii", f, g, mu, nu, d, p),
-                            f"case iii at d={d}, p={p}, mu={mu}, nu={nu}")
+                for case, mu, nu, d1, d2, modes in cases:
+                    oracle = deltacalc.delta_pair_integral(f, g, d1, d2, modes, d, p)
+                    closed = deltacalc.delta_pair_closed(case, f, g, mu, nu, d, p)
+                    where = "".join(f", {name}={v}" for name, v in (("mu", mu), ("nu", nu))
+                                    if v is not None)
+                    res.record(oracle == closed, f"case {case} at d={d}, p={p}{where}")
     return res
 
 

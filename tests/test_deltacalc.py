@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvir import deltacalc
+from jetvir import deltacalc, verify
 from jetvir.deltacalc import (
     DerivSpec,
     SmearMode,
@@ -211,7 +211,8 @@ def test_bool_grid_raises_after_the_caches_are_primed():
     # finds that entry unless the direction is checked first.
     x = parse_poly("x0 + x1", 2)
     assert delta_pair_integral(x, x, DerivSpec.on_x(1), none, SHIFT_PLAIN, 2, 2) == 0
-    assert deltacalc._pair_table(2, 2, DerivSpec.on_x(True), none)[4]
+    assert (deltacalc._pair_table(2, 2, DerivSpec.on_x(True), none)
+            is deltacalc._pair_table(2, 2, DerivSpec.on_x(1), none))
     with pytest.raises(ValueError, match="derivative direction"):
         delta_pair_integral(x, x, DerivSpec.on_x(True), none, SHIFT_PLAIN, 2, 2)
 
@@ -241,17 +242,18 @@ def test_kernel_terms_share_one_lift():
 
 
 def test_rows_are_built_only_in_the_box_and_once(monkeypatch):
-    """Fields with many negative and high exponents: each decoration pair's
-    memo holds at most prod(Delta_i + 1) rows, every walked s lies in the
-    box 0 <= s <= Delta, and no row is walked twice."""
+    """Fields with many negative and high exponents: each decoration pair
+    has at most prod(Delta_i + 1) <= 4 pairs (s, Delta - s), each weight is
+    built at most once, and only for an s where the call read both f_s and
+    g_{Delta-s} and skipped neither as a shifted constant term."""
     deltacalc._pair_table.cache_clear()
     walks = []
-    row = deltacalc._row
+    weight = deltacalc._weight
 
-    def counting_row(first, second, s):
-        walks.append((id(first), id(second), s))
-        return row(first, second, s)
-    monkeypatch.setattr(deltacalc, "_row", counting_row)
+    def counting_weight(first, second, s):
+        walks.append((current, id(first), id(second), s))
+        return weight(first, second, s)
+    monkeypatch.setattr(deltacalc, "_weight", counting_weight)
     rng = random.Random(20)
     cases = []
     for d, p in ((1, 3), (2, 2), (3, 2), (4, 1)):
@@ -262,19 +264,29 @@ def test_rows_are_built_only_in_the_box_and_once(monkeypatch):
             cases += [(f, g, d1, d2, modes, d, p) for d1 in _all_derivs(d)
                       for d2 in _all_derivs(d)
                       for modes in itertools.product(SmearMode, repeat=2)]
-    for case in cases:
-        assert delta_pair_integral(*case) == _reference_pair_integral(*case)
-    assert walks and len(walks) == len(set(walks))
-    tables = {(case[5], case[6], case[2], case[3]) for case in cases}
-    boxes = {}
-    for key in tables:
-        first, second, lift, box, rows = deltacalc._pair_table(*key)
-        assert len(rows) <= len(box) == math.prod(b + 1 for b in lift) <= 4
-        assert all(0 <= a <= b for s in rows for a, b in zip(s, lift))
-        boxes[id(first), id(second)] = lift
-    for first, second, s in walks:
-        lift = boxes[first, second]
-        assert all(0 <= a <= b for a, b in zip(s, lift)), (s, lift)
+    for current in cases:
+        assert delta_pair_integral(*current) == _reference_pair_integral(*current)
+    assert walks and len({walk[1:] for walk in walks}) == len(walks)
+    for key in {(case[5], case[6], case[2], case[3]) for case in cases}:
+        first, second, pairs, weights = deltacalc._pair_table(*key)
+        lift = pairs[0][1]
+        assert all(tuple(map(sum, zip(s, t))) == lift for s, t in pairs)
+        assert len(weights) <= len(pairs) == math.prod(b + 1 for b in lift) <= 4
+    for (f, g, d1, d2, modes, d, p), _, _, s in walks:
+        t = dict(deltacalc._pair_table(d, p, d1, d2)[2])[s]
+        assert s in f.numerators and t in g.numerators, (s, t)
+        assert not (modes[0] is SmearMode.SHIFTED and not any(s))
+        assert not (modes[1] is SmearMode.SHIFTED and not any(t))
+
+
+def test_no_weight_is_built_where_g_has_no_partner_term():
+    """f = x0 meets the first factor's lift e_0 at s = e_0, whose partner
+    g_0 does not exist, so the integral is 0 without a weight being built."""
+    deltacalc._pair_table.cache_clear()
+    x, g = parse_poly("x0", 1), parse_poly("x0^2 + x0^3", 1)
+    assert delta_pair_integral(x, g, DerivSpec.on_x(0), DerivSpec.none(),
+                               PLAIN, 1, 3) == 0
+    assert deltacalc._pair_table(1, 3, DerivSpec.on_x(0), DerivSpec.none())[3] == {}
 
 
 def _reference_row(first, second, s):
@@ -293,8 +305,8 @@ def _reference_row(first, second, s):
 
 def test_each_row_is_one_weight_at_delta_minus_s():
     """After integrals of dense fields at every decoration pair and smear
-    modes, every row held in a memo has at most one entry, at t = Delta - s,
-    and equals the row a dict over every term pair gives."""
+    modes, every weight w held in a memo is the whole row a dict over every
+    term pair gives: {Delta - s: w}, or {} when w = 0."""
     deltacalc._pair_table.cache_clear()
     rng = random.Random(23)
     keys = []
@@ -306,13 +318,11 @@ def test_each_row_is_one_weight_at_delta_minus_s():
             keys.append((d, p, d1, d2))
     held = 0
     for key in keys:
-        first, second, lift, box, rows = deltacalc._pair_table(*key)
-        for s, row in rows.items():
+        first, second, pairs, weights = deltacalc._pair_table(*key)
+        for s, w in weights.items():
             held += 1
-            assert len(row) <= 1
-            assert dict(row) == _reference_row(first, second, s), (key, s)
-            if row:
-                assert row[0][0] == tuple(a - b for a, b in zip(lift, s))
+            expected = {dict(pairs)[s]: w} if w else {}
+            assert _reference_row(first, second, s) == expected, (key, s)
     assert held >= len(keys)
 
 
@@ -420,3 +430,22 @@ def test_bool_direction_raises_after_the_caches_are_primed():
                    (DerivSpec.on_x(1.0), plain), (plain, DerivSpec.on_x(2))):
         with pytest.raises(ValueError, match="derivative direction"):
             delta_pair_integral(x, x, d1, d2, PLAIN, 2, 2)
+
+
+@pytest.mark.parametrize("case,at,witness", [
+    ("i", (None, None), "case i at d=1, p=0"),
+    ("ii", (0, None), "case ii at d=1, p=0, mu=0"),
+    ("iii", (0, 1), "case iii at d=2, p=0, mu=0, nu=1"),
+])
+def test_suite_delta_names_the_first_failing_case(monkeypatch, case, at, witness):
+    """A closed form made off by one in one case (at one mu, or one
+    (mu, nu)) fails the delta suite, whose first witness names it; the
+    suite still makes all 2,300 checks."""
+    closed = deltacalc.delta_pair_closed
+
+    def off_by_one(which, f, g, mu, nu, d, p):
+        value = closed(which, f, g, mu, nu, d, p)
+        return value + 1 if (which, mu, nu) == (case, *at) else value
+    monkeypatch.setattr(deltacalc, "delta_pair_closed", off_by_one)
+    res = verify.suite_delta(0)
+    assert res.checks == 2300 and res.failures[0] == witness

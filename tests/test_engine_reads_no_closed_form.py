@@ -1,11 +1,12 @@
 """The charge engine is one of the two computations that every charge
 check pits against each other, so it must never consult the other one: with
 every module's binding of a closed form made to raise, a cold
-``extract_charges`` and a ``double_contraction`` still return what they
-return without it.  The cold oracle-call counts of the basis tables are
-pinned as well."""
+``extract_charges``, a ``double_contraction`` and the delta-pair oracle
+alone still return what they return without it.  The cold oracle-call
+counts of the basis tables are pinned as well."""
 
 import importlib
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 
 from jetvir import deltacalc, wickcocycle
 from jetvir.charges import GlRepTraces, GRepTraces, Statistics
-from jetvir.exactpoly import parse_poly
+from jetvir.deltacalc import DerivSpec, SmearMode
+from jetvir.exactpoly import Poly, parse_poly
+from jetvir.multiindex import enumerate_indices
 
 MODULES = [importlib.import_module(f"jetvir.{path.stem}") for path in
            sorted((Path(__file__).parents[1] / "src" / "jetvir").glob("*.py"))]
@@ -24,10 +27,19 @@ def _measure():
     xi = [parse_poly("x0 + x1^2", 2), parse_poly("1/2 * x0 * x1", 2)]
     la = wickcocycle.build_vector_field(xi, 2, 2)
     t = wickcocycle.build_reparam(Fraction(1, 3), 2, 2)
+    # The oracle alone, at decorations the engine never passes: every
+    # decoration pair and smear-mode pair on two dense fields.
+    f, g = (Poly(2, {e: Fraction(sum(e) + k, e[0] + 2) for e in enumerate_indices(2, 4)})
+            for k in (1, -3))
+    derivs = [DerivSpec.none(), *(spec(mu) for spec in (DerivSpec.on_x, DerivSpec.on_y)
+                                  for mu in range(2))]
     return (wickcocycle.extract_charges(2, 3, Fraction(1, 2), GlRepTraces(2, 1, 0, 3),
                                         GRepTraces(1, 1, 0, 0, Statistics.FERMI)),
             wickcocycle.double_contraction(t, la, GlRepTraces(2, 1, 0, 3),
-                                           GRepTraces(2, 1, 1, 1)))
+                                           GRepTraces(2, 1, 1, 1)),
+            [deltacalc.delta_pair_integral(f, g, d1, d2, modes, 2, 2)
+             for d1, d2 in itertools.product(derivs, repeat=2)
+             for modes in itertools.product(SmearMode, repeat=2)])
 
 
 def test_a_cold_engine_consults_no_closed_form(monkeypatch):
