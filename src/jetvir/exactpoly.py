@@ -60,6 +60,11 @@ bound max |e| once it is first needed; products, inverse powers and parsed
 terms are capped at total degree ``MAX_DEGREE``.  ``check_field`` is the one
 check of a field argument of the package: its component count and variables.
 ``_Record`` is the base of the package's value records.
+``parse_poly`` reads a text in one fold over its tokens, each of which
+absorbs the whitespace before it: a sign ends the term before it, a
+coefficient or a variable with its exponent is one more factor of the
+current term, ``*`` separates factors, and any other character is an error
+token.
 """
 
 from __future__ import annotations
@@ -677,9 +682,10 @@ def _unpack(total: int, width: int, exponents: Mapping[int, MultiIndex]) -> dict
 # -- parsing -----------------------------------------------------------------
 
 # Compiled on first use by ``parse_poly``, from ``re``'s own pattern cache.
+# Every token absorbs the whitespace before it; ``bad`` is any other character.
 _TOKEN = (
     r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_][A-Za-z_0-9]*)"
-    r"(?:\^(?P<exp>-?\d+))?|(?P<mul>\*))"
+    r"(?:\^(?P<exp>-?\d+))?|\*|(?P<bad>\S))"
 )
 
 
@@ -692,49 +698,28 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
     text with no term, or whose last sign no term follows, does not parse.
     Whitespace before and after the text is ignored.
     """
-    pos = 0
+    terms: dict[MultiIndex, Fraction] = {}
     tail = 0  # where the text after the last complete term begins
-    n = len(text.rstrip())
-    # term state
-    sign = 1
-    coeff: Fraction | None = None
-    expo = [0] * dim
-    started = False
-
-    def flush():
-        nonlocal sign, coeff, expo, started
-        if not started:
-            return
-        c = coeff if coeff is not None else Fraction(1)
-        result_terms[tuple(expo)] = result_terms.get(tuple(expo), Fraction(0)) + sign * c
-        sign, coeff, expo, started = 1, None, [0] * dim, False
-
-    result_terms: dict[MultiIndex, Fraction] = {}
-    token = re.compile(_TOKEN).match
-    while pos < n:
-        m = token(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
-        pos = m.end()
-        if m.group("sign"):
-            if started:
-                flush()
-                tail = m.start("sign")
-            if m.group("sign") == "-":
+    sign, coeff, expo = 1, Fraction(1), None  # expo is None until a factor is read
+    for m in re.compile(_TOKEN).finditer(text, 0, len(text.rstrip())):
+        if m["bad"]:
+            raise ValueError(f"cannot parse polynomial at: {text[m.start():]!r}")
+        if m["sign"]:
+            if expo is not None:
+                e = tuple(expo)
+                terms[e] = terms.get(e, 0) + sign * coeff
+                sign, coeff, expo, tail = 1, Fraction(1), None, m.start("sign")
+            if m["sign"] == "-":
                 sign = -sign
-            continue
-        if m.group("num"):
-            num = m.group("num")
+        elif num := m["num"]:
             try:
-                val = Fraction(num)
+                coeff *= Fraction(num)
             except ZeroDivisionError as exc:
                 raise ValueError(f"zero denominator in coefficient {num!r}") from exc
-            coeff = val if coeff is None else coeff * val
-            started = True
-            continue
-        if m.group("var"):
-            name = m.group("var")
-            k = int(m.group("exp")) if m.group("exp") else 1
+            if expo is None:
+                expo = [0] * dim
+        elif name := m["var"]:
+            k = int(m["exp"]) if m["exp"] else 1
             if name == varname and dim == 1:
                 idx = 0
             elif name.startswith(varname) and name[len(varname):].isdigit():
@@ -745,19 +730,19 @@ def parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
                 raise ValueError(f"unknown variable {name!r}")
             if k < 0 and dim != 1:
                 raise ValueError("negative exponents only supported in one variable")
+            if expo is None:
+                expo = [0] * dim
             expo[idx] += k
-            started = True
-            continue
-        # bare '*': separator, nothing to do
-    if not started:
+    if expo is None:
         raise ValueError(f"cannot parse polynomial at: {text[tail:]!r}")
-    flush()
-    if any(sum(abs(c) for c in e) > MAX_DEGREE for e in result_terms):
+    e = tuple(expo)
+    terms[e] = terms.get(e, 0) + sign * coeff
+    if any(sum(abs(c) for c in e) > MAX_DEGREE for e in terms):
         raise OverflowError("parsed polynomial exceeds the degree cap")
-    return Poly(dim, result_terms)
+    return Poly(dim, terms)
 
 
-def format_poly(p: Poly, varname: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable exact rendering, inverse-compatible with parse_poly."""
     terms = p.terms
     if not terms:
@@ -769,7 +754,7 @@ def format_poly(p: Poly, varname: str = "x") -> str:
         for i, k in enumerate(e):
             if k == 0:
                 continue
-            name = varname if p.dim == 1 else f"{varname}{i}"
+            name = "x" if p.dim == 1 else f"x{i}"
             vars_part.append(name if k == 1 else f"{name}^{k}")
         body = " ".join(vars_part)
         if not body:

@@ -28,14 +28,6 @@ def sub(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def factorial(m: Sequence[int]) -> int:
-    """m! = m0! * m1! * ... (empty product is 1)."""
-    out = 1
-    for c in m:
-        out *= math.factorial(c)
-    return out
-
-
 def binomial(m: Sequence[int], n: Sequence[int]) -> int:
     """Componentwise product of scalar binomials binom(m_i, n_i).
 

@@ -226,3 +226,19 @@ def test_a_component_with_no_term_is_a_usage_error(capsys, xi, rest):
     code, out, err = run(capsys, "cocycle", "--kind", "virasoro", "--d", "2", "--xi", xi,
                          "--eta", "x1,x0", "--traj", "z,z^-1", "--c1", "1")
     assert (code, out, err) == (2, "", f"error: cannot parse polynomial at: {rest!r}\n")
+
+
+@pytest.mark.parametrize("d, xi, message", [
+    ("1", "x_1", "unknown variable 'x_1'"),
+    ("2", "x5", "variable x5 out of range for dimension 2"),
+    ("2", "x0^-1", "negative exponents only supported in one variable"),
+    ("1", "x^70", "parsed polynomial exceeds the degree cap"),
+    ("1", "x^99999999999999999999", "parsed polynomial exceeds the degree cap"),
+    ("1", "x^1/2", "cannot parse polynomial at: '/2'"),
+], ids=["unknown-variable", "out-of-range", "negative-exponent", "degree-cap",
+        "huge-exponent", "junk-after-a-term"])
+def test_every_parser_error_is_one_usage_error_line(capsys, d, xi, message):
+    rest = ["--eta", "x", "--traj", "z"] if d == "1" else ["--eta", "x1,x0", "--traj", "z,z^-1"]
+    code, out, err = run(capsys, "cocycle", "--kind", "virasoro", "--d", d, "--xi", xi,
+                         *rest, "--c1", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from jetvir import exactpoly
 from jetvir.exactpoly import (
+    MAX_DEGREE,
     Poly,
     _monomial_inverse_power,
     format_poly,
@@ -17,7 +19,7 @@ from jetvir.exactpoly import (
     prim_products,
 )
 from jetvir.jetreps import mat_mul
-from jetvir.multiindex import enumerate_indices
+from jetvir.multiindex import MultiIndex, enumerate_indices
 
 
 def test_parse_basic():
@@ -77,6 +79,106 @@ def test_zero_and_signed_terms_still_parse():
     assert parse_poly("0", 2) == parse_poly("x0 - x0", 2) == Poly.zero(2)
     assert parse_poly("- - x0", 2) == parse_poly("* x0", 2) == parse_poly("x0 *", 2) \
         == Poly.variable(2, 0)
+
+
+# A second parser, a cursor loop with a nested flush and its own token
+# pattern: the reference for parse_poly's results and error messages.
+_REFERENCE_TOKEN = (
+    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_][A-Za-z_0-9]*)"
+    r"(?:\^(?P<exp>-?\d+))?|(?P<mul>\*))"
+)
+
+
+def _reference_parse_poly(text: str, dim: int, varname: str = "x") -> Poly:
+    pos = 0
+    tail = 0  # where the text after the last complete term begins
+    n = len(text.rstrip())
+    # term state
+    sign = 1
+    coeff: Fraction | None = None
+    expo = [0] * dim
+    started = False
+
+    def flush():
+        nonlocal sign, coeff, expo, started
+        if not started:
+            return
+        c = coeff if coeff is not None else Fraction(1)
+        result_terms[tuple(expo)] = result_terms.get(tuple(expo), Fraction(0)) + sign * c
+        sign, coeff, expo, started = 1, None, [0] * dim, False
+
+    result_terms: dict[MultiIndex, Fraction] = {}
+    token = re.compile(_REFERENCE_TOKEN).match
+    while pos < n:
+        m = token(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
+        pos = m.end()
+        if m.group("sign"):
+            if started:
+                flush()
+                tail = m.start("sign")
+            if m.group("sign") == "-":
+                sign = -sign
+            continue
+        if m.group("num"):
+            num = m.group("num")
+            try:
+                val = Fraction(num)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in coefficient {num!r}") from exc
+            coeff = val if coeff is None else coeff * val
+            started = True
+            continue
+        if m.group("var"):
+            name = m.group("var")
+            k = int(m.group("exp")) if m.group("exp") else 1
+            if name == varname and dim == 1:
+                idx = 0
+            elif name.startswith(varname) and name[len(varname):].isdigit():
+                idx = int(name[len(varname):])
+                if idx >= dim:
+                    raise ValueError(f"variable {name} out of range for dimension {dim}")
+            else:
+                raise ValueError(f"unknown variable {name!r}")
+            if k < 0 and dim != 1:
+                raise ValueError("negative exponents only supported in one variable")
+            expo[idx] += k
+            started = True
+            continue
+        # bare '*': separator, nothing to do
+    if not started:
+        raise ValueError(f"cannot parse polynomial at: {text[tail:]!r}")
+    flush()
+    if any(sum(abs(c) for c in e) > MAX_DEGREE for e in result_terms):
+        raise OverflowError("parsed polynomial exceeds the degree cap")
+    return Poly(dim, result_terms)
+
+
+# Well-formed pieces and junk: joined with no separator they also make
+# names like x01, x0x1 and z2x, numbers next to variables, and 4/0.
+_PARSE_ALPHABET = [
+    "x", "z", "x0", "x1", "x2", "z0", "z1", "x^2", "x^-1", "z^-2", "x0^2", "x1^-1",
+    "x0^70", "x^70", "x0x1", "x_1", "y", "0", "1", "2", "1/3", "4/0", "3/", "x^",
+    "12345678901234567890", "+", "-", "*", " ", "\t", "~", "^", "/", "(",
+]
+
+
+def _parse_outcome(parse, text, dim, varname):
+    try:
+        p = parse(text, dim, varname)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.dim, dict(p.numerators), p.denominator
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(text=st.lists(st.sampled_from(_PARSE_ALPHABET), max_size=10).map("".join),
+       dim=st.integers(1, 3), varname=st.sampled_from(["x", "z"]))
+def test_parse_poly_agrees_with_the_reference_parser(text, dim, varname):
+    """Same polynomial, or the same exception type and message."""
+    assert (_parse_outcome(parse_poly, text, dim, varname)
+            == _parse_outcome(_reference_parse_poly, text, dim, varname))
 
 
 def test_rejects_float_coefficients():

@@ -7,7 +7,6 @@ from jetvir.multiindex import (
     binomial,
     check_grid,
     enumerate_indices,
-    factorial,
     sub,
     unit,
 )
@@ -24,12 +23,6 @@ def test_sub():
     assert sub((3, 2), (1, 2)) == (2, 0)
     with pytest.raises(ValueError):
         sub((1, 0), (0, 2))
-
-
-def test_factorial():
-    assert factorial((0, 0)) == 1
-    assert factorial((3, 2)) == 12
-    assert factorial((1, 1, 1)) == 1
 
 
 def test_binomial():
