@@ -18,13 +18,17 @@ Two layers are provided:
   kernel factor has the same lift w - e of its word over its exponent, so
   a term pair pairs f_s with g_t only where s + t is the summed lift Delta
   of the pair, and the integral is sum_s W(s) f_s g_{Delta-s} over the at
-  most 4 exponents 0 <= s <= Delta.  The weight W(s) depends only on
-  (d, p, D1, D2, s) and is one sum over a walk of the first kernel
-  expansion; it is built the first time both f_s and g_{Delta-s} are read
-  and kept in one memo per (d, p, D1, D2), so a call costs one cache
-  lookup and at most 4 reads of f and of g; any other Taylor term, a
-  negative exponent included, is never read.  Only field-independent data
-  is cached, never an integral.
+  most 4 exponents 0 <= s <= Delta.  Each lattice point m has the integer
+  code sum_i m_i b^(d-1-i) in radix b = p + 3, in which no word or shifted
+  exponent carries, so a kernel expansion is three parallel tuples of
+  coefficients, exponent codes and word codes.  The weight W(s) depends
+  only on (d, p, D1, D2, s) and is one C-level sum over the first
+  expansion, whose exponent codes shifted by code(s) are looked up in the
+  second's map from word code to coefficient; it is built the first time
+  both f_s and g_{Delta-s} are read and kept in one memo per
+  (d, p, D1, D2), so a call costs one cache lookup and at most 4 reads of
+  f and of g; any other Taylor term, a negative exponent included, is
+  never read.  Only field-independent data is cached, never an integral.
 * ``delta_pair_closed``: the three closed forms the pair integral reduces
   to, lattice sums times Taylor numerators read at 0 and at e_mu; the
   oracle never consults them, so oracle-vs-closed comparison is an
@@ -38,10 +42,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, sub
-from types import MappingProxyType
+from itertools import compress, repeat
+from operator import add, itemgetter, mul, sub
 
 from .exactpoly import Poly, _Record, _set, check_field
 from .jetsums import SumKind, _closed_value
@@ -95,72 +98,92 @@ def _check_deriv(deriv: DerivSpec, d: int) -> None:
         raise ValueError(f"derivative decoration {deriv.which!r} is not a Which")
 
 
-# A kernel expansion maps each derivative word on the delta of one variable
-# to (coefficient, monomial exponent in the other variable); a word belongs
-# to at most one term.  The coefficient already carries the pairing factor
-# (-1)^{|word|} word! of the term's delta, so it is an integer.  Every term of
-# one expansion has the same lift word - exponent, which is returned with it.
-_KernelTerms = Mapping[MultiIndex, tuple[int, MultiIndex]]
+_Ints = tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _codes(d: int, p: int) -> tuple[_Ints, _Ints]:
+    """The place values b^(d-1), ..., b, 1 of radix b = p + 3 and the code
+    sum_i m_i b^(d-1-i) of each point m of the (d, p) lattice, in lattice
+    order.  No component of a word, of an exponent, or of an exponent plus a
+    box point exceeds p + 2, so codes add as the multi-indices do and never
+    carry."""
+    places = tuple((p + 3) ** i for i in reversed(range(d)))
+    return places, tuple([sum(map(mul, m, places)) for m in enumerate_indices(d, p)])
+
+
+# A kernel expansion is three parallel tuples over its terms: the
+# coefficient, the code of the monomial exponent in the other variable and
+# the code of the derivative word on the delta.  A word belongs to at most
+# one term.  The coefficient already carries the pairing factor
+# (-1)^{|word|} word! of the term's delta, so it is an integer.  Every term
+# of one expansion has the same lift word - exponent, which is returned
+# with it.
+_KernelTerms = tuple[_Ints, _Ints, _Ints]
 
 
 @functools.lru_cache(maxsize=128)
 def _kernel_terms(d: int, p: int, deriv: DerivSpec,
                   poly_is_x: bool) -> tuple[_KernelTerms, MultiIndex]:
-    """Expand one decorated kernel factor termwise, as a read-only map, and
-    return it with its lift: e_mu for a decorated factor, else 0.
+    """Expand one decorated kernel factor termwise, as coded tuples built
+    from the lattice's columns, and return it with its lift: e_mu for a
+    decorated factor, else 0.
 
     ``poly_is_x`` selects the argument order: True for K_p(x, y) (monomials
-    in x, delta in y), False for K_p(y, x).  The decoration either
-    differentiates the monomial (when it targets the polynomial variable) or
-    appends to the delta's derivative word (when it targets the delta
-    variable).  The kernel coefficient (-1)^{|m|} / m! times the pairing
-    factor (-1)^{|word|} word! is the integer (-1)^{|word|-|m|} word! / m!.
-    The caller checks the decoration's direction before any cache is read.
+    in x, delta in y), False for K_p(y, x); the undecorated expansion is the
+    same for both and is built once.  The decoration either differentiates
+    the monomial (when it targets the polynomial variable) or appends to the
+    delta's derivative word (when it targets the delta variable).  The
+    kernel coefficient (-1)^{|m|} / m! times the pairing factor
+    (-1)^{|word|} word! is the integer (-1)^{|word|-|m|} word! / m!.  The
+    caller checks the decoration's direction before any cache is read.
     """
-    mu = deriv.direction
-    indices = enumerate_indices(d, p)
+    places, codes = _codes(d, p)
     if deriv.which is Which.NONE:
-        return MappingProxyType({m: (1, m) for m in indices}), (0,) * d
+        if not poly_is_x:
+            return _kernel_terms(d, p, deriv, True)
+        return ((1,) * len(codes), codes, codes), (0,) * d
+    mu = deriv.direction
+    column = tuple(map(itemgetter(mu), enumerate_indices(d, p)))
+    step = repeat(places[mu])
     if (deriv.which is Which.ON_X) == poly_is_x:  # d_mu x^m = m_mu x^{m - e_mu}
-        out = {m: (m[mu], m[:mu] + (m[mu] - 1,) + m[mu + 1:]) for m in indices if m[mu]}
+        words = tuple(compress(codes, column))
+        terms = tuple(filter(None, column)), tuple(map(sub, words, step)), words
     else:  # d_mu appended to the word m
-        out = {m[:mu] + (m[mu] + 1,) + m[mu + 1:]: (-(m[mu] + 1), m) for m in indices}
-    return MappingProxyType(out), unit(d, mu)
+        terms = tuple(map((-1).__sub__, column)), codes, tuple(map(add, codes, step))
+    return terms, unit(d, mu)
 
 
 @functools.lru_cache(maxsize=1024)
 def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
-                ) -> tuple[_KernelTerms, _KernelTerms,
+                ) -> tuple[tuple[_Ints, _Ints, _Ints], dict[int, int],
                            tuple[tuple[MultiIndex, MultiIndex], ...], dict[MultiIndex, int]]:
-    """The two kernel expansions of a decoration pair, the pairs
-    (s, Delta - s) of Taylor exponents of f and g that a term pair can
-    meet, and the memo s -> W(s) of the weights built so far, which only
-    ``delta_pair_integral`` fills.  Every term pair has s + t = Delta =
-    lift1 + lift2, and as each lift is 0 or a unit the s with t >= 0 are
-    {0, lift1, lift2, Delta}, at most 4 pairs."""
-    first, lift1 = _kernel_terms(d, p, d1, True)
-    second, lift2 = _kernel_terms(d, p, d2, False)
+    """The first kernel expansion's coefficients and exponent codes with the
+    lattice's place values, the second expansion as a map from word code to
+    coefficient, the pairs (s, Delta - s) of Taylor exponents of f and g
+    that a term pair can meet, and the memo s -> W(s) of the weights built
+    so far, which only ``delta_pair_integral`` fills.  Every term pair has
+    s + t = Delta = lift1 + lift2, and as each lift is 0 or a unit the s
+    with t >= 0 are {0, lift1, lift2, Delta}, at most 4 pairs."""
+    (c1, expos, _), lift1 = _kernel_terms(d, p, d1, True)
+    (c2, _, words), lift2 = _kernel_terms(d, p, d2, False)
     lift = tuple(map(add, lift1, lift2))
     pairs = tuple((s, tuple(map(sub, lift, s)))
                   for s in dict.fromkeys(((0,) * d, lift1, lift2, lift)))
-    return first, second, pairs, {}
+    return (c1, expos, _codes(d, p)[0]), dict(zip(words, c2)), pairs, {}
 
 
-def _weight(first: _KernelTerms, second: _KernelTerms, s: MultiIndex) -> int:
+def _weight(first: tuple[_Ints, _Ints, _Ints], second: dict[int, int], s: MultiIndex) -> int:
     """The field-independent weight W(s) of f_s g_{Delta-s}.
 
     A first-factor term (c1, e1) meets the second factor's term at the word
-    e1 + s, if there is one, (c2, e2), so W(s) = sum c1 c2 over one walk of
-    the first factor.
+    e1 + s, if there is one, with coefficient c2, so W(s) = sum c1 c2: one
+    C-level sum over the first factor's exponent codes shifted by code(s).
     """
-    get = second.get
-    shift = any(s)  # for s = 0 the partner's word is e1 itself
-    weight = 0
-    for c1, e1 in first.values():
-        hit = get(tuple(map(add, e1, s)) if shift else e1)
-        if hit is not None:
-            weight += c1 * hit[0]
-    return weight
+    coeffs, expos, places = first
+    shift = sum(map(mul, s, places))
+    words = map(add, expos, repeat(shift)) if shift else expos
+    return sum(map(mul, coeffs, map(second.get, words, repeat(0))))
 
 
 def delta_pair_integral(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -62,15 +62,15 @@ def unit(d: int, mu: int, name: str = "direction") -> MultiIndex:
     return tuple(1 if i == mu else 0 for i in range(d))
 
 
-def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
+@functools.lru_cache(maxsize=256)
+def _compositions(total: int, parts: int) -> tuple[MultiIndex, ...]:
     """All ways to write `total` as an ordered sum of `parts` non-negative
-    integers, first component decreasing (reverse-lexicographic order)."""
+    integers, first component decreasing (reverse-lexicographic order),
+    assembled from the cached compositions with one part fewer."""
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total, -1, -1)
+                 for rest in _compositions(total - first, parts - 1))
 
 
 def check_grid(d: int, p: int) -> None:

@@ -227,6 +227,22 @@ def _all_derivs(d):
             *(DerivSpec.on_y(mu) for mu in range(d))]
 
 
+def _decode(code, d, p):
+    """The multi-index of a lattice code: its d digits in radix p + 3."""
+    digits = []
+    for _ in range(d):
+        code, digit = divmod(code, p + 3)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _word_map(d, p, deriv, poly_is_x):
+    """One coded kernel expansion decoded to word -> (coefficient, exponent)."""
+    (coeffs, expos, words), _ = deltacalc._kernel_terms(d, p, deriv, poly_is_x)
+    assert len(coeffs) == len(expos) == len(words) == len(set(words))
+    return {_decode(w, d, p): (c, _decode(e, d, p)) for c, e, w in zip(coeffs, expos, words)}
+
+
 def test_kernel_terms_share_one_lift():
     """Every term (word w, exponent e) of a kernel expansion has w - e equal
     to the returned lift, e_mu for a decorated factor and 0 otherwise, and
@@ -235,15 +251,52 @@ def test_kernel_terms_share_one_lift():
         for p in range(6):
             for deriv in _all_derivs(d):
                 for poly_is_x in (True, False):
-                    terms, lift = deltacalc._kernel_terms(d, p, deriv, poly_is_x)
+                    lift = deltacalc._kernel_terms(d, p, deriv, poly_is_x)[1]
                     expected = ((0,) * d if deriv.which is Which.NONE
                                 else unit(d, deriv.direction))
                     assert lift == expected, (d, p, deriv, poly_is_x)
+                    terms = _word_map(d, p, deriv, poly_is_x)
                     for w, (_, e) in terms.items():
                         assert tuple(a - b for a, b in zip(w, e)) == lift
                     reference = {w: (c * (-1) ** sum(w) * _factorial(w), e)
                                  for c, e, w in _reference_kernel_terms(d, p, deriv, poly_is_x)}
-                    assert dict(terms) == reference
+                    assert terms == reference
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty the kernel and pair-table caches before and after the test."""
+    deltacalc._kernel_terms.cache_clear()
+    deltacalc._pair_table.cache_clear()
+    yield
+    deltacalc._kernel_terms.cache_clear()
+    deltacalc._pair_table.cache_clear()
+
+
+@pytest.mark.parametrize("offset,aliases", [(1, True), (2, False)])
+def test_a_radix_that_carries_breaks_the_oracle(monkeypatch, fresh_tables, offset, aliases):
+    """Negative control for the radix: codes in radix p + 1 carry, so a word
+    with a component p + 1 takes the code of another multi-index, and the
+    oracle disagrees with the reference loop somewhere at d >= 2.  Radix
+    p + 2 still agrees: its one carry, from an exponent p e_mu plus the box
+    point 2 e_mu, lands on a point with no mu component, which no word of a
+    factor decorated at mu has.  Both factors' decorations target the delta
+    variable (on_y on the first, on_x on the second)."""
+    def codes(d, p):
+        radix = p + offset
+        return (tuple(radix ** (d - 1 - i) for i in range(d)),
+                tuple(sum(c * radix ** (d - 1 - i) for i, c in enumerate(m))
+                      for m in enumerate_indices(d, p)))
+    monkeypatch.setattr(deltacalc, "_codes", codes)
+    rng = random.Random(31)
+    wrong = set()
+    for d, p in ((1, 2), (2, 0), (2, 2), (3, 1)):
+        f, g = _dense_field(d, p, rng), _dense_field(d, p, rng)
+        for mu, nu in itertools.product(range(d), repeat=2):
+            case = (f, g, DerivSpec.on_y(mu), DerivSpec.on_x(nu), PLAIN, d, p)
+            if delta_pair_integral(*case) != _reference_pair_integral(*case):
+                wrong.add(d)
+    assert wrong == ({2, 3} if aliases else set())
 
 
 def test_rows_are_built_only_in_the_box_and_once(monkeypatch):
@@ -322,12 +375,13 @@ def test_each_row_is_one_weight_at_delta_minus_s():
                 delta_pair_integral(f, g, d1, d2, modes, d, p)
             keys.append((d, p, d1, d2))
     held = 0
-    for key in keys:
-        first, second, pairs, weights = deltacalc._pair_table(*key)
+    for d, p, d1, d2 in keys:
+        _, _, pairs, weights = deltacalc._pair_table(d, p, d1, d2)
+        first, second = _word_map(d, p, d1, True), _word_map(d, p, d2, False)
         for s, w in weights.items():
             held += 1
             expected = {dict(pairs)[s]: w} if w else {}
-            assert _reference_row(first, second, s) == expected, (key, s)
+            assert _reference_row(first, second, s) == expected, (d, p, d1, d2, s)
     assert held >= len(keys)
 
 

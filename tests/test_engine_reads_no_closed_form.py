@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from jetvir import deltacalc, wickcocycle
+from jetvir import deltacalc, multiindex, wickcocycle
 from jetvir.charges import GlRepTraces, GRepTraces, Statistics
 from jetvir.deltacalc import DerivSpec, SmearMode
 from jetvir.exactpoly import Poly, parse_poly
@@ -55,9 +55,11 @@ def test_a_cold_engine_consults_no_closed_form(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
                 patched.add(name)
     assert patched == set(CLOSED_FORMS)
-    wickcocycle._basis_channels.cache_clear()
-    deltacalc._pair_table.cache_clear()
-    deltacalc._kernel_terms.cache_clear()
+    caches = [value for module in (multiindex, deltacalc, wickcocycle)
+              for value in vars(module).values() if hasattr(value, "cache_clear")]
+    assert {deltacalc._codes, multiindex._compositions, wickcocycle._basis_channels} <= set(caches)
+    for cache in caches:
+        cache.cache_clear()
     assert _measure() == expected
 
 

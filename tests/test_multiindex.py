@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -43,6 +44,17 @@ def test_enumerate_order_and_size():
             assert len(set(seq)) == len(seq)
             grades = [sum(m) for m in seq]
             assert grades == sorted(grades)
+
+
+def test_enumerate_is_the_sorted_box_product():
+    """The lattice read off ``itertools.product``, not off ``_compositions``:
+    the points with |m| <= p sorted by degree, then reverse-lexicographically."""
+    for d in range(1, 6):
+        for p in range(7):
+            box = [m for m in itertools.product(range(p + 1), repeat=d) if sum(m) <= p]
+            box.sort(reverse=True)
+            box.sort(key=sum)
+            assert enumerate_indices(d, p) == tuple(box), (d, p)
 
 
 def test_enumerate_bad_inputs():
