@@ -1,20 +1,26 @@
 """Self-contained verification sweeps over all module pairs.
 
-Five suites, each pitting two independent computations against each other
-with exact rational equality:
+``SUITES`` is the one table of suites: rows of a suite
+``suite(seed, d_max, p_max, fault) -> SuiteResult`` and its fixed grid
+(d_max, p_max), or None where it takes the grid of ``run_all``.  Each suite
+pits two independent computations against each other with exact rational
+equality.  With ``fault`` it perturbs one side of one comparison at its
+last grid point (m = 2 for the cocycle pattern), with the same random
+stream and check count:
 
-  1. lattice sums:      closed binomial forms vs brute enumeration;
-  2. delta pairs:       symbolic kernel oracle vs the three closed forms;
-  3. closures:          operator commutators vs constructed right-hand sides
-                        (current, vector-field and mixed transport brackets);
-  4. charges:           engine-measured extension coefficients vs the eight
-                        closed-form charges, over a full parameter sweep;
-  5. cocycles:          antisymmetry of the residue extensions on random
-                        Laurent trajectories, plus the monomial-basis
-                        reparametrization pattern and the d = 1 level.
-
-``fault=True`` injects a deliberate off-by-one into suite 1 so callers can
-confirm the machinery notices a real discrepancy.
+  sums      (4, 8)  closed binomial forms vs brute enumeration;
+                    fault: the closed A off by one;
+  delta     (3, 4)  symbolic kernel oracle vs the three closed forms;
+                    fault: the case-ii closed form off by one;
+  closures  grid    operator commutators vs constructed right-hand sides
+                    (current, vector-field and mixed transport brackets);
+                    fault: the current bracket's operands swapped;
+  charges   grid    engine-measured extension coefficients vs the eight
+                    closed-form charges; fault: the closed c5 off by one;
+  cocycles  (2, 6)  residue antisymmetry on random Laurent trajectories
+                    (d <= 2), the d = 1 level (p <= 6) and the monomial
+                    reparametrization pattern; fault: the pattern's
+                    orientation flipped at m = 2.
 """
 
 from __future__ import annotations
@@ -28,13 +34,10 @@ from . import cocycles as cocycles_mod
 from . import deltacalc, jetreps, jetsums, wickcocycle
 from .charges import GRepTraces, Statistics, from_sl_gl1
 from .exactpoly import Poly, _Record
-from .multiindex import enumerate_indices
+from .multiindex import check_int, enumerate_indices
 
-# The fixed sizes of three suites: the delta grid and its random pairs per
-# (d, p), the random closure pairs per (d, p), the random cocycle triples.
-DELTA_D_MAX, DELTA_P_MAX, DELTA_PAIRS = 3, 4, 20
-CLOSURE_PAIRS = 10
-COCYCLE_TRIPLES = 20
+# The random delta and closure pairs per (d, p), the random cocycle triples.
+DELTA_PAIRS, CLOSURE_PAIRS, COCYCLE_TRIPLES = 20, 10, 20
 # The chance that a random field has each monomial up to its degree.
 TERM_DENSITY = 0.6
 
@@ -60,20 +63,6 @@ class SuiteResult(_Record, frozen=False):
             self.failures.append(witness)
 
 
-class VerifyReport(_Record, frozen=False):
-    """The results of the suites of one ``run_all``."""
-
-    __slots__ = ("suites",)
-
-    def __init__(self, suites: list[SuiteResult] | None = None):
-        self.suites = [] if suites is None else suites
-
-    @property
-    def ok(self) -> bool:
-        """A report with no suite has shown nothing, so it does not pass."""
-        return bool(self.suites) and all(s.ok for s in self.suites)
-
-
 def _random_poly(d: int, deg: int, rng: random.Random) -> Poly:
     terms = {}
     for e in enumerate_indices(d, deg):
@@ -82,15 +71,10 @@ def _random_poly(d: int, deg: int, rng: random.Random) -> Poly:
     return Poly(d, terms)
 
 
-def suite_sums(d_max: int = 4, p_max: int = 8, fault: bool = False) -> SuiteResult:
+def suite_sums(seed: int, d_max: int, p_max: int, fault: bool) -> SuiteResult:
     """Check closed = brute for every kind, grid point and direction pair,
     plus the recursion B_{d,p} = B_{d,p-1} + binom(d+p-1, d), the relations
-    C = E + D and E = D + B, and permutation symmetry of the directions.
-
-    With ``fault=True`` a deliberate off-by-one is injected into one closed
-    form so that the surrounding self-test machinery can prove it would
-    notice a real discrepancy.
-    """
+    C = E + D and E = D + B, and permutation symmetry of the directions."""
     res = SuiteResult("lattice-sums")
     kinds = jetsums.SumKind
     closed, brute = jetsums.sum_closed, jetsums.sum_brute
@@ -134,33 +118,35 @@ def suite_sums(d_max: int = 4, p_max: int = 8, fault: bool = False) -> SuiteResu
     return res
 
 
-def suite_delta(seed: int) -> SuiteResult:
+def suite_delta(seed: int, d_max: int, p_max: int, fault: bool) -> SuiteResult:
     res = SuiteResult("delta-pairs")
     rng = random.Random(seed)
     none, on_x, on_y = (deltacalc.DerivSpec.none(), deltacalc.DerivSpec.on_x,
                         deltacalc.DerivSpec.on_y)
     plain, shifted = deltacalc.SmearMode.PLAIN, deltacalc.SmearMode.SHIFTED
-    for d in range(1, DELTA_D_MAX + 1):
+    for d in range(1, d_max + 1):
         # (case, mu, nu, D1, D2, modes) of each oracle-vs-closed check
         cases = [("i", None, None, none, none, (plain, plain))]
         for mu in range(d):
             cases.append(("ii", mu, None, on_x(mu), none, (shifted, plain)))
             cases += [("iii", mu, nu, on_x(mu), on_y(nu), (shifted, shifted))
                       for nu in range(d)]
-        for p in range(0, DELTA_P_MAX + 1):
+        for p in range(0, p_max + 1):
             for _ in range(DELTA_PAIRS):
                 f = _random_poly(d, p + 2, rng)
                 g = _random_poly(d, p + 2, rng)
                 for case, mu, nu, d1, d2, modes in cases:
                     oracle = deltacalc.delta_pair_integral(f, g, d1, d2, modes, d, p)
                     closed = deltacalc.delta_pair_closed(case, f, g, mu, nu, d, p)
+                    if fault and case == "ii" and (d, p) == (d_max, p_max):
+                        closed += 1
                     where = "".join(f", {name}={v}" for name, v in (("mu", mu), ("nu", nu))
                                     if v is not None)
                     res.record(oracle == closed, f"case {case} at d={d}, p={p}{where}")
     return res
 
 
-def suite_closures(seed: int, d_max: int = 2, p_max: int = 3) -> SuiteResult:
+def suite_closures(seed: int, d_max: int, p_max: int, fault: bool) -> SuiteResult:
     res = SuiteResult("closures")
     rng = random.Random(seed)
     sc_ab = jetreps.StructureConstants.abelian(1)
@@ -178,8 +164,9 @@ def suite_closures(seed: int, d_max: int = 2, p_max: int = 3) -> SuiteResult:
                     lhs = jetreps.bracket(
                         jetreps.gauge_operator(X, grep, d, p),
                         jetreps.gauge_operator(Y, grep, d, p))
+                    swap = fault and (d, p) == (d_max, p_max)
                     rhs = jetreps.gauge_operator(
-                        sc.bracket_components(X, Y), grep, d, p)
+                        sc.bracket_components(*((Y, X) if swap else (X, Y))), grep, d, p)
                     res.record(lhs == rhs,
                                f"current closure at d={d}, p={p}, dim-g={sc.dim}")
                 # vector-field closure
@@ -205,7 +192,7 @@ def suite_closures(seed: int, d_max: int = 2, p_max: int = 3) -> SuiteResult:
     return res
 
 
-def suite_charges(d_max: int = 2, p_max: int = 3) -> SuiteResult:
+def suite_charges(seed: int, d_max: int, p_max: int, fault: bool) -> SuiteResult:
     res = SuiteResult("charges")
     lambdas = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
     trace_tuples = (
@@ -224,12 +211,14 @@ def suite_charges(d_max: int = 2, p_max: int = 3) -> SuiteResult:
                         meas = wickcocycle.extract_charges(d, p, lam, gl, gr)
                         where = f"d={d}, p={p}, lambda={lam}, {stats.value}, kappa={kappa}"
                         for name, m, c in charges_mod.compare(closed, meas):
+                            if fault and name == "c5" and (d, p) == (d_max, p_max):
+                                c += 1
                             if m is not None:
                                 res.record(m == c, f"{name} at {where}: {m} != {c}")
     return res
 
 
-def suite_cocycles(seed: int) -> SuiteResult:
+def suite_cocycles(seed: int, d_max: int, p_max: int, fault: bool) -> SuiteResult:
     res = SuiteResult("cocycles")
     rng = random.Random(seed)
 
@@ -243,7 +232,7 @@ def suite_cocycles(seed: int) -> SuiteResult:
 
     c1, c2, c5, c8 = Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 5)
     for _ in range(COCYCLE_TRIPLES):
-        for d in (1, 2):
+        for d in range(1, d_max + 1):
             q = rand_traj(d)
             xi = [_random_poly(d, 2, rng) for _ in range(d)]
             eta = [_random_poly(d, 2, rng) for _ in range(d)]
@@ -256,7 +245,7 @@ def suite_cocycles(seed: int) -> SuiteResult:
                 + cocycles_mod.affine_cocycle(Y, X, q, c5, c8)
             res.record(v == 0, f"current antisymmetry, d={d}: residual {v}")
     # d = 1 reductions
-    for p in range(0, 7):
+    for p in range(0, p_max + 1):
         for stats in (Statistics.BOSE, Statistics.FERMI):
             gl = from_sl_gl1(0, 0, 1, 1)
             gr = GRepTraces(1, Fraction(5, 3), 0, 0, stats)
@@ -266,24 +255,31 @@ def suite_cocycles(seed: int) -> SuiteResult:
     for m in range(-4, 5):
         f = Poly.monomial((m + 1,))
         g = Poly.monomial((-m + 1,))
+        if fault and m == 2:
+            f, g = g, f
         val = cocycles_mod.reparam_reparam_cocycle(f, g, 12)
         res.record(val == m ** 3 - m,
                    f"monomial pattern at m={m}: {val} != {m ** 3 - m}")
     return res
 
 
+# (suite, its fixed (d_max, p_max), or None for the grid of run_all)
+SUITES = (
+    (suite_sums, (4, 8)),
+    (suite_delta, (3, 4)),
+    (suite_closures, None),
+    (suite_charges, None),
+    (suite_cocycles, (2, 6)),
+)
+
+
 def run_all(d_max: int = 2, p_max: int = 3, seed: int = 0,
-            fault: bool = False) -> VerifyReport:
-    """Run every suite; the sweep-size arguments bound the closure and charge
-    suites, at most d_max = 2 and p_max = 3 (the sums and delta suites always
-    cover their full ranges)."""
-    if not (1 <= d_max <= 2 and 0 <= p_max <= 3):
+            fault: bool = False) -> list[SuiteResult]:
+    """Run every row of ``SUITES``; the sweep-size arguments bound the rows
+    without a grid of their own, at most d_max = 2 and p_max = 3."""
+    check_int("d_max", d_max, 1)
+    check_int("p_max", p_max, 0)
+    if d_max > 2 or p_max > 3:
         raise ValueError(f"verify grid out of range: need 1 <= d_max <= 2 and "
                          f"0 <= p_max <= 3, got d_max={d_max}, p_max={p_max}")
-    report = VerifyReport()
-    report.suites.append(suite_sums(fault=fault))
-    report.suites.append(suite_delta(seed))
-    report.suites.append(suite_closures(seed, d_max=d_max, p_max=p_max))
-    report.suites.append(suite_charges(d_max=d_max, p_max=p_max))
-    report.suites.append(suite_cocycles(seed))
-    return report
+    return [suite(seed, *(grid or (d_max, p_max)), fault) for suite, grid in SUITES]

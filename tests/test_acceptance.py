@@ -39,7 +39,7 @@ def _rand_poly(d, deg, rng, density=0.6):
 
 def test_criterion_1_lattice_sum_identities():
     start = time.monotonic()
-    report = suite_sums(4, 8)
+    report = suite_sums(SEED, 4, 8, False)
     elapsed = time.monotonic() - start
     assert report.ok, report.failures[:5]
     assert report.checks >= 4 * 9  # every grid point checked at least once
@@ -48,7 +48,7 @@ def test_criterion_1_lattice_sum_identities():
 
 def test_criterion_2_delta_pair_oracle_vs_closed():
     start = time.monotonic()
-    result = suite_delta(SEED)
+    result = suite_delta(SEED, 3, 4, False)
     elapsed = time.monotonic() - start
     assert result.ok, result.failures[:5]
     # d <= 3, p <= 4, 20 pairs per point, 1 + d + d^2 checks per pair
@@ -74,7 +74,7 @@ def test_criterion_2_equal_direction_covariant_case():
 
 def test_criterion_3_closures():
     start = time.monotonic()
-    result = suite_closures(SEED, d_max=2, p_max=3)
+    result = suite_closures(SEED, 2, 3, False)
     elapsed = time.monotonic() - start
     assert result.ok, result.failures[:5]
     # 8 (d, p) points, 10 pairs per point, 4 closures per pair
@@ -111,7 +111,7 @@ def test_criterion_3_mixed_bracket_weight_one_form():
 
 def test_criterion_4_engine_reproduces_charge_formulas():
     start = time.monotonic()
-    result = suite_charges(d_max=2, p_max=3)
+    result = suite_charges(SEED, 2, 3, False)
     elapsed = time.monotonic() - start
     assert result.ok, result.failures[:5]
     # the sweep covers both statistics, four weights, three trace tuples
@@ -171,7 +171,7 @@ def test_criterion_5_monomial_cocycle_pattern():
 def test_criterion_6_cocycle_antisymmetry():
     # 20 draws x 2 dimensions x 2 kinds of antisymmetry, 14 level reductions
     # and 9 monomial pattern checks
-    result = suite_cocycles(SEED)
+    result = suite_cocycles(SEED, 2, 6, False)
     assert result.ok, result.failures[:5]
     assert result.checks == 103
 

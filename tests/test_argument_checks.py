@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetvir import verify
 from jetvir.charges import GRepTraces, closed_form, from_sl_gl1
 from jetvir.cli import main
 from jetvir.deltacalc import DerivSpec, SmearMode, delta_pair_closed, delta_pair_integral
@@ -227,6 +228,26 @@ def test_pair_integral_and_closed_forms_check_their_fields():
             f, g, DerivSpec.none(), DerivSpec.none(), SHIFT_PLAIN, 1, 2), "smearing pair")
         _one_line_value_error(lambda: delta_pair_closed("i", f, g, None, None, 1, 2),
                               "smearing pair")
+
+
+# -- verify ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d_max, p_max, match", [
+    (1.5, 0, "d_max must be an integer >= 1, got 1.5"),
+    (True, 0, "d_max must be an integer >= 1, got True"),
+    (0, 0, "d_max must be an integer >= 1, got 0"),
+    (1, 0.0, "p_max must be an integer >= 0, got 0.0"),
+    (1, False, "p_max must be an integer >= 0, got False"),
+    (1, -1, "p_max must be an integer >= 0, got -1"),
+    (3, 0, "verify grid out of range"),
+])
+def test_run_all_checks_its_grid_before_any_suite(monkeypatch, d_max, p_max, match):
+    # run_all(1.5, 0) ran two suites and then raised a TypeError in the
+    # closures suite; run_all(True, 0) ran as d_max = 1.
+    def must_not_run(seed, d_max, p_max, fault):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(verify, "SUITES", ((must_not_run, None),))
+    _one_line_value_error(lambda: verify.run_all(d_max, p_max), match)
 
 
 # -- cli ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import json
 import pytest
 
 import jetvir.cli
+from jetvir import verify
 from jetvir.charges import ChargeSet
 from jetvir.cli import main
-from jetvir.verify import SuiteResult, VerifyReport
+from jetvir.verify import SuiteResult
 
 
 def run(capsys, *argv):
@@ -158,16 +159,27 @@ def test_verify_empty_grid_is_a_usage_error(capsys, d_max, p_max):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_suite_without_checks_does_not_pass():
+def _one_row(checks):
+    def suite(seed, d_max, p_max, fault):
+        res = SuiteResult("one")
+        for _ in range(checks):
+            res.record(True, "")
+        return res
+    return ((suite, None),)
+
+
+def test_suite_without_checks_does_not_pass(capsys, monkeypatch):
     assert not SuiteResult("empty").ok
-    assert not VerifyReport([SuiteResult("empty")]).ok
+    monkeypatch.setattr(verify, "SUITES", _one_row(0))
+    # a suite with no check has no witness to print; this raised an IndexError
+    assert run(capsys, "verify") == (1, "one      0 checks  FAIL\nresult: FAIL\n", "")
 
 
-def test_report_without_suites_does_not_pass():
-    assert not VerifyReport().ok
-    passed = SuiteResult("one")
-    passed.record(True, "")
-    assert VerifyReport([passed]).ok
+def test_report_without_suites_does_not_pass(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", ())
+    assert run(capsys, "verify") == (1, "result: FAIL\n", "")
+    monkeypatch.setattr(verify, "SUITES", _one_row(1))
+    assert run(capsys, "verify") == (0, "one      1 checks  pass\nresult: pass\n", "")
 
 
 def test_cocycle_zero_denominator(capsys):

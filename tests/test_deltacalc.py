@@ -506,5 +506,5 @@ def test_suite_delta_names_the_first_failing_case(monkeypatch, case, at, witness
         value = closed(which, f, g, mu, nu, d, p)
         return value + 1 if (which, mu, nu) == (case, *at) else value
     monkeypatch.setattr(deltacalc, "delta_pair_closed", off_by_one)
-    res = verify.suite_delta(0)
+    res = verify.suite_delta(0, 3, 4, False)
     assert res.checks == 2300 and res.failures[0] == witness

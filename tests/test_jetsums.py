@@ -46,13 +46,13 @@ def test_p_zero_lattice():
 
 
 def test_verify_identities_small():
-    report = suite_sums(3, 5)
+    report = suite_sums(0, 3, 5, False)
     assert report.ok
     assert report.checks > 0
 
 
 def test_verify_identities_fault_injection():
-    report = suite_sums(2, 2, fault=True)
+    report = suite_sums(0, 2, 2, True)
     assert not report.ok
     assert any("A mismatch" in f for f in report.failures)
 
