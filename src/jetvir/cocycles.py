@@ -40,8 +40,8 @@ built only at an exponent that survives the sum on a rho with nonzero
 velocity, and raises there what its builder raises in ``compose``:
 OverflowError past the cap, or ValueError for a non-monomial inverse.  Every
 field argument is checked by ``exactpoly.check_field`` (component count, d
-variables each), and every charge is an ``exact`` value or an int or
-Fraction coefficient, so a float raises.
+variables each), and each of the six terms reads every charge with ``exact``
+on entry, so a float or None raises with the value as it was given.
 """
 
 from __future__ import annotations
@@ -212,11 +212,11 @@ def virasoro_cocycle(xi: Sequence[Poly], eta: Sequence[Poly], q: Trajectory,
     d = q.d
     check_field("xi", xi, d, d)
     check_field("eta", eta, d, d)
+    m1, m2 = -exact(c1), -exact(c2)
     d_xi = [[xi[mu].deriv(nu) for nu in range(d)] for mu in range(d)]  # d_nu xi^mu
     d_eta = [[eta[nu].deriv(mu) for mu in range(d)] for nu in range(d)]  # d_mu eta^nu
     div_xi = lincomb(d, [(1, d_xi[mu][mu]) for mu in range(d)])
     div_eta = lincomb(d, [(1, d_eta[nu][nu]) for nu in range(d)])
-    m1, m2 = -c1, -c2
     return _pullback_residue(
         [[(m1, d_xi[mu][nu].deriv(rho), d_eta[nu][mu]) for mu in range(d) for nu in range(d)]
          + [(m2, div_xi.deriv(rho), div_eta)] for rho in range(d)], q)
@@ -226,6 +226,7 @@ def affine_cocycle(X: Sequence[Poly], Y: Sequence[Poly], q: Trajectory,
                    c5, c8) -> Fraction:
     check_field("X", X, q.d)
     check_field("Y", Y, q.d, len(X))
+    c5, c8 = exact(c5), exact(c8)
     omega = []
     for rho in range(q.d):
         first = X[0].deriv(rho)
@@ -238,7 +239,7 @@ def mixed_cocycle(xi: Sequence[Poly], X: Sequence[Poly], q: Trajectory,
                   c7) -> Fraction:
     check_field("xi", xi, q.d, q.d)
     check_field("X", X, q.d)
-    div_xi = divergence(xi)
+    c7, div_xi = exact(c7), divergence(xi)
     return _pullback_residue([[(c7, div_xi.deriv(rho), X[0])] for rho in range(q.d)], q)
 
 

@@ -48,9 +48,10 @@ row, a dict (column, a, b) -> int coefficient over ``den``, and makes the
 rows by Kronecker substitution: each prim is packed into one int, each
 distinct product of prims is one int multiply, and each entry is unpacked
 once; a call too sparse in its layout for that to pay multiplies each
-distinct pair term by term once instead.  ``jetreps`` hands it primitive
-parts (int numerators with gcd 1), so each distinct product of prims is
-made once per bracket.
+distinct pair term by term once instead.  Its one caller, ``jetreps._bracket``,
+hands it primitive parts (int numerators with gcd 1) and both parts of a
+jet bracket in one call, so each distinct product of prims is made once
+per bracket.
 ``lincomb(dim, pairs)`` is the one kernel for linear combinations: all
 numerators go into one dict over the lcm of the scaled denominators, reduced
 once.  Every sum, difference, negation and scaling is one ``lincomb``, and so

@@ -20,7 +20,9 @@ s_k = e_mu with f_k = xi^mu, R_k = 1 is the transport term, which is also
 the jet part of the momentum-like translation operator (no standalone value).
 
 Matrix entries are polynomials in q, so operator equality is polynomial
-equality and subsumes every numeric base point.  Bracket closure
+equality and subsumes every numeric base point.  For Laurent fields, the
+Fourier modes of the torus, the entries are Laurent polynomials in q, and
+equality holds at every base point where they are defined.  Bracket closure
 ([J_X, J_Y] = J_{[X,Y]}, [L_xi, L_eta] = L_{[xi,eta]}) holds exactly at
 every truncation order because both transport (by functions with no
 constant x-term) and multiplication preserve the ideal of monomials of
@@ -67,10 +69,11 @@ Matrix = tuple[tuple[Poly, ...], ...]
 # entries with equal term lists one object.  Each row of the result is then
 # planned as one dict (column, a, b) -> int with a <= b, over L1 * L2, so
 # the terms of B1 B2 and B2 B1 merge, and cancel, before any product is
-# made; the terms a.dB are planned the same way on d_nu prims[k], each
-# factored once into a prim of its own.  ``exactpoly.prim_products`` then
-# makes each distinct product of prims once per bracket, on int numerators
-# alone: a bracket calls neither ``Poly.deriv`` nor ``Poly.__mul__``.
+# made; the terms a.dB, and the vector part, are planned the same way on
+# d_nu prims[k], each factored once into a prim of its own.  One
+# ``exactpoly.prim_products`` call then makes each distinct product of prims
+# once per bracket, on int numerators alone: a bracket calls neither
+# ``Poly.deriv`` nor ``Poly.__mul__``.
 class _Prims:
     """The prims of one bracket, each held once, and their derivatives."""
 
@@ -148,30 +151,32 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> Matrix:
-    """Matrix part of the commutator of first-order operators a.d/dq + B(q):
+def _bracket(d: int, a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly],
+             b2: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
+    """(vector, matrix) of [a1.d + B1, a2.d + B2] for vector parts a1, a2
+    (empty for none) and square matrices B1, B2 of Polys in d variables:
 
-    [a1.d + B1, a2.d + B2] = (a1.d a2 - a2.d a1).d
-                             + (a1.d B2 - a2.d B1 + B1 B2 - B2 B1).
+        (a1.d a2 - a2.d a1).d + (a1.d B2 - a2.d B1 + B1 B2 - B2 B1).
 
-    a1, a2 are vector parts (Polys in q, empty for none) and b1, b2 square
-    matrices of Polys in q.  Row i is planned as
-    sum_k B1[i,k] B2[k,.] - B2[i,k] B1[k,.] over the nonzero entries, plus
-    a1.d B2[i,.] - a2.d B1[i,.] over the nonzero entries of row i, and
-    ``prim_products`` takes each plan as it is made; any other entry is the
-    shared zero.
+    Row i of the matrix is planned as sum_k B1[i,k] B2[k,.] - B2[i,k] B1[k,.]
+    plus a1.d B2[i,.] - a2.d B1[i,.] over the nonzero entries; the vector
+    part, empty unless a1 and a2 both are not, is one more row, last, whose
+    a.d terms are planned the same way with a2 and a1 as the rows.  One
+    ``prim_products`` call takes each plan as it is made; any other entry
+    is the shared zero.
     """
-    if not b1:
-        return ()
     prims = _Prims()
     den1, v1, rows1 = prims.operator(a1, b1)
     den2, v2, rows2 = prims.operator(a2, b2)
+    both = bool(a1 and a2)
+    n = len(b1)
+    pairs = list(zip(rows1, rows2)) + ([(v1, v2)] if both else [])
 
     def plans():
-        for r1, r2 in zip(rows1, rows2):
+        for i, (r1, r2) in enumerate(pairs):
             plan: dict[tuple[int, int, int], int] = {}
             get = plan.get
-            for row, rows, sign in ((r1, rows2, 1), (r2, rows1, -1)):
+            for row, rows, sign in ((r1, rows2, 1), (r2, rows1, -1)) if i < n else ():
                 for k, (g1, a) in row.items():
                     g1 *= sign
                     for j, (g2, b) in rows[k].items():
@@ -182,7 +187,9 @@ def _bracket(a1: Sequence[Poly], b1: Matrix, a2: Sequence[Poly], b2: Matrix) -> 
                     for j, f in row.items():
                         prims.along(plan, j, v, f, sign)
             yield plan
-    return tuple(prim_products(b1[0][0].dim, prims.prims, den1 * den2, len(b1), plans()))
+    out = prim_products(d, prims.prims, den1 * den2, max(n, d) if both else n, plans())
+    vector = out.pop()[:d] if both else ()
+    return vector, tuple(row[:n] for row in out)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -446,16 +453,10 @@ class JetOperator:
         return all(v.is_zero() for v in self.vector) and mat_is_zero(self.matrix)
 
 
-def _check_components(comps: Sequence[Poly], d: int, count: int, what: str) -> None:
-    check_field(what, comps, d, count)
-    if any(c.is_laurent() for c in comps):
-        raise ValueError(f"{what} components must have non-negative exponents")
-
-
 def gauge_operator(X: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOperator:
     """The jet current generator: blocks binom(m, n) d_{m-n}X^a(q) M^a."""
     n_gen = len(rep.generators)
-    _check_components(X, d, n_gen, "g-valued function")
+    check_field("g-valued function", X, d, n_gen)
     try:
         mats = [rep.matrix(a) for a in range(n_gen)]
     except KeyError as exc:
@@ -471,7 +472,7 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOper
     Matrix part: transport by xi^mu(x+q) - xi^mu(q) plus the frame term
     d_nu xi^mu(x+q) T^nu_mu, both truncated at jet order p.
     """
-    _check_components(xi, d, d, "vector field")
+    check_field("vector field", xi, d, d)
     labels = [lab for lab, _ in rep.generators]
     frame = [(nu, mu) for nu in range(d) for mu in range(d)]
     if len(labels) != len(frame) or set(labels) != set(frame):
@@ -488,21 +489,12 @@ def diff_operator(xi: Sequence[Poly], rep: MatrixRep, d: int, p: int) -> JetOper
 
 
 def vector_field_bracket(xi: Sequence[Poly], eta: Sequence[Poly]) -> list[Poly]:
-    """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu."""
+    """[xi, eta]^mu = xi^nu d_nu eta^mu - eta^nu d_nu xi^mu, the vector part
+    of ``_bracket`` on two operators without a matrix."""
     d = len(xi)
     check_field("xi", xi, d, d)
     check_field("eta", eta, d, d)
-    prims = _Prims()
-    den1, fx, _ = prims.operator(xi, ())
-    den2, fe, _ = prims.operator(eta, ())
-    plan: dict[tuple[int, int, int], int] = {}
-    for mu in range(d):
-        if mu in fe:
-            prims.along(plan, mu, fx, fe[mu], 1)
-        if mu in fx:
-            prims.along(plan, mu, fe, fx[mu], -1)
-    (row,) = prim_products(d, prims.prims, den1 * den2, d, [plan])
-    return list(row)
+    return list(_bracket(d, xi, (), eta, ())[0])
 
 
 def bracket(a: JetOperator, b: JetOperator) -> JetOperator:
@@ -515,9 +507,7 @@ def bracket(a: JetOperator, b: JetOperator) -> JetOperator:
     """
     if (a.d, a.p, a.rep_size) != (b.d, b.p, b.rep_size):
         raise ValueError("operator shape mismatch")
-    vector = tuple(vector_field_bracket(a.vector, b.vector)) if a.vector and b.vector else ()
-    return JetOperator(a.d, a.p, a.rep_size, vector,
-                       _bracket(a.vector, a.matrix, b.vector, b.matrix))
+    return JetOperator(a.d, a.p, a.rep_size, *_bracket(a.d, a.vector, a.matrix, b.vector, b.matrix))
 
 
 GaugeJetOperator = JetOperator  # ROADMAP item 4 step 1 deletes this

@@ -257,25 +257,32 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
 
 # -- generator builders ----------------------------------------------------------
 
+def _check_taylor(name: str, comps: Sequence[Poly], d: int, count: int | None = None) -> None:
+    """``check_field``, then a ValueError for a Laurent component: the engine
+    reads Taylor coefficients at q = 0, where a Laurent field has none."""
+    check_field(name, comps, d, count)
+    if any(c.is_laurent() for c in comps):
+        raise ValueError(f"{name} has a negative exponent, but the engine reads Taylor "
+                         f"coefficients at q = 0")
+
+
 def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
-    """J_X with g-components X^a (a = 0 is the privileged trace direction)."""
+    """J_X with g-components X^a (a = 0 is the privileged trace direction).
+    A Laurent component raises ValueError (``_check_taylor``)."""
     check_grid(d, p)
     if X:
-        check_field("X", X, d)
-    terms = []
-    for a_idx, comp in enumerate(X):
-        if comp.is_zero():
-            continue
-        terms.append(Term(Fraction(1), comp, (None, a_idx)))
-    return NormalBilinear(d, p, tuple(terms))
+        _check_taylor("X", X, d)
+    return NormalBilinear(d, p, tuple(Term(Fraction(1), comp, (None, a))
+                                      for a, comp in enumerate(X) if not comp.is_zero()))
 
 
 def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """L_xi: shifted transport terms pi xi_0^mu d_mu phi, plain frame terms
     pi d_nu xi^mu T^nu_mu phi; they do not depend on p, so they are the base
-    point's terms too."""
+    point's terms too.  A Laurent component raises ValueError
+    (``_check_taylor``)."""
     check_grid(d, p)
-    check_field("vector field", xi, d, d)
+    _check_taylor("vector field", xi, d, d)
     terms: list[Term] = []
     for mu in range(d):
         if any(any(e) for e in xi[mu].numerators):  # xi^mu is not constant

@@ -201,20 +201,28 @@ def test_field_variable_count_is_checked():
 
 
 def test_float_charges_are_rejected():
+    """All six extension terms read each charge with ``exact``: the text
+    "1/2" is the Fraction 1/2, and None or a float raises a one-line
+    ValueError that quotes the value as it was given."""
     q = Trajectory((_z("z"),))
-    x = parse_poly("x0", 1)
-    with pytest.raises(ValueError, match="exact"):
-        affine_cocycle([x], [Poly.monomial((-1,))], q, 0.1, 0)
-    with pytest.raises(ValueError, match="exact"):
-        reparam_reparam_cocycle(_z("z^3"), _z("z^-1"), 0.1)
-    with pytest.raises(ValueError, match="exact"):
-        virasoro_cocycle([x], [x], q, 1, 0.5)
-    with pytest.raises(ValueError, match="exact"):
-        mixed_cocycle([x], [x], q, 0.5)
-    with pytest.raises(ValueError, match="exact"):
-        reparam_vector_cocycle(_z("z^2"), [x], q, 0.5)
-    with pytest.raises(ValueError, match="exact"):
-        reparam_current_cocycle(_z("z^2"), [x], q, 0.5)
+    x, y, w = (parse_poly(t, 1) for t in ("x0^2 + 3 * x0^-1", "x0^3 - x0^-2", "x0^2 + x0"))
+    f, g = _z("z^3 + z"), _z("z^-1 + z^2")
+    terms = [(virasoro_cocycle, ([x], [y], q), 2), (affine_cocycle, ([x], [y], q), 2),
+             (mixed_cocycle, ([x], [w], q), 1), (reparam_reparam_cocycle, (f, g), 1),
+             (reparam_vector_cocycle, (f, [x], q), 1),
+             (reparam_current_cocycle, (f, [y], q), 1)]
+    for term, fields, count in terms:
+        for k in range(count):
+            def value(charge):
+                return term(*fields, *(charge if i == k else 1 for i in range(count)))
+            half = value(Fraction(1, 2))
+            assert value("1/2") == half != value(1), (term.__name__, k)
+            for bad in (None, 0.5):
+                with pytest.raises(ValueError) as err:
+                    value(bad)
+                message = str(err.value)
+                assert "exact" in message and "\n" not in message
+                assert message.endswith(repr(bad)), (term.__name__, k, message)
 
 
 # -- differential test against per-function integration loops -----------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvir import exactpoly, jetreps
-from jetvir.cocycles import divergence
+from jetvir.cocycles import density_action, divergence
 from jetvir.exactpoly import Poly, lincomb, parse_poly
 from jetvir.jetreps import (
     JetOperator,
@@ -84,7 +84,7 @@ def _numeric_matrix(rows):
 
 def _commutator_equals(a, b, rhs):
     """[a, b] == rhs for square matrices of rationals."""
-    return _bracket((), _numeric_matrix(a), (), _numeric_matrix(b)) == _numeric_matrix(rhs)
+    return _bracket(0, (), _numeric_matrix(a), (), _numeric_matrix(b)) == ((), _numeric_matrix(rhs))
 
 
 def _check_g_relations(rep, sc):
@@ -322,7 +322,7 @@ def test_g_abelian_needs_one_value_per_generator():
 
 
 def test_empty_matrices():
-    assert _bracket((), (), (), ()) == ()
+    assert _bracket(0, (), (), (), ()) == ((), ())
     assert mat_mul((), ()) == ()
 
 
@@ -608,12 +608,15 @@ def _ref_directional_derivative(a, target):
     return tuple(tuple(_ref_along(a, entry) for entry in row) for row in target)
 
 
-def _reference_bracket(a1, b1, a2, b2):
-    """a1.dB2 - a2.dB1 + B1B2 - B2B1 as sums and differences of whole
-    matrices, one fold of * and + per matrix-product entry."""
+def _reference_bracket(d, a1, b1, a2, b2):
+    """(a1.da2 - a2.da1, a1.dB2 - a2.dB1 + B1B2 - B2B1) as sums and
+    differences of whole vectors and matrices, one fold of * and + per
+    matrix-product entry; the vector part is () unless a1 and a2 both are
+    nonempty."""
     dd = _ref_directional_derivative
-    return _mat_add(_ref_mat_sub(dd(a1, b2), dd(a2, b1)),
-                    _ref_mat_sub(_ref_mat_mul(b1, b2), _ref_mat_mul(b2, b1)))
+    vector = _ref_mat_sub(dd(a1, (a2,)), dd(a2, (a1,)))[0] if a1 and a2 else ()
+    return vector, _mat_add(_ref_mat_sub(dd(a1, b2), dd(a2, b1)),
+                            _ref_mat_sub(_ref_mat_mul(b1, b2), _ref_mat_mul(b2, b1)))
 
 
 @st.composite
@@ -627,7 +630,7 @@ def _bracket_cases(draw):
     matrix = st.lists(polys, min_size=n * n, max_size=n * n).map(
         lambda xs: tuple(tuple(xs[i * n:(i + 1) * n]) for i in range(n)))
     vector = st.one_of(st.tuples(*[polys] * d), st.just(()))
-    return (draw(vector), draw(matrix), draw(vector), draw(matrix)), draw(st.integers(4, 12))
+    return (d, draw(vector), draw(matrix), draw(vector), draw(matrix)), draw(st.integers(4, 12))
 
 
 def _counting_products(log):
@@ -675,7 +678,7 @@ def _counting_kernel_products(log, planned):
 def test_bracket_matches_the_composed_matrix_operations(case):
     """The one-kernel bracket against the composition it replaces, on Laurent
     entries with zeros, on the packed path and on the per-pair path: the
-    same matrix; the products of the per-pair path, counted at its one
+    same vector part and matrix; the products of the per-pair path, counted at its one
     multiply, are a sub-multiset of the composition's (by term-pair count);
     each distinct pair of prims with a nonzero planned coefficient is
     multiplied exactly once and a pair whose coefficients all cancelled
@@ -731,12 +734,80 @@ def _built_operator_pairs(rng):
 def test_bracket_of_built_operators_matches_the_composed_matrix_operations():
     """The bracket of jet matrices from the builders, whose entries are
     shared objects that the bracket factors once each by id, against the
-    composition of matrix operations.  The bracket takes its derivatives
-    and products on int numerators: it calls neither ``Poly.deriv`` nor
+    composition of matrix operations, vector part and matrix, on the packed
+    path and on the per-pair path.  The bracket takes its derivatives and
+    products on int numerators: it calls neither ``Poly.deriv`` nor
     ``Poly.__mul__``."""
     rng = random.Random(19)
     for a, b in _built_operator_pairs(rng):
-        with (mock.patch.object(Poly, "deriv", side_effect=AssertionError("deriv")),
-              mock.patch.object(Poly, "__mul__", side_effect=AssertionError("mul"))):
-            got = _bracket(a.vector, a.matrix, b.vector, b.matrix)
-        assert got == _reference_bracket(a.vector, a.matrix, b.vector, b.matrix)
+        args = (a.d, a.vector, a.matrix, b.vector, b.matrix)
+        expected = _reference_bracket(*args)
+        assert bool(expected[0]) == bool(a.vector and b.vector)
+        for bits in (1 << 60, 0):
+            with (mock.patch.object(exactpoly, "_BITS_PER_PAIR", bits),
+                  mock.patch.object(Poly, "deriv", side_effect=AssertionError("deriv")),
+                  mock.patch.object(Poly, "__mul__", side_effect=AssertionError("mul"))):
+                got = _bracket(*args)
+            assert got == expected
+
+
+def test_a_bracket_of_vector_fields_makes_one_kernel_call():
+    """``bracket`` plans the vector part of two vector-field operators as one
+    more row of its one ``prim_products`` call, and ``vector_field_bracket``
+    is that row alone: each makes exactly one call, and both give the
+    reference xi.d eta - eta.d xi."""
+    xi = [parse_poly("x0^2 + 1/2 * x1", 2), parse_poly("x0 * x1 - 3", 2)]
+    eta = [parse_poly("2/3 * x1^3", 2), parse_poly("x0 - x1^2", 2)]
+    rep = MatrixRep.gl_vector(2)
+    a, b = diff_operator(xi, rep, 2, 2), diff_operator(eta, rep, 2, 2)
+    expected = _reference_bracket(2, xi, (), eta, ())[0]
+    for call in (lambda: bracket(a, b).vector, lambda: vector_field_bracket(xi, eta)):
+        with mock.patch.object(jetreps, "prim_products", wraps=jetreps.prim_products) as kernel:
+            assert tuple(call()) == expected
+        assert kernel.call_count == 1
+
+
+def _laurent_field(rng, d, count):
+    """``count`` components of 3 terms each, exponents in -2..2 and small
+    rational coefficients, with at least one negative exponent."""
+    exponents = list(itertools.product(range(-2, 3), repeat=d))
+    while True:
+        field = [Poly(d, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                          for e in rng.sample(exponents, 3)}) for _ in range(count)]
+        if any(c.is_laurent() for c in field):
+            return field
+
+
+def test_jet_closures_hold_on_laurent_fields():
+    """The three closures on the torus: Laurent fields go through the same
+    builder and bracket, whose entries are then Laurent polynomials in q,
+    and the closures hold exactly on 4 pairs at each of five (d, p), 60 in
+    all.  Each negative control fails on every pair: the swapped bracket in
+    the current and vector-field closures, and the weight-one density
+    action in place of transport in the mixed closure."""
+    rng = random.Random(16)
+    sc, g_rep, rep_ab = (StructureConstants.epsilon(), MatrixRep.g_rotation_adjoint(),
+                         MatrixRep.g_abelian(1))
+    held = controls_failed = 0
+    for d, p in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        gl_rep = MatrixRep.gl_vector(d)
+        for _ in range(4):
+            X, Y = _laurent_field(rng, d, 3), _laurent_field(rng, d, 3)
+            lhs = bracket(gauge_operator(X, g_rep, d, p), gauge_operator(Y, g_rep, d, p))
+            closures = [(lhs, *(gauge_operator(sc.bracket_components(*f), g_rep, d, p)
+                                for f in ((X, Y), (Y, X))))]
+            xi, eta = _laurent_field(rng, d, d), _laurent_field(rng, d, d)
+            l_xi = diff_operator(xi, gl_rep, d, p)
+            lhs = bracket(l_xi, diff_operator(eta, gl_rep, d, p))
+            assert any(x.is_laurent() for row in lhs.matrix for x in row)
+            closures.append((lhs, *(diff_operator(vector_field_bracket(*f), gl_rep, d, p)
+                                    for f in ((xi, eta), (eta, xi)))))
+            (Z,) = _laurent_field(rng, d, 1)
+            transported = lincomb(d, [(1, xi[mu] * Z.deriv(mu)) for mu in range(d)])
+            lhs = bracket_mixed(l_xi, gauge_operator([Z], rep_ab, d, p))
+            closures.append((lhs, *(embed_gauge_operator(gauge_operator(f, rep_ab, d, p), d)
+                                    for f in ([transported], density_action(xi, [Z])))))
+            for lhs, rhs, control in closures:
+                held += lhs == rhs
+                controls_failed += lhs != control
+    assert held == controls_failed == 60

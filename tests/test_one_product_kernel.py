@@ -7,11 +7,13 @@ Two checks over the syntax trees of ``src/jetvir``:
   table ``_SlotExponents`` (and the ``_slot_exponent`` helper it replaced),
   and the packing shift, a ``<<`` that moves a coefficient (anything but a
   constant) into its slot;
-* the kernel's only library callers are ``jetreps._bracket`` and
-  ``jetreps.vector_field_bracket``.
+* the kernel's only library caller is ``jetreps._bracket``, which plans
+  both parts of a jet bracket; ``jetreps.vector_field_bracket`` is one
+  ``_bracket`` call.
 
 A second kernel beside this one, such as the batch API it replaced, fails
-the first check.
+the first check, and a second planner that calls it, such as the one
+``vector_field_bracket`` had, fails the second.
 """
 
 import ast
@@ -20,7 +22,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "jetvir"
 KERNEL = ("exactpoly", "prim_products")
 LAYOUT = {"_unpack", "_SlotExponents", "_slot_exponent"}
-CALLERS = {("jetreps", "_bracket"), ("jetreps", "vector_field_bracket")}
+CALLERS = {("jetreps", "_bracket")}
 
 
 def _sources():
@@ -102,3 +104,11 @@ def test_the_checks_flag_a_second_kernel_and_a_second_caller():
     sources = _sources()
     sources["cocycles"] += "\n\ndef _pairs(q):\n    return exactpoly.prim_products(1, [], 1, 1, [])\n"
     assert kernel_callers(sources) == CALLERS | {("cocycles", "_pairs")}
+    # the kernel call of the planner that vector_field_bracket had, put back
+    sources = _sources()
+    one_call = "    return list(_bracket(d, xi, (), eta, ())[0])\n"
+    assert sources["jetreps"].count(one_call) == 1
+    sources["jetreps"] = sources["jetreps"].replace(
+        one_call, "    (row,) = prim_products(d, prims.prims, den1 * den2, d, [plan])\n"
+                  "    return list(row)\n")
+    assert kernel_callers(sources) == CALLERS | {("jetreps", "vector_field_bracket")}

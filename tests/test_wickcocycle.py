@@ -244,10 +244,10 @@ def _mismatches(pairs, read):
 def test_base_point_sector_reads_each_component_over_its_own_denominator(xi, eta):
     """The L-L, T-L, L-T and T-T poles are the field sector plus the typed
     base-point rule, with d_nu xi^mu(0) read as Fraction coefficients; the
-    fixed components have different denominators and Laurent terms.  The
-    random case compares the base-point sector alone, as the engine
-    contracts it and as the field table read at the engine's traces, with
-    the rule on 800 random pairs."""
+    fixed components have different denominators, and the builder refuses
+    eta with a Laurent term 3/8 x_{d-1}^-1 added.  The random case compares
+    the base-point sector alone, as the engine contracts it and as the field
+    table read at the engine's traces, with the rule on 800 random pairs."""
     if xi is None:
         pairs = _base_point_pairs()
         assert _mismatches(pairs, _engine_base_point) == 0
@@ -257,9 +257,12 @@ def test_base_point_sector_reads_each_component_over_its_own_denominator(xi, eta
         return
     d = len(xi)
     xi = [parse_poly(c, d) for c in xi]
-    # a Laurent term x_{d-1}^-1 in the last component of eta
-    eta = [parse_poly(c, d) for c in eta[:-1]] + [
-        parse_poly(eta[-1], d) + Poly.monomial((0,) * (d - 1) + (-1,), Fraction(3, 8))]
+    eta = [parse_poly(c, d) for c in eta]
+    # the engine reads no Laurent term: a term x_{d-1}^-1 in eta is refused
+    laurent = eta[:-1] + [eta[-1] + Poly.monomial((0,) * (d - 1) + (-1,), Fraction(3, 8))]
+    for p in (0, 2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            build_vector_field(laurent, d, p)
     kx, ke, kt = ("L", xi), ("L", eta), ("T",)
     assert _typed_rule(kx, ke, d) and _typed_rule(kt, ke, d) and _typed_rule(kx, kt, d)
     gl = from_sl_gl1(Fraction(1, 2), 1, 2, d)
@@ -339,6 +342,26 @@ def test_builders_need_a_valid_grid():
         for call in calls:
             with pytest.raises(ValueError, match=f"{what} must be"):
                 call()
+
+
+def test_builders_refuse_a_laurent_field():
+    """The engine reads Taylor coefficients at q = 0, where a Laurent field
+    has none, so the builders refuse one with a one-line ValueError.  They
+    once accepted it and the engine read only its Taylor terms, at d = 1,
+    p = 1 and the traces GL1, GR1: J_{x^-1} J_x gave {}, J_{x^-1 + 2} J_3
+    gave {2: -12}, the value of J_2 J_3, and L_{x^-1 d} L_{x^2 d} gave {}."""
+    x, inverse = parse_poly("x", 1), Poly.monomial((-1,))
+    cases = [(build_current, [inverse], [x]),
+             (build_current, [inverse + Poly.constant(1, 2)], [Poly.constant(1, 3)]),
+             (build_vector_field, [inverse], [x * x])]
+    for build, laurent, taylor in cases:
+        build(taylor, 1, 1)
+        with pytest.raises(ValueError) as err:
+            build(laurent, 1, 1)
+        assert "negative exponent" in str(err.value) and "\n" not in str(err.value)
+    # one Laurent component among others is enough
+    with pytest.raises(ValueError, match="negative exponent"):
+        build_current([Poly.zero(1), inverse], 1, 1)
 
 
 def test_pole_orders_bounded():
@@ -439,11 +462,12 @@ def _traces(draw, d):
 
 
 @st.composite
-def _poly(draw, d):
+def _poly(draw, d, low=-1):
     """Each Taylor term the oracle reads (the constant and the units) drawn
-    with a coefficient that may be zero, plus a few terms of exponents -1 to 2."""
+    with a coefficient that may be zero, plus a few terms of exponents
+    ``low`` to 2."""
     terms = {e: draw(_SMALL) for e in [(0,) * d] + [unit(d, mu) for mu in range(d)]}
-    terms.update(draw(st.dictionaries(st.tuples(*[st.integers(-1, 2)] * d), _SMALL,
+    terms.update(draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * d), _SMALL,
                                       max_size=3)))
     return Poly(d, terms)
 
@@ -459,7 +483,8 @@ def _bilinear(draw, d, p):
     kind = draw(st.sampled_from([None, "L", "T"]))
     base_point = ()
     if kind == "L":
-        kind = ("L", [draw(_poly(d)) for _ in range(d)])
+        # the builder refuses a Laurent field; the Terms above keep theirs
+        kind = ("L", [draw(_poly(d, 0)) for _ in range(d)])
         base_point = build_vector_field(kind[1], d, 0).q_sector
     elif kind == "T":
         kind = ("T",)
