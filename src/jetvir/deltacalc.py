@@ -91,11 +91,16 @@ _MODES = (SmearMode.PLAIN, SmearMode.SHIFTED)
 _ON = (Which.ON_X, Which.ON_Y)
 
 
-def _check_deriv(deriv: DerivSpec, d: int) -> None:
-    if deriv.which in _ON:
+def _check_deriv(deriv: DerivSpec, d: int) -> int:
+    """Check a decoration and return its code, the int the kernel caches key
+    on: 0 for none, mu + 1 for d/dx_mu and -(mu + 1) for d/dy_mu."""
+    which = deriv.which
+    if which in _ON:
         check_direction(deriv.direction, d, "derivative direction")
-    elif deriv.which is not Which.NONE:
-        raise ValueError(f"derivative decoration {deriv.which!r} is not a Which")
+        return deriv.direction + 1 if which is Which.ON_X else -1 - deriv.direction
+    if which is not Which.NONE:
+        raise ValueError(f"derivative decoration {which!r} is not a Which")
+    return 0
 
 
 _Ints = tuple[int, ...]
@@ -123,7 +128,7 @@ _KernelTerms = tuple[_Ints, _Ints, _Ints]
 
 
 @functools.lru_cache(maxsize=128)
-def _kernel_terms(d: int, p: int, deriv: DerivSpec,
+def _kernel_terms(d: int, p: int, deriv: int,
                   poly_is_x: bool) -> tuple[_KernelTerms, MultiIndex]:
     """Expand one decorated kernel factor termwise, as coded tuples built
     from the lattice's columns, and return it with its lift: e_mu for a
@@ -136,17 +141,18 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec,
     delta's derivative word (when it targets the delta variable).  The
     kernel coefficient (-1)^{|m|} / m! times the pairing factor
     (-1)^{|word|} word! is the integer (-1)^{|word|-|m|} word! / m!.  The
-    caller checks the decoration's direction before any cache is read.
+    decoration comes as the code ``_check_deriv`` returns, so the caller has
+    checked it before any cache is read.
     """
     places, codes = _codes(d, p)
-    if deriv.which is Which.NONE:
+    if not deriv:
         if not poly_is_x:
-            return _kernel_terms(d, p, deriv, True)
+            return _kernel_terms(d, p, 0, True)
         return ((1,) * len(codes), codes, codes), (0,) * d
-    mu = deriv.direction
+    mu = abs(deriv) - 1
     column = tuple(map(itemgetter(mu), enumerate_indices(d, p)))
     step = repeat(places[mu])
-    if (deriv.which is Which.ON_X) == poly_is_x:  # d_mu x^m = m_mu x^{m - e_mu}
+    if (deriv > 0) == poly_is_x:  # d_mu x^m = m_mu x^{m - e_mu}
         words = tuple(compress(codes, column))
         terms = tuple(filter(None, column)), tuple(map(sub, words, step)), words
     else:  # d_mu appended to the word m
@@ -155,7 +161,7 @@ def _kernel_terms(d: int, p: int, deriv: DerivSpec,
 
 
 @functools.lru_cache(maxsize=1024)
-def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
+def _pair_table(d: int, p: int, d1: int, d2: int
                 ) -> tuple[tuple[_Ints, _Ints, _Ints], dict[int, int],
                            tuple[tuple[MultiIndex, MultiIndex], ...], dict[MultiIndex, int]]:
     """The first kernel expansion's coefficients and exponent codes with the
@@ -164,7 +170,8 @@ def _pair_table(d: int, p: int, d1: DerivSpec, d2: DerivSpec
     that a term pair can meet, and the memo s -> W(s) of the weights built
     so far, which only ``delta_pair_integral`` fills.  Every term pair has
     s + t = Delta = lift1 + lift2, and as each lift is 0 or a unit the s
-    with t >= 0 are {0, lift1, lift2, Delta}, at most 4 pairs."""
+    with t >= 0 are {0, lift1, lift2, Delta}, at most 4 pairs.  The
+    decorations come as ``_check_deriv`` codes, so the key hashes four ints."""
     (c1, expos, _), lift1 = _kernel_terms(d, p, d1, True)
     (c2, _, words), lift2 = _kernel_terms(d, p, d2, False)
     lift = tuple(map(add, lift1, lift2))
@@ -217,11 +224,11 @@ def delta_pair_integral(
     """
     check_grid(d, p)
     check_field("the smearing pair (f, g)", (f, g), d)
-    _check_deriv(d1, d)  # before the caches, where a bool key finds its int's entry
-    _check_deriv(d2, d)
+    code1 = _check_deriv(d1, d)  # before the caches, where a bool key finds its int's entry
+    code2 = _check_deriv(d2, d)
     if len(modes) != 2 or modes[0] not in _MODES or modes[1] not in _MODES:
         raise ValueError(f"modes must be two SmearModes, got {modes!r}")
-    first, second, pairs, weights = _pair_table(d, p, d1, d2)
+    first, second, pairs, weights = _pair_table(d, p, code1, code2)
     zero = (0,) * d
     skip_s = zero if modes[0] is SmearMode.SHIFTED else None
     skip_t = zero if modes[1] is SmearMode.SHIFTED else None

@@ -74,7 +74,16 @@ def _random_poly(d: int, deg: int, rng: random.Random) -> Poly:
 def suite_sums(seed: int, d_max: int, p_max: int, fault: bool) -> SuiteResult:
     """Check closed = brute for every kind, grid point and direction pair,
     plus the recursion B_{d,p} = B_{d,p-1} + binom(d+p-1, d), the relations
-    C = E + D and E = D + B, and permutation symmetry of the directions."""
+    C = E + D and E = D + B, and permutation symmetry of the directions.
+
+    At fixed d the grid proves more than it samples.  The layer |m| = j has
+    binom(j+d-1, d-1) points, a polynomial of degree d - 1 in j, so a sum
+    over |m| <= p of a summand of degree k is a polynomial of degree <= d + k
+    in p.  Every summand here has degree <= 2, and every closed form is a
+    polynomial of degree <= d + 2 in p, so two sides that agree at the d + 3
+    points p = 0..d+2 agree at every p.  So the grid of ``SUITES``, d <= 4
+    and p <= 8, proves all five identities for every p at d <= 4, where
+    d + 3 <= 7 points are enough."""
     res = SuiteResult("lattice-sums")
     kinds = jetsums.SumKind
     closed, brute = jetsums.sum_closed, jetsums.sum_brute

@@ -240,9 +240,13 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
     """Full double contraction of A(z) with B(w) through the OPE and the
     exact delta-pair oracle: the field sector at (d, p) and the base-point
     sector at p = 0.  Returns the exact pole expansion in (z - w) as a dict
-    pole order -> nonzero coefficient of (z - w)^(-order)."""
+    pole order -> nonzero coefficient of (z - w)^(-order).  A Laurent
+    coefficient in any term of either operand, base point included, raises
+    the builders' ValueError (``_refuse_laurent``)."""
     if (a.d, a.p) != (b.d, b.p):
         raise ValueError("bilinears must share (d, p)")
+    _refuse_laurent("a term coefficient", [t.coeff for x in (a, b)
+                                           for ts in (x.terms, x.q_sector) for t in ts])
     eps = grep.statistics.sign
     params = _parameters(0, glrep, grep)
     poles = {}
@@ -257,10 +261,9 @@ def double_contraction(a: NormalBilinear, b: NormalBilinear,
 
 # -- generator builders ----------------------------------------------------------
 
-def _check_taylor(name: str, comps: Sequence[Poly], d: int, count: int | None = None) -> None:
-    """``check_field``, then a ValueError for a Laurent component: the engine
-    reads Taylor coefficients at q = 0, where a Laurent field has none."""
-    check_field(name, comps, d, count)
+def _refuse_laurent(name: str, comps: Sequence[Poly]) -> None:
+    """A one-line ValueError for a Laurent component: the engine reads Taylor
+    coefficients at q = 0, where a Laurent field has none."""
     if any(c.is_laurent() for c in comps):
         raise ValueError(f"{name} has a negative exponent, but the engine reads Taylor "
                          f"coefficients at q = 0")
@@ -268,10 +271,11 @@ def _check_taylor(name: str, comps: Sequence[Poly], d: int, count: int | None = 
 
 def build_current(X: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """J_X with g-components X^a (a = 0 is the privileged trace direction).
-    A Laurent component raises ValueError (``_check_taylor``)."""
+    A Laurent component raises ValueError (``_refuse_laurent``)."""
     check_grid(d, p)
     if X:
-        _check_taylor("X", X, d)
+        check_field("X", X, d)
+        _refuse_laurent("X", X)
     return NormalBilinear(d, p, tuple(Term(Fraction(1), comp, (None, a))
                                       for a, comp in enumerate(X) if not comp.is_zero()))
 
@@ -280,9 +284,10 @@ def build_vector_field(xi: Sequence[Poly], d: int, p: int) -> NormalBilinear:
     """L_xi: shifted transport terms pi xi_0^mu d_mu phi, plain frame terms
     pi d_nu xi^mu T^nu_mu phi; they do not depend on p, so they are the base
     point's terms too.  A Laurent component raises ValueError
-    (``_check_taylor``)."""
+    (``_refuse_laurent``)."""
     check_grid(d, p)
-    _check_taylor("vector field", xi, d, d)
+    check_field("vector field", xi, d, d)
+    _refuse_laurent("vector field", xi)
     terms: list[Term] = []
     for mu in range(d):
         if any(any(e) for e in xi[mu].numerators):  # xi^mu is not constant

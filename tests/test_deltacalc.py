@@ -212,12 +212,14 @@ def test_bool_grid_raises_after_the_caches_are_primed():
         delta_pair_integral(one, one, none, none, PLAIN, True, 2)
     with pytest.raises(ValueError, match="jet order must be"):
         delta_pair_integral(one, one, none, none, PLAIN, 1, True)
-    # The table keyed by (d, p, D1, D2) is primed for on_x(1); on_x(True)
-    # finds that entry unless the direction is checked first.
+    # The table keyed by (d, p, code1, code2) is primed for on_x(1), code 2,
+    # and none, code 0; a bool code finds its int's entry, so the codes are
+    # taken only after the direction is checked.
     x = parse_poly("x0 + x1", 2)
     assert delta_pair_integral(x, x, DerivSpec.on_x(1), none, SHIFT_PLAIN, 2, 2) == 0
-    assert (deltacalc._pair_table(2, 2, DerivSpec.on_x(True), none)
-            is deltacalc._pair_table(2, 2, DerivSpec.on_x(1), none))
+    assert deltacalc._check_deriv(DerivSpec.on_x(1), 2) == 2
+    assert deltacalc._check_deriv(none, 2) == 0
+    assert deltacalc._pair_table(2, 2, 2, False) is deltacalc._pair_table(2, 2, 2, 0)
     with pytest.raises(ValueError, match="derivative direction"):
         delta_pair_integral(x, x, DerivSpec.on_x(True), none, SHIFT_PLAIN, 2, 2)
 
@@ -236,9 +238,20 @@ def _decode(code, d, p):
     return tuple(reversed(digits))
 
 
+def _table(d, p, d1, d2):
+    """The pair table of two decorations, keyed by their codes."""
+    return deltacalc._pair_table(d, p, deltacalc._check_deriv(d1, d),
+                                 deltacalc._check_deriv(d2, d))
+
+
+def _kernel_terms(d, p, deriv, poly_is_x):
+    """The coded kernel expansion of one decoration, keyed by its code."""
+    return deltacalc._kernel_terms(d, p, deltacalc._check_deriv(deriv, d), poly_is_x)
+
+
 def _word_map(d, p, deriv, poly_is_x):
     """One coded kernel expansion decoded to word -> (coefficient, exponent)."""
-    (coeffs, expos, words), _ = deltacalc._kernel_terms(d, p, deriv, poly_is_x)
+    (coeffs, expos, words), _ = _kernel_terms(d, p, deriv, poly_is_x)
     assert len(coeffs) == len(expos) == len(words) == len(set(words))
     return {_decode(w, d, p): (c, _decode(e, d, p)) for c, e, w in zip(coeffs, expos, words)}
 
@@ -251,7 +264,7 @@ def test_kernel_terms_share_one_lift():
         for p in range(6):
             for deriv in _all_derivs(d):
                 for poly_is_x in (True, False):
-                    lift = deltacalc._kernel_terms(d, p, deriv, poly_is_x)[1]
+                    lift = _kernel_terms(d, p, deriv, poly_is_x)[1]
                     expected = ((0,) * d if deriv.which is Which.NONE
                                 else unit(d, deriv.direction))
                     assert lift == expected, (d, p, deriv, poly_is_x)
@@ -326,12 +339,12 @@ def test_rows_are_built_only_in_the_box_and_once(monkeypatch):
         assert delta_pair_integral(*current) == _reference_pair_integral(*current)
     assert walks and len({walk[1:] for walk in walks}) == len(walks)
     for key in {(case[5], case[6], case[2], case[3]) for case in cases}:
-        first, second, pairs, weights = deltacalc._pair_table(*key)
+        first, second, pairs, weights = _table(*key)
         lift = pairs[0][1]
         assert all(tuple(map(sum, zip(s, t))) == lift for s, t in pairs)
         assert len(weights) <= len(pairs) == math.prod(b + 1 for b in lift) <= 4
     for (f, g, d1, d2, modes, d, p), _, _, s in walks:
-        t = dict(deltacalc._pair_table(d, p, d1, d2)[2])[s]
+        t = dict(_table(d, p, d1, d2)[2])[s]
         assert s in f.numerators and t in g.numerators, (s, t)
         assert not (modes[0] is SmearMode.SHIFTED and not any(s))
         assert not (modes[1] is SmearMode.SHIFTED and not any(t))
@@ -344,7 +357,7 @@ def test_no_weight_is_built_where_g_has_no_partner_term():
     x, g = parse_poly("x0", 1), parse_poly("x0^2 + x0^3", 1)
     assert delta_pair_integral(x, g, DerivSpec.on_x(0), DerivSpec.none(),
                                PLAIN, 1, 3) == 0
-    assert deltacalc._pair_table(1, 3, DerivSpec.on_x(0), DerivSpec.none())[3] == {}
+    assert _table(1, 3, DerivSpec.on_x(0), DerivSpec.none())[3] == {}
 
 
 def _reference_row(first, second, s):
@@ -376,7 +389,7 @@ def test_each_row_is_one_weight_at_delta_minus_s():
             keys.append((d, p, d1, d2))
     held = 0
     for d, p, d1, d2 in keys:
-        _, _, pairs, weights = deltacalc._pair_table(d, p, d1, d2)
+        _, _, pairs, weights = _table(d, p, d1, d2)
         first, second = _word_map(d, p, d1, True), _word_map(d, p, d2, False)
         for s, w in weights.items():
             held += 1

@@ -1,5 +1,6 @@
 import pytest
 
+from jetvir import jetsums
 from jetvir.jetsums import SumKind, sum_brute, sum_closed
 from jetvir.multiindex import enumerate_indices
 from jetvir.verify import suite_sums
@@ -92,9 +93,14 @@ def test_brute_equals_the_per_point_loop():
 
 def test_brute_never_consults_the_closed_form(monkeypatch):
     def closed(*args):
-        raise AssertionError("sum_brute called sum_closed")
-    monkeypatch.setattr("jetvir.jetsums.sum_closed", closed)
+        raise AssertionError("sum_brute read a closed form")
+    monkeypatch.setattr(jetsums, "sum_closed", closed)
+    monkeypatch.setattr(jetsums, "_closed_value", closed)
+    jetsums._moments.cache_clear()
     assert sum_brute(SumKind.E, 3, 4, 2, 0) == 56
+    for kind in SumKind:
+        for dirs in _directions(kind, 3):
+            assert sum_brute(kind, 3, 4, *dirs) == _reference_sum_brute(kind, 3, 4, *dirs)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, False, "0", None, -1, 2])
@@ -116,3 +122,26 @@ def test_unknown_kind_rejected():
     for f in (sum_closed, sum_brute):
         with pytest.raises(ValueError, match="unknown kind"):
             f("A", 2, 2)
+
+
+def test_deep_moment_table_builds_without_recursion():
+    """The (1, 5000) table is built cold, one layer at a time, far past the
+    recursion limit a table read off its (d, p - 1) table by recursion would
+    hit."""
+    jetsums._moments.cache_clear()
+    jetsums._layer_moments.cache_clear()
+    assert sum_brute(SumKind.A, 1, 5000) == sum_closed(SumKind.A, 1, 5000) == 5001
+    for kind in (SumKind.B, SumKind.C):
+        assert sum_brute(kind, 1, 5000, 0) == sum_closed(kind, 1, 5000, 0)
+
+
+def test_bool_arguments_raise_after_the_tables_are_cached():
+    # True == 1 hashes like 1, so the moment tables keyed by (d, p) must not
+    # be read before the arguments are checked.
+    assert sum_brute(SumKind.A, 1, 2) == 3
+    assert sum_brute(SumKind.E, 3, 4, 1, 2) == 56
+    for args in ((SumKind.A, True, 2), (SumKind.A, 1, True), (SumKind.B, 3, 4, True),
+                 (SumKind.C, 3, 4, False), (SumKind.D, 3, 4, True, 2),
+                 (SumKind.E, 3, 4, 1, True)):
+        with pytest.raises(ValueError):
+            sum_brute(*args)

@@ -364,6 +364,21 @@ def test_builders_refuse_a_laurent_field():
         build_current([Poly.zero(1), inverse], 1, 1)
 
 
+def test_contraction_refuses_a_laurent_term():
+    """A bilinear assembled from Terms skips the builders' check, so
+    ``double_contraction`` refuses a Laurent coefficient itself, in the field
+    terms or the base point of either operand, with the builders' one-line
+    ValueError.  It once read only the Taylor terms: a term x^-1 + 2 gave the
+    value of the term 2."""
+    taylor = build_current([Poly.constant(1, 3)], 1, 1)
+    laurent = Term(Fraction(1), Poly.monomial((-1,)) + Poly.constant(1, 2), (None, 0))
+    bad = [NormalBilinear(1, 1, (laurent,)), NormalBilinear(1, 1, (), (laurent,))]
+    for a, b in [(x, taylor) for x in bad] + [(taylor, x) for x in bad]:
+        with pytest.raises(ValueError) as err:
+            double_contraction(a, b, GL1, GR1)
+        assert "negative exponent" in str(err.value) and "\n" not in str(err.value)
+
+
 def test_pole_orders_bounded():
     t = build_reparam(2, 2, 1)
     pe = double_contraction(t, t, from_sl_gl1(0, 0, 1, 2), GR1)
@@ -462,12 +477,12 @@ def _traces(draw, d):
 
 
 @st.composite
-def _poly(draw, d, low=-1):
+def _poly(draw, d):
     """Each Taylor term the oracle reads (the constant and the units) drawn
-    with a coefficient that may be zero, plus a few terms of exponents
-    ``low`` to 2."""
+    with a coefficient that may be zero, plus a few terms of exponents 0 to
+    2: the engine refuses a Laurent term."""
     terms = {e: draw(_SMALL) for e in [(0,) * d] + [unit(d, mu) for mu in range(d)]}
-    terms.update(draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * d), _SMALL,
+    terms.update(draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d), _SMALL,
                                       max_size=3)))
     return Poly(d, terms)
 
@@ -483,8 +498,7 @@ def _bilinear(draw, d, p):
     kind = draw(st.sampled_from([None, "L", "T"]))
     base_point = ()
     if kind == "L":
-        # the builder refuses a Laurent field; the Terms above keep theirs
-        kind = ("L", [draw(_poly(d, 0)) for _ in range(d)])
+        kind = ("L", [draw(_poly(d)) for _ in range(d)])
         base_point = build_vector_field(kind[1], d, 0).q_sector
     elif kind == "T":
         kind = ("T",)
