@@ -12,8 +12,8 @@ Each sum has a closed binomial form and a brute-force enumeration;
 The brute side reads every sum of one (d, p) off one table of the lattice's
 moments: the point count, the column sums sum m_mu and the second moments
 sum m_mu m_nu.  The table is built one degree layer at a time, from the
-compositions that ``multiindex`` caches for its lattices, and kept in a
-bounded cache.
+compositions that ``multiindex`` caches for its lattices, and kept in
+bounded caches.
 """
 
 from __future__ import annotations
